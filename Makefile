@@ -4,12 +4,15 @@
 #   make test        full test suite
 #   make vet         static analysis only
 #   make check       tbcheck over the examples + seeded-broken corpus
-#   make ci          what the gate runs: vet + check + race-detector tests
+#   make ci          what the gate runs: fmt-check + vet + check +
+#                    race-detector tests + the end-to-end *-check gates
 #   make tables      regenerate the paper tables (tbbench)
+#
+# The repo benchmark is bench/ (see bench/README.md), not a target here.
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet check ci fuzz bench examples tables verify clean store-check collect-check fault-check triage-check shard-check replay-check gensnaps genregress recon-bench shard-bench replay-bench
+.PHONY: all build test test-short test-race vet fmt-check check ci fuzz bench examples tables verify clean store-check collect-check fault-check shard-check replay-check gensnaps genregress
 
 all: build test
 
@@ -25,6 +28,10 @@ test-short:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: gofmt must have nothing to say about any file.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # Instrumentation-invariant verification: every example program must
 # instrument to a module tbcheck finds clean, and every seeded-broken
@@ -49,13 +56,13 @@ check:
 		internal/verify/testdata/corpus/fleet/missing-sync \
 		internal/verify/testdata/corpus/fleet/unserved-endpoint
 
-# The CI gate: static analysis, instrumentation verification, the
-# race-detector pass (which subsumes plain `go test`), the snap
-# warehouse + collection plane end-to-end checks, the bounded
-# fault-injection campaign, the fleet triage loopback gate, the
-# sharded-warehouse gate, and the record-and-replay gate; keep this
+# The CI gate: formatting, static analysis, instrumentation
+# verification, the race-detector pass (which subsumes plain `go
+# test`), the snap warehouse + collection plane end-to-end checks, the
+# bounded fault-injection campaign, the sharded-warehouse + fleet
+# triage loopback gate, and the record-and-replay gate; keep this
 # green before merging.
-ci: vet check test-race store-check collect-check fault-check triage-check shard-check replay-check
+ci: fmt-check vet check test-race store-check collect-check fault-check shard-check replay-check
 
 # Warehouse end-to-end gate: ingest the committed snaps/ fleet plus a
 # fresh re-run of the example scenarios, assert full deduplication and
@@ -86,16 +93,6 @@ fault-check:
 	$(GO) run ./cmd/tbfault run -seed 2 -kinds kill,signal,rpc,unload,wrap -regress fault_evidence
 	$(GO) run ./cmd/tbfault replay -dir snaps/regressions
 
-# Fleet triage gate: stage a seeded two-phase campaign through a live
-# tbcollectd over loopback — the example scenarios as a steady
-# background across ten rate windows, one seeded tbfault kill trial
-# injected into the newest window only — and assert /v1/regressions
-# flags exactly the injected signatures, local (tbstore-path) triage
-# agrees with the wire, and the journal rebuilds the index (rate
-# windows included) bit-for-bit.
-triage-check:
-	$(GO) run ./tools/triagecheck
-
 # Record-and-replay gate: re-record every example scenario and hold
 # the fresh harvest to the committed snaps/ fleet byte for byte, then
 # replay each recording — and every committed regression-corpus case's
@@ -105,13 +102,17 @@ triage-check:
 replay-check:
 	$(GO) run ./tools/replaycheck
 
-# Sharded warehouse gate: boot a three-shard loopback fleet plus a
-# fan-out gate and a single-node reference daemon, push the same
-# campaign through both, and assert the union of shard journals is
-# byte-identical to the single-node index, the gate's wire responses
-# match the single daemon byte for byte, a seeded tbfault campaign
-# through the gate flags exactly the injected signatures, and a
-# kill/restart of one shard mid-campaign redirects uploads (counted
+# Sharded warehouse + fleet triage gate: boot a three-shard loopback
+# fleet plus a fan-out gate and a single-node reference daemon, push
+# the same seeded two-phase campaign (the example scenarios as a steady
+# background across ten rate windows, one tbfault kill trial injected
+# into the newest window only) through both, and assert the union of
+# shard journals is byte-identical to the single-node index, the
+# gate's wire responses match the single daemon byte for byte,
+# /v1/regressions flags exactly the injected signatures on the wire
+# and local (tbstore-path) triage over the drained store agrees, the
+# journal rebuilds the index (rate windows included) bit-for-bit, and
+# a kill/restart of one shard mid-campaign redirects uploads (counted
 # in coll_agent_failover_total) without losing a snap.
 shard-check:
 	$(GO) run ./tools/shardcheck
@@ -126,24 +127,6 @@ gensnaps:
 # instrumentation, or fault planner change).
 genregress:
 	$(GO) run ./tools/genregress
-
-# Reconstruction-throughput trajectory: snaps/sec, ns/record, and
-# allocs/record over the committed fleet at jobs 1/4/16. Wall-clock
-# numbers — compare shapes across commits, not absolute values.
-recon-bench:
-	$(GO) run ./cmd/tbbench -recon
-
-# Gate fan-out trajectory: ns per fan-out round trip and per triage
-# query over loopback fleets of 1/2/4 shards. Wall-clock numbers —
-# compare the cost growth across shard counts, not absolute values.
-shard-bench:
-	$(GO) run ./cmd/tbbench -shard
-
-# Record-and-replay trajectory: recording overhead (%) and replay
-# speed relative to a plain run, per example scenario. Wall-clock
-# numbers — compare shapes across commits, not absolute values.
-replay-bench:
-	$(GO) run ./cmd/tbbench -replay
 
 # Race-detector pass over everything, including the pipeline-vs-oracle
 # stress test (jobs 1/4/16 against one shared MapCache).

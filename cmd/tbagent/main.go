@@ -100,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 		}
 	}
 	if *metricsTo != "" {
-		if werr := writeMetrics(*metricsTo, stderr, reg); werr != nil && err == nil {
+		if werr := reg.WriteFile(*metricsTo, stderr); werr != nil && err == nil {
 			err = werr
 		}
 	}
@@ -109,19 +109,4 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 	}
 	fmt.Fprintln(stdout, "tbagent: spool drained")
 	return 0
-}
-
-func writeMetrics(dest string, stderr io.Writer, reg *telemetry.Registry) error {
-	if dest == "-" {
-		return reg.WritePrometheus(stderr)
-	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if strings.HasSuffix(dest, ".json") {
-		return reg.WriteJSON(f)
-	}
-	return reg.WritePrometheus(f)
 }

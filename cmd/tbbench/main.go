@@ -17,40 +17,10 @@ import (
 
 func main() {
 	var (
-		table    = flag.String("table", "all", "which result to regenerate: 1, 2, 3, petshop, ablation, all")
-		scale    = flag.Float64("scale", 1.0, "work scale factor for Table 1 (smaller = faster)")
-		rec      = flag.Bool("recon", false, "benchmark the reconstruction pipeline over the committed snap fleet instead of the paper tables")
-		recSnaps = flag.String("recon-snaps", "snaps", "snap fleet directory for -recon (maps in <dir>/maps)")
-		recOut   = flag.String("recon-out", "BENCH_recon.json", "output file for -recon")
-		shrd     = flag.Bool("shard", false, "benchmark gate fan-out queries over loopback shard fleets instead of the paper tables")
-		shrdIn   = flag.String("shard-snaps", "snaps", "snap fleet directory for -shard (maps in <dir>/maps)")
-		shrdOut  = flag.String("shard-out", "BENCH_shard.json", "output file for -shard")
-		rply     = flag.Bool("replay", false, "benchmark record overhead and replay speed over the example scenarios instead of the paper tables")
-		rplyOut  = flag.String("replay-out", "BENCH_replay.json", "output file for -replay")
+		table = flag.String("table", "all", "which result to regenerate: 1, 2, 3, petshop, ablation, all")
+		scale = flag.Float64("scale", 1.0, "work scale factor for Table 1 (smaller = faster)")
 	)
 	flag.Parse()
-
-	if *rec {
-		if err := reconBench(*recSnaps, *recOut); err != nil {
-			fmt.Fprintln(os.Stderr, "tbbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *shrd {
-		if err := shardBench(*shrdIn, *shrdOut); err != nil {
-			fmt.Fprintln(os.Stderr, "tbbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *rply {
-		if err := replayBench(*rplyOut); err != nil {
-			fmt.Fprintln(os.Stderr, "tbbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	run := map[string]bool{}
 	if *table == "all" {

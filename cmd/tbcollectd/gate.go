@@ -10,12 +10,9 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -24,21 +21,13 @@ import (
 	"traceback/internal/shard/gate"
 )
 
-func runGate(listen, shardsCSV, mapsDir string, drainTimeout time.Duration,
+func runGate(listen, shardsCSV string, maps recon.MapResolver, drainTimeout time.Duration,
 	stdout io.Writer, fail func(error) int, sigs <-chan os.Signal) int {
 	var shards []string
 	for _, s := range strings.Split(shardsCSV, ",") {
 		if s = strings.TrimSpace(s); s != "" {
 			shards = append(shards, s)
 		}
-	}
-	var maps recon.MapResolver
-	if mapsDir != "" {
-		loader, err := recon.NewDirLoader(mapsDir)
-		if err != nil {
-			return fail(err)
-		}
-		maps = recon.NewMapCache(loader.Load)
 	}
 	g, err := gate.New(shards, gate.Options{Maps: maps})
 	if err != nil {
@@ -51,24 +40,11 @@ func runGate(listen, shardsCSV, mapsDir string, drainTimeout time.Duration,
 	fmt.Fprintf(stdout, "tbcollectd: gate listening on http://%s over %d shard(s)\n",
 		l.Addr(), len(shards))
 
-	errc := make(chan error, 1)
-	go func() { errc <- g.Serve(l) }()
-	select {
-	case <-sigs:
+	err = serveUntil(sigs, g, l, drainTimeout, func() {
 		fmt.Fprintln(stdout, "tbcollectd: gate shutting down")
-		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-		derr := g.Shutdown(ctx)
-		cancel()
-		if serr := <-errc; serr != nil && !errors.Is(serr, http.ErrServerClosed) && derr == nil {
-			derr = serr
-		}
-		if derr != nil {
-			return fail(derr)
-		}
-	case serr := <-errc:
-		if serr != nil && !errors.Is(serr, http.ErrServerClosed) {
-			return fail(serr)
-		}
+	})
+	if err != nil {
+		return fail(err)
 	}
 	fmt.Fprintln(stdout, "tbcollectd: gate stopped")
 	return 0

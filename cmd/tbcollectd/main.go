@@ -65,10 +65,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 	if fs.NArg() != 0 {
 		return fail(fmt.Errorf("unexpected arguments %v", fs.Args()))
 	}
-	if *gateShards != "" {
-		return runGate(*listen, *gateShards, *mapsDir, *drainTimeout, stdout, fail, sigs)
-	}
-
 	var maps recon.MapResolver
 	if *mapsDir != "" {
 		loader, err := recon.NewDirLoader(*mapsDir)
@@ -77,6 +73,10 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 		}
 		maps = recon.NewMapCache(loader.Load)
 	}
+	if *gateShards != "" {
+		return runGate(*listen, *gateShards, maps, *drainTimeout, stdout, fail, sigs)
+	}
+
 	reg := telemetry.New()
 	arch, err := archive.OpenWith(*store, archive.Options{Telemetry: reg})
 	if err != nil {
@@ -93,29 +93,15 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 	fmt.Fprintf(stdout, "tbcollectd: listening on http://%s (store %s, inflight %d)\n",
 		l.Addr(), *store, *inflight)
 
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(l) }()
-	select {
-	case <-sigs:
-		// Flip /healthz to the draining state first, so anything
-		// polling health sees the drain before the listener closes.
+	// Flip /healthz to the draining state first, so anything polling
+	// health sees the drain before the listener closes.
+	err = serveUntil(sigs, srv, l, *drainTimeout, func() {
 		srv.BeginDrain()
 		fmt.Fprintln(stdout, "tbcollectd: draining")
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		derr := srv.Shutdown(ctx)
-		cancel()
-		if serr := <-errc; serr != nil && !errors.Is(serr, http.ErrServerClosed) && derr == nil {
-			derr = serr
-		}
-		if derr != nil {
-			arch.Close()
-			return fail(derr)
-		}
-	case serr := <-errc:
-		if serr != nil && !errors.Is(serr, http.ErrServerClosed) {
-			arch.Close()
-			return fail(serr)
-		}
+	})
+	if err != nil {
+		arch.Close()
+		return fail(err)
 	}
 	if err := arch.Close(); err != nil {
 		return fail(err)
@@ -123,4 +109,33 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 	fmt.Fprintf(stdout, "tbcollectd: drained; store holds %d blob(s) in %d bucket(s)\n",
 		arch.NumBlobs(), len(arch.Buckets()))
 	return 0
+}
+
+// daemon is the lifecycle collect.Server and gate.Gate share.
+type daemon interface {
+	Serve(net.Listener) error
+	Shutdown(context.Context) error
+}
+
+// serveUntil serves d on l until a signal arrives — then onSignal
+// runs and d gets drainTimeout to shut down gracefully — or until
+// Serve fails on its own. A clean shutdown returns nil.
+func serveUntil(sigs <-chan os.Signal, d daemon, l net.Listener, drainTimeout time.Duration, onSignal func()) error {
+	errc := make(chan error, 1)
+	go func() { errc <- d.Serve(l) }()
+	var err error
+	select {
+	case <-sigs:
+		onSignal()
+		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+		defer cancel()
+		if err = d.Shutdown(ctx); err == nil {
+			err = <-errc
+		}
+	case err = <-errc:
+	}
+	if errors.Is(err, http.ErrServerClosed) {
+		return nil
+	}
+	return err
 }

@@ -21,10 +21,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"traceback/internal/recon"
+	"traceback/internal/snap"
 )
 
 func main() {
@@ -72,25 +72,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cache := recon.NewMapCache(loader.Load)
 
-	// Deduplicate across arguments too: `tbrecon snaps/ snaps/a.snap.json`
+	// Deduplicated across arguments: `tbrecon snaps/ snaps/a.snap.json`
 	// must reconstruct (and render) a.snap.json once, not twice.
-	var sources []recon.Source
-	seen := map[string]bool{}
-	for _, arg := range fs.Args() {
-		paths, err := expandArg(arg, stderr)
-		if err != nil {
-			return fail(err)
-		}
-		for _, p := range paths {
-			if seen[p] {
-				continue
-			}
-			seen[p] = true
-			sources = append(sources, recon.FileSource(p))
-		}
+	paths, err := snap.ExpandPaths(fs.Args(), func(skipped string) {
+		fmt.Fprintf(stderr, "tbrecon: skipping %s: not a snap file\n", skipped)
+	})
+	if err != nil {
+		return fail(err)
 	}
-	if len(sources) == 0 {
-		return fail(fmt.Errorf("no snap files found in %s", strings.Join(fs.Args(), ", ")))
+	sources := make([]recon.Source, len(paths))
+	for i, p := range paths {
+		sources[i] = recon.FileSource(p)
 	}
 
 	opts := recon.RenderOptions{Flat: *flat, MaxEvents: *maxEvents}
@@ -155,7 +147,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "tbrecon: %s (jobs %d)\n", pipe.Snapshot(), pipe.Jobs())
 	}
 	if *metricsTo != "" {
-		if err := writeMetrics(*metricsTo, stderr, pipe); err != nil {
+		if err := pipe.Registry().WriteFile(*metricsTo, stderr); err != nil {
 			return fail(err)
 		}
 	}
@@ -163,64 +155,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// writeMetrics emits the pipeline registry: "-" goes to stderr so
-// stdout stays byte-clean for piped trace output; a path ending in
-// .json gets the JSON form, anything else Prometheus text.
-func writeMetrics(dest string, stderr io.Writer, pipe *recon.Pipeline) error {
-	if dest == "-" {
-		return pipe.Registry().WritePrometheus(stderr)
-	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if strings.HasSuffix(dest, ".json") {
-		return pipe.Registry().WriteJSON(f)
-	}
-	return pipe.Registry().WritePrometheus(f)
-}
-
-// expandArg turns a snap file path into itself and a directory into
-// its sorted, deduplicated snap files (batch mode). A directory that
-// mixes snaps with other files is fine: non-snap entries are skipped
-// with a warning instead of sinking the whole batch.
-func expandArg(arg string, warn io.Writer) ([]string, error) {
-	st, err := os.Stat(arg)
-	if err != nil {
-		return nil, err
-	}
-	if !st.IsDir() {
-		return []string{arg}, nil
-	}
-	entries, err := os.ReadDir(arg)
-	if err != nil {
-		return nil, err
-	}
-	seen := map[string]bool{}
-	var paths []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !isSnapName(name) {
-			fmt.Fprintf(warn, "tbrecon: skipping %s: not a snap file\n", filepath.Join(arg, name))
-			continue
-		}
-		p := filepath.Join(arg, name)
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("%s: no *.snap.json[.gz] files", arg)
-	}
-	return paths, nil
-}
-
-func isSnapName(name string) bool {
-	return strings.HasSuffix(name, ".snap.json") || strings.HasSuffix(name, ".snap.json.gz")
 }

@@ -76,9 +76,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	snaps := make([]*snap.Snap, fs.NArg())
 	for i, path := range fs.Args() {
-		s, err := loadSnap(path)
+		s, err := snap.LoadFile(path)
 		if err != nil {
-			return fail(err)
+			return fail(fmt.Errorf("%s: %w", filepath.Base(path), err))
 		}
 		snaps[i] = s
 	}
@@ -251,17 +251,4 @@ func (c *chainMaps) ForChecksum(sum string) (*module.MapFile, bool) {
 		return nil, false
 	}
 	return mf, true
-}
-
-func loadSnap(path string) (*snap.Snap, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	s, err := snap.LoadAuto(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
-	}
-	return s, nil
 }

@@ -13,10 +13,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"traceback/internal/module"
 	"traceback/internal/snap"
@@ -163,7 +161,7 @@ func main() {
 	}
 
 	if *metricsTo != "" {
-		if err := writeMetrics(*metricsTo, reg); err != nil {
+		if err := reg.WriteFile(*metricsTo, os.Stdout); err != nil {
 			fatal(err)
 		}
 	}
@@ -178,24 +176,6 @@ func main() {
 			fatal(err)
 		}
 	}
-}
-
-// writeMetrics emits the shared registry: "-" goes to stdout; a path
-// ending in .json gets the JSON form, anything else Prometheus text.
-func writeMetrics(dest string, reg *telemetry.Registry) error {
-	var w io.Writer = os.Stdout
-	if dest != "-" {
-		f, err := os.Create(dest)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if strings.HasSuffix(dest, ".json") {
-		return reg.WriteJSON(w)
-	}
-	return reg.WritePrometheus(w)
 }
 
 func fatal(err error) {

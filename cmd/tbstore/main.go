@@ -100,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	if *metricsTo != "" && c.reg != nil {
-		if werr := writeMetrics(*metricsTo, stderr, c); werr != nil {
+		if werr := c.reg.WriteFile(*metricsTo, stderr); werr != nil {
 			return fail(werr)
 		}
 	}
@@ -113,14 +113,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 type cli struct {
 	store          string
 	stdout, stderr io.Writer
-	reg            metricsWriter
-	treg           *telemetry.Registry
+	reg            *telemetry.Registry
 	failed         int
-}
-
-type metricsWriter interface {
-	WritePrometheus(io.Writer) error
-	WriteJSON(io.Writer) error
 }
 
 // openArch opens the warehouse with a fresh registry bound, so every
@@ -134,7 +128,6 @@ func (c *cli) openArch() (*archive.Archive, error) {
 		return nil, err
 	}
 	c.reg = reg
-	c.treg = reg
 	return arch, nil
 }
 
@@ -164,10 +157,13 @@ func (c *cli) ingest(args []string) (err error) {
 	if fs.NArg() < 1 {
 		return fmt.Errorf("ingest: need snap files or directories")
 	}
-	paths, err := expandSnapArgs(fs.Args(), c.stderr)
+	paths, err := snap.ExpandPaths(fs.Args(), func(skipped string) {
+		fmt.Fprintf(c.stderr, "tbstore: skipping %s: not a snap file\n", skipped)
+	})
 	if err != nil {
 		return err
 	}
+	sort.Strings(paths)
 
 	loader, err := recon.NewDirLoader(*mapsDir)
 	if err != nil {
@@ -246,12 +242,7 @@ func ingestOne(arch *archive.Archive, res *recon.Result) (archive.IngestResult, 
 	if res.Err == nil {
 		return arch.Ingest(res.Trace.Snap, archive.FromTrace(res.Trace))
 	}
-	f, err := os.Open(res.Name)
-	if err != nil {
-		return archive.IngestResult{}, res.Err
-	}
-	defer f.Close()
-	s, err := snap.LoadAuto(f)
+	s, err := snap.LoadFile(res.Name)
 	if err != nil {
 		return archive.IngestResult{}, res.Err
 	}
@@ -401,7 +392,7 @@ func (c *cli) regressions(args []string) (err error) {
 		return err
 	}
 	defer closeArch(arch, &err)
-	rep := triage.New(arch, nil, triage.Config{}, c.treg).Regressions()
+	rep := triage.New(arch, nil, triage.Config{}, c.reg).Regressions()
 	rows := rep.Flagged()
 	if *all {
 		rows = rep.Assessments
@@ -430,7 +421,7 @@ func (c *cli) rates(args []string) (err error) {
 		return err
 	}
 	defer closeArch(arch, &err)
-	rr, err := triage.New(arch, nil, triage.Config{}, c.treg).Rates(fs.Arg(0))
+	rr, err := triage.New(arch, nil, triage.Config{}, c.reg).Rates(fs.Arg(0))
 	if err != nil {
 		return err
 	}
@@ -459,7 +450,7 @@ func (c *cli) clusters(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	rep, err := triage.New(arch, recon.NewMapCache(loader.Load), triage.Config{}, c.treg).Clusters()
+	rep, err := triage.New(arch, recon.NewMapCache(loader.Load), triage.Config{}, c.reg).Clusters()
 	if err != nil {
 		return err
 	}
@@ -585,66 +576,4 @@ func (c *cli) gc(args []string) (err error) {
 	fmt.Fprintf(c.stdout, "gc: removed %d blob(s), %d bytes; store holds %d blob(s), %d bytes\n",
 		res.Removed, res.Bytes, arch.NumBlobs(), arch.StoredBytes())
 	return nil
-}
-
-// expandSnapArgs expands files and directories into a deduplicated,
-// sorted snap path list, warning about (and skipping) directory
-// entries that are not snap files.
-func expandSnapArgs(args []string, warn io.Writer) ([]string, error) {
-	seen := map[string]bool{}
-	var paths []string
-	add := func(p string) {
-		if !seen[p] {
-			seen[p] = true
-			paths = append(paths, p)
-		}
-	}
-	for _, arg := range args {
-		st, err := os.Stat(arg)
-		if err != nil {
-			return nil, err
-		}
-		if !st.IsDir() {
-			add(arg)
-			continue
-		}
-		entries, err := os.ReadDir(arg)
-		if err != nil {
-			return nil, err
-		}
-		found := 0
-		for _, e := range entries {
-			name := e.Name()
-			if e.IsDir() || !isSnapName(name) {
-				fmt.Fprintf(warn, "tbstore: skipping %s: not a snap file\n", filepath.Join(arg, name))
-				continue
-			}
-			add(filepath.Join(arg, name))
-			found++
-		}
-		if found == 0 {
-			return nil, fmt.Errorf("%s: no *.snap.json[.gz] files", arg)
-		}
-	}
-	sort.Strings(paths)
-	return paths, nil
-}
-
-func isSnapName(name string) bool {
-	return strings.HasSuffix(name, ".snap.json") || strings.HasSuffix(name, ".snap.json.gz")
-}
-
-func writeMetrics(dest string, stderr io.Writer, c *cli) error {
-	if dest == "-" {
-		return c.reg.WritePrometheus(stderr)
-	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if strings.HasSuffix(dest, ".json") {
-		return c.reg.WriteJSON(f)
-	}
-	return c.reg.WritePrometheus(f)
 }

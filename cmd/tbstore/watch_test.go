@@ -2,16 +2,14 @@ package main
 
 import (
 	"bytes"
-	"context"
-	"net"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"traceback/internal/archive"
 	"traceback/internal/collect"
+	"traceback/internal/loopback"
 )
 
 // syncBuffer is a goroutine-safe bytes.Buffer: watch writes from the
@@ -50,51 +48,34 @@ func waitFor(t *testing.T, out *syncBuffer, substr string) {
 // outage out — unreachable ticks with backoff, then a one-line
 // reconnected notice, never an exit.
 func TestWatchReconnectsAfterDaemonRestart(t *testing.T) {
-	arch, err := archive.Open(filepath.Join(t.TempDir(), "wh"))
+	node, err := loopback.StartNode(filepath.Join(t.TempDir(), "wh"), collect.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer arch.Close()
-
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	srv := collect.NewServer(arch, collect.ServerOptions{})
-	go srv.Serve(l)
+	defer node.Close()
 
 	var out syncBuffer
 	var errb bytes.Buffer
 	done := make(chan int, 1)
 	go func() {
-		done <- run([]string{"watch", "-url", "http://" + addr, "-interval", "5ms", "-count", "400"}, &out, &errb)
+		done <- run([]string{"watch", "-url", node.URL, "-interval", "5ms", "-count", "400"}, &out, &errb)
 	}()
 
 	waitFor(t, &out, "state=ok")
 
 	// Kill the daemon: the listener closes, polls start failing.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	if err := srv.Shutdown(ctx); err != nil {
+	if err := node.Kill(); err != nil {
 		t.Fatal(err)
 	}
-	cancel()
 	waitFor(t, &out, "unreachable")
 
 	// Restart on the same address; the watch must notice and say so.
-	l2, err := net.Listen("tcp", addr)
-	if err != nil {
+	if err := node.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	srv2 := collect.NewServer(arch, collect.ServerOptions{})
-	go srv2.Serve(l2)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		srv2.Shutdown(ctx)
-		cancel()
-	}()
+	defer node.Kill()
 
-	waitFor(t, &out, "reconnected to http://"+addr)
+	waitFor(t, &out, "reconnected to "+node.URL)
 
 	if code := <-done; code != 0 {
 		t.Fatalf("watch exited %d: %s", code, errb.String())

@@ -13,7 +13,6 @@ package archive
 
 import (
 	"bytes"
-	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -326,16 +325,7 @@ func (a *Archive) writeBlob(path string, canonical []byte) (int64, error) {
 		return 0, fmt.Errorf("archive: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	zw, err := gzip.NewWriterLevel(tmp, gzip.BestCompression)
-	if err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("archive: %w", err)
-	}
-	if _, err := zw.Write(canonical); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("archive: writing blob: %w", err)
-	}
-	if err := zw.Close(); err != nil {
+	if err := snap.WriteGzip(tmp, canonical); err != nil {
 		tmp.Close()
 		return 0, fmt.Errorf("archive: writing blob: %w", err)
 	}
@@ -355,12 +345,11 @@ func (a *Archive) writeBlob(path string, canonical []byte) (int64, error) {
 
 // LoadSnap reads a stored snap back by its content address.
 func (a *Archive) LoadSnap(sum string) (*snap.Snap, error) {
-	f, err := os.Open(a.blobPath(sum))
+	s, err := snap.LoadFile(a.blobPath(sum))
 	if err != nil {
 		return nil, fmt.Errorf("archive: blob %s: %w", sum, err)
 	}
-	defer f.Close()
-	return snap.LoadAuto(f)
+	return s, nil
 }
 
 // OpenBlob opens the stored gzip blob for sum as-is, for streaming it
@@ -414,19 +403,38 @@ func (a *Archive) Bucket(sigPrefix string) (Bucket, error) {
 	if b, ok := a.st.buckets[sigPrefix]; ok {
 		return cloneBucket(b), nil
 	}
-	var found *Bucket
-	for sig, b := range a.st.buckets {
-		if strings.HasPrefix(sig, sigPrefix) {
-			if found != nil {
+	shallow := make([]Bucket, 0, len(a.st.buckets))
+	for _, b := range a.st.buckets {
+		shallow = append(shallow, *b)
+	}
+	b, err := FindBucket(shallow, sigPrefix)
+	if err != nil {
+		return Bucket{}, err
+	}
+	return cloneBucket(&b), nil
+}
+
+// FindBucket resolves a signature or unambiguous signature prefix
+// against a bucket list. It is the one resolver behind Archive.Bucket
+// and the fan-out gate's merged snapshot, so an unknown or ambiguous
+// prefix reads the same from a single daemon and through a gate.
+func FindBucket(buckets []Bucket, sigPrefix string) (Bucket, error) {
+	found := -1
+	for i := range buckets {
+		if buckets[i].Sig == sigPrefix {
+			return buckets[i], nil
+		}
+		if strings.HasPrefix(buckets[i].Sig, sigPrefix) {
+			if found >= 0 {
 				return Bucket{}, fmt.Errorf("archive: signature prefix %q is ambiguous", sigPrefix)
 			}
-			found = b
+			found = i
 		}
 	}
-	if found == nil {
+	if found < 0 {
 		return Bucket{}, fmt.Errorf("archive: no bucket %q", sigPrefix)
 	}
-	return cloneBucket(found), nil
+	return buckets[found], nil
 }
 
 // Has reports whether the blob for sum is resident (stored and not

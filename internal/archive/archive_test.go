@@ -690,3 +690,32 @@ func TestHasAfterGC(t *testing.T) {
 		t.Error("blob not resident after re-ingest")
 	}
 }
+
+func TestFindBucketPrefixResolution(t *testing.T) {
+	a, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	for n := 0; n < 3; n++ {
+		s := mkSnap("h1", n)
+		if _, err := a.IngestUnique(s, SignSnap(s, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buckets := a.Buckets()
+	full := buckets[0].Sig
+	got, err := FindBucket(buckets, full[:6])
+	if err != nil {
+		t.Fatalf("prefix resolve: %v", err)
+	}
+	if got.Sig != full {
+		t.Errorf("resolved %q, want %q", got.Sig, full)
+	}
+	if _, err := FindBucket(buckets, "nope"); err == nil {
+		t.Error("unknown prefix resolved")
+	}
+	if _, err := FindBucket(buckets, ""); err == nil {
+		t.Error("empty prefix resolved despite being ambiguous")
+	}
+}

@@ -44,8 +44,8 @@ func (f Frame) String() string {
 
 // Signature is a computed crash fingerprint. ID is the bucket key.
 type Signature struct {
-	ID    string  `json:"id"`
-	Title string  `json:"title"`
+	ID    string `json:"id"`
+	Title string `json:"title"`
 	// Weak marks a metadata-only fallback fingerprint, used when the
 	// snap could not be reconstructed (mapfiles missing or corrupt).
 	Weak   bool    `json:"weak,omitempty"`

@@ -31,7 +31,7 @@ func TestWindowsOrderIndependent(t *testing.T) {
 	// window and a straggler far behind the final horizon.
 	times := []uint64{
 		0, 1, WindowWidth - 1, // window 0 (evicted by the end)
-		WindowWidth * 5, // window 5 (evicted)
+		WindowWidth * 5,                      // window 5 (evicted)
 		WindowWidth * 70, WindowWidth*70 + 7, // retained
 		WindowWidth * 99, WindowWidth * 99, WindowWidth*99 + 1, // retained, count 3
 		WindowWidth * 120,

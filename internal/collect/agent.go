@@ -2,7 +2,6 @@ package collect
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -50,9 +49,9 @@ func Spool(dir string, s *snap.Snap) (string, error) {
 		return "", fmt.Errorf("collect: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := compressTo(tmp, canonical); err != nil {
+	if err := snap.WriteGzip(tmp, canonical); err != nil {
 		tmp.Close()
-		return "", err
+		return "", fmt.Errorf("collect: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		return "", fmt.Errorf("collect: %w", err)
@@ -71,23 +70,6 @@ func SpoolForwarder(dir string) func(*snap.Snap) error {
 		_, err := Spool(dir, s)
 		return err
 	}
-}
-
-// compressTo gzips the exact canonical bytes the content address was
-// computed over, mirroring the warehouse's blob form.
-func compressTo(f *os.File, canonical []byte) error {
-	zw, err := gzip.NewWriterLevel(f, gzip.BestCompression)
-	if err != nil {
-		return fmt.Errorf("collect: %w", err)
-	}
-	if _, err := zw.Write(canonical); err != nil {
-		zw.Close()
-		return fmt.Errorf("collect: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return fmt.Errorf("collect: %w", err)
-	}
-	return nil
 }
 
 // AgentOptions configures an uploader.
@@ -246,7 +228,7 @@ func (a *Agent) scan() ([]string, error) {
 	var out []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || (!strings.HasSuffix(name, ".snap.json") && !strings.HasSuffix(name, ".snap.json.gz")) {
+		if e.IsDir() || !snap.IsFileName(name) {
 			continue
 		}
 		out = append(out, filepath.Join(a.spool, name))
@@ -259,9 +241,9 @@ func (a *Agent) scan() ([]string, error) {
 type outcome int
 
 const (
-	outCommitted outcome = iota // left the spool (uploaded or dedup-skipped)
-	outRetry                    // transient failure, file stays spooled
-	outQuarantined              // moved aside, never retried
+	outCommitted   outcome = iota // left the spool (uploaded or dedup-skipped)
+	outRetry                      // transient failure, file stays spooled
+	outQuarantined                // moved aside, never retried
 )
 
 // Drain uploads until the spool is empty, retrying failed snaps with

@@ -2,7 +2,7 @@ package collect
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -49,11 +49,9 @@ type Server struct {
 	maxBody    int64
 	retryAfter time.Duration
 
-	mux      *http.ServeMux
 	hs       *http.Server
 	draining atomic.Bool
 	started  time.Time
-	triage   *triage.Analyzer
 
 	reg *telemetry.Registry
 	rec *telemetry.Recorder
@@ -101,7 +99,6 @@ func NewServer(arch *archive.Archive, opts ServerOptions) *Server {
 		rec:        reg.Recorder(256),
 		started:    time.Now(),
 	}
-	s.triage = triage.New(arch, opts.Maps, opts.Triage, reg)
 	s.met = serverMetrics{
 		uploads:      reg.Counter("coll_uploads_total", "snaps ingested over the wire"),
 		uploadDups:   reg.Counter("coll_upload_dups_total", "uploads replaying content already resident (idempotent no-ops)"),
@@ -120,29 +117,23 @@ func NewServer(arch *archive.Archive, opts ServerOptions) *Server {
 	mux.HandleFunc("HEAD "+PathBlobPrefix+"{sum}", s.handlePrecheck)
 	mux.HandleFunc("GET "+PathBlobPrefix+"{sum}", s.handleBlob)
 	mux.HandleFunc("POST "+PathSnap, s.handleUpload)
-	mux.HandleFunc("GET "+PathBuckets, s.handleBuckets)
-	mux.HandleFunc("GET "+PathTop, s.handleTop)
-	mux.HandleFunc("GET "+PathRegressions, s.handleRegressions)
-	mux.HandleFunc("GET "+PathRates, s.handleRates)
-	mux.HandleFunc("GET "+PathClusters, s.handleClusters)
-	mux.HandleFunc("GET "+PathMetrics, s.handleMetrics)
 	mux.HandleFunc("GET "+PathHealth, s.handleHealth)
-	s.mux = mux
+	MountTriage(mux, arch, triage.New(arch, opts.Maps, opts.Triage, reg), reg, nil)
+	// Built here, not in Serve, so a Shutdown that wins the race with
+	// the serving goroutine still makes Serve return ErrServerClosed.
+	s.hs = &http.Server{Handler: mux}
 	return s
 }
 
 // Handler exposes the daemon's routes (httptest-friendly).
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return s.hs.Handler }
 
 // Metrics returns the daemon's registry.
 func (s *Server) Metrics() *telemetry.Registry { return s.reg }
 
 // Serve accepts connections on l until Shutdown. The error mirrors
 // http.Server.Serve: http.ErrServerClosed after a clean shutdown.
-func (s *Server) Serve(l net.Listener) error {
-	s.hs = &http.Server{Handler: s.mux}
-	return s.hs.Serve(l)
-}
+func (s *Server) Serve(l net.Listener) error { return s.hs.Serve(l) }
 
 // BeginDrain flips the daemon into the draining state without
 // closing the listener: /healthz answers 503 {"state":"draining"}
@@ -164,9 +155,6 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // is the caller's to close — the daemon never owns it.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.BeginDrain()
-	if s.hs == nil {
-		return nil
-	}
 	return s.hs.Shutdown(ctx)
 }
 
@@ -231,7 +219,11 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.maxBody)
 	sn, err := snap.LoadAuto(&countingReader{r: body, n: s.met.bytesIn})
 	if err != nil {
-		s.uploadError(w, fmt.Sprintf("unreadable snap: %v", err), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		if errors.Is(err, snap.ErrTooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		s.uploadError(w, fmt.Sprintf("unreadable snap: %v", err), status)
 		return
 	}
 	sum, _, err := archive.ChecksumSnap(sn)
@@ -262,7 +254,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 			s.rec.Record(sn.Time, "coll-bucket-new", res.Sig.ID+" "+res.Sig.Title)
 		}
 	}
-	writeJSON(w, status, UploadResponse{
+	WriteJSON(w, status, UploadResponse{
 		V: 1, Sum: res.Sum, Sig: res.Sig.ID, Title: res.Sig.Title,
 		Weak: res.Sig.Weak, Dup: res.Dup, NewBucket: res.NewBucket,
 	})
@@ -274,99 +266,18 @@ func (s *Server) uploadError(w http.ResponseWriter, msg string, status int) {
 	http.Error(w, msg, status)
 }
 
-func (s *Server) handleBuckets(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, TopResponse{V: 1, Buckets: s.arch.Buckets()})
-}
-
-// handleTop returns the first n buckets in triage order (count desc).
-func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
-	n := 10
-	if q := r.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
-			http.Error(w, "bad n", http.StatusBadRequest)
-			return
-		}
-		n = v
-	}
-	buckets := s.arch.Buckets()
-	if n > 0 && len(buckets) > n {
-		buckets = buckets[:n]
-	}
-	writeJSON(w, http.StatusOK, TopResponse{V: 1, Buckets: buckets})
-}
-
-// handleRegressions serves the regression classification of every
-// bucket — deterministic given the warehouse index, so a fleet
-// queried over the wire triages identically to `tbstore regressions`
-// on the archive directory.
-func (s *Server) handleRegressions(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.triage.Regressions())
-}
-
-// handleRates serves one signature's crash-rate windows;
-// ?sig=<prefix> resolves like `tbstore show`.
-func (s *Server) handleRates(w http.ResponseWriter, r *http.Request) {
-	sig := r.URL.Query().Get("sig")
-	if sig == "" {
-		http.Error(w, "missing sig parameter", http.StatusBadRequest)
-		return
-	}
-	rep, err := s.triage.Rates(sig)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
-}
-
-// handleClusters serves the similarity clustering of the warehouse's
-// signatures.
-func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
-	rep, err := s.triage.Clusters()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
-}
-
-// handleMetrics serves the shared registry: Prometheus text by
-// default, JSON (with the flight-recorder dump) for ?format=json.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "json" {
-		w.Header().Set("Content-Type", "application/json")
-		if err := s.reg.WriteJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if err := s.reg.WritePrometheus(w); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	state, code := HealthOK, http.StatusOK
 	if s.draining.Load() {
 		state, code = HealthDraining, http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, HealthResponse{
+	WriteJSON(w, code, HealthResponse{
 		V: 1, State: state, Inflight: len(s.sem),
 		UptimeSec:   int64(time.Since(s.started) / time.Second),
 		Buckets:     s.arch.NumBuckets(),
 		Blobs:       s.arch.NumBlobs(),
 		StoredBytes: s.arch.StoredBytes(),
 	})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }
 
 // validSum accepts exactly a lowercase SHA-256 hex string — anything

@@ -2,9 +2,13 @@ package collect
 
 import (
 	"bytes"
+	"compress/gzip"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,6 +16,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"traceback/internal/archive"
 	"traceback/internal/snap"
@@ -443,5 +448,60 @@ func TestMetricsJSONFormat(t *testing.T) {
 	}
 	if !found {
 		t.Error("no coll-upload flight event in the JSON exposition")
+	}
+}
+
+// TestUploadInflateBombRejected: the body cap bounds compressed bytes
+// only, and snaps compress ~400:1 — a member that inflates past
+// snap.MaxInflatedBytes must be refused 413 (the agent's 4xx →
+// quarantine path) and leave the archive untouched.
+func TestUploadInflateBombRejected(t *testing.T) {
+	_, ts, arch := newTestDaemon(t, ServerOptions{})
+	var bomb bytes.Buffer
+	zw, err := gzip.NewWriterLevel(&bomb, gzip.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zw.Write([]byte("{}"))
+	pad := bytes.Repeat([]byte(" "), 1<<20)
+	for n := 0; n < snap.MaxInflatedBytes; n += len(pad) {
+		zw.Write(pad)
+	}
+	zw.Close()
+
+	resp, err := http.Post(ts.URL+PathSnap, "application/gzip", &bomb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+	if arch.NumBlobs() != 0 {
+		t.Error("bomb reached the archive")
+	}
+}
+
+// TestShutdownBeforeServe: a Shutdown that wins the race with the
+// serving goroutine must still stop it — Serve returns ErrServerClosed
+// instead of accepting forever on a listener nobody will close.
+func TestShutdownBeforeServe(t *testing.T) {
+	srv, _, _ := newTestDaemon(t, ServerOptions{})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(l) }()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, http.ErrServerClosed) {
+			t.Errorf("Serve after Shutdown: %v, want ErrServerClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve after Shutdown never returned")
 	}
 }

@@ -84,15 +84,6 @@ type plan struct {
 	unloadAt     uint64
 }
 
-func sortedRoles(procs map[string]*vm.Process) []string {
-	roles := make([]string, 0, len(procs))
-	for r := range procs {
-		roles = append(roles, r)
-	}
-	sort.Strings(roles)
-	return roles
-}
-
 // buildPlan draws a trial's schedule from its sub-RNG. Everything is
 // derived from rng and the baseline — no clocks, no map iteration.
 func buildPlan(kind string, roles []string, bl baseline, rng *rand.Rand) *plan {

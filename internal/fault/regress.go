@@ -94,7 +94,7 @@ func (cc *CorpusCase) Verify(dir string) error {
 	var procs []*recon.ProcessTrace
 	var failures []string
 	for _, name := range cc.Snaps {
-		s, err := loadSnapFile(filepath.Join(dir, name))
+		s, err := snap.LoadFile(filepath.Join(dir, name))
 		if err != nil {
 			return fmt.Errorf("case %s: %w", cc.Name, err)
 		}
@@ -180,7 +180,7 @@ func WriteArtifacts(dir string, arts []Artifact) ([]string, error) {
 			return paths, err
 		}
 		for i, s := range a.Snaps {
-			if err := saveSnapFile(filepath.Join(base, fmt.Sprintf("snap-%d.snap.json.gz", i+1)), s); err != nil {
+			if err := snap.SaveFile(filepath.Join(base, fmt.Sprintf("snap-%d.snap.json.gz", i+1)), s); err != nil {
 				return paths, err
 			}
 		}
@@ -207,18 +207,6 @@ func WriteArtifacts(dir string, arts []Artifact) ([]string, error) {
 	return paths, nil
 }
 
-func saveSnapFile(path string, s *snap.Snap) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := s.SaveCompressed(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 func saveMapFile(path string, mf *module.MapFile) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -241,15 +229,6 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
-}
-
-func loadSnapFile(path string) (*snap.Snap, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return snap.LoadAuto(f)
 }
 
 func loadMapFile(path string) (*module.MapFile, error) {

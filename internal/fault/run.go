@@ -12,15 +12,6 @@ import (
 	"traceback/internal/snap"
 )
 
-func buildScenario(name string, opts scenario.Options) (*scenario.Setup, error) {
-	for _, b := range scenario.Builders {
-		if b.Name == name {
-			return b.Build(opts)
-		}
-	}
-	return nil, fmt.Errorf("fault: unknown scenario %q", name)
-}
-
 // baselineFor measures (and caches) the uninjected span of a
 // scenario under a config class, so fault times land inside it.
 func (c *Campaign) baselineFor(scen string, opts scenario.Options) (baseline, error) {
@@ -31,7 +22,7 @@ func (c *Campaign) baselineFor(scen string, opts scenario.Options) (baseline, er
 	if bl, ok := c.spans[key]; ok {
 		return bl, nil
 	}
-	setup, err := buildScenario(scen, opts)
+	setup, err := scenario.Build(scen, opts)
 	if err != nil {
 		return baseline{}, err
 	}
@@ -72,11 +63,11 @@ func (c *Campaign) runTrial(idx int, kind, scen string, sub int64) (*TrialReport
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	setup, err := buildScenario(scen, opts)
+	setup, err := scenario.Build(scen, opts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	roles := sortedRoles(setup.Procs)
+	roles := setup.Roles()
 	rng := rand.New(rand.NewSource(sub))
 	p := buildPlan(kind, roles, bl, rng)
 	in := &injector{c: c, setup: setup, p: p}

@@ -2,7 +2,6 @@ package recon
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -148,14 +147,7 @@ type Source struct {
 
 // FileSource reads a snap file (plain or gzipped JSON).
 func FileSource(path string) Source {
-	return Source{Name: path, Load: func() (*snap.Snap, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return snap.LoadAuto(f)
-	}}
+	return Source{Name: path, Load: func() (*snap.Snap, error) { return snap.LoadFile(path) }}
 }
 
 // SnapSource wraps an already-loaded snap.

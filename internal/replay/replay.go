@@ -3,7 +3,6 @@ package replay
 import (
 	"bytes"
 	"fmt"
-	"sort"
 
 	"traceback/internal/module"
 	"traceback/internal/mvm"
@@ -40,31 +39,13 @@ func options(l *Log) scenario.Options {
 	return scenario.Options{}
 }
 
-func buildScenario(name string, opts scenario.Options) (*scenario.Setup, error) {
-	for _, b := range scenario.Builders {
-		if b.Name == name {
-			return b.Build(opts)
-		}
-	}
-	return nil, fmt.Errorf("replay: unknown scenario %q", name)
-}
-
-func sortedRoles(procs map[string]*vm.Process) []string {
-	roles := make([]string, 0, len(procs))
-	for r := range procs {
-		roles = append(roles, r)
-	}
-	sort.Strings(roles)
-	return roles
-}
-
 // HarvestTrial collects a run's snaps exactly as the fault campaign
 // does after a trial: the service heartbeat first (hang detection),
 // then per sorted role the policy snaps plus a post-mortem pull.
 // Replay and campaign share this function so a replayed trial's
 // harvest is positionally comparable to the original's.
 func HarvestTrial(setup *scenario.Setup) []*snap.Snap {
-	roles := sortedRoles(setup.Procs)
+	roles := setup.Roles()
 	if setup.Service != nil && len(roles) > 0 {
 		m := setup.Procs[roles[0]].Machine
 		m.SetClock(m.Clock() + 200_000)
@@ -98,7 +79,7 @@ func harvest(l *Log, setup *scenario.Setup) ([]*snap.Snap, error) {
 // the harvest (whose snaps do NOT carry the section — call
 // Log.Attach for that). Provenance mirrors the arguments.
 func Record(name string, wrap, trial bool) (*Log, *Result, error) {
-	setup, err := buildScenario(name, options(&Log{Wrap: wrap}))
+	setup, err := scenario.Build(name, options(&Log{Wrap: wrap}))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -126,7 +107,7 @@ func runWith(l *Log, strict bool) (*Result, error) {
 	if l.Scenario == ManagedScenario {
 		return runManaged(l, strict)
 	}
-	setup, err := buildScenario(l.Scenario, options(l))
+	setup, err := scenario.Build(l.Scenario, options(l))
 	if err != nil {
 		return nil, err
 	}

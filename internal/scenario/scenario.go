@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"traceback/internal/core"
 	"traceback/internal/minic"
@@ -73,6 +74,18 @@ type Setup struct {
 
 	done    func(*Setup) bool
 	collect func(*Setup) *Built
+}
+
+// Roles lists the scenario's process roles in sorted order — the
+// order campaigns plan over and harvests walk, so both are independent
+// of map iteration.
+func (s *Setup) Roles() []string {
+	roles := make([]string, 0, len(s.Procs))
+	for r := range s.Procs {
+		roles = append(roles, r)
+	}
+	sort.Strings(roles)
+	return roles
 }
 
 // Run drives the world until the scenario's completion condition,
@@ -329,6 +342,16 @@ var Builders = []struct {
 	{"deadlock", BuildDeadlock},
 }
 
+// Build builds the named scenario from Builders.
+func Build(name string, opts Options) (*Setup, error) {
+	for _, b := range Builders {
+		if b.Name == name {
+			return b.Build(opts)
+		}
+	}
+	return nil, fmt.Errorf("scenario: unknown scenario %q", name)
+}
+
 // All runs every scenario and merges the outputs.
 func All() ([]*Built, error) {
 	var out []*Built
@@ -374,15 +397,7 @@ func (b *Built) Write(dir string) ([]string, error) {
 	var paths []string
 	for i, s := range b.Snaps {
 		p := filepath.Join(dir, fmt.Sprintf("%s-%s-%d.snap.json.gz", b.Name, s.Process, i+1))
-		f, err := os.Create(p)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.SaveCompressed(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Close(); err != nil {
+		if err := snap.SaveFile(p, s); err != nil {
 			return nil, err
 		}
 		paths = append(paths, p)

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -78,10 +77,7 @@ type Gate struct {
 	ring   *shard.Ring
 	client *http.Client
 
-	mux     *http.ServeMux
-	hs      *http.Server
-	started time.Time
-	triage  *triage.Analyzer
+	hs *http.Server
 
 	mu      sync.Mutex
 	buckets []archive.Bucket // last merged snapshot
@@ -122,12 +118,11 @@ func New(shards []string, opts Options) (*Gate, error) {
 		bases[i] = strings.TrimRight(s, "/")
 	}
 	g := &Gate{
-		shards:  bases,
-		ring:    ring,
-		client:  opts.Client,
-		started: time.Now(),
-		reg:     reg,
-		rec:     reg.Recorder(256),
+		shards: bases,
+		ring:   ring,
+		client: opts.Client,
+		reg:    reg,
+		rec:    reg.Recorder(256),
 	}
 	g.met = metrics{
 		fanouts:     reg.Counter("gate_fanouts_total", "shard fan-out rounds executed"),
@@ -136,40 +131,29 @@ func New(shards []string, opts Options) (*Gate, error) {
 		blobScans:   reg.Counter("gate_blob_fallback_scans_total", "blob fetches that scanned past the home shard (failover residue)"),
 		mergeNanos:  reg.Histogram("gate_merge_nanos", "per-round shard index merge latency (ns)", telemetry.DurationBuckets()),
 	}
-	g.triage = triage.New(g, opts.Maps, opts.Triage, reg)
 
+	// The daemon's own triage table over the merged snapshot, with a
+	// fan-out refresh before every query.
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET "+collect.PathBuckets, g.handleBuckets)
-	mux.HandleFunc("GET "+collect.PathTop, g.handleTop)
-	mux.HandleFunc("GET "+collect.PathRegressions, g.handleRegressions)
-	mux.HandleFunc("GET "+collect.PathRates, g.handleRates)
-	mux.HandleFunc("GET "+collect.PathClusters, g.handleClusters)
-	mux.HandleFunc("GET "+collect.PathMetrics, g.handleMetrics)
 	mux.HandleFunc("GET "+collect.PathHealth, g.handleHealth)
-	g.mux = mux
+	collect.MountTriage(mux, g, triage.New(g, opts.Maps, opts.Triage, reg), reg,
+		func(r *http.Request) error { return g.refresh(r.Context()) })
+	g.hs = &http.Server{Handler: mux}
 	return g, nil
 }
 
 // Handler exposes the gate's routes (httptest-friendly).
-func (g *Gate) Handler() http.Handler { return g.mux }
+func (g *Gate) Handler() http.Handler { return g.hs.Handler }
 
 // Metrics returns the gate's registry.
 func (g *Gate) Metrics() *telemetry.Registry { return g.reg }
 
 // Serve accepts connections on l until Shutdown.
-func (g *Gate) Serve(l net.Listener) error {
-	g.hs = &http.Server{Handler: g.mux}
-	return g.hs.Serve(l)
-}
+func (g *Gate) Serve(l net.Listener) error { return g.hs.Serve(l) }
 
 // Shutdown stops the gate. It owns no warehouse state, so shutdown is
 // just the listener.
-func (g *Gate) Shutdown(ctx context.Context) error {
-	if g.hs == nil {
-		return nil
-	}
-	return g.hs.Shutdown(ctx)
-}
+func (g *Gate) Shutdown(ctx context.Context) error { return g.hs.Shutdown(ctx) }
 
 // refresh fans /v1/buckets out to every shard and swaps in the merged
 // snapshot. Any unreachable shard fails the whole refresh — a partial
@@ -241,7 +225,7 @@ func (g *Gate) Buckets() []archive.Bucket {
 func (g *Gate) Bucket(sigPrefix string) (archive.Bucket, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return shard.FindBucket(g.buckets, sigPrefix)
+	return archive.FindBucket(g.buckets, sigPrefix)
 }
 
 func (g *Gate) NewestTime() uint64 {
@@ -286,83 +270,6 @@ func (g *Gate) fetchSnap(base, sum string) (*snap.Snap, error) {
 	return snap.LoadAuto(resp.Body)
 }
 
-func (g *Gate) handleBuckets(w http.ResponseWriter, r *http.Request) {
-	if !g.refreshOr502(w, r) {
-		return
-	}
-	writeJSON(w, http.StatusOK, collect.TopResponse{V: 1, Buckets: g.Buckets()})
-}
-
-func (g *Gate) handleTop(w http.ResponseWriter, r *http.Request) {
-	if !g.refreshOr502(w, r) {
-		return
-	}
-	n := 10
-	if q := r.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
-			http.Error(w, "bad n", http.StatusBadRequest)
-			return
-		}
-		n = v
-	}
-	buckets := g.Buckets()
-	if n > 0 && len(buckets) > n {
-		buckets = buckets[:n]
-	}
-	writeJSON(w, http.StatusOK, collect.TopResponse{V: 1, Buckets: buckets})
-}
-
-func (g *Gate) handleRegressions(w http.ResponseWriter, r *http.Request) {
-	if !g.refreshOr502(w, r) {
-		return
-	}
-	writeJSON(w, http.StatusOK, g.triage.Regressions())
-}
-
-func (g *Gate) handleRates(w http.ResponseWriter, r *http.Request) {
-	sig := r.URL.Query().Get("sig")
-	if sig == "" {
-		http.Error(w, "missing sig parameter", http.StatusBadRequest)
-		return
-	}
-	if !g.refreshOr502(w, r) {
-		return
-	}
-	rep, err := g.triage.Rates(sig)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
-}
-
-func (g *Gate) handleClusters(w http.ResponseWriter, r *http.Request) {
-	if !g.refreshOr502(w, r) {
-		return
-	}
-	rep, err := g.triage.Clusters()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
-}
-
-func (g *Gate) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "json" {
-		w.Header().Set("Content-Type", "application/json")
-		if err := g.reg.WriteJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if err := g.reg.WritePrometheus(w); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
 // handleHealth probes every shard and aggregates: "ok" only when the
 // whole fleet is serving.
 func (g *Gate) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -383,7 +290,7 @@ func (g *Gate) handleHealth(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	writeJSON(w, code, HealthResponse{V: 1, State: state, Shards: states})
+	collect.WriteJSON(w, code, HealthResponse{V: 1, State: state, Shards: states})
 }
 
 func (g *Gate) probeShard(ctx context.Context, base string) string {
@@ -401,20 +308,4 @@ func (g *Gate) probeShard(ctx context.Context, base string) string {
 		return "down"
 	}
 	return hr.State
-}
-
-func (g *Gate) refreshOr502(w http.ResponseWriter, r *http.Request) bool {
-	if err := g.refresh(r.Context()); err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }

@@ -1,13 +1,17 @@
 package gate
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"traceback/internal/archive"
 	"traceback/internal/collect"
@@ -125,9 +129,15 @@ func TestGateMatchesSingleNode(t *testing.T) {
 	routes := []string{
 		collect.PathBuckets,
 		collect.PathTop + "?n=2",
+		collect.PathTop,
 		collect.PathRegressions,
 		collect.PathRates + "?sig=" + sig[:8],
 		collect.PathClusters,
+		// The error cases are part of the surface too.
+		collect.PathTop + "?n=-1",
+		collect.PathTop + "?n=x",
+		collect.PathRates,
+		collect.PathRates + "?sig=ffffffffffff",
 	}
 	for _, route := range routes {
 		wantCode, want := get(t, single.URL+route)
@@ -139,6 +149,63 @@ func TestGateMatchesSingleNode(t *testing.T) {
 		if string(got) != string(want) {
 			t.Errorf("%s: gate response differs from single node\ngate:\n%s\nsingle:\n%s", route, got, want)
 		}
+	}
+}
+
+// TestGateValidatesBeforeFanOut: a malformed request is refused on
+// its own merits — 400, not the 502 of the dead shard behind it — and
+// costs no fan-out round.
+func TestGateValidatesBeforeFanOut(t *testing.T) {
+	bases, _, _, _ := newFleet(t, 2, 4)
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	bases[1] = dead.URL
+	g, err := New(bases, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(g.Handler())
+	defer ts.Close()
+	fanouts := g.Metrics().Counter("gate_fanouts_total", "")
+
+	if code, _ := get(t, ts.URL+collect.PathTop); code != http.StatusBadGateway {
+		t.Fatalf("top with a dead shard: %d, want 502", code)
+	}
+	before := fanouts.Load()
+	for _, route := range []string{collect.PathTop + "?n=x", collect.PathRates} {
+		if code, _ := get(t, ts.URL+route); code != http.StatusBadRequest {
+			t.Errorf("%s with a dead shard: %d, want 400", route, code)
+		}
+	}
+	if got := fanouts.Load(); got != before {
+		t.Errorf("malformed requests cost %d fan-out round(s)", got-before)
+	}
+}
+
+// TestGateShutdownBeforeServe: a Shutdown that wins the race with the
+// serving goroutine must still stop it — Serve returns ErrServerClosed
+// instead of accepting forever on a listener nobody will close.
+func TestGateShutdownBeforeServe(t *testing.T) {
+	g, err := New([]string{"http://127.0.0.1:1"}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- g.Serve(l) }()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, http.ErrServerClosed) {
+			t.Errorf("Serve after Shutdown: %v, want ErrServerClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve after Shutdown never returned")
 	}
 }
 

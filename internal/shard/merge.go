@@ -25,9 +25,7 @@
 package shard
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"traceback/internal/archive"
 )
@@ -89,28 +87,6 @@ func NewestTime(buckets []archive.Bucket) uint64 {
 		}
 	}
 	return newest
-}
-
-// FindBucket resolves a signature prefix against a merged bucket
-// list, with the same unambiguous-prefix convenience as
-// archive.Archive.Bucket.
-func FindBucket(buckets []archive.Bucket, sigPrefix string) (archive.Bucket, error) {
-	found := -1
-	for i := range buckets {
-		if buckets[i].Sig == sigPrefix {
-			return buckets[i], nil
-		}
-		if strings.HasPrefix(buckets[i].Sig, sigPrefix) {
-			if found >= 0 {
-				return archive.Bucket{}, fmt.Errorf("shard: signature prefix %q is ambiguous", sigPrefix)
-			}
-			found = i
-		}
-	}
-	if found < 0 {
-		return archive.Bucket{}, fmt.Errorf("shard: no bucket %q", sigPrefix)
-	}
-	return buckets[found], nil
 }
 
 func cloneBucket(b *archive.Bucket) archive.Bucket {

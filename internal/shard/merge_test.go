@@ -141,28 +141,3 @@ func TestMergeDedupsFailoverCopies(t *testing.T) {
 		t.Errorf("merged rep %q is not the earliest resident snap %q", m.Rep, m.Snaps[0].Sum)
 	}
 }
-
-func TestFindBucketPrefixResolution(t *testing.T) {
-	a := openArch(t, filepath.Join(t.TempDir(), "a"))
-	for bucket := 0; bucket < 3; bucket++ {
-		s := mkSnap(bucket, "h1", uint64(1000*(bucket+1)))
-		if _, err := a.IngestUnique(s, archive.SignSnap(s, nil)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	buckets := MergeBuckets(a.Buckets())
-	full := buckets[0].Sig
-	got, err := FindBucket(buckets, full[:6])
-	if err != nil {
-		t.Fatalf("prefix resolve: %v", err)
-	}
-	if got.Sig != full {
-		t.Errorf("resolved %q, want %q", got.Sig, full)
-	}
-	if _, err := FindBucket(buckets, "nope"); err == nil {
-		t.Error("unknown prefix resolved")
-	}
-	if _, err := FindBucket(buckets, ""); err == nil && len(buckets) > 1 {
-		t.Error("empty prefix resolved despite being ambiguous")
-	}
-}

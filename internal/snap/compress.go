@@ -27,15 +27,37 @@ var (
 	// bytes (a second member or appended garbage); the snap archival
 	// form is exactly one member.
 	ErrTrailingData = errors.New("trailing data after snap")
+	// ErrTooLarge: the gzip member inflates past MaxInflatedBytes (a
+	// decompression bomb, or a snap no deployment produces).
+	ErrTooLarge = errors.New("snap inflates past the size limit")
 )
 
+// MaxInflatedBytes bounds what one gzip member may inflate to. Honest
+// snaps compress around 400:1, so a cap on the compressed size alone
+// (the daemon's upload limit) bounds nothing; this is the same 64 MiB
+// the daemon allows a plain-JSON body by default.
+const MaxInflatedBytes = 64 << 20
+
 // SaveCompressed writes the snap as gzip-compressed JSON.
-func (s *Snap) SaveCompressed(w io.Writer) error {
+func (s *Snap) SaveCompressed(w io.Writer) error { return gzipTo(w, s.Save) }
+
+// WriteGzip writes already-encoded snap JSON in the archival form.
+// Spool files, upload bodies and warehouse blobs are all this one
+// encoding of the canonical bytes the content address is computed
+// over, so the same snap is the same bytes at every hop.
+func WriteGzip(w io.Writer, canonical []byte) error {
+	return gzipTo(w, func(zw io.Writer) error {
+		_, err := zw.Write(canonical)
+		return err
+	})
+}
+
+func gzipTo(w io.Writer, fill func(io.Writer) error) error {
 	zw, err := gzip.NewWriterLevel(w, gzip.BestCompression)
 	if err != nil {
 		return err
 	}
-	if err := s.Save(zw); err != nil {
+	if err := fill(zw); err != nil {
 		zw.Close()
 		return err
 	}
@@ -70,14 +92,22 @@ func loadGzip(br *bufio.Reader) (*Snap, error) {
 	// One member only: appended garbage (or a second member) must not
 	// be silently swallowed by gzip's multistream default.
 	zr.Multistream(false)
-	s, err := Load(zr)
+	// One byte past the cap, so a member of exactly the cap still
+	// reaches its trailer.
+	lr := &io.LimitedReader{R: zr, N: MaxInflatedBytes + 1}
+	s, err := Load(lr)
 	if err != nil {
-		return nil, fmt.Errorf("gzip member: %w", classifyGzipErr(err))
+		err = fmt.Errorf("gzip member: %w", classifyGzipErr(err))
+	} else if _, err = io.Copy(io.Discard, lr); err != nil {
+		// Draining the member forces the trailer (CRC/length) check,
+		// which is where a truncated body surfaces.
+		err = fmt.Errorf("snap: %w", classifyGzipErr(err))
 	}
-	// Drain the member to force the trailer (CRC/length) check, which
-	// is where a truncated body surfaces.
-	if _, err := io.Copy(io.Discard, zr); err != nil {
-		return nil, fmt.Errorf("snap: %w", classifyGzipErr(err))
+	if lr.N == 0 {
+		return nil, fmt.Errorf("snap: %w", ErrTooLarge)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("snap: %w", ErrTrailingData)

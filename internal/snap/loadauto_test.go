@@ -95,3 +95,42 @@ func TestLoadAutoOneBytePlain(t *testing.T) {
 		t.Error("bare '{' misclassified as empty")
 	}
 }
+
+// inflatesTo builds a gzip member holding an empty snap padded with
+// whitespace to n inflated bytes: a few dozen KB on the wire.
+func inflatesTo(t testing.TB, n int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw, err := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zw.Write([]byte("{}"))
+	pad := bytes.Repeat([]byte(" "), 1<<20)
+	for left := n - 2; left > 0; left -= len(pad) {
+		if left < len(pad) {
+			pad = pad[:left]
+		}
+		zw.Write(pad)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadAutoInflateCap: a member may inflate to MaxInflatedBytes and
+// no further; the bomb is refused as ErrTooLarge without its tail ever
+// being materialized.
+func TestLoadAutoInflateCap(t *testing.T) {
+	if _, err := LoadAuto(bytes.NewReader(inflatesTo(t, MaxInflatedBytes))); err != nil {
+		t.Errorf("member of exactly the cap: %v", err)
+	}
+	bomb := inflatesTo(t, MaxInflatedBytes+1)
+	if len(bomb) > 1<<20 {
+		t.Fatalf("bomb is %d bytes compressed; the test wants a small one", len(bomb))
+	}
+	if _, err := LoadAuto(bytes.NewReader(bomb)); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("one byte past the cap: err = %v, want ErrTooLarge", err)
+	}
+}

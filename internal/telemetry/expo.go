@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"strings"
 )
 
 // WritePrometheus writes every metric in the Prometheus text
@@ -95,4 +97,27 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
+}
+
+// WriteFile is the CLIs' -metrics flag: dest "-" writes Prometheus
+// text to dash (each tool's side channel, so piped output stays
+// byte-clean); a path ending in .json gets the JSON form, any other
+// path Prometheus text.
+func (r *Registry) WriteFile(dest string, dash io.Writer) error {
+	if dest == "-" {
+		return r.WritePrometheus(dash)
+	}
+	f, err := os.Create(dest)
+	if err != nil {
+		return err
+	}
+	write := r.WritePrometheus
+	if strings.HasSuffix(dest, ".json") {
+		write = r.WriteJSON
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -90,21 +90,21 @@ const NondetMagic Word = 0x4E440001
 // meaningful for a kind are zero (and must be zero for records to
 // compare equal between a recording and its replay).
 type NondetRecord struct {
-	Kind    NondetKind
-	Quantum uint64 // world-global scheduling quantum (managed quanta for NDManaged)
-	Machine uint16 // machine index in the world
-	PID     uint32
-	TID     uint32
-	PID2    uint32 // sender process (NDRPCDeliver)
-	TID2    uint32 // sender thread (NDRPCDeliver)
-	Sig     int32  // signal number / managed exception code
-	PC      uint64 // pre-delivery PC (NDSignal)
-	Clock   uint64 // machine clock at the event
+	Kind     NondetKind
+	Quantum  uint64 // world-global scheduling quantum (managed quanta for NDManaged)
+	Machine  uint16 // machine index in the world
+	PID      uint32
+	TID      uint32
+	PID2     uint32 // sender process (NDRPCDeliver)
+	TID2     uint32 // sender thread (NDRPCDeliver)
+	Sig      int32  // signal number / managed exception code
+	PC       uint64 // pre-delivery PC (NDSignal)
+	Clock    uint64 // machine clock at the event
 	Endpoint uint64
-	Index   uint32 // RPC ordinal (NDRPCFault) or module handle (NDUnload)
-	Flags   uint32 // NDF* bits (NDRPCFault)
-	Delay   uint64 // injected delay cycles (NDRPCFault)
-	Len     uint32 // payload length (NDRPCDeliver)
+	Index    uint32 // RPC ordinal (NDRPCFault) or module handle (NDUnload)
+	Flags    uint32 // NDF* bits (NDRPCFault)
+	Delay    uint64 // injected delay cycles (NDRPCFault)
+	Len      uint32 // payload length (NDRPCDeliver)
 }
 
 // nondetPayloadWords is the fixed per-record payload size.
@@ -174,21 +174,21 @@ func DecodeNondet(words []Word) ([]NondetRecord, error) {
 		}
 		p := words[i+1 : i+1+plen]
 		out = append(out, NondetRecord{
-			Kind:    kind,
-			Quantum: JoinU64(p[0], p[1]),
-			Machine: uint16(p[2]),
-			PID:     uint32(p[3]),
-			TID:     uint32(p[4]),
-			PID2:    uint32(p[5]),
-			TID2:    uint32(p[6]),
-			Sig:     int32(p[7]),
-			PC:      JoinU64(p[8], p[9]),
-			Clock:   JoinU64(p[10], p[11]),
+			Kind:     kind,
+			Quantum:  JoinU64(p[0], p[1]),
+			Machine:  uint16(p[2]),
+			PID:      uint32(p[3]),
+			TID:      uint32(p[4]),
+			PID2:     uint32(p[5]),
+			TID2:     uint32(p[6]),
+			Sig:      int32(p[7]),
+			PC:       JoinU64(p[8], p[9]),
+			Clock:    JoinU64(p[10], p[11]),
 			Endpoint: JoinU64(p[12], p[13]),
-			Index:   uint32(p[14]),
-			Flags:   uint32(p[15]),
-			Delay:   JoinU64(p[16], p[17]),
-			Len:     uint32(p[18]),
+			Index:    uint32(p[14]),
+			Flags:    uint32(p[15]),
+			Delay:    JoinU64(p[16], p[17]),
+			Len:      uint32(p[18]),
 		})
 		i += 1 + plen
 	}

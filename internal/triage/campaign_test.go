@@ -12,6 +12,7 @@ import (
 
 	"traceback/internal/archive"
 	"traceback/internal/fault"
+	"traceback/internal/loopback"
 	"traceback/internal/scenario"
 	"traceback/internal/snap"
 	"traceback/internal/telemetry"
@@ -30,67 +31,20 @@ func counter(an *triage.Analyzer, name string) uint64 {
 // injects a campaign-only signature in the newest window. The
 // injected signature must be flagged; the steady ones must not.
 func TestClassifyCampaignTwoPhase(t *testing.T) {
-	// Baseline traffic: the uninjected scenarios.
-	builts, err := scenario.All()
+	camp, err := loopback.StageCampaign()
 	if err != nil {
 		t.Fatal(err)
 	}
-	maps := scenario.MapSet(builts...)
-
-	// The injected fault: one seeded campaign trial. Seed 3's kill of
-	// the quickstart app yields a signature the baseline never
-	// produces (asserted below, deterministically).
-	camp, err := fault.New(fault.Config{Seed: 3, Kinds: []string{fault.KindKill}, Scenarios: []string{"quickstart"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, faultSnaps, faultMaps, err := camp.Trial(fault.KindKill, "quickstart")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(faultSnaps) == 0 {
-		t.Fatal("campaign trial produced no snaps")
-	}
-	for _, mf := range faultMaps {
-		maps.Add(mf)
-	}
-
-	steadySigs := map[string]bool{}
+	maps, steadySigs, injected := camp.Maps, camp.Steady, camp.Injected
 	arch, err := archive.Open(filepath.Join(t.TempDir(), "wh"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer arch.Close()
-
-	// Phase 1: every baseline snap in every window 0..9.
-	for win := uint64(0); win < 10; win++ {
-		for _, b := range builts {
-			for _, s := range b.Snaps {
-				cp := *s
-				cp.Time = win*W + W/4
-				sig := archive.SignSnap(&cp, maps)
-				steadySigs[sig.ID] = true
-				if _, err := arch.Ingest(&cp, sig); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	// Phase 2: the campaign's snaps, newest window only.
-	injected := map[string]bool{}
-	for _, s := range faultSnaps {
-		cp := *s
-		cp.Time = 9*W + W/2
-		sig := archive.SignSnap(&cp, maps)
-		if !steadySigs[sig.ID] {
-			injected[sig.ID] = true
-		}
-		if _, err := arch.Ingest(&cp, sig); err != nil {
+	for _, s := range camp.Snaps {
+		if _, err := arch.Ingest(s, archive.SignSnap(s, maps)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if len(injected) == 0 {
-		t.Fatal("campaign signatures all collide with the baseline; pick another seed")
 	}
 
 	an := triage.New(arch, maps, triage.Config{}, telemetry.New())

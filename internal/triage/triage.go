@@ -189,11 +189,11 @@ func (a *Analyzer) Rates(sigPrefix string) (*RateReport, error) {
 
 // RateReport is one signature's windowed crash-rate view.
 type RateReport struct {
-	V      int                  `json:"v"`
-	Now    uint64               `json:"now"`
-	Window uint64               `json:"window"`
-	Windows []archive.RateWindow `json:"windows"`
-	Assessment Assessment       `json:"assessment"`
+	V          int                  `json:"v"`
+	Now        uint64               `json:"now"`
+	Window     uint64               `json:"window"`
+	Windows    []archive.RateWindow `json:"windows"`
+	Assessment Assessment           `json:"assessment"`
 }
 
 func (r *RateReport) String() string {

@@ -27,17 +27,15 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"traceback/internal/archive"
 	"traceback/internal/collect"
+	"traceback/internal/loopback"
 	"traceback/internal/recon"
 	"traceback/internal/scenario"
 	"traceback/internal/snap"
@@ -52,7 +50,7 @@ func main() {
 	snapsDir := flag.String("snaps", "snaps", "committed snap directory (mapfiles in <snaps>/maps)")
 	flag.Parse()
 
-	committed, err := listSnaps(*snapsDir)
+	committed, err := snap.ExpandPaths([]string{*snapsDir}, nil)
 	if err != nil {
 		die("%v (run `go run ./tools/gensnaps` to regenerate the committed fleet)", err)
 	}
@@ -103,7 +101,10 @@ func directIndex(tmp string, paths []string, loader *recon.DirLoader) []byte {
 	}
 	maps := recon.NewMapCache(loader.Load)
 	for _, p := range paths {
-		s := loadSnap(p)
+		s, err := snap.LoadFile(p)
+		if err != nil {
+			die("%s: %v", p, err)
+		}
 		if _, err := arch.Ingest(s, archive.SignSnap(s, maps)); err != nil {
 			die("direct ingest %s: %v", p, err)
 		}
@@ -124,21 +125,14 @@ func directIndex(tmp string, paths []string, loader *recon.DirLoader) []byte {
 // and the daemon then drains gracefully.
 func wireRound(tmp string, committed, fresh []string, loader *recon.DirLoader, inflight int, want []byte) {
 	storeDir := filepath.Join(tmp, fmt.Sprintf("wire-%d", inflight))
-	arch, err := archive.Open(storeDir)
-	if err != nil {
-		die("%v", err)
-	}
-	srv := collect.NewServer(arch, collect.ServerOptions{
+	node, err := loopback.StartNode(storeDir, collect.ServerOptions{
 		Maps:        recon.NewMapCache(loader.Load),
 		MaxInflight: inflight,
 	})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		die("%v", err)
 	}
-	base := "http://" + l.Addr().String()
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(l) }()
+	arch, base := node.Arch, node.URL
 
 	// Round 1: two agents race the committed fleet up the wire.
 	spoolA := filepath.Join(storeDir, "spool-a")
@@ -210,15 +204,10 @@ func wireRound(tmp string, committed, fresh []string, loader *recon.DirLoader, i
 
 	// Graceful drain: Serve returns ErrServerClosed and the flushed
 	// index.json matches the live bytes.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
+	if err := node.Kill(); err != nil {
 		die("inflight %d: shutdown: %v", inflight, err)
 	}
-	if err := <-serveDone; err != nil && err != http.ErrServerClosed {
-		die("inflight %d: serve: %v", inflight, err)
-	}
-	if err := arch.Close(); err != nil {
+	if err := node.Close(); err != nil {
 		die("%v", err)
 	}
 	flushed, err := os.ReadFile(filepath.Join(storeDir, "index.json"))
@@ -254,19 +243,6 @@ func spoolFile(spool, src string) {
 	}
 }
 
-func loadSnap(path string) *snap.Snap {
-	f, err := os.Open(path)
-	if err != nil {
-		die("%v", err)
-	}
-	defer f.Close()
-	s, err := snap.LoadAuto(f)
-	if err != nil {
-		die("%s: %v", path, err)
-	}
-	return s
-}
-
 func journalSize(storeDir string) int64 {
 	st, err := os.Stat(filepath.Join(storeDir, "journal.jsonl"))
 	if err != nil {
@@ -276,42 +252,7 @@ func journalSize(storeDir string) int64 {
 }
 
 func assertCounter(ag *collect.Agent, name string, want uint64, inflight int) {
-	var sb strings.Builder
-	if err := ag.Metrics().WritePrometheus(&sb); err != nil {
-		die("%v", err)
+	if got := ag.Metrics().Counter(name, "").Load(); got != want {
+		die("inflight %d: %s = %d, want %d", inflight, name, got, want)
 	}
-	for _, line := range strings.Split(sb.String(), "\n") {
-		if strings.HasPrefix(line, name+" ") {
-			var got uint64
-			if _, err := fmt.Sscanf(line, name+" %d", &got); err != nil {
-				die("parsing %q: %v", line, err)
-			}
-			if got != want {
-				die("inflight %d: %s = %d, want %d", inflight, name, got, want)
-			}
-			return
-		}
-	}
-	die("inflight %d: %s not exposed", inflight, name)
-}
-
-// listSnaps mirrors storecheck's committed-fleet discovery.
-func listSnaps(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var paths []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || (!strings.HasSuffix(name, ".snap.json") && !strings.HasSuffix(name, ".snap.json.gz")) {
-			continue
-		}
-		paths = append(paths, filepath.Join(dir, name))
-	}
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("%s: no committed snaps", dir)
-	}
-	sort.Strings(paths)
-	return paths, nil
 }

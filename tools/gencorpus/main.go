@@ -92,4 +92,12 @@ func main() {
 	// an omitempty slice with a present-but-empty value, a form Save
 	// never emits (canonicalized on first save).
 	write(sdir, "case-insensitive-empty-partners", []byte(`{"pArtners":[]}`))
+	// Decompression bomb: an empty snap padded with whitespace to one
+	// byte past snap.MaxInflatedBytes. LoadAuto must refuse it
+	// (snap.ErrTooLarge) without materializing the padding.
+	var bomb bytes.Buffer
+	if err := snap.WriteGzip(&bomb, append([]byte("{}"), bytes.Repeat([]byte(" "), snap.MaxInflatedBytes-1)...)); err != nil {
+		panic(err)
+	}
+	write(sdir, "inflate-bomb", bomb.Bytes())
 }

@@ -80,7 +80,7 @@ func generate(out string) error {
 		}
 		for i, s := range snaps {
 			fn := fmt.Sprintf("%s-%d.snap.json.gz", sp.name, i+1)
-			if err := writeSnap(filepath.Join(out, fn), s); err != nil {
+			if err := snap.SaveFile(filepath.Join(out, fn), s); err != nil {
 				return err
 			}
 			cc.Snaps = append(cc.Snaps, fn)
@@ -117,7 +117,7 @@ func generate(out string) error {
 		Expect: fault.ExpectViolation,
 		Detail: "module table checksum deliberately corrupted by genregress; reconstruction must fail",
 	}
-	if err := writeSnap(filepath.Join(out, bad.Snaps[0]), badSource); err != nil {
+	if err := snap.SaveFile(filepath.Join(out, bad.Snaps[0]), badSource); err != nil {
 		return err
 	}
 	man.Cases = append(man.Cases, bad)
@@ -144,18 +144,6 @@ func writeManifest(out string, man *fault.Corpus) error {
 		return err
 	}
 	return os.WriteFile(filepath.Join(out, fault.ManifestName), buf.Bytes(), 0o644)
-}
-
-func writeSnap(path string, s *snap.Snap) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := s.SaveCompressed(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func writeMap(path string, mf *module.MapFile) error {

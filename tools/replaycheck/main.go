@@ -125,9 +125,9 @@ func committedSnaps(dir, name string) ([]*snap.Snap, []string, error) {
 	sort.Slice(paths, func(i, j int) bool { return idx(paths[i]) < idx(paths[j]) })
 	var snaps []*snap.Snap
 	for _, p := range paths {
-		s, err := loadSnap(p)
+		s, err := snap.LoadFile(p)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("%s: %w", filepath.Base(p), err)
 		}
 		snaps = append(snaps, s)
 	}
@@ -153,9 +153,9 @@ func checkCorpus(dir string, fail func(string, ...any)) {
 		var snaps []*snap.Snap
 		bad := false
 		for _, name := range cc.Snaps {
-			s, err := loadSnap(filepath.Join(dir, name))
+			s, err := snap.LoadFile(filepath.Join(dir, name))
 			if err != nil {
-				fail("corpus %s: %v", cc.Name, err)
+				fail("corpus %s: %s: %v", cc.Name, name, err)
 				bad = true
 				break
 			}
@@ -241,17 +241,4 @@ func expectDivergence(l *replay.Log, kind string, fail func(string, ...any)) {
 		return
 	}
 	fmt.Printf("ok   divergence %-12s rejected with machine-readable report\n", kind)
-}
-
-func loadSnap(path string) (*snap.Snap, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	s, err := snap.LoadAuto(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
-	}
-	return s, nil
 }

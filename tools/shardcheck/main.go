@@ -1,14 +1,25 @@
-// shardcheck is the sharded-warehouse CI gate (`make shard-check`):
-// it boots an in-process 3-shard fleet (three tbcollectd servers over
-// loopback TCP), a fan-out gate over them, and a shard-aware agent,
-// and asserts the three properties the multi-node design stands on:
+// shardcheck is the sharded-warehouse and fleet-triage CI gate
+// (`make shard-check`): on the loopback harness (internal/loopback) it
+// boots a 3-shard fleet (three tbcollectd servers over loopback TCP),
+// a fan-out gate over them, a single-node reference daemon and a
+// shard-aware agent, stages the seeded two-phase campaign
+// (loopback.StageCampaign) through both, and asserts the properties
+// the multi-node design and the regression detector stand on:
 //
 //  1. Byte-equivalence under healthy placement: a fleet of snaps
 //     uploaded through the shard-aware agent lands so that the union
 //     of the three shard journals reduces to index bytes identical to
 //     a single node ingesting the same fleet, and the gate's merged
-//     /v1/buckets matches the single node's byte for byte.
-//  2. Kill/restart loses nothing: with one shard down mid-campaign,
+//     /v1/buckets, /v1/top and /v1/regressions match the single
+//     node's byte for byte.
+//  2. Fleet triage: GET /v1/regressions — on the gate, and so by (1)
+//     on the single daemon — flags exactly the campaign-only
+//     signatures and no steady one; after the single node drains, the
+//     same classification computed from its store directory (the
+//     `tbstore regressions` path) flags the identical set, and the
+//     index rebuilt from its journal alone is byte-identical to the
+//     live index, rate windows included.
+//  3. Kill/restart loses nothing: with one shard down mid-campaign,
 //     uploads redirect to the next live shard (counted in
 //     coll_agent_failover_total and flight-recorded); after the shard
 //     restarts on the same address, every uploaded snap is resident
@@ -17,10 +28,6 @@
 //     NOT asserted here: a failover may journal the same content on
 //     two shards, which inflates occurrence counts — the design trade
 //     documented in internal/shard.
-//  3. Fleet triage through the gate: a steady background staged
-//     across the ten newest rate windows plus one seeded tbfault
-//     campaign in the newest window must make GET /v1/regressions on
-//     the gate flag exactly the campaign-only signatures.
 //
 // Everything is seeded and snap times are synthetic, so the whole
 // gate is deterministic. Any violation exits nonzero with a diagnosis.
@@ -31,20 +38,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"time"
 
 	"traceback/internal/archive"
 	"traceback/internal/collect"
-	"traceback/internal/fault"
-	"traceback/internal/recon"
-	"traceback/internal/scenario"
+	"traceback/internal/loopback"
 	"traceback/internal/shard"
 	"traceback/internal/shard/gate"
-	"traceback/internal/snap"
 	"traceback/internal/telemetry"
 	"traceback/internal/triage"
 )
@@ -54,139 +56,47 @@ func die(format string, args ...any) {
 	os.Exit(1)
 }
 
-const (
-	shards       = 3
-	campaignSeed = 3
-	horizon      = 10 // windows of steady background
-)
-
-// shardNode is one in-process tbcollectd shard the check can kill and
-// restart on a stable address.
-type shardNode struct {
-	arch *archive.Archive
-	maps *recon.MapSet
-	addr string
-	srv  *collect.Server
-	errc chan error
-}
-
-func (n *shardNode) url() string { return "http://" + n.addr }
-
-func (n *shardNode) start(l net.Listener) {
-	n.srv = collect.NewServer(n.arch, collect.ServerOptions{Maps: n.maps, MaxInflight: 8})
-	n.errc = make(chan error, 1)
-	srv, errc := n.srv, n.errc
-	go func() { errc <- srv.Serve(l) }()
-}
-
-func (n *shardNode) kill() {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := n.srv.Shutdown(ctx); err != nil {
-		die("killing shard %s: %v", n.addr, err)
-	}
-	if err := <-n.errc; err != nil && err != http.ErrServerClosed {
-		die("shard %s serve: %v", n.addr, err)
-	}
-}
-
-func (n *shardNode) restart() {
-	l, err := net.Listen("tcp", n.addr)
+// must dies on a harness failure; the assertions proper carry their
+// own diagnoses.
+func must[T any](v T, err error) T {
 	if err != nil {
-		die("restarting shard on %s: %v", n.addr, err)
+		die("%v", err)
 	}
-	n.start(l)
+	return v
 }
+
+const shards = 3
 
 func main() {
-	builts, err := scenario.All()
-	if err != nil {
-		die("building scenarios: %v", err)
-	}
-	maps := scenario.MapSet(builts...)
+	camp := must(loopback.StageCampaign())
+	maps, steady, injected := camp.Maps, camp.Steady, camp.Injected
 
-	camp, err := fault.New(fault.Config{
-		Seed: campaignSeed, Kinds: []string{fault.KindKill}, Scenarios: []string{"quickstart"},
-	})
-	if err != nil {
-		die("building campaign: %v", err)
-	}
-	_, faultSnaps, faultMaps, err := camp.Trial(fault.KindKill, "quickstart")
-	if err != nil {
-		die("campaign trial: %v", err)
-	}
-	if len(faultSnaps) == 0 {
-		die("campaign trial produced no snaps")
-	}
-	for _, mf := range faultMaps {
-		maps.Add(mf)
-	}
-
-	root, err := os.MkdirTemp("", "shardcheck-*")
-	if err != nil {
-		die("%v", err)
-	}
+	root := must(os.MkdirTemp("", "shardcheck-*"))
 	defer os.RemoveAll(root)
 
-	// Boot the fleet: three shards and a single-node reference over
-	// the same map set.
-	ring, err := shard.NewRing(shards)
-	if err != nil {
-		die("%v", err)
-	}
-	nodes := make([]*shardNode, shards)
+	// Boot the fleet: three shards, a gate over them, and a single-node
+	// reference, all over the same map set.
+	ring := must(shard.NewRing(shards))
+	opts := collect.ServerOptions{Maps: maps, MaxInflight: 8}
+	nodes := make([]*loopback.Node, shards)
 	urls := make([]string, shards)
 	for i := range nodes {
-		arch, err := archive.Open(filepath.Join(root, fmt.Sprintf("shard%d", i)))
-		if err != nil {
-			die("opening shard %d store: %v", i, err)
-		}
-		defer arch.Close()
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			die("listen: %v", err)
-		}
-		nodes[i] = &shardNode{arch: arch, maps: maps, addr: l.Addr().String()}
-		nodes[i].start(l)
-		urls[i] = nodes[i].url()
+		nodes[i] = must(loopback.StartNode(filepath.Join(root, fmt.Sprintf("shard%d", i)), opts))
+		defer nodes[i].Close()
+		urls[i] = nodes[i].URL
 	}
-	single, err := archive.Open(filepath.Join(root, "single"))
-	if err != nil {
-		die("opening single-node store: %v", err)
-	}
-	defer single.Close()
-	singleSrv := collect.NewServer(single, collect.ServerOptions{Maps: maps, MaxInflight: 8})
-	sl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		die("listen: %v", err)
-	}
-	singleBase := "http://" + sl.Addr().String()
-	serrc := make(chan error, 1)
-	go func() { serrc <- singleSrv.Serve(sl) }()
-
-	gw, err := gate.New(urls, gate.Options{Maps: maps})
-	if err != nil {
-		die("building gate: %v", err)
-	}
-	gl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		die("listen: %v", err)
-	}
-	gateBase := "http://" + gl.Addr().String()
-	gerrc := make(chan error, 1)
-	go func() { gerrc <- gw.Serve(gl) }()
+	single := must(loopback.StartNode(filepath.Join(root, "single"), opts))
+	gw := must(loopback.StartGate(urls, gate.Options{Maps: maps}))
 
 	// The shard-aware agent: one spool, the fleet's URL list in ring
 	// order, quick retries (loopback failures are cheap).
 	spool := filepath.Join(root, "spool")
 	reg := telemetry.New()
-	ag, err := collect.NewFleetAgent(spool, urls, collect.AgentOptions{
+	failovers := reg.Counter("coll_agent_failover_total", "")
+	ag := must(collect.NewFleetAgent(spool, urls, collect.AgentOptions{
 		BackoffBase: 10 * time.Millisecond, BackoffMax: 250 * time.Millisecond,
 		Seed: 1, Telemetry: reg,
-	})
-	if err != nil {
-		die("building fleet agent: %v", err)
-	}
+	}))
 	drain := func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
@@ -195,57 +105,23 @@ func main() {
 		}
 	}
 
-	W := archive.WindowWidth
-
 	// ---- Phase 1: healthy placement, byte-equivalence. ----
-	// Steady background: every scenario snap in every one of the
-	// horizon newest windows, plus the campaign in the newest window —
-	// spooled through the agent AND mirrored into the single node.
-	steady := map[string]bool{}
-	injected := map[string]bool{}
-	mirror := func(s *snap.Snap) {
-		if _, err := Spool(spool, s); err != nil {
-			die("spool: %v", err)
-		}
-		if _, err := single.IngestUnique(s, archive.SignSnap(s, maps)); err != nil {
-			die("single-node ingest: %v", err)
-		}
-	}
-	for win := uint64(0); win < horizon; win++ {
-		for _, b := range builts {
-			for _, s := range b.Snaps {
-				cp := *s
-				cp.Time = win*W + W/4
-				steady[archive.SignSnap(&cp, maps).ID] = true
-				mirror(&cp)
-			}
-		}
-	}
-	for _, s := range faultSnaps {
-		cp := *s
-		cp.Time = (horizon-1)*W + W/2
-		if id := archive.SignSnap(&cp, maps).ID; !steady[id] {
-			injected[id] = true
-		}
-		mirror(&cp)
-	}
-	if len(injected) == 0 {
-		die("seed %d campaign signatures all collide with the baseline", campaignSeed)
+	// The whole campaign, spooled through the agent AND mirrored into
+	// the single node.
+	for _, s := range camp.Snaps {
+		must(collect.Spool(spool, s))
+		must(single.Arch.IngestUnique(s, archive.SignSnap(s, maps)))
 	}
 	drain()
 
-	if got := metricValue(reg, "coll_agent_failover_total"); got != 0 {
+	if got := failovers.Load(); got != 0 {
 		die("healthy fleet recorded %d failover(s)", got)
 	}
 	// Placement respected: every blob is resident on its ring home.
 	for i, n := range nodes {
-		for _, b := range n.arch.Buckets() {
+		for _, b := range n.Arch.Buckets() {
 			for _, ref := range b.Snaps {
-				home, err := ring.Place(ref.Sum)
-				if err != nil {
-					die("%v", err)
-				}
-				if home != i {
+				if home := must(ring.Place(ref.Sum)); home != i {
 					die("blob %s resident on shard %d, ring homes it on %d", ref.Sum[:12], i, home)
 				}
 			}
@@ -255,13 +131,10 @@ func main() {
 	// index bytes.
 	var union []archive.JournalRecord
 	for i, n := range nodes {
-		if err := n.arch.Flush(); err != nil {
+		if err := n.Arch.Flush(); err != nil {
 			die("flushing shard %d: %v", i, err)
 		}
-		f, err := os.Open(n.arch.JournalPath())
-		if err != nil {
-			die("%v", err)
-		}
+		f := must(os.Open(n.Arch.JournalPath()))
 		recs, err := archive.DecodeJournal(f)
 		f.Close()
 		if err != nil {
@@ -269,28 +142,20 @@ func main() {
 		}
 		union = append(union, recs...)
 	}
-	unionBytes, err := archive.IndexBytesOf(union)
-	if err != nil {
-		die("%v", err)
-	}
-	singleBytes, err := single.IndexBytes()
-	if err != nil {
-		die("%v", err)
-	}
-	if !bytes.Equal(unionBytes, singleBytes) {
+	if !bytes.Equal(must(archive.IndexBytesOf(union)), must(single.Arch.IndexBytes())) {
 		die("union of shard journals does not reduce to the single-node index bytes")
 	}
 	// And the gate's merged view matches the single daemon on the wire.
 	for _, route := range []string{collect.PathBuckets, collect.PathTop + "?n=5", collect.PathRegressions} {
-		gateBody := fetch(gateBase + route)
-		singleBody := fetch(singleBase + route)
+		gateBody := must(loopback.Fetch(gw.URL + route))
+		singleBody := must(loopback.Fetch(single.URL + route))
 		if !bytes.Equal(gateBody, singleBody) {
 			die("gate %s differs from single node:\ngate:\n%s\nsingle:\n%s", route, gateBody, singleBody)
 		}
 	}
 
-	// ---- Phase 2: fleet triage through the gate. ----
-	flagged := fetchFlagged(gateBase)
+	// ---- Phase 2: fleet triage, on the wire and from the store. ----
+	flagged := must(loopback.Flagged(gw.URL))
 	for sig := range injected {
 		if !flagged[sig] {
 			die("gate /v1/regressions did not flag injected campaign signature %s", sig)
@@ -301,61 +166,81 @@ func main() {
 			die("gate /v1/regressions flagged %s, which was not injected", sig)
 		}
 	}
-
-	// ---- Phase 3: kill/restart mid-campaign loses nothing. ----
-	victim := 1
-	var sums []string
-	spoolLate := func(s *snap.Snap) {
-		sum, _, err := archive.ChecksumSnap(s)
-		if err != nil {
-			die("%v", err)
-		}
-		sums = append(sums, sum)
-		if _, err := Spool(spool, s); err != nil {
-			die("spool: %v", err)
+	// Drain the single node and reopen its store the way tbstore does:
+	// local triage must flag the identical set, and the journal must
+	// reproduce the index bit-for-bit.
+	if err := single.Kill(); err != nil {
+		die("single-node drain: %v", err)
+	}
+	if err := single.Close(); err != nil {
+		die("closing single-node store: %v", err)
+	}
+	local := must(archive.Open(filepath.Join(root, "single")))
+	localFlagged := loopback.FlaggedSet(triage.Classify(local.Buckets(), local.NewestTime(), triage.Defaults()))
+	for sig := range flagged {
+		if !localFlagged[sig] {
+			die("wire flagged %s but local triage did not", sig)
 		}
 	}
-	homes := 0
-	for i, b := range builts {
-		for j, s := range b.Snaps {
-			cp := *s
-			cp.Time = horizon*W + uint64(i*16+j) // unique content, newest window
-			spoolLate(&cp)
-			home, err := ring.Place(sums[len(sums)-1])
-			if err != nil {
-				die("%v", err)
+	for sig := range localFlagged {
+		if !flagged[sig] {
+			die("local triage flagged %s but the wire did not", sig)
+		}
+	}
+	if !bytes.Equal(must(local.IndexBytes()), must(local.RebuildIndexBytes())) {
+		die("journal-rebuilt index differs from live index")
+	}
+	if err := local.Close(); err != nil {
+		die("%v", err)
+	}
+
+	// ---- Phase 3: kill/restart mid-campaign loses nothing. ----
+	const W = archive.WindowWidth
+	victim := 1
+	var sums []string
+	// spoolLate stages every scenario snap at a fresh time past the
+	// campaign: unique content in the newest window.
+	spoolLate := func(at uint64) {
+		for i, b := range camp.Builts {
+			for j, s := range b.Snaps {
+				cp := *s
+				cp.Time = at + uint64(i*16+j)
+				sum, _, err := archive.ChecksumSnap(&cp)
+				if err != nil {
+					die("%v", err)
+				}
+				sums = append(sums, sum)
+				must(collect.Spool(spool, &cp))
 			}
-			if home == victim {
-				homes++
-			}
+		}
+	}
+	spoolLate(loopback.Horizon * W)
+	homes := uint64(0)
+	for _, sum := range sums {
+		if must(ring.Place(sum)) == victim {
+			homes++
 		}
 	}
 	if homes == 0 {
 		die("no late snap homes on shard %d; the kill/restart phase needs one", victim)
 	}
-	nodes[victim].kill()
+	if err := nodes[victim].Kill(); err != nil {
+		die("killing shard %d: %v", victim, err)
+	}
 	drain() // failover carries shard 1's snaps to the next live shard
-	if got := metricValue(reg, "coll_agent_failover_total"); got < homes {
+	if got := failovers.Load(); got < homes {
 		die("coll_agent_failover_total = %d after kill, want at least %d", got, homes)
 	}
 	if !hasFlightEvent(reg, "coll-agent-failover") {
 		die("no coll-agent-failover flight event recorded")
 	}
-	nodes[victim].restart()
+	if err := nodes[victim].Restart(); err != nil {
+		die("restarting shard %d: %v", victim, err)
+	}
 
 	// A second late batch lands after the restart — the fleet is whole
 	// again, so placement must hold for it.
-	before := len(sums)
-	for i, b := range builts {
-		for j, s := range b.Snaps {
-			cp := *s
-			cp.Time = horizon*W + W/2 + uint64(i*16+j)
-			spoolLate(&cp)
-		}
-	}
-	if before == len(sums) {
-		die("no snaps in the post-restart batch")
-	}
+	spoolLate(loopback.Horizon*W + W/2)
 	drain()
 
 	// Nothing lost: every uploaded sum is resident on some shard, and
@@ -363,17 +248,14 @@ func main() {
 	for _, sum := range sums {
 		found := false
 		for _, n := range nodes {
-			if n.arch.Has(sum) {
-				found = true
-				break
-			}
+			found = found || n.Arch.Has(sum)
 		}
 		if !found {
 			die("blob %s lost across kill/restart", sum[:12])
 		}
 	}
 	var tr collect.TopResponse
-	if err := json.Unmarshal(fetch(gateBase+collect.PathBuckets), &tr); err != nil {
+	if err := json.Unmarshal(must(loopback.Fetch(gw.URL+collect.PathBuckets)), &tr); err != nil {
 		die("gate buckets: %v", err)
 	}
 	merged := map[string]bool{}
@@ -392,77 +274,17 @@ func main() {
 	}
 
 	// Shut the fleet down cleanly.
-	for _, n := range nodes {
-		n.kill()
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := gw.Shutdown(ctx); err != nil {
-		die("gate shutdown: %v", err)
-	}
-	if err := <-gerrc; err != nil && err != http.ErrServerClosed {
-		die("gate serve: %v", err)
-	}
-	if err := singleSrv.Shutdown(ctx); err != nil {
-		die("single-node shutdown: %v", err)
-	}
-	if err := <-serrc; err != nil && err != http.ErrServerClosed {
-		die("single-node serve: %v", err)
-	}
-
-	fmt.Printf("shardcheck: OK — %d shard(s): union byte-identical to single node, gate flagged %d/%d injected, kill/restart redirected %d upload(s) and lost nothing\n",
-		shards, len(injected), len(injected), metricValue(reg, "coll_agent_failover_total"))
-}
-
-// Spool mirrors collect.Spool (kept local so the check reads like the
-// agent deployment it simulates).
-func Spool(dir string, s *snap.Snap) (string, error) {
-	return collect.Spool(dir, s)
-}
-
-func fetch(url string) []byte {
-	resp, err := http.Get(url)
-	if err != nil {
-		die("GET %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		die("GET %s: status %s", url, resp.Status)
-	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		die("GET %s: %v", url, err)
-	}
-	return buf.Bytes()
-}
-
-// fetchFlagged pulls /v1/regressions and returns the flagged set.
-func fetchFlagged(base string) map[string]bool {
-	var rep triage.Report
-	if err := json.Unmarshal(fetch(base+collect.PathRegressions), &rep); err != nil {
-		die("regressions: %v", err)
-	}
-	out := map[string]bool{}
-	for _, a := range rep.Flagged() {
-		out[a.Sig] = true
-	}
-	return out
-}
-
-// metricValue reads one counter out of a registry's Prometheus dump.
-func metricValue(reg *telemetry.Registry, name string) int {
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		die("metrics: %v", err)
-	}
-	for _, line := range bytes.Split(buf.Bytes(), []byte("\n")) {
-		var v int
-		if _, err := fmt.Sscanf(string(line), name+" %d", &v); err == nil {
-			return v
+	for i, n := range nodes {
+		if err := n.Kill(); err != nil {
+			die("stopping shard %d: %v", i, err)
 		}
 	}
-	die("metric %s not registered", name)
-	return 0
+	if err := gw.Kill(); err != nil {
+		die("gate shutdown: %v", err)
+	}
+
+	fmt.Printf("shardcheck: OK — %d shard(s): union byte-identical to single node, %d steady signature(s) over %d windows, gate flagged %d/%d injected (local triage agrees, journal-rebuild identical), kill/restart redirected %d upload(s) and lost nothing\n",
+		shards, len(steady), loopback.Horizon, len(injected), len(injected), failovers.Load())
 }
 
 func hasFlightEvent(reg *telemetry.Registry, kind string) bool {

@@ -21,12 +21,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 
 	"traceback/internal/archive"
 	"traceback/internal/recon"
 	"traceback/internal/scenario"
+	"traceback/internal/snap"
 )
 
 func die(format string, args ...any) {
@@ -39,7 +38,7 @@ func main() {
 	storeDir := flag.String("store", "", "warehouse directory (default: a temp dir, removed on success)")
 	flag.Parse()
 
-	committed, err := listSnaps(*snapsDir)
+	committed, err := snap.ExpandPaths([]string{*snapsDir}, nil)
 	if err != nil {
 		die("%v (run `go run ./tools/gensnaps` to regenerate the committed fleet)", err)
 	}
@@ -164,25 +163,4 @@ func ingest(pipe *recon.Pipeline, arch *archive.Archive, paths []string) (stored
 		}
 	}
 	return stored, dups
-}
-
-func listSnaps(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if strings.HasSuffix(e.Name(), ".snap.json") || strings.HasSuffix(e.Name(), ".snap.json.gz") {
-			out = append(out, filepath.Join(dir, e.Name()))
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no committed snaps in %s", dir)
-	}
-	sort.Strings(out)
-	return out, nil
 }
