@@ -108,12 +108,14 @@ replay-check:
 # background across ten rate windows, one tbfault kill trial injected
 # into the newest window only) through both, and assert the union of
 # shard journals is byte-identical to the single-node index, the
-# gate's wire responses match the single daemon byte for byte,
+# gate's wire responses match the single daemon byte for byte (and
+# again from 304s alone, no merge run, when asked twice),
 # /v1/regressions flags exactly the injected signatures on the wire
 # and local (tbstore-path) triage over the drained store agrees, the
 # journal rebuilds the index (rate windows included) bit-for-bit, and
 # a kill/restart of one shard mid-campaign redirects uploads (counted
-# in coll_agent_failover_total) without losing a snap.
+# in coll_agent_failover_total) without losing a snap, the restarted
+# shard's list fetched afresh under its new epoch.
 shard-check:
 	$(GO) run ./tools/shardcheck
 
@@ -129,12 +131,15 @@ genregress:
 	$(GO) run ./tools/genregress
 
 # Race-detector pass over everything, including the pipeline-vs-oracle
-# stress test (jobs 1/4/16 against one shared MapCache).
+# stress test (jobs 1/4/16 against one shared MapCache), the gate's
+# concurrent queries beside uploads, and the archive's snapshot-vs-
+# ingest consistency test.
 test-race:
 	$(GO) test -race ./...
 
-# Bounded fuzz smoke over the trace and snap decoders; the committed
-# seed corpora live under <pkg>/testdata/fuzz/.
+# Bounded fuzz smoke over every decoder of untrusted bytes (trace
+# records, snaps, mapfiles, journals, a shard's answer to the gate);
+# the committed seed corpora live under <pkg>/testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTraceRecordDecode -fuzztime $(FUZZTIME) ./internal/trace
@@ -143,6 +148,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMapFileVerify -fuzztime $(FUZZTIME) ./internal/verify
 	$(GO) test -run '^$$' -fuzz FuzzFleetVerify -fuzztime $(FUZZTIME) ./internal/verify/fleet
 	$(GO) test -run '^$$' -fuzz FuzzArchiveIndex -fuzztime $(FUZZTIME) ./internal/archive
+	$(GO) test -run '^$$' -fuzz FuzzGateBucketsResponse -fuzztime $(FUZZTIME) ./internal/shard/gate
 
 # One benchmark per paper table/figure; results land in bench_output.txt.
 bench:

@@ -13,7 +13,9 @@ package archive
 
 import (
 	"bytes"
+	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -51,6 +53,7 @@ type Options struct {
 type Archive struct {
 	root    string
 	journal *os.File
+	epoch   uint64 // random per Open; see Version
 
 	mu sync.Mutex // guards st and journal appends
 	st *state
@@ -111,6 +114,10 @@ func OpenWith(root string, opts Options) (*Archive, error) {
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("archive: %w", err)
 	}
+	var epoch [8]byte
+	if _, err := rand.Read(epoch[:]); err != nil {
+		return nil, fmt.Errorf("archive: drawing an epoch: %w", err)
+	}
 	j, err := os.OpenFile(jpath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("archive: %w", err)
@@ -118,6 +125,7 @@ func OpenWith(root string, opts Options) (*Archive, error) {
 	a := &Archive{
 		root:    root,
 		journal: j,
+		epoch:   binary.BigEndian.Uint64(epoch[:]),
 		st:      st,
 		flight:  map[string]*flightCall{},
 	}
@@ -377,10 +385,44 @@ func (a *Archive) JournalPath() string {
 	return filepath.Join(a.root, journalName)
 }
 
+// Version names one state of one open archive's index: Epoch is drawn
+// at random by every Open, Records counts the journal records folded
+// into the index since the journal began. Every change to what Buckets
+// returns passes through state.apply, which bumps Records, so two
+// equal versions label equal bucket lists. The epoch is what keeps
+// that true across a restart: a reopened journal may have lost a torn
+// tail, or been restored from a copy, and can reach a Records count
+// its previous life also passed through with different content.
+type Version struct {
+	Epoch   uint64
+	Records uint64
+}
+
+// String renders the version as "<epoch hex>-<records>". Compare whole
+// strings only; the order of two versions means nothing.
+func (v Version) String() string { return fmt.Sprintf("%016x-%d", v.Epoch, v.Records) }
+
+// Version reports the current index version without touching the
+// buckets — the cheap half of a conditional read.
+func (a *Archive) Version() Version {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return Version{Epoch: a.epoch, Records: a.st.applied}
+}
+
 // Buckets returns every bucket, most occurrences first (count desc,
 // signature asc) — the `tbstore top` order.
 func (a *Archive) Buckets() []Bucket {
+	out, _ := a.Snapshot()
+	return out
+}
+
+// Snapshot returns Buckets together with the version of exactly that
+// list: both are read under one hold of the archive lock, so the
+// version is never newer than the list it labels.
+func (a *Archive) Snapshot() ([]Bucket, Version) {
 	a.mu.Lock()
+	v := Version{Epoch: a.epoch, Records: a.st.applied}
 	out := make([]Bucket, 0, len(a.st.buckets))
 	for _, b := range a.st.buckets {
 		out = append(out, cloneBucket(b))
@@ -392,7 +434,7 @@ func (a *Archive) Buckets() []Bucket {
 		}
 		return out[i].Sig < out[j].Sig
 	})
-	return out
+	return out, v
 }
 
 // Bucket resolves a signature, accepting any unambiguous prefix (CLI

@@ -208,6 +208,7 @@ type state struct {
 	blobs   map[string]*BlobRef // sum → ref (one bucket owns each blob)
 	owner   map[string]string   // sum → sig
 	bytes   int64               // resident blob bytes
+	applied uint64              // records folded in: the index's version (Archive.Version)
 }
 
 func newState() *state {
@@ -221,6 +222,7 @@ func newState() *state {
 // apply folds one journal record into the state. newBucket reports an
 // ingest that created its bucket.
 func (st *state) apply(rec *JournalRecord) (newBucket bool) {
+	st.applied++
 	switch rec.Op {
 	case OpIngest:
 		b, ok := st.buckets[rec.Sig]

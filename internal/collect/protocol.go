@@ -35,6 +35,17 @@ const (
 	PathSnap = "/" + APIVersion + "/snap"
 	// PathBuckets and PathTop are the fleet triage queries, JSON
 	// mirrors of `tbstore ls` / `tbstore top`.
+	//
+	// A daemon answers PathBuckets with a strong ETag naming the state
+	// of its index, and a request whose If-None-Match equals the
+	// current tag with 304 and no body. The tag is opaque and matched
+	// whole, byte for byte: no weak comparison, no tag lists, no "*".
+	// A request without the header gets 200 and the full list, always.
+	// The tag changes with every journal record folded into the index
+	// (an ingest, a GC removal) and with every restart of the daemon's
+	// warehouse (see archive.Version); it does not change on reads or
+	// on a duplicate upload that journals nothing. A gate's PathBuckets
+	// carries no tag.
 	PathBuckets = "/" + APIVersion + "/buckets"
 	PathTop     = "/" + APIVersion + "/top"
 	// PathRegressions, PathRates, and PathClusters are the fleet-health

@@ -6,7 +6,9 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 
+	"traceback/internal/archive"
 	"traceback/internal/telemetry"
 	"traceback/internal/triage"
 )
@@ -23,6 +25,29 @@ type triageRoute struct {
 	failStatus int
 }
 
+// versioned is a warehouse whose bucket list carries a validator:
+// *archive.Archive. The gate's merged snapshot has none — its clients
+// poll unconditionally — so there PathBuckets sets no ETag.
+type versioned interface {
+	Version() archive.Version
+	Snapshot() ([]archive.Bucket, archive.Version)
+}
+
+// etagOf renders a warehouse version as PathBuckets' entity tag:
+// `"<epoch>-<records>"`.
+func etagOf(v archive.Version) string { return `"` + v.String() + `"` }
+
+// TagEpoch is the part of a PathBuckets entity tag that survives
+// ingests and changes when the daemon's warehouse restarts. Tags are
+// matched whole; the epoch is for telling an operator that a shard
+// restarted, nothing else.
+func TagEpoch(tag string) string {
+	if i := strings.LastIndexByte(tag, '-'); i >= 0 {
+		return tag[:i]
+	}
+	return tag
+}
+
 // MountTriage registers the triage query surface — PathBuckets,
 // PathTop, PathRegressions, PathRates, PathClusters — and PathMetrics
 // on mux. A single daemon mounts it over its archive; the fan-out
@@ -33,10 +58,47 @@ type triageRoute struct {
 // there, so a malformed request never costs a fan-out.
 func MountTriage(mux *http.ServeMux, wh triage.Warehouse, an *triage.Analyzer,
 	reg *telemetry.Registry, preflight func(*http.Request) error) {
+	ready := func(w http.ResponseWriter, r *http.Request) bool {
+		if preflight == nil {
+			return true
+		}
+		if err := preflight(r); err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return false
+		}
+		return true
+	}
+
+	// PathBuckets is a conditional GET over a versioned warehouse (the
+	// contract is on PathBuckets). The version is compared before any
+	// bucket is cloned, sorted or encoded, so a poller that holds the
+	// current list costs the daemon one lock hold and no body; the tag
+	// on a 200 is the one Snapshot read under the same lock as the list.
+	vw, _ := wh.(versioned)
+	var notModified *telemetry.Counter
+	if vw != nil {
+		notModified = reg.Counter("coll_buckets_not_modified_total", "conditional /v1/buckets requests answered 304 Not Modified")
+	}
+	mux.HandleFunc("GET "+PathBuckets, func(w http.ResponseWriter, r *http.Request) {
+		if !ready(w, r) {
+			return
+		}
+		if vw == nil {
+			WriteJSON(w, http.StatusOK, TopResponse{V: 1, Buckets: wh.Buckets()})
+			return
+		}
+		if held := r.Header.Get("If-None-Match"); held != "" && held == etagOf(vw.Version()) {
+			notModified.Inc()
+			w.Header().Set("ETag", held)
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		list, v := vw.Snapshot()
+		w.Header().Set("ETag", etagOf(v))
+		WriteJSON(w, http.StatusOK, TopResponse{V: 1, Buckets: list})
+	})
+
 	routes := []triageRoute{
-		{path: PathBuckets, bind: func(url.Values) (query, error) {
-			return func() (any, error) { return TopResponse{V: 1, Buckets: wh.Buckets()}, nil }, nil
-		}},
 		// The first n buckets in triage order (count desc); n=0 is all.
 		{path: PathTop, bind: func(q url.Values) (query, error) {
 			n := 10
@@ -81,11 +143,8 @@ func MountTriage(mux *http.ServeMux, wh triage.Warehouse, an *triage.Analyzer,
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			if preflight != nil {
-				if err := preflight(r); err != nil {
-					http.Error(w, err.Error(), http.StatusBadGateway)
-					return
-				}
+			if !ready(w, r) {
+				return
 			}
 			v, err := run()
 			if err != nil {

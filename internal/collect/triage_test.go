@@ -2,6 +2,7 @@ package collect
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"testing"
 
@@ -124,5 +125,78 @@ func TestRegressionsEndpointTwoPhase(t *testing.T) {
 		if !c.Unclustered {
 			t.Errorf("weak bucket %s not marked unclustered", c.Lead)
 		}
+	}
+}
+
+// TestBucketsConditionalGet: the contract on PathBuckets. Without
+// If-None-Match the answer is 200 with the full list and its tag,
+// every time; with the current tag it is 304 and no body; the tag
+// moves on an upload that journals and stays put on one that does not;
+// and only the whole, exact tag matches.
+func TestBucketsConditionalGet(t *testing.T) {
+	srv, ts, _ := newTestDaemon(t, ServerOptions{})
+	notModified := srv.Metrics().Counter("coll_buckets_not_modified_total", "")
+	if code, _ := upload(t, ts.URL, mkSnap("h", 1)); code != http.StatusCreated {
+		t.Fatalf("upload: status %d", code)
+	}
+	ask := func(ifNoneMatch string) (int, string, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, ts.URL+PathBuckets, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ifNoneMatch != "" {
+			req.Header.Set("If-None-Match", ifNoneMatch)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, resp.Header.Get("ETag"), body
+	}
+
+	code, tag, full := ask("")
+	if code != http.StatusOK || len(tag) < 3 || tag[0] != '"' || tag[len(tag)-1] != '"' {
+		t.Fatalf("unconditional GET: status %d, ETag %q; want 200 and a quoted strong tag", code, tag)
+	}
+	if code, again, body := ask(""); code != http.StatusOK || again != tag || string(body) != string(full) {
+		t.Errorf("second unconditional GET: status %d, ETag %q, %d bytes; want the first answer again", code, again, len(body))
+	}
+	if notModified.Load() != 0 {
+		t.Errorf("unconditional GETs counted %d not-modified answer(s)", notModified.Load())
+	}
+
+	code, echoed, body := ask(tag)
+	if code != http.StatusNotModified || echoed != tag || len(body) != 0 {
+		t.Errorf("GET with the current tag: status %d, ETag %q, %d body bytes; want 304, the tag, none", code, echoed, len(body))
+	}
+	if got := notModified.Load(); got != 1 {
+		t.Errorf("coll_buckets_not_modified_total = %d after one 304, want 1", got)
+	}
+	for _, near := range []string{"W/" + tag, tag + ", " + tag, "*", tag[1 : len(tag)-1], `"0-0"`} {
+		if code, _, body := ask(near); code != http.StatusOK || string(body) != string(full) {
+			t.Errorf("If-None-Match %s: status %d; want 200 and the full list (exact match only)", near, code)
+		}
+	}
+
+	// A replayed upload journals nothing: the tag stands.
+	if code, ur := upload(t, ts.URL, mkSnap("h", 1)); code != http.StatusOK || !ur.Dup {
+		t.Fatalf("replayed upload: status %d, dup %v", code, ur.Dup)
+	}
+	if code, _, _ := ask(tag); code != http.StatusNotModified {
+		t.Errorf("after a dup upload the held tag answers %d, want 304", code)
+	}
+	// A fresh one does: the old tag now buys the new list.
+	if code, _ := upload(t, ts.URL, mkSnap("h", 2)); code != http.StatusCreated {
+		t.Fatalf("second upload: status %d", code)
+	}
+	code, moved, body := ask(tag)
+	if code != http.StatusOK || moved == tag || len(body) <= len(full) {
+		t.Errorf("after an ingest the held tag answers %d with ETag %q and %d bytes; want 200, a new tag, a longer list", code, moved, len(body))
 	}
 }

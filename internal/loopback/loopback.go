@@ -64,6 +64,7 @@ type Node struct {
 	Srv  *collect.Server
 	URL  string
 
+	dir  string
 	opts collect.ServerOptions
 	addr string
 	run  *running
@@ -82,7 +83,7 @@ func StartNode(dir string, opts collect.ServerOptions) (*Node, error) {
 		return nil, err
 	}
 	addr := l.Addr().String()
-	n := &Node{Arch: arch, URL: "http://" + addr, opts: opts, addr: addr}
+	n := &Node{Arch: arch, URL: "http://" + addr, dir: dir, opts: opts, addr: addr}
 	n.start(l)
 	return n, nil
 }
@@ -97,9 +98,19 @@ func (n *Node) start(l net.Listener) {
 // inspect Arch, Restart the daemon, or Close the node.
 func (n *Node) Kill() error { return n.run.stop() }
 
-// Restart serves the same warehouse from a fresh daemon on the same
-// address, as a restarted shard would.
+// Restart closes the killed node's warehouse, reopens it from its
+// directory and serves it from a fresh daemon on the same address, as
+// a restarted shard would: the journal is replayed and the archive
+// draws a new epoch, so Arch is a new value afterwards.
 func (n *Node) Restart() error {
+	if err := n.Arch.Close(); err != nil {
+		return err
+	}
+	arch, err := archive.Open(n.dir)
+	if err != nil {
+		return err
+	}
+	n.Arch = arch
 	l, err := net.Listen("tcp", n.addr)
 	if err != nil {
 		return err

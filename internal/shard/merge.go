@@ -76,9 +76,10 @@ func MergeBuckets(shards ...[]archive.Bucket) []archive.Bucket {
 	return out
 }
 
-// NewestTime reports the newest snap time across a merged bucket
-// list — the merged analogue of archive.Archive.NewestTime, and the
-// deterministic "now" the gate classifies regressions against.
+// NewestTime reports the newest snap time across a bucket list — the
+// list-wise analogue of archive.Archive.NewestTime, and the
+// deterministic "now" triage classifies a snapshot against: derived
+// from the list itself, so the two can never be from different states.
 func NewestTime(buckets []archive.Bucket) uint64 {
 	var newest uint64
 	for i := range buckets {

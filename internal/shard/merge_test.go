@@ -1,9 +1,13 @@
 package shard
 
 import (
+	"encoding/json"
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"traceback/internal/archive"
@@ -139,5 +143,147 @@ func TestMergeDedupsFailoverCopies(t *testing.T) {
 	}
 	if m.Rep != m.Snaps[0].Sum {
 		t.Errorf("merged rep %q is not the earliest resident snap %q", m.Rep, m.Snaps[0].Sum)
+	}
+}
+
+// randomFleet draws a random journal — ingests of a small pool of
+// blobs, so duplicates recur, with GC removals of resident blobs mixed
+// in — and deals it to n shards by blob (every record of one blob goes
+// to one shard, in journal order: healthy placement). It returns the
+// per-shard bucket lists and the single-node list of the whole journal.
+func randomFleet(t *testing.T, rng *rand.Rand, n int) (parts [][]archive.Bucket, single []archive.Bucket) {
+	t.Helper()
+	const blobs = 24
+	W := archive.WindowWidth
+	home := make([]int, blobs)
+	for i := range home {
+		home[i] = rng.Intn(n)
+	}
+	recOf := func(blob int) archive.JournalRecord {
+		return archive.JournalRecord{
+			V: 1, Op: archive.OpIngest, Sum: fmt.Sprintf("%064x", blob+1),
+			Sig: fmt.Sprintf("sig%d", blob%5), Title: "t", Weak: true,
+			Host: fmt.Sprintf("h%d", blob%4), Process: "app", Reason: "r",
+			// Past WindowCap windows in all, so eviction is exercised.
+			Time:  uint64(blob) * 4 * W,
+			Bytes: int64(100 + blob),
+		}
+	}
+	var journal []archive.JournalRecord
+	shardRecs := make([][]archive.JournalRecord, n)
+	resident := map[int]bool{}
+	for i, steps := 0, 20+rng.Intn(60); i < steps; i++ {
+		blob := rng.Intn(blobs)
+		rec := recOf(blob)
+		if resident[blob] && rng.Intn(5) == 0 {
+			rec = archive.JournalRecord{V: 1, Op: archive.OpGC, Removed: []string{rec.Sum}}
+		}
+		resident[blob] = rec.Op == archive.OpIngest
+		journal = append(journal, rec)
+		shardRecs[home[blob]] = append(shardRecs[home[blob]], rec)
+	}
+	reduce := func(recs []archive.JournalRecord) []archive.Bucket {
+		b, err := archive.IndexBytesOf(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, err := archive.DecodeIndex(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return idx.Buckets
+	}
+	for _, recs := range shardRecs {
+		parts = append(parts, reduce(recs))
+	}
+	return parts, reduce(journal)
+}
+
+// bySig orders a bucket list the way the index file does, so a merged
+// list (count desc) compares with a reduced one.
+func bySig(buckets []archive.Bucket) []archive.Bucket {
+	out := append([]archive.Bucket(nil), buckets...)
+	sort.Slice(out, func(i, j int) bool { return out[i].Sig < out[j].Sig })
+	return out
+}
+
+func deepCopy(t *testing.T, lists [][]archive.Bucket) [][]archive.Bucket {
+	t.Helper()
+	raw, err := json.Marshal(lists)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]archive.Bucket
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestMergeProperties holds MergeBuckets to its algebra over random
+// partitions of random journals. The gate keeps a shard's decoded list
+// across rounds and merges it again whenever another shard changes, so
+// the fold must leave its inputs exactly as it found them; and it must
+// be the single-node reduction whatever order the lists come in,
+// however they are grouped, and when fed its own output.
+func TestMergeProperties(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(4)
+		parts, single := randomFleet(t, rng, n)
+		pristine := deepCopy(t, parts)
+
+		merged := MergeBuckets(parts...)
+		if !reflect.DeepEqual(parts, pristine) {
+			t.Fatalf("seed %d: MergeBuckets changed its inputs", seed)
+		}
+		if got := bySig(merged); !reflect.DeepEqual(got, single) {
+			t.Fatalf("seed %d: merge of %d shard(s) differs from the single-node reduction:\ngot  %+v\nwant %+v", seed, n, got, single)
+		}
+
+		// Commutative: any order of the lists.
+		shuffled := append([][]archive.Bucket(nil), parts...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		if got := MergeBuckets(shuffled...); !reflect.DeepEqual(got, merged) {
+			t.Fatalf("seed %d: merge depends on the order of its lists", seed)
+		}
+		// Associative: a merged prefix stands in for its lists.
+		cut := 1 + rng.Intn(n-1)
+		grouped := append([][]archive.Bucket{MergeBuckets(parts[:cut]...)}, parts[cut:]...)
+		if got := MergeBuckets(grouped...); !reflect.DeepEqual(got, merged) {
+			t.Fatalf("seed %d: merge depends on how its lists are grouped (cut at %d)", seed, cut)
+		}
+		// Idempotent: merging a merged list alone returns it.
+		if got := MergeBuckets(merged); !reflect.DeepEqual(got, merged) {
+			t.Fatalf("seed %d: re-merging a merged list changed it", seed)
+		}
+		// A duplicated list (the same shard answered twice) adds its
+		// tallies again — each landing is an ingest event — and nothing
+		// else: no bucket, host, blob ref, seen time or window is
+		// invented or listed twice.
+		dup := rng.Intn(n)
+		twice := MergeBuckets(append(append([][]archive.Bucket(nil), parts...), parts[dup])...)
+		want := map[string]archive.Bucket{}
+		for _, b := range merged {
+			want[b.Sig] = b
+		}
+		extra := map[string]archive.Bucket{}
+		for _, b := range parts[dup] {
+			extra[b.Sig] = b
+		}
+		if len(twice) != len(merged) {
+			t.Fatalf("seed %d: a duplicated list changed the bucket set", seed)
+		}
+		for _, got := range twice {
+			w, again := want[got.Sig], extra[got.Sig]
+			w.Count += again.Count
+			w.Windows = slices.Clone(w.Windows)
+			for i, win := range w.Windows {
+				w.Windows[i].Count += again.WindowCount(win.Start, win.Start)
+			}
+			if !reflect.DeepEqual(got, w) {
+				t.Fatalf("seed %d: duplicated list %d:\ngot  %+v\nwant %+v", seed, dup, got, w)
+			}
+		}
 	}
 }

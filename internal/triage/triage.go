@@ -21,6 +21,7 @@ import (
 
 	"traceback/internal/archive"
 	"traceback/internal/recon"
+	"traceback/internal/shard"
 	"traceback/internal/snap"
 	"traceback/internal/telemetry"
 )
@@ -84,14 +85,15 @@ func (c Config) withDefaults() Config {
 }
 
 // Warehouse is the index surface triage analyzes: the bucket list in
-// canonical order, prefix resolution, the newest snap time, and
-// exemplar retrieval. *archive.Archive is the single-node
-// implementation; the fan-out gate (internal/shard/gate) satisfies it
-// with merged shard state, so the same analyzer triages a whole fleet.
+// canonical order and exemplar retrieval. *archive.Archive is the
+// single-node implementation; the fan-out gate (internal/shard/gate)
+// satisfies it with merged shard state, so the same analyzer triages
+// a whole fleet. One Buckets call is one consistent snapshot, and
+// every view is computed from exactly one: prefix resolution and the
+// newest snap time ("now") are derived from that list, never asked of
+// the warehouse separately, where an ingest could land in between.
 type Warehouse interface {
 	Buckets() []archive.Bucket
-	Bucket(sigPrefix string) (archive.Bucket, error)
-	NewestTime() uint64
 	LoadSnap(sum string) (*snap.Snap, error)
 }
 
@@ -160,12 +162,13 @@ func (a *Analyzer) Metrics() *telemetry.Registry { return a.reg }
 // Config returns the thresholds in effect (defaults applied).
 func (a *Analyzer) Config() Config { return a.cfg }
 
-// Regressions classifies every bucket against the archive's newest
-// snap time. The result is deterministic given the index.
+// Regressions classifies every bucket against the newest snap time
+// among them. The result is deterministic given the index.
 func (a *Analyzer) Regressions() *Report {
 	t0 := time.Now()
 	defer func() { a.met.scanNanos.Observe(uint64(time.Since(t0))) }()
-	rep := Classify(a.arch.Buckets(), a.arch.NewestTime(), a.cfg)
+	buckets := a.arch.Buckets()
+	rep := Classify(buckets, shard.NewestTime(buckets), a.cfg)
 	a.met.scans.Inc()
 	a.met.flagged.Add(uint64(len(rep.Flagged())))
 	return rep
@@ -174,11 +177,12 @@ func (a *Analyzer) Regressions() *Report {
 // Rates reports one signature's crash-rate windows and verdict. The
 // prefix is resolved like `tbstore show` resolves bucket signatures.
 func (a *Analyzer) Rates(sigPrefix string) (*RateReport, error) {
-	b, err := a.arch.Bucket(sigPrefix)
+	buckets := a.arch.Buckets()
+	b, err := archive.FindBucket(buckets, sigPrefix)
 	if err != nil {
 		return nil, err
 	}
-	now := a.arch.NewestTime()
+	now := shard.NewestTime(buckets)
 	rep := Classify([]archive.Bucket{b}, now, a.cfg)
 	return &RateReport{
 		V: 1, Now: now, Window: archive.WindowWidth,

@@ -11,7 +11,10 @@
 //     of the three shard journals reduces to index bytes identical to
 //     a single node ingesting the same fleet, and the gate's merged
 //     /v1/buckets, /v1/top and /v1/regressions match the single
-//     node's byte for byte.
+//     node's byte for byte. Asked again with nothing written, every
+//     route answers the same bytes from 304s alone: each shard
+//     revalidates its list (gate_shard_not_modified_total) and no
+//     merge runs (gate_merge_nanos).
 //  2. Fleet triage: GET /v1/regressions — on the gate, and so by (1)
 //     on the single daemon — flags exactly the campaign-only
 //     signatures and no steady one; after the single node drains, the
@@ -24,7 +27,10 @@
 //     coll_agent_failover_total and flight-recorded); after the shard
 //     restarts on the same address, every uploaded snap is resident
 //     somewhere, every signature is present in the gate's merged
-//     view, and the spool is empty. Byte-equivalence is deliberately
+//     view, and the spool is empty. The first query after the restart
+//     fetches the restarted shard's list again — same journal, new
+//     epoch, so the tag the gate held no longer matches — and the one
+//     after that is all 304s again. Byte-equivalence is deliberately
 //     NOT asserted here: a failover may journal the same content on
 //     two shards, which inflates occurrence counts — the design trade
 //     documented in internal/shard.
@@ -145,12 +151,31 @@ func main() {
 	if !bytes.Equal(must(archive.IndexBytesOf(union)), must(single.Arch.IndexBytes())) {
 		die("union of shard journals does not reduce to the single-node index bytes")
 	}
-	// And the gate's merged view matches the single daemon on the wire.
+	// And the gate's merged view matches the single daemon on the wire
+	// — the second time round without a body transferred or a merge run.
+	notModified := gw.Gate.Metrics().Counter("gate_shard_not_modified_total", "")
+	merges := gw.Gate.Metrics().Histogram("gate_merge_nanos", "", nil)
+	// revalidated asks the gate one route and requires the answer to
+	// have cost a 304 from every shard and nothing else.
+	revalidated := func(route string) []byte {
+		n, m := notModified.Load(), merges.Count()
+		body := must(loopback.Fetch(gw.URL + route))
+		if got := notModified.Load() - n; got != shards {
+			die("gate %s with no shard changed: %d shard(s) answered 304, want all %d", route, got, shards)
+		}
+		if got := merges.Count() - m; got != 0 {
+			die("gate %s with no shard changed ran %d merge(s)", route, got)
+		}
+		return body
+	}
 	for _, route := range []string{collect.PathBuckets, collect.PathTop + "?n=5", collect.PathRegressions} {
 		gateBody := must(loopback.Fetch(gw.URL + route))
 		singleBody := must(loopback.Fetch(single.URL + route))
 		if !bytes.Equal(gateBody, singleBody) {
 			die("gate %s differs from single node:\ngate:\n%s\nsingle:\n%s", route, gateBody, singleBody)
+		}
+		if again := revalidated(route); !bytes.Equal(again, gateBody) {
+			die("gate %s answered differently from 304s than from bodies:\n%s\nvs\n%s", route, again, gateBody)
 		}
 	}
 
@@ -236,6 +261,20 @@ func main() {
 	}
 	if err := nodes[victim].Restart(); err != nil {
 		die("restarting shard %d: %v", victim, err)
+	}
+	// The restarted shard's journal is what it was when the gate last
+	// heard from it, but its list must be fetched again, not trusted
+	// across the restart: the shard refuses the old tag, and the gate
+	// records the new epoch.
+	afterRestart := must(loopback.Fetch(gw.URL + collect.PathBuckets))
+	if got := nodes[victim].Srv.Metrics().Counter("coll_buckets_not_modified_total", "").Load(); got != 0 {
+		die("restarted shard %d answered 304 to a tag from its previous life", victim)
+	}
+	if !hasFlightEvent(gw.Gate.Metrics(), "gate-shard-epoch") {
+		die("no gate-shard-epoch flight event after shard %d restarted", victim)
+	}
+	if again := revalidated(collect.PathBuckets); !bytes.Equal(again, afterRestart) {
+		die("gate /v1/buckets changed between two queries with nothing written")
 	}
 
 	// A second late batch lands after the restart — the fleet is whole
