@@ -5,14 +5,16 @@
 #   make vet         static analysis only
 #   make check       tbcheck over the examples + seeded-broken corpus
 #   make ci          what the gate runs: fmt-check + vet + check +
-#                    race-detector tests + the end-to-end *-check gates
+#                    race-detector tests + the fault-injection campaign
+#   make gen         regenerate the committed generated trees (tools/gen)
 #   make tables      regenerate the paper tables (tbbench)
+#   make bench-check PARENT=<rev>   paired benchmark runs against <rev>
 #
-# The repo benchmark is bench/ (see bench/README.md), not a target here.
+# The repo benchmark is bench/ (see bench/README.md).
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet fmt-check check ci fuzz bench examples tables verify clean store-check collect-check fault-check shard-check replay-check gensnaps genregress
+.PHONY: all build test test-short test-race vet fmt-check check ci fuzz examples tables verify clean fault-check gen bench-check
 
 all: build test
 
@@ -57,28 +59,13 @@ check:
 		internal/verify/testdata/corpus/fleet/unserved-endpoint
 
 # The CI gate: formatting, static analysis, instrumentation
-# verification, the race-detector pass (which subsumes plain `go
-# test`), the snap warehouse + collection plane end-to-end checks, the
-# bounded fault-injection campaign, the sharded-warehouse + fleet
-# triage loopback gate, and the record-and-replay gate; keep this
-# green before merging.
-ci: fmt-check vet check test-race store-check collect-check fault-check shard-check replay-check
-
-# Warehouse end-to-end gate: ingest the committed snaps/ fleet plus a
-# fresh re-run of the example scenarios, assert full deduplication and
-# bucket accounting, and verify the index rebuilt from the journal
-# alone is byte-identical to the live index. Fails if snaps/ is stale
-# relative to the scenarios (fix: make gensnaps, commit the result).
-store-check:
-	$(GO) run ./tools/storecheck
-
-# Collection plane end-to-end gate: push the committed fleet through
-# tbagent→tbcollectd over loopback TCP at ingest concurrency 1/4/16
-# and assert index byte-parity with a direct local ingest, full dedup
-# of replays via the HEAD precheck, journal-rebuild identity, and a
-# graceful daemon drain.
-collect-check:
-	$(GO) run ./tools/collectcheck
+# verification, the race-detector pass (which subsumes plain `go test`
+# and holds every end-to-end byte-identity invariant — DESIGN.md §16
+# names the test behind each) and the bounded fault-injection
+# campaign; keep this green before merging. `check` and `fault-check`
+# are targets of their own because they drive product CLIs across a
+# process boundary.
+ci: fmt-check vet check test-race fault-check
 
 # Fault-injection gate: bounded multi-seed campaigns over every fault
 # kind (kill -9, signal storms, RPC drop/delay/dup, module unload,
@@ -93,47 +80,18 @@ fault-check:
 	$(GO) run ./cmd/tbfault run -seed 2 -kinds kill,signal,rpc,unload,wrap -regress fault_evidence
 	$(GO) run ./cmd/tbfault replay -dir snaps/regressions
 
-# Record-and-replay gate: re-record every example scenario and hold
-# the fresh harvest to the committed snaps/ fleet byte for byte, then
-# replay each recording — and every committed regression-corpus case's
-# embedded recording — asserting byte-identical reconstruction; seeded
-# divergent logs (corrupted checkpoint, torn tail) must be rejected
-# with machine-readable divergence reports. Fully deterministic.
-replay-check:
-	$(GO) run ./tools/replaycheck
-
-# Sharded warehouse + fleet triage gate: boot a three-shard loopback
-# fleet plus a fan-out gate and a single-node reference daemon, push
-# the same seeded two-phase campaign (the example scenarios as a steady
-# background across ten rate windows, one tbfault kill trial injected
-# into the newest window only) through both, and assert the union of
-# shard journals is byte-identical to the single-node index, the
-# gate's wire responses match the single daemon byte for byte (and
-# again from 304s alone, no merge run, when asked twice),
-# /v1/regressions flags exactly the injected signatures on the wire
-# and local (tbstore-path) triage over the drained store agrees, the
-# journal rebuilds the index (rate windows included) bit-for-bit, and
-# a kill/restart of one shard mid-campaign redirects uploads (counted
-# in coll_agent_failover_total) without losing a snap, the restarted
-# shard's list fetched afresh under its new epoch.
-shard-check:
-	$(GO) run ./tools/shardcheck
-
-# Regenerate the committed example snap fleet (deterministic; only
-# needed when the examples or the instrumentation change).
-gensnaps:
-	$(GO) run ./tools/gensnaps
-
-# Regenerate the committed fault regression corpus under
-# snaps/regressions/ (deterministic; only needed when the scenarios,
-# instrumentation, or fault planner change).
-genregress:
-	$(GO) run ./tools/genregress
+# Regenerate every committed generated tree — snaps/, snaps/regressions/,
+# the verifier's seeded-broken corpus, the decoder fuzz seeds — in
+# place (deterministic; `go run ./tools/gen -h` lists the trees).
+# tools/gen's own test fails when a committed tree is stale.
+gen:
+	$(GO) run ./tools/gen
 
 # Race-detector pass over everything, including the pipeline-vs-oracle
 # stress test (jobs 1/4/16 against one shared MapCache), the gate's
-# concurrent queries beside uploads, and the archive's snapshot-vs-
-# ingest consistency test.
+# concurrent queries beside uploads, the archive's snapshot-vs-ingest
+# consistency test, and internal/loopback's agents racing daemons and
+# a shard killed mid-upload.
 test-race:
 	$(GO) test -race ./...
 
@@ -150,9 +108,18 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzArchiveIndex -fuzztime $(FUZZTIME) ./internal/archive
 	$(GO) test -run '^$$' -fuzz FuzzGateBucketsResponse -fuzztime $(FUZZTIME) ./internal/shard/gate
 
-# One benchmark per paper table/figure; results land in bench_output.txt.
-bench:
-	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
+# Regression gate against another revision: five pairs of full
+# benchmark runs, parent and change taking turns to go first, then
+# `bench -compare` over the two result sets (bench/README.md, "A/A and
+# compare"). About twenty minutes; not part of ci.
+bench-check:
+	@test -n "$(PARENT)" || { echo "usage: make bench-check PARENT=<rev>"; exit 2; }
+	rm -rf .bench_build/check && git worktree prune && git worktree add --detach .bench_build/check/parent $(PARENT)
+	for i in 1 2 3 4 5; do for side in $$([ $$((i%2)) = 1 ] && echo parent change || echo change parent); do \
+		(cd $$([ $$side = parent ] && echo .bench_build/check/parent || echo .) && \
+			bash bench/run.sh -save $(CURDIR)/.bench_build/check/$$side.json) || exit 1; \
+	done; done
+	bash bench/run.sh -compare .bench_build/check/parent.json .bench_build/check/change.json
 
 tables:
 	$(GO) run ./cmd/tbbench -table all
@@ -173,4 +140,4 @@ verify: build test
 # snaps/ is committed (the deterministic example fleet the warehouse
 # gate ingests) — clean must not remove it.
 clean:
-	rm -rf bin test_output.txt bench_output.txt fault_evidence
+	rm -rf bin test_output.txt fault_evidence

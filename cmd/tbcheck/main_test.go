@@ -167,7 +167,7 @@ func TestCheckBrokenCorpus(t *testing.T) {
 }
 
 // writeFleetCorpus materializes seed.FleetCases as one directory of
-// .tbm files per case, the layout genbroken commits and -fleet -broken
+// .tbm files per case, the layout tools/gen commits and -fleet -broken
 // consumes.
 func writeFleetCorpus(t *testing.T) (clean string, broken []string) {
 	t.Helper()

@@ -160,7 +160,7 @@ func TestSeededViolationFailsGate(t *testing.T) {
 }
 
 // corruptSnapFile rewrites a committed snap with a corrupted module
-// table (the same seeded corruption genregress uses).
+// table (the same seeded corruption tools/gen uses).
 func corruptSnapFile(t *testing.T, path string) {
 	t.Helper()
 	f, err := os.Open(path)

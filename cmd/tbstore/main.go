@@ -398,12 +398,18 @@ func (c *cli) regressions(args []string) (err error) {
 		rows = rep.Assessments
 	}
 	for _, a := range rows {
-		fmt.Fprintf(c.stdout, "%-8s x%-4d %s  %s  (recent %.2f/win, base %.2f/win)\n",
-			a.Class, a.Recent, a.Sig, a.Title, a.RecentRate, a.BaseRate)
+		c.printAssessment("", a)
 	}
 	fmt.Fprintf(c.stdout, "%d signature(s), %d flagged; now=%d window=%d\n",
 		len(rep.Assessments), len(rep.Flagged()), rep.Now, rep.Window)
 	return nil
+}
+
+// printAssessment prints one signature's verdict: the row format of
+// `regressions` and, indented under its tick line, of `watch`.
+func (c *cli) printAssessment(indent string, a triage.Assessment) {
+	fmt.Fprintf(c.stdout, "%s%-8s x%-4d %s  %s  (recent %.2f/win, base %.2f/win)\n",
+		indent, a.Class, a.Recent, a.Sig, a.Title, a.RecentRate, a.BaseRate)
 }
 
 // rates prints one signature's crash-rate histogram and verdict.
@@ -536,20 +542,38 @@ func (c *cli) watchTick(client *http.Client, base string, tick int) bool {
 	fmt.Fprintf(c.stdout, "tick %d: state=%s up=%ds buckets=%d blobs=%d bytes=%d inflight=%d flagged=%d\n",
 		tick, hr.State, hr.UptimeSec, hr.Buckets, hr.Blobs, hr.StoredBytes, hr.Inflight, len(flagged))
 	for _, a := range flagged {
-		fmt.Fprintf(c.stdout, "  %-8s x%-4d %s  %s\n", a.Class, a.Recent, a.Sig, a.Title)
+		c.printAssessment("  ", a)
 	}
 	return true
 }
 
+// maxAnswerBytes caps what watch reads of one polled answer; a
+// regression report runs to a few hundred bytes per signature.
+const maxAnswerBytes = 16 << 20
+
 // getJSON fetches and decodes one JSON endpoint; non-2xx statuses
-// with a JSON body (healthz mid-drain answers 503) still decode.
+// with a JSON body (healthz mid-drain answers 503) still decode. An
+// answer that is not the expected JSON — a gate's text/plain "502
+// shard … unreachable", a proxy's error page — is reported as its
+// status and first line.
 func getJSON(client *http.Client, url string, into any) error {
 	resp, err := client.Get(url)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(into)
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxAnswerBytes))
+	if err != nil {
+		return err
+	}
+	if json.Unmarshal(body, into) != nil {
+		line, _, _ := strings.Cut(strings.TrimSpace(string(body)), "\n")
+		if len(line) > 200 {
+			line = line[:200] + "…"
+		}
+		return fmt.Errorf("%s: %s", resp.Status, line)
+	}
+	return nil
 }
 
 func (c *cli) gc(args []string) (err error) {

@@ -14,7 +14,7 @@ import (
 )
 
 // buildFleet writes the deterministic example snaps + mapfiles into a
-// temp dir (the same layout tools/gensnaps commits under snaps/).
+// temp dir (the same layout tools/gen commits under snaps/).
 func buildFleet(t *testing.T) (snapDir, mapsDir string) {
 	t.Helper()
 	builts, err := scenario.All()

@@ -10,6 +10,7 @@ import (
 
 	"traceback/internal/collect"
 	"traceback/internal/loopback"
+	"traceback/internal/shard/gate"
 )
 
 // syncBuffer is a goroutine-safe bytes.Buffer: watch writes from the
@@ -89,5 +90,39 @@ func TestWatchReconnectsAfterDaemonRestart(t *testing.T) {
 		if strings.Contains(line, "reconnected to") && strings.Count(line, "tick") != 1 {
 			t.Errorf("malformed reconnect notice: %q", line)
 		}
+	}
+}
+
+// TestWatchNamesAGatesRefusal: a gate with a shard down answers its
+// triage routes 502 text/plain; the tick line must carry that status
+// and the gate's reason, not a JSON syntax error.
+func TestWatchNamesAGatesRefusal(t *testing.T) {
+	var urls []string
+	var nodes []*loopback.Node
+	for _, name := range []string{"s0", "s1"} {
+		n, err := loopback.StartNode(filepath.Join(t.TempDir(), name), collect.ServerOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Kill(); n.Close() })
+		nodes, urls = append(nodes, n), append(urls, n.URL)
+	}
+	gw, err := loopback.StartGate(urls, gate.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { gw.Kill() })
+	if err := nodes[1].Kill(); err != nil {
+		t.Fatal(err)
+	}
+
+	out := mustRun(t, "watch", "-url", gw.URL, "-interval", "1ms", "-count", "1")
+	for _, want := range []string{"tick 1: state=degraded", "regressions: 502 Bad Gateway: ", nodes[1].URL} {
+		if !strings.Contains(out, want) {
+			t.Errorf("watch against a gate with a shard down lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "invalid character") {
+		t.Errorf("watch reported a JSON syntax error for a plain-text refusal:\n%s", out)
 	}
 }

@@ -316,8 +316,8 @@ func encodeIndex(idx *Index) ([]byte, error) {
 // canonical index bytes. The reduction is order-independent, so the
 // concatenated journals of N shards reduce to exactly the bytes a
 // single node ingesting the same events would produce — the
-// byte-equivalence that tools/shardcheck gates the sharded warehouse
-// on.
+// byte-equivalence loopback.TestShardedCampaign holds the sharded
+// warehouse to.
 func IndexBytesOf(recs []JournalRecord) ([]byte, error) {
 	return encodeIndex(reduceJournal(recs).index())
 }

@@ -4,7 +4,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"traceback/internal/replay"
 	"traceback/internal/scenario"
+	"traceback/internal/snap"
 )
 
 // corpusDir locates the committed regression corpus.
@@ -21,7 +23,10 @@ func corpusDir(t *testing.T) string {
 // and holds it to its manifest: the good cases must resolve exactly
 // their recorded faulting lines, and the seeded-known-bad case's
 // corruption must be detected. This is the in-process mirror of
-// `tbfault replay`.
+// `tbfault replay`. A good case is also a re-executable program: the
+// recording its first snap carries must replay to the committed snaps
+// byte for byte. (The known-bad snap is evidence corrupted after the
+// fact, not a faithful recording of an execution.)
 func TestCommittedCorpus(t *testing.T) {
 	dir := corpusDir(t)
 	corpus, err := LoadCorpus(dir)
@@ -34,6 +39,9 @@ func TestCommittedCorpus(t *testing.T) {
 		t.Run(cc.Name, func(t *testing.T) {
 			if err := cc.Verify(dir); err != nil {
 				t.Error(err)
+			}
+			if cc.Expect == ExpectFaultLine {
+				replayCase(t, dir, cc)
 			}
 		})
 		switch cc.Expect {
@@ -54,6 +62,28 @@ func TestCommittedCorpus(t *testing.T) {
 	}
 	if bad == 0 {
 		t.Error("corpus has no seeded-known-bad case")
+	}
+}
+
+func replayCase(t *testing.T, dir string, cc *CorpusCase) {
+	var snaps []*snap.Snap
+	for _, name := range cc.Snaps {
+		s, err := snap.LoadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, s)
+	}
+	l, err := replay.FromSnap(snaps[0])
+	if err != nil {
+		t.Fatalf("%v (regenerate: make gen)", err)
+	}
+	v, err := replay.Verify(l, snaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Divergence != nil || !v.Identical {
+		t.Errorf("replay from the embedded recording is not byte-identical: %v", v.Divergence)
 	}
 }
 

@@ -1,0 +1,356 @@
+package loopback
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sync"
+	"testing"
+	"time"
+
+	"traceback/internal/archive"
+	"traceback/internal/collect"
+	"traceback/internal/recon"
+	"traceback/internal/scenario"
+	"traceback/internal/shard"
+	"traceback/internal/shard/gate"
+	"traceback/internal/snap"
+	"traceback/internal/telemetry"
+	"traceback/internal/triage"
+)
+
+// The end-to-end gates of the fleet plane: real snaps, real mapfiles,
+// real loopback TCP, agents racing daemons and a shard killed
+// mid-upload — under the race detector like every other test.
+
+func check(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func indexBytes(t *testing.T, a *archive.Archive) []byte {
+	t.Helper()
+	b, err := a.IndexBytes()
+	check(t, err)
+	return b
+}
+
+func drain(t *testing.T, ag *collect.Agent) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	check(t, ag.Drain(ctx))
+}
+
+// TestCommittedFleetWireEqualsDirect: the committed snaps/ fleet under
+// its committed mapfiles stores completely (no snap a duplicate of
+// another) under strong signatures, and pushed through
+// tbagent→tbcollectd at every ingest bound — two agents racing, so
+// uploads interleave arbitrarily — leaves the daemon an index
+// byte-identical to the direct in-process ingest. The agents spool the
+// committed files under their committed names, not content addresses:
+// addressing a foreign-named file is the agent's job.
+func TestCommittedFleetWireEqualsDirect(t *testing.T) {
+	root, err := scenario.Root()
+	check(t, err)
+	paths, err := snap.ExpandPaths([]string{filepath.Join(root, "snaps")}, nil)
+	check(t, err)
+	loader, err := recon.NewDirLoader(filepath.Join(root, "snaps", "maps"))
+	check(t, err)
+
+	direct, err := archive.Open(filepath.Join(t.TempDir(), "direct"))
+	check(t, err)
+	defer direct.Close()
+	maps := recon.NewMapCache(loader.Load)
+	for _, p := range paths {
+		s, err := snap.LoadFile(p)
+		check(t, err)
+		res, err := direct.Ingest(s, archive.SignSnap(s, maps))
+		check(t, err)
+		if res.Dup {
+			t.Errorf("%s duplicates another committed snap", filepath.Base(p))
+		}
+	}
+	for _, b := range direct.Buckets() {
+		if b.Weak {
+			t.Errorf("bucket %s (%s) is weak: the committed mapfiles failed to reconstruct it", b.Sig, b.Title)
+		}
+	}
+	want := indexBytes(t, direct)
+
+	for _, inflight := range []int{1, 4, 16} {
+		t.Run(fmt.Sprintf("inflight=%d", inflight), func(t *testing.T) {
+			dir := t.TempDir()
+			node, err := StartNode(filepath.Join(dir, "wh"), collect.ServerOptions{
+				Maps: recon.NewMapCache(loader.Load), MaxInflight: inflight,
+			})
+			check(t, err)
+			defer node.Close()
+			defer node.Kill()
+
+			var wg sync.WaitGroup
+			errs := make([]error, 2)
+			for i := range errs {
+				spool := filepath.Join(dir, fmt.Sprintf("spool%d", i))
+				check(t, os.Mkdir(spool, 0o755))
+				for j := i; j < len(paths); j += len(errs) {
+					b, err := os.ReadFile(paths[j])
+					check(t, err)
+					check(t, os.WriteFile(filepath.Join(spool, filepath.Base(paths[j])), b, 0o644))
+				}
+				ag := collect.NewAgent(spool, node.URL, collect.AgentOptions{
+					BackoffBase: 5 * time.Millisecond, BackoffMax: 100 * time.Millisecond, Seed: 1,
+				})
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					errs[i] = ag.Drain(context.Background())
+				}(i)
+			}
+			wg.Wait()
+			for _, err := range errs {
+				check(t, err)
+			}
+			if got := indexBytes(t, node.Arch); !bytes.Equal(got, want) {
+				t.Errorf("index after agent→daemon upload differs from direct ingest:\n--- wire ---\n%s\n--- direct ---\n%s", got, want)
+			}
+		})
+	}
+}
+
+func hasFlightEvent(reg *telemetry.Registry, kind string) bool {
+	for _, e := range reg.FlightRecorder().Events() {
+		if e.Kind == kind {
+			return true
+		}
+	}
+	return false
+}
+
+func sameSet(t *testing.T, what string, got, want map[string]bool) {
+	t.Helper()
+	for sig := range want {
+		if !got[sig] {
+			t.Errorf("%s: %s missing", what, sig)
+		}
+	}
+	for sig := range got {
+		if !want[sig] {
+			t.Errorf("%s: %s unexpected", what, sig)
+		}
+	}
+}
+
+// TestShardedCampaign stages the seeded two-phase campaign
+// (StageCampaign) through a three-shard fleet behind a gate — uploaded
+// by one shard-aware agent — and, mirrored, into a single reference
+// node. Snap times are synthetic and everything is seeded, so the
+// whole test is deterministic. The phases share the fleet and run in
+// order; one that fails stops the rest.
+func TestShardedCampaign(t *testing.T) {
+	const shards = 3
+	camp, err := StageCampaign()
+	check(t, err)
+	root := t.TempDir()
+	ring, err := shard.NewRing(shards)
+	check(t, err)
+	opts := collect.ServerOptions{Maps: camp.Maps, MaxInflight: 8}
+	nodes := make([]*Node, shards)
+	urls := make([]string, shards)
+	for i := range nodes {
+		nodes[i], err = StartNode(filepath.Join(root, fmt.Sprintf("shard%d", i)), opts)
+		check(t, err)
+		n := nodes[i] // through n, not n.Arch: a restart reopens the warehouse
+		t.Cleanup(func() { n.Kill(); n.Close() })
+		urls[i] = n.URL
+	}
+	single, err := StartNode(filepath.Join(root, "single"), opts)
+	check(t, err)
+	t.Cleanup(func() { single.Kill(); single.Close() })
+	gw, err := StartGate(urls, gate.Options{Maps: camp.Maps})
+	check(t, err)
+	t.Cleanup(func() { gw.Kill() })
+
+	spool := filepath.Join(root, "spool")
+	reg := telemetry.New()
+	failovers := reg.Counter("coll_agent_failover_total", "")
+	ag, err := collect.NewFleetAgent(spool, urls, collect.AgentOptions{
+		BackoffBase: 10 * time.Millisecond, BackoffMax: 250 * time.Millisecond, Seed: 1, Telemetry: reg,
+	})
+	check(t, err)
+
+	phase := func(name string, f func(t *testing.T)) {
+		if !t.Failed() {
+			t.Run(name, f)
+		}
+	}
+
+	// Healthy placement: every blob lands on its ring home with no
+	// failover, and the union of the three shard journals reduces to
+	// the single node's exact index bytes.
+	phase("placement and journal union", func(t *testing.T) {
+		for _, s := range camp.Snaps {
+			_, err := collect.Spool(spool, s)
+			check(t, err)
+			_, err = single.Arch.IngestUnique(s, archive.SignSnap(s, camp.Maps))
+			check(t, err)
+		}
+		drain(t, ag)
+		if got := failovers.Load(); got != 0 {
+			t.Errorf("healthy fleet recorded %d failover(s)", got)
+		}
+		var union []archive.JournalRecord
+		for i, n := range nodes {
+			for _, b := range n.Arch.Buckets() {
+				for _, ref := range b.Snaps {
+					if home, err := ring.Place(ref.Sum); err != nil || home != i {
+						t.Errorf("blob %s resident on shard %d, ring homes it on %d (%v)", ref.Sum[:12], i, home, err)
+					}
+				}
+			}
+			check(t, n.Arch.Flush())
+			f, err := os.Open(n.Arch.JournalPath())
+			check(t, err)
+			recs, err := archive.DecodeJournal(f)
+			f.Close()
+			check(t, err)
+			union = append(union, recs...)
+		}
+		got, err := archive.IndexBytesOf(union)
+		check(t, err)
+		if !bytes.Equal(got, indexBytes(t, single.Arch)) {
+			t.Error("union of shard journals does not reduce to the single-node index bytes")
+		}
+	})
+
+	// Fleet triage: the gate's /v1/regressions flags exactly the
+	// campaign-only signatures, and the same classification computed
+	// from the drained single node's store directory — the `tbstore
+	// regressions` path — flags the identical set. (That the gate and
+	// the single daemon answer the same bytes is
+	// gate.TestGateMatchesSingleNode.)
+	phase("wire triage equals local", func(t *testing.T) {
+		flagged, err := Flagged(gw.URL)
+		check(t, err)
+		sameSet(t, "gate /v1/regressions vs injected", flagged, camp.Injected)
+		check(t, single.Kill())
+		check(t, single.Close())
+		local, err := archive.Open(filepath.Join(root, "single"))
+		check(t, err)
+		defer local.Close()
+		sameSet(t, "local triage vs the wire",
+			FlaggedSet(triage.Classify(local.Buckets(), local.NewestTime(), triage.Defaults())), flagged)
+	})
+
+	// Kill/restart mid-campaign loses nothing. Byte-equivalence is
+	// deliberately not asserted: a failover may journal the same
+	// content on two shards, which inflates occurrence counts — the
+	// trade documented in internal/shard.
+	phase("kill and restart lose nothing", func(t *testing.T) {
+		const W, victim = archive.WindowWidth, 1
+		var sums []string
+		// spoolLate stages every scenario snap at a fresh time past the
+		// campaign: unique content in the newest window.
+		spoolLate := func(at uint64) {
+			for i, b := range camp.Builts {
+				for j, s := range b.Snaps {
+					cp := *s
+					cp.Time = at + uint64(i*16+j)
+					sum, _, err := archive.ChecksumSnap(&cp)
+					check(t, err)
+					sums = append(sums, sum)
+					_, err = collect.Spool(spool, &cp)
+					check(t, err)
+				}
+			}
+		}
+		spoolLate(Horizon * W)
+		homes := uint64(0)
+		for _, sum := range sums {
+			if home, _ := ring.Place(sum); home == victim {
+				homes++
+			}
+		}
+		if homes == 0 {
+			t.Fatalf("no late snap homes on shard %d; the phase needs one", victim)
+		}
+		check(t, nodes[victim].Kill())
+		drain(t, ag) // failover carries the victim's snaps to the next live shard
+		if got := failovers.Load(); got < homes {
+			t.Errorf("coll_agent_failover_total = %d after the kill, want at least %d", got, homes)
+		}
+		if !hasFlightEvent(reg, "coll-agent-failover") {
+			t.Error("no coll-agent-failover flight event recorded")
+		}
+		check(t, nodes[victim].Restart())
+
+		// The restarted shard's journal is what it was when the gate
+		// last heard from it, but its list is fetched again, not trusted
+		// across the restart: the shard refuses the old tag and the gate
+		// records the new epoch. Asked once more with nothing written,
+		// the gate answers the same bytes from three 304s and no merge.
+		afterRestart, err := Fetch(gw.URL + collect.PathBuckets)
+		check(t, err)
+		if got := nodes[victim].Srv.Metrics().Counter("coll_buckets_not_modified_total", "").Load(); got != 0 {
+			t.Errorf("restarted shard %d answered 304 to a tag from its previous life", victim)
+		}
+		if !hasFlightEvent(gw.Gate.Metrics(), "gate-shard-epoch") {
+			t.Errorf("no gate-shard-epoch flight event after shard %d restarted", victim)
+		}
+		notModified := gw.Gate.Metrics().Counter("gate_shard_not_modified_total", "")
+		merges := gw.Gate.Metrics().Histogram("gate_merge_nanos", "", nil)
+		n, m := notModified.Load(), merges.Count()
+		again, err := Fetch(gw.URL + collect.PathBuckets)
+		check(t, err)
+		if !bytes.Equal(again, afterRestart) {
+			t.Error("gate /v1/buckets changed between two queries with nothing written")
+		}
+		if got := notModified.Load() - n; got != shards {
+			t.Errorf("with no shard changed, %d shard(s) answered 304, want all %d", got, shards)
+		}
+		if got := merges.Count() - m; got != 0 {
+			t.Errorf("with no shard changed, the gate ran %d merge(s)", got)
+		}
+
+		// A second late batch lands after the restart, on a whole fleet.
+		spoolLate(Horizon*W + W/2)
+		drain(t, ag)
+
+		// Nothing lost: the drain emptied the spool, every uploaded sum
+		// is resident on some shard, and the gate still merges every
+		// signature.
+		for _, sum := range sums {
+			found := false
+			for _, n := range nodes {
+				found = found || n.Arch.Has(sum)
+			}
+			if !found {
+				t.Errorf("blob %s lost across kill/restart", sum[:12])
+			}
+		}
+		body, err := Fetch(gw.URL + collect.PathBuckets)
+		check(t, err)
+		var tr collect.TopResponse
+		check(t, json.Unmarshal(body, &tr))
+		merged := map[string]bool{}
+		for _, b := range tr.Buckets {
+			merged[b.Sig] = true
+		}
+		for _, sigs := range []map[string]bool{camp.Steady, camp.Injected} {
+			for sig := range sigs {
+				if !merged[sig] {
+					t.Errorf("signature %s missing from the gate after kill/restart", sig)
+				}
+			}
+		}
+		for _, n := range nodes {
+			check(t, n.Kill())
+		}
+		check(t, gw.Kill())
+	})
+}

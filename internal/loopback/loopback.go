@@ -1,11 +1,11 @@
 // Package loopback boots the fleet plane in-process over loopback TCP:
 // tbcollectd nodes that can be killed and restarted on a stable
 // address, a fan-out gate over them, and the seeded two-phase crash
-// campaign the fleet gates stage through them. It is the one harness
-// behind the loopback check tools (tools/collectcheck,
-// tools/shardcheck) and the tests that need a real listener rather
-// than httptest — so "listen, serve, shut down, ErrServerClosed is
-// fine" is written here once.
+// campaign the fleet tests stage through them. It is the one harness
+// behind every test that needs a real listener rather than httptest —
+// its own end-to-end tests of the fleet plane (fleet_test.go), the
+// gate's, tbstore watch's — so "listen, serve, shut down,
+// ErrServerClosed is fine" is written here once.
 package loopback
 
 import (
@@ -16,6 +16,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"sync"
 	"time"
 
 	"traceback/internal/archive"
@@ -24,9 +25,14 @@ import (
 	"traceback/internal/triage"
 )
 
-// stopTimeout bounds a graceful stop; in-flight loopback ingests
-// finish in milliseconds.
-const stopTimeout = 10 * time.Second
+const (
+	// stopTimeout bounds a graceful stop; in-flight loopback ingests
+	// finish in milliseconds.
+	stopTimeout = 10 * time.Second
+	// fetchTimeout bounds one Fetch, so a wedged daemon fails the test
+	// that asked instead of hanging it to the `go test` deadline.
+	fetchTimeout = 30 * time.Second
+)
 
 // daemon is the lifecycle collect.Server and gate.Gate share.
 type daemon interface {
@@ -38,6 +44,8 @@ type daemon interface {
 type running struct {
 	d    daemon
 	errc chan error
+	once sync.Once
+	err  error // of the one stop
 }
 
 func serve(d daemon, l net.Listener) *running {
@@ -47,14 +55,18 @@ func serve(d daemon, l net.Listener) *running {
 }
 
 // stop shuts the daemon down gracefully and waits for Serve to return.
+// A second stop (a test's cleanup after the test already killed the
+// daemon) reports the first one's result.
 func (r *running) stop() error {
-	ctx, cancel := context.WithTimeout(context.Background(), stopTimeout)
-	defer cancel()
-	err := r.d.Shutdown(ctx)
-	if serr := <-r.errc; err == nil && !errors.Is(serr, http.ErrServerClosed) {
-		err = serr
-	}
-	return err
+	r.once.Do(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), stopTimeout)
+		defer cancel()
+		r.err = r.d.Shutdown(ctx)
+		if serr := <-r.errc; r.err == nil && !errors.Is(serr, http.ErrServerClosed) {
+			r.err = serr
+		}
+	})
+	return r.err
 }
 
 // Node is one in-process tbcollectd: a warehouse opened at a store
@@ -145,10 +157,12 @@ func StartGate(urls []string, opts gate.Options) (*Gate, error) {
 // Kill stops the gate.
 func (g *Gate) Kill() error { return g.run.stop() }
 
+var fetchClient = &http.Client{Timeout: fetchTimeout}
+
 // Fetch GETs url and returns the body of a 200 answer; any other
-// status is an error.
+// status, or no answer within fetchTimeout, is an error.
 func Fetch(url string) ([]byte, error) {
-	resp, err := http.Get(url)
+	resp, err := fetchClient.Get(url)
 	if err != nil {
 		return nil, err
 	}

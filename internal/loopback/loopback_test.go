@@ -49,6 +49,11 @@ func TestNodeKillRestartSameAddress(t *testing.T) {
 	if _, err := http.Get(url + collect.PathHealth); err == nil {
 		t.Fatal("killed node still accepts connections")
 	}
+	// A cleanup's Kill after the test's own must not wait for a second
+	// Serve return that never comes.
+	if err := n.Kill(); err != nil {
+		t.Fatalf("second kill: %v", err)
+	}
 
 	if err := n.Restart(); err != nil {
 		t.Fatalf("restart: %v", err)

@@ -60,12 +60,20 @@ func TestRecordReplayScenarios(t *testing.T) {
 }
 
 // TestRecordingParity proves recording-off runs are untouched and
-// recording-on runs are cycle-identical: same final clock, same
+// recording-on runs are cycle-identical: same final clocks, same
 // process cycles, same snap bytes. This is the Table 1 parity
-// argument — the recorder only observes, never perturbs.
+// argument — the recorder only observes, never perturbs — and, on
+// every example scenario, the link between a recorded harvest and the
+// recording-free fleet committed under snaps/.
 func TestRecordingParity(t *testing.T) {
+	for _, b := range scenario.Builders {
+		t.Run(b.Name, func(t *testing.T) { recordingParity(t, b.Name) })
+	}
+}
+
+func recordingParity(t *testing.T, name string) {
 	run := func(record bool) (uint64, uint64, [][]byte) {
-		setup, err := scenario.BuildQuickstart(scenario.Options{})
+		setup, err := scenario.Build(name, scenario.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +87,7 @@ func TestRecordingParity(t *testing.T) {
 		}
 		var clock, cycles uint64
 		for _, p := range setup.Procs {
-			clock = p.Machine.Clock()
+			clock += p.Machine.Clock()
 			cycles += p.Cycles
 		}
 		var raw [][]byte
@@ -110,6 +118,31 @@ func TestRecordingParity(t *testing.T) {
 	}
 }
 
+// rejected requires the replay to have diverged with the given kind
+// and a machine-readable report: the error message embeds a JSON
+// object that parses back to the same kind.
+func rejected(t *testing.T, res *Result, kind string) {
+	t.Helper()
+	if res.Divergence == nil {
+		t.Fatalf("seeded %s corruption replayed cleanly", kind)
+	}
+	if res.Divergence.Kind != kind {
+		t.Fatalf("kind = %q, want %s", res.Divergence.Kind, kind)
+	}
+	msg := res.Divergence.Error()
+	i := strings.Index(msg, "{")
+	if i < 0 {
+		t.Fatalf("no JSON in %q", msg)
+	}
+	var parsed Divergence
+	if err := json.Unmarshal([]byte(msg[i:]), &parsed); err != nil {
+		t.Fatalf("unparseable divergence %q: %v", msg, err)
+	}
+	if parsed.Kind != kind {
+		t.Fatalf("parsed kind = %q", parsed.Kind)
+	}
+}
+
 // TestDivergenceDetected seeds two corrupt logs and asserts both are
 // rejected with machine-readable divergence reports.
 func TestDivergenceDetected(t *testing.T) {
@@ -136,40 +169,19 @@ func TestDivergenceDetected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Divergence == nil {
-			t.Fatal("corrupted checkpoint not detected")
-		}
-		if res.Divergence.Kind != "event-mismatch" {
-			t.Fatalf("kind = %q, want event-mismatch", res.Divergence.Kind)
-		}
-		// Machine-readable: the error message embeds a JSON object.
-		msg := res.Divergence.Error()
-		i := strings.Index(msg, "{")
-		if i < 0 {
-			t.Fatalf("no JSON in %q", msg)
-		}
-		var parsed Divergence
-		if err := json.Unmarshal([]byte(msg[i:]), &parsed); err != nil {
-			t.Fatalf("unparseable divergence %q: %v", msg, err)
-		}
-		if parsed.Kind != "event-mismatch" {
-			t.Fatalf("parsed kind = %q", parsed.Kind)
-		}
+		rejected(t, res, "event-mismatch")
 	})
 
 	t.Run("log-exhausted", func(t *testing.T) {
+		// A torn log: the tail event never arrives (quickstart records
+		// one event, so nothing does).
 		bad := &Log{Scenario: l.Scenario, Interval: l.Interval}
-		if len(l.Events) < 2 {
-			t.Skip("recording too short")
-		}
 		bad.Events = append([]trace.NondetRecord(nil), l.Events[:len(l.Events)-1]...)
 		res, err := Run(bad)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Divergence == nil || res.Divergence.Kind != "log-exhausted" {
-			t.Fatalf("divergence = %v, want log-exhausted", res.Divergence)
-		}
+		rejected(t, res, "log-exhausted")
 	})
 }
 

@@ -4,7 +4,7 @@
 // repository's fleet simulator: the VM is deterministic, so every
 // re-run reproduces byte-identical snaps — which is exactly what the
 // warehouse's signature-stability and dedup guarantees are tested
-// against (and what tools/gensnaps commits under snaps/).
+// against (and what `tools/gen snaps` commits under snaps/).
 //
 // Each scenario is split into build (compile, create the world,
 // start threads) and run (drive the world, harvest snaps) so that

@@ -18,7 +18,7 @@
 //
 // When placement held (no failovers), every unique sum was journaled
 // on exactly one shard and the merged buckets are byte-identical to
-// the single-node reduction — the property tools/shardcheck gates on.
+// the single-node reduction (loopback.TestShardedCampaign holds it).
 // After a failover the same content may have journaled on two shards;
 // Count then exceeds the single-node count (each landing was a real
 // ingest event), but no snap and no bucket is ever lost.

@@ -11,7 +11,7 @@
 // views extracted by the deterministic reconstruction pipeline. The
 // same warehouse therefore triages identically whether queried
 // through `tbstore` on the archive directory or through a tbcollectd
-// daemon's /v1/regressions — the property tools/triagecheck gates on.
+// daemon's /v1/regressions (loopback.TestShardedCampaign holds it).
 package triage
 
 import (

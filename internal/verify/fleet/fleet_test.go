@@ -51,7 +51,7 @@ func build(t *testing.T, name, src string) fleet.Input {
 }
 
 // minicBytes compiles, instruments, and serializes one MiniC source —
-// the raw .tbm form the fuzz target and genbroken work with.
+// the raw .tbm form the fuzz target and tools/gen work with.
 func minicBytes(name, src string) ([]byte, error) {
 	mod, err := minic.Compile(name, name+".mc", src)
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 // -fleet and the service load path feed .tbm files straight into it —
 // and its diagnostics are deterministic for identical inputs. Seed
 // corpus: the clean pair plus every fleet corpus mutation (committed
-// under testdata/fuzz by tools/genbroken).
+// under testdata/fuzz by `tools/gen broken`).
 func FuzzFleetVerify(f *testing.F) {
 	for _, src := range []struct{ name, src string }{
 		{"client", clientSrc},

@@ -15,7 +15,7 @@ import (
 // come back as diagnostics, because tbrun and the snap service feed
 // loader-supplied mapfiles straight into it. Seed corpus: the real
 // clean mapfile plus every corpus mutation (committed under
-// testdata/fuzz by tools/genbroken).
+// testdata/fuzz by `tools/gen broken`).
 func FuzzMapFileVerify(f *testing.F) {
 	m, mf, err := seed.Base()
 	if err != nil {

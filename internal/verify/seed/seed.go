@@ -2,7 +2,7 @@
 // clean instrumented module plus one deliberately broken variant per
 // defect class, each tagged with the pass that must flag it. The
 // corpus is both recall-tested (internal/verify's corpus_test) and
-// exported to testdata by tools/genbroken so tbcheck -broken can run
+// exported to testdata by `tools/gen broken` so tbcheck -broken can run
 // over it in make check.
 package seed
 
