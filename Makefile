@@ -5,7 +5,7 @@
 #   make vet         static analysis only
 #   make check       tbcheck over the examples + seeded-broken corpus
 #   make ci          what the gate runs: fmt-check + vet + check +
-#                    race-detector tests + the fault-injection campaign
+#                    race-detector tests
 #   make gen         regenerate the committed generated trees (tools/gen)
 #   make tables      regenerate the paper tables (tbbench)
 #   make bench-check PARENT=<rev>   paired benchmark runs against <rev>
@@ -14,7 +14,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet fmt-check check ci fuzz examples tables verify clean fault-check gen bench-check
+.PHONY: all build test test-short test-race vet fmt-check check ci fuzz examples tables verify clean gen bench-check
 
 all: build test
 
@@ -59,26 +59,18 @@ check:
 		internal/verify/testdata/corpus/fleet/unserved-endpoint
 
 # The CI gate: formatting, static analysis, instrumentation
-# verification, the race-detector pass (which subsumes plain `go test`
-# and holds every end-to-end byte-identity invariant — DESIGN.md §16
-# names the test behind each) and the bounded fault-injection
-# campaign; keep this green before merging. `check` and `fault-check`
-# are targets of their own because they drive product CLIs across a
-# process boundary.
-ci: fmt-check vet check test-race fault-check
-
-# Fault-injection gate: bounded multi-seed campaigns over every fault
-# kind (kill -9, signal storms, RPC drop/delay/dup, module unload,
-# tiny-buffer wrap stress, managed interrupts, and a mid-ingest
-# collector kill in the wire phase), each asserting the reconstruction
-# invariants; then replay of the committed regression corpus, whose
-# seeded-known-bad case must stay detected. Fixed seeds: the whole
-# gate is deterministic. On failure, evidence bundles (snaps + maps +
-# repro line) land under fault_evidence/.
-fault-check:
-	$(GO) run ./cmd/tbfault run -seed 1 -kinds all -regress fault_evidence
-	$(GO) run ./cmd/tbfault run -seed 2 -kinds kill,signal,rpc,unload,wrap -regress fault_evidence
-	$(GO) run ./cmd/tbfault replay -dir snaps/regressions
+# verification and the race-detector pass, which subsumes plain `go
+# test` and holds every end-to-end byte-identity invariant (DESIGN.md
+# §16 names the test behind each) — the fault-injection campaigns
+# included: fault.TestCampaignEndToEnd runs the fixed-seed campaigns
+# over every fault kind, fault.TestCommittedCorpus and
+# tbfault.TestReplayCommittedCorpus replay the committed regression
+# corpus. A failing campaign test logs its repro line; `go run
+# ./cmd/tbfault <repro line minus "tbfault"> -regress fault_evidence`
+# rewrites the evidence bundles (snaps + maps + repro) under
+# fault_evidence/, deterministically. `check` is a target of its own
+# because it drives a product CLI across a process boundary.
+ci: fmt-check vet check test-race
 
 # Regenerate every committed generated tree — snaps/, snaps/regressions/,
 # the verifier's seeded-broken corpus, the decoder fuzz seeds — in

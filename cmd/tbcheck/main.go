@@ -333,13 +333,7 @@ func checkModule(in, mapPath string, opts verify.Options) (*verify.Result, error
 	}
 	var mf *module.MapFile
 	if mapPath != "" {
-		f, err := os.Open(mapPath)
-		if err != nil {
-			return nil, err
-		}
-		mf, err = module.LoadMapFile(f)
-		f.Close()
-		if err != nil {
+		if mf, err = module.ReadMapFile(mapPath); err != nil {
 			return nil, err
 		}
 	}
@@ -348,12 +342,7 @@ func checkModule(in, mapPath string, opts verify.Options) (*verify.Result, error
 
 // checkMapOnly structurally validates a bare mapfile.
 func checkMapOnly(in string) (*verify.Result, error) {
-	f, err := os.Open(in)
-	if err != nil {
-		return nil, err
-	}
-	mf, err := module.LoadMapFile(f)
-	f.Close()
+	mf, err := module.ReadMapFile(in)
 	if err != nil {
 		return nil, err
 	}

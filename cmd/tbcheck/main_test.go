@@ -9,6 +9,7 @@ import (
 
 	"traceback/internal/core"
 	"traceback/internal/minic"
+	"traceback/internal/module"
 	"traceback/internal/verify/seed"
 )
 
@@ -50,14 +51,9 @@ func writeFixture(t *testing.T) (dir, mcPath, tbmPath, mapPath string) {
 	}
 	f.Close()
 	mapPath = filepath.Join(dir, "app.map.json")
-	f, err = os.Create(mapPath)
-	if err != nil {
+	if err := module.WriteMapFile(mapPath, res.Map); err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Map.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 	return dir, mcPath, tbmPath, mapPath
 }
 
@@ -145,14 +141,9 @@ func TestCheckBrokenCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.Close()
-		mf, err := os.Create(filepath.Join(dir, c.Name+".map.json"))
-		if err != nil {
+		if err := module.WriteMapFile(filepath.Join(dir, c.Name+".map.json"), c.Map); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Map.Save(mf); err != nil {
-			t.Fatal(err)
-		}
-		mf.Close()
 		broken = append(broken, tbm)
 	}
 	var out, errb bytes.Buffer

@@ -1,10 +1,9 @@
 // tbfault is the fault-injection campaign orchestrator: it sweeps
 // seeded faults (kill -9, signal storms, RPC drop/delay/duplication,
-// module unloads, tiny-buffer wrap stress, managed interrupts, and a
-// mid-ingest collection-daemon kill) across the example scenarios,
-// snaps every run, pushes the harvest through the collection plane,
-// and asserts the reconstruction invariants. The whole campaign —
-// schedule, parameters, report — is a pure function of -seed.
+// module unloads, tiny-buffer wrap stress, managed interrupts) across
+// the example scenarios, snaps every run, and asserts the
+// reconstruction invariants. The whole campaign — schedule,
+// parameters, report — is a pure function of -seed.
 //
 //	tbfault run -seed 1 -kinds kill,rpc          # one campaign slice
 //	tbfault run -seed 1 -kinds all -report json  # full campaign, JSON report
@@ -21,6 +20,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -56,11 +56,10 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tbfault run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	seed := fs.Int64("seed", 1, "campaign seed; the entire schedule and report derive from it")
-	kinds := fs.String("kinds", "all", "comma-separated fault kinds (kill,signal,rpc-drop,rpc-delay,rpc-dup,unload,wrap,managed,collect; \"rpc\" expands to the transport kinds, \"all\" to everything)")
+	kinds := fs.String("kinds", "all", "comma-separated fault kinds ("+strings.Join(fault.AllKinds, ",")+"; \"rpc\" expands to the transport kinds, \"all\" to everything)")
 	scenarios := fs.String("scenarios", "", "restrict trials to these scenarios (comma-separated; empty: all that apply)")
 	report := fs.String("report", "text", "report format: text or json")
 	out := fs.String("out", "", "write the report to this file instead of stdout")
-	work := fs.String("work", "", "wire-phase work directory (empty: a temp dir, removed when clean)")
 	regress := fs.String("regress", "", "write each violating trial's snaps+maps+repro under this directory")
 	record := fs.Bool("record", true, "record each trial's nondeterminism and replay-verify it byte for byte; harvested snaps carry the recording for tbreplay")
 	if err := fs.Parse(args); err != nil {
@@ -81,30 +80,14 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 
 	kindList, err := fault.ExpandKinds(splitList(*kinds))
 	if err != nil {
-		return fail(err)
+		fmt.Fprintln(stderr, "tbfault:", err)
+		return 2
 	}
-	wire := false
-	for _, k := range kindList {
-		if k == fault.KindCollect {
-			wire = true
-		}
-	}
-	workDir := *work
-	if wire && workDir == "" {
-		workDir, err = os.MkdirTemp("", "tbfault-")
-		if err != nil {
-			return fail(err)
-		}
-		defer os.RemoveAll(workDir)
-	}
-
 	c, err := fault.New(fault.Config{
 		Seed:      *seed,
 		Kinds:     kindList,
 		Scenarios: splitList(*scenarios),
 		Record:    *record,
-		Wire:      wire,
-		WorkDir:   workDir,
 		Telemetry: telemetry.New(),
 	})
 	if err != nil {
@@ -115,25 +98,21 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	w := io.Writer(stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return fail(err)
-		}
-		defer f.Close()
-		w = f
-	}
+	var body []byte
 	if *report == "json" {
-		b, err := rep.Marshal()
-		if err != nil {
-			return fail(err)
-		}
-		if _, err := w.Write(b); err != nil {
+		if body, err = rep.Marshal(); err != nil {
 			return fail(err)
 		}
 	} else {
-		printText(w, rep)
+		body = textReport(rep)
+	}
+	if *out == "" {
+		_, err = stdout.Write(body)
+	} else {
+		err = os.WriteFile(*out, body, 0o666)
+	}
+	if err != nil {
+		return fail(err)
 	}
 
 	if rep.Violations > 0 {
@@ -190,28 +169,22 @@ func runReplay(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func printText(w io.Writer, rep *fault.Report) {
-	fmt.Fprintf(w, "campaign seed %d · %d trial(s) · %d violation(s)\n", rep.Seed, len(rep.Trials), rep.Violations)
+func textReport(rep *fault.Report) []byte {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "campaign seed %d · %d trial(s) · %d violation(s)\n", rep.Seed, len(rep.Trials), rep.Violations)
 	for _, tr := range rep.Trials {
 		status := "ok"
 		if len(tr.Violations) > 0 {
 			status = fmt.Sprintf("FAIL(%d)", len(tr.Violations))
 		}
-		fmt.Fprintf(w, "  %-8s %-10s %-12s snaps %-3d events %-6d %s\n",
+		fmt.Fprintf(&b, "  %-8s %-10s %-12s snaps %-3d events %-6d %s\n",
 			status, tr.Kind, tr.Scenario, tr.Snaps, tr.Events, strings.Join(tr.FaultLines, " "))
 		for _, v := range tr.Violations {
-			fmt.Fprintf(w, "           %s: %s\n", v.Invariant, v.Detail)
+			fmt.Fprintf(&b, "           %s: %s\n", v.Invariant, v.Detail)
 		}
 	}
-	if rep.Wire != nil {
-		parity := "byte-identical to direct ingest"
-		if !rep.Wire.IndexParity {
-			parity = "INDEX MISMATCH"
-		}
-		fmt.Fprintf(w, "  wire: %d snap(s) → %d blob(s) in %d bucket(s), daemon killed at upload %d; index %s\n",
-			rep.Wire.Spooled, rep.Wire.Blobs, rep.Wire.Buckets, rep.Wire.KillAtUpload, parity)
-	}
-	fmt.Fprintln(w, "repro:", rep.Repro)
+	fmt.Fprintln(&b, "repro:", rep.Repro)
+	return b.Bytes()
 }
 
 func splitList(s string) []string {

@@ -185,20 +185,44 @@ func corruptSnapFile(t *testing.T, path string) {
 	}
 }
 
-// TestUsageErrors: bad invocations exit 2 without running anything.
+// TestUsageErrors: bad invocations exit 2 without running anything;
+// an unknown kind (collect is no longer one) lists the known kinds.
 func TestUsageErrors(t *testing.T) {
-	cases := [][]string{
-		{},
-		{"frobnicate"},
-		{"run", "-kinds", "nope"},
-		{"run", "-report", "xml"},
-		{"run", "stray"},
+	known := strings.Join(fault.AllKinds, " ")
+	cases := []struct {
+		args []string
+		want string // in stderr
+	}{
+		{nil, "usage"},
+		{[]string{"frobnicate"}, "unknown command"},
+		{[]string{"run", "-kinds", "nope"}, known},
+		{[]string{"run", "-kinds", "collect"}, known},
+		{[]string{"run", "-report", "xml"}, "want text or json"},
+		{[]string{"run", "stray"}, "unexpected arguments"},
 	}
-	for _, args := range cases {
+	for _, tc := range cases {
 		var stderr bytes.Buffer
-		code := run(args, io.Discard, &stderr)
-		if code == 0 {
-			t.Errorf("run(%v) = 0, want nonzero", args)
+		if code := run(tc.args, io.Discard, &stderr); code != 2 {
+			t.Errorf("run(%v) = %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("run(%v): stderr lacks %q: %s", tc.args, tc.want, stderr.String())
+		}
+	}
+}
+
+// TestRunOutWriteFailure: a report that cannot be written fails the
+// run, in either format.
+func TestRunOutWriteFailure(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full")
+	}
+	for _, format := range []string{"text", "json"} {
+		var stderr bytes.Buffer
+		code := run([]string{"run", "-seed", "1", "-kinds", "kill", "-scenarios", "quickstart",
+			"-report", format, "-out", "/dev/full"}, io.Discard, &stderr)
+		if code != 1 {
+			t.Errorf("-report %s -out /dev/full: exit %d, want 1 (stderr: %s)", format, code, stderr.String())
 		}
 	}
 }

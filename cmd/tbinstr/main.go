@@ -141,7 +141,9 @@ func main() {
 		if err := w(f); err != nil {
 			fatal(err)
 		}
-		f.Close()
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
 		return path
 	}
 	if *emitPlain {
@@ -149,7 +151,10 @@ func main() {
 		fmt.Printf("wrote %s (uninstrumented)\n", p)
 	}
 	modPath := write(mod.Name+".tb.tbm", func(f *os.File) error { _, err := res.Module.WriteTo(f); return err })
-	mapPath := write(mod.Name+".map.json", func(f *os.File) error { return res.Map.Save(f) })
+	mapPath := filepath.Join(*outDir, mod.Name+".map.json")
+	if err := module.WriteMapFile(mapPath, res.Map); err != nil {
+		fatal(err)
+	}
 
 	s := res.Stats
 	fmt.Printf("wrote %s and %s\n", modPath, mapPath)

@@ -9,6 +9,7 @@ import (
 
 	"traceback/internal/core"
 	"traceback/internal/minic"
+	"traceback/internal/module"
 	"traceback/internal/snap"
 	"traceback/internal/tbrt"
 	"traceback/internal/vm"
@@ -43,14 +44,9 @@ func writeFixture(t *testing.T, dir string) (snapPath string) {
 		t.Fatal("no snap from faulting program")
 	}
 
-	mf, err := os.Create(filepath.Join(dir, "app.map.json"))
-	if err != nil {
+	if err := module.WriteMapFile(filepath.Join(dir, "app.map.json"), res.Map); err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Map.Save(mf); err != nil {
-		t.Fatal(err)
-	}
-	mf.Close()
 
 	snapPath = filepath.Join(dir, "app-1.snap.json")
 	sf, err := os.Create(snapPath)

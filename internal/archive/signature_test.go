@@ -37,22 +37,21 @@ func sigsOf(t *testing.T, b *scenario.Built) []archive.Signature {
 // requires identical fingerprints (and identical snap content — the
 // dedup premise) both times.
 func TestSignatureStableAcrossRuns(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		fn   func() (*scenario.Built, error)
-	}{
-		{"quickstart", scenario.Quickstart},
-		{"crossmachine", scenario.CrossMachine},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			b1, err := tc.fn()
-			if err != nil {
-				t.Fatal(err)
+	for _, name := range []string{"quickstart", "crossmachine"} {
+		t.Run(name, func(t *testing.T) {
+			run := func() *scenario.Built {
+				s, err := scenario.Build(name, scenario.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.Run(0)
+				b, err := s.Collect()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
 			}
-			b2, err := tc.fn()
-			if err != nil {
-				t.Fatal(err)
-			}
+			b1, b2 := run(), run()
 			if len(b1.Snaps) != len(b2.Snaps) {
 				t.Fatalf("run 1 took %d snaps, run 2 %d", len(b1.Snaps), len(b2.Snaps))
 			}

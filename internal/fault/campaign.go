@@ -2,10 +2,8 @@ package fault
 
 import (
 	"hash/fnv"
-	"math/rand"
 
 	"traceback/internal/module"
-	"traceback/internal/recon"
 	"traceback/internal/snap"
 )
 
@@ -22,8 +20,7 @@ func seedFor(seed int64, kind, scen string) int64 {
 }
 
 // Run executes the campaign: every (kind, scenario) trial in
-// canonical order, then (when configured) the wire phase over the
-// full harvest. The returned report is a pure function of the seed.
+// canonical order. The returned report is a pure function of the seed.
 func (c *Campaign) Run() (*Report, error) {
 	rep := &Report{
 		Version:   1,
@@ -32,8 +29,6 @@ func (c *Campaign) Run() (*Report, error) {
 		Scenarios: c.cfg.Scenarios,
 		Repro:     Repro(c.cfg.Seed, c.cfg.Kinds, c.cfg.Scenarios),
 	}
-	var harvest []*snap.Snap
-	allMaps := recon.NewMapSet()
 	idx := 0
 	for _, kind := range c.cfg.Kinds {
 		for _, scen := range scenariosFor(kind) {
@@ -54,35 +49,7 @@ func (c *Campaign) Run() (*Report, error) {
 					Snaps: snaps, Maps: maps, Repro: tr.Repro,
 				})
 			}
-			harvest = append(harvest, snaps...)
-			for _, mf := range maps {
-				allMaps.Add(mf)
-			}
 			idx++
-		}
-	}
-
-	if c.cfg.Wire && len(harvest) > 0 {
-		rng := rand.New(rand.NewSource(seedFor(c.cfg.Seed, KindCollect, "wire")))
-		collectKind := false
-		for _, k := range c.cfg.Kinds {
-			if k == KindCollect {
-				collectKind = true
-			}
-		}
-		wr, viols, err := c.runWire(harvest, allMaps, rng, collectKind)
-		if err != nil {
-			return nil, err
-		}
-		rep.Wire = wr
-		rep.Violations += len(viols)
-		if len(viols) > 0 {
-			// The wire phase's evidence is the full harvest; its maps
-			// already ride the trial artifacts.
-			c.artifacts = append(c.artifacts, Artifact{
-				TrialIndex: -1, Scenario: "wire", Kind: KindCollect,
-				Snaps: harvest, Repro: rep.Repro,
-			})
 		}
 	}
 	return rep, nil

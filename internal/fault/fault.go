@@ -1,10 +1,8 @@
 // Package fault is the fault-injection campaign orchestrator: it
 // sweeps seeded faults — abrupt kills, signal storms, RPC transport
 // perturbation, module unloads, trace-buffer-wrap stress, managed
-// async interrupts, and mid-ingest collector kills — across the
-// example scenarios, snaps every run, pushes the snaps through the
-// collection plane into the warehouse, and asserts per-scenario
-// reconstruction invariants.
+// async interrupts — across the example scenarios, snaps every run,
+// and asserts per-scenario reconstruction invariants.
 //
 // The campaign rides the repository's central determinism property:
 // all nondeterminism is owned by the VM, so a fault schedule drawn
@@ -25,9 +23,6 @@
 //     peer (unless the peer's history wrapped away).
 //   - fault-line: the faulting (or last-executed) block/line of the
 //     victim resolves through the mapfiles to a source position.
-//   - index-parity (wire phase): the warehouse index after
-//     agent→daemon upload — with a daemon kill mid-ingest — is
-//     byte-identical to a direct local ingest of the same snaps.
 package fault
 
 import (
@@ -47,13 +42,12 @@ const (
 	KindUnload   = "unload"    // unload a module mid-call
 	KindWrap     = "wrap"      // tiny trace buffers: wrap/truncation stress
 	KindManaged  = "managed"   // async interrupt in the managed (mvm) runtime
-	KindCollect  = "collect"   // kill the collection daemon mid-ingest (wire phase)
 )
 
 // AllKinds lists every kind in canonical order.
 var AllKinds = []string{
 	KindKill, KindSignal, KindRPCDrop, KindRPCDelay, KindRPCDup,
-	KindUnload, KindWrap, KindManaged, KindCollect,
+	KindUnload, KindWrap, KindManaged,
 }
 
 // ExpandKinds normalizes a user kind list: "all" (or empty) expands
@@ -100,7 +94,7 @@ func ExpandKinds(kinds []string) ([]string, error) {
 // scenariosFor maps a kind to the scenarios it applies to. RPC and
 // unload faults need the cross-machine world; wrap stresses it too
 // because its server faults naturally under tiny buffers; managed
-// runs its own mvm world and collect is a wire-phase fault.
+// runs its own mvm world.
 func scenariosFor(kind string) []string {
 	switch kind {
 	case KindKill, KindSignal:
@@ -109,8 +103,6 @@ func scenariosFor(kind string) []string {
 		return []string{"crossmachine"}
 	case KindManaged:
 		return []string{"petshop"}
-	case KindCollect:
-		return nil // exercised in the wire phase, not as a VM trial
 	}
 	return nil
 }
@@ -134,12 +126,6 @@ type Config struct {
 	// snaps carry their recording as an embedded section so any snap
 	// committed as evidence replays standalone via tbreplay.
 	Record bool
-	// Wire enables the collection phase: spool → agent → daemon →
-	// warehouse, with index parity asserted against a direct ingest.
-	// Requires WorkDir.
-	Wire bool
-	// WorkDir holds the wire phase's spool and archives.
-	WorkDir string
 	// Telemetry receives the fault_* counters and flight events
 	// (nil: a private registry).
 	Telemetry *telemetry.Registry
@@ -171,7 +157,6 @@ type campaignMetrics struct {
 	interrupts *telemetry.Counter
 	snaps      *telemetry.Counter
 	violations *telemetry.Counter
-	collKills  *telemetry.Counter
 	replays    *telemetry.Counter
 	replayDiv  *telemetry.Counter
 }
@@ -206,7 +191,6 @@ func New(cfg Config) (*Campaign, error) {
 		interrupts: reg.Counter("fault_managed_interrupts_total", "managed async interrupts injected"),
 		snaps:      reg.Counter("fault_snaps_total", "snaps harvested from faulted runs"),
 		violations: reg.Counter("fault_violations_total", "invariant violations detected"),
-		collKills:  reg.Counter("fault_collect_kills_total", "collection daemons killed mid-ingest"),
 		replays:    reg.Counter("fault_replays_total", "trial recordings replay-verified"),
 		replayDiv:  reg.Counter("fault_replay_divergence_total", "trial replays that diverged from their recording"),
 	}

@@ -21,7 +21,6 @@ const (
 	InvSyncCausal  = "sync-causal"
 	InvFaultLine   = "fault-line"
 	InvWrap        = "wrap-exercised"
-	InvIndexParity = "index-parity"
 	InvNoSnap      = "snap-produced"
 	InvReplay      = "replay-identical"
 )

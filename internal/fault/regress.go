@@ -85,7 +85,7 @@ func LoadCorpus(dir string) (*Corpus, error) {
 func (cc *CorpusCase) Verify(dir string) error {
 	ms := recon.NewMapSet()
 	for _, name := range cc.Maps {
-		mf, err := loadMapFile(filepath.Join(dir, "maps", name))
+		mf, err := module.ReadMapFile(filepath.Join(dir, "maps", name))
 		if err != nil {
 			return fmt.Errorf("case %s: %w", cc.Name, err)
 		}
@@ -171,11 +171,7 @@ func CorruptModuleTable(s *snap.Snap) {
 func WriteArtifacts(dir string, arts []Artifact) ([]string, error) {
 	var paths []string
 	for _, a := range arts {
-		name := fmt.Sprintf("%03d-%s-%s", a.TrialIndex, a.Kind, a.Scenario)
-		if a.TrialIndex < 0 {
-			name = a.Kind + "-" + a.Scenario
-		}
-		base := filepath.Join(dir, name)
+		base := filepath.Join(dir, fmt.Sprintf("%03d-%s-%s", a.TrialIndex, a.Kind, a.Scenario))
 		if err := os.MkdirAll(filepath.Join(base, "maps"), 0o755); err != nil {
 			return paths, err
 		}
@@ -185,7 +181,7 @@ func WriteArtifacts(dir string, arts []Artifact) ([]string, error) {
 			}
 		}
 		for _, mf := range a.Maps {
-			if err := saveMapFile(filepath.Join(base, "maps", mf.ModuleName+".map.json"), mf); err != nil {
+			if err := module.WriteMapFile(filepath.Join(base, "maps", mf.ModuleName+".map.json"), mf); err != nil {
 				return paths, err
 			}
 		}
@@ -207,18 +203,6 @@ func WriteArtifacts(dir string, arts []Artifact) ([]string, error) {
 	return paths, nil
 }
 
-func saveMapFile(path string, mf *module.MapFile) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := mf.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 func equalStrings(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
@@ -229,13 +213,4 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
-}
-
-func loadMapFile(path string) (*module.MapFile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return module.LoadMapFile(f)
 }

@@ -39,22 +39,6 @@ type TrialReport struct {
 	Repro string `json:"repro"`
 }
 
-// WireReport describes the collection phase.
-type WireReport struct {
-	// Spooled counts distinct snaps entering the agent spool
-	// (content-addressed, so campaign-wide duplicates collapse).
-	Spooled int `json:"spooled"`
-	// KillAtUpload is the 1-based upload on which the daemon was
-	// killed mid-ingest (0: no collect fault scheduled).
-	KillAtUpload int `json:"killAtUpload"`
-	// Blobs/Buckets describe the final warehouse.
-	Blobs   int `json:"blobs"`
-	Buckets int `json:"buckets"`
-	// IndexParity is the invariant: warehouse index after the wire
-	// path equals a direct local ingest, byte for byte.
-	IndexParity bool `json:"indexParity"`
-}
-
 // Report is a whole campaign's deterministic result.
 type Report struct {
 	Version    int           `json:"version"`
@@ -62,7 +46,6 @@ type Report struct {
 	Kinds      []string      `json:"kinds"`
 	Scenarios  []string      `json:"scenarios,omitempty"`
 	Trials     []TrialReport `json:"trials"`
-	Wire       *WireReport   `json:"wire,omitempty"`
 	Violations int           `json:"violations"`
 	Repro      string        `json:"repro"`
 }

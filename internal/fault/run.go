@@ -46,7 +46,7 @@ type Artifact struct {
 }
 
 // runTrial executes one (kind, scenario) trial under its sub-seed and
-// returns the report row plus the harvest for the wire phase.
+// returns the report row plus its harvest.
 func (c *Campaign) runTrial(idx int, kind, scen string, sub int64) (*TrialReport, []*snap.Snap, []*module.MapFile, error) {
 	if kind == KindManaged {
 		return c.runManaged(idx, sub)

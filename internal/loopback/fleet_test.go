@@ -13,6 +13,7 @@ import (
 
 	"traceback/internal/archive"
 	"traceback/internal/collect"
+	"traceback/internal/fault"
 	"traceback/internal/recon"
 	"traceback/internal/scenario"
 	"traceback/internal/shard"
@@ -47,23 +48,64 @@ func drain(t *testing.T, ag *collect.Agent) {
 	check(t, ag.Drain(ctx))
 }
 
-// TestCommittedFleetWireEqualsDirect: the committed snaps/ fleet under
-// its committed mapfiles stores completely (no snap a duplicate of
-// another) under strong signatures, and pushed through
-// tbagent→tbcollectd at every ingest bound — two agents racing, so
-// uploads interleave arbitrarily — leaves the daemon an index
-// byte-identical to the direct in-process ingest. The agents spool the
-// committed files under their committed names, not content addresses:
-// addressing a foreign-named file is the agent's job.
+// TestCommittedFleetWireEqualsDirect: each committed snap tree under
+// its own committed mapfiles — the example fleet snaps/ and the
+// campaign output snaps/regressions/ (embedded recordings, wrapped
+// and managed snaps, a seeded-known-bad snap) — stores completely (no
+// snap a duplicate of another), under strong signatures except for
+// the corpus's expect-violation snaps, which must sign weak. Pushed
+// through tbagent→tbcollectd at every ingest bound — two agents
+// racing, so uploads interleave arbitrarily — the tree leaves the
+// daemon an index byte-identical to the direct in-process ingest,
+// and the daemon's journal rebuilds that index byte for byte. The
+// agents spool the committed files under their committed names, not
+// content addresses: addressing a foreign-named file is the agent's
+// job.
 func TestCommittedFleetWireEqualsDirect(t *testing.T) {
 	root, err := scenario.Root()
 	check(t, err)
-	paths, err := snap.ExpandPaths([]string{filepath.Join(root, "snaps")}, nil)
+	trees := []*committedTree{
+		ingestDirect(t, "snaps", filepath.Join(root, "snaps"), false),
+		ingestDirect(t, "regressions", filepath.Join(root, "snaps", "regressions"), true),
+	}
+	for _, inflight := range []int{1, 4, 16} {
+		t.Run(fmt.Sprintf("inflight=%d", inflight), func(t *testing.T) {
+			for _, tree := range trees {
+				t.Run(tree.name, func(t *testing.T) { shipTree(t, tree, inflight) })
+			}
+		})
+	}
+}
+
+// committedTree is one committed snap tree and the index its direct
+// ingest produced.
+type committedTree struct {
+	name   string
+	paths  []string
+	loader *recon.DirLoader
+	want   []byte
+}
+
+// ingestDirect ingests the snaps of dir in-process under dir/maps. A
+// corpus tree's manifest names the snaps that must sign weak.
+func ingestDirect(t *testing.T, name, dir string, corpus bool) *committedTree {
+	t.Helper()
+	weak := map[string]bool{}
+	if corpus {
+		c, err := fault.LoadCorpus(dir)
+		check(t, err)
+		for _, cc := range c.Cases {
+			for _, snapName := range cc.Snaps {
+				weak[snapName] = cc.Expect == fault.ExpectViolation
+			}
+		}
+	}
+	paths, err := snap.ExpandPaths([]string{dir}, nil)
 	check(t, err)
-	loader, err := recon.NewDirLoader(filepath.Join(root, "snaps", "maps"))
+	loader, err := recon.NewDirLoader(filepath.Join(dir, "maps"))
 	check(t, err)
 
-	direct, err := archive.Open(filepath.Join(t.TempDir(), "direct"))
+	direct, err := archive.Open(filepath.Join(t.TempDir(), name))
 	check(t, err)
 	defer direct.Close()
 	maps := recon.NewMapCache(loader.Load)
@@ -72,54 +114,61 @@ func TestCommittedFleetWireEqualsDirect(t *testing.T) {
 		check(t, err)
 		res, err := direct.Ingest(s, archive.SignSnap(s, maps))
 		check(t, err)
+		base := filepath.Base(p)
 		if res.Dup {
-			t.Errorf("%s duplicates another committed snap", filepath.Base(p))
+			t.Errorf("%s duplicates another committed snap", base)
+		}
+		if res.Sig.Weak != weak[base] {
+			t.Errorf("%s signs weak=%v (%s), want weak=%v: only a seeded-known-bad snap may fail to reconstruct",
+				base, res.Sig.Weak, res.Sig.Title, weak[base])
 		}
 	}
-	for _, b := range direct.Buckets() {
-		if b.Weak {
-			t.Errorf("bucket %s (%s) is weak: the committed mapfiles failed to reconstruct it", b.Sig, b.Title)
-		}
-	}
-	want := indexBytes(t, direct)
+	return &committedTree{name: name, paths: paths, loader: loader, want: indexBytes(t, direct)}
+}
 
-	for _, inflight := range []int{1, 4, 16} {
-		t.Run(fmt.Sprintf("inflight=%d", inflight), func(t *testing.T) {
-			dir := t.TempDir()
-			node, err := StartNode(filepath.Join(dir, "wh"), collect.ServerOptions{
-				Maps: recon.NewMapCache(loader.Load), MaxInflight: inflight,
-			})
+// shipTree pushes the tree's committed files through two racing
+// agents into a fresh daemon bounded at inflight, and holds the
+// daemon's live and journal-rebuilt index to the direct ingest's.
+func shipTree(t *testing.T, tree *committedTree, inflight int) {
+	work := t.TempDir()
+	node, err := StartNode(filepath.Join(work, "wh"), collect.ServerOptions{
+		Maps: recon.NewMapCache(tree.loader.Load), MaxInflight: inflight,
+	})
+	check(t, err)
+	defer node.Close()
+	defer node.Kill()
+
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		spool := filepath.Join(work, fmt.Sprintf("spool%d", i))
+		check(t, os.Mkdir(spool, 0o755))
+		for j := i; j < len(tree.paths); j += len(errs) {
+			b, err := os.ReadFile(tree.paths[j])
 			check(t, err)
-			defer node.Close()
-			defer node.Kill()
-
-			var wg sync.WaitGroup
-			errs := make([]error, 2)
-			for i := range errs {
-				spool := filepath.Join(dir, fmt.Sprintf("spool%d", i))
-				check(t, os.Mkdir(spool, 0o755))
-				for j := i; j < len(paths); j += len(errs) {
-					b, err := os.ReadFile(paths[j])
-					check(t, err)
-					check(t, os.WriteFile(filepath.Join(spool, filepath.Base(paths[j])), b, 0o644))
-				}
-				ag := collect.NewAgent(spool, node.URL, collect.AgentOptions{
-					BackoffBase: 5 * time.Millisecond, BackoffMax: 100 * time.Millisecond, Seed: 1,
-				})
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					errs[i] = ag.Drain(context.Background())
-				}(i)
-			}
-			wg.Wait()
-			for _, err := range errs {
-				check(t, err)
-			}
-			if got := indexBytes(t, node.Arch); !bytes.Equal(got, want) {
-				t.Errorf("index after agent→daemon upload differs from direct ingest:\n--- wire ---\n%s\n--- direct ---\n%s", got, want)
-			}
+			check(t, os.WriteFile(filepath.Join(spool, filepath.Base(tree.paths[j])), b, 0o644))
+		}
+		ag := collect.NewAgent(spool, node.URL, collect.AgentOptions{
+			BackoffBase: 5 * time.Millisecond, BackoffMax: 100 * time.Millisecond, Seed: 1,
 		})
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = ag.Drain(context.Background())
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		check(t, err)
+	}
+	got := indexBytes(t, node.Arch)
+	if !bytes.Equal(got, tree.want) {
+		t.Errorf("index after agent→daemon upload differs from direct ingest:\n--- wire ---\n%s\n--- direct ---\n%s", got, tree.want)
+	}
+	rebuilt, err := node.Arch.RebuildIndexBytes()
+	check(t, err)
+	if !bytes.Equal(rebuilt, got) {
+		t.Errorf("index rebuilt from the daemon's journal differs from its live index:\n--- rebuilt ---\n%s\n--- live ---\n%s", rebuilt, got)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 
 	"traceback/internal/trace"
 )
@@ -186,6 +187,34 @@ func LoadMapFile(r io.Reader) (*MapFile, error) {
 		return nil, fmt.Errorf("mapfile: %w", err)
 	}
 	return &mf, mf.Validate()
+}
+
+// ReadMapFile loads and validates the mapfile at path; a decode or
+// validation error names the path.
+func ReadMapFile(path string) (*MapFile, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	mf, err := LoadMapFile(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return mf, nil
+}
+
+// WriteMapFile saves mf to path.
+func WriteMapFile(path string, mf *MapFile) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := mf.Save(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // DAGBaseFile assigns fixed DAG ID bases to module names so that

@@ -2,6 +2,8 @@ package module
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -181,13 +183,19 @@ func TestMapFileRoundTrip(t *testing.T) {
 			},
 		}},
 	}
-	var buf bytes.Buffer
-	if err := mf.Save(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "app.map.json")
+	if err := WriteMapFile(path, mf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadMapFile(&buf)
+	got, err := ReadMapFile(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadMapFile(path); err == nil || !strings.Contains(err.Error(), path) {
+		t.Errorf("ReadMapFile of a torn mapfile: %v, want an error naming %s", err, path)
 	}
 	if got.ModuleName != "app" || got.DAGCount != 1 || len(got.DAGs) != 1 {
 		t.Fatalf("got %+v", got)

@@ -2,7 +2,6 @@ package recon
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -134,14 +133,9 @@ func (l *DirLoader) Load(sum string) (*module.MapFile, error) {
 	for len(l.pending) > 0 {
 		p := l.pending[0]
 		l.pending = l.pending[1:]
-		f, err := os.Open(p)
+		mf, err := module.ReadMapFile(p)
 		if err != nil {
 			return nil, err
-		}
-		mf, err := module.LoadMapFile(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p, err)
 		}
 		if _, dup := l.byChecksum[mf.Checksum]; !dup {
 			l.byChecksum[mf.Checksum] = mf

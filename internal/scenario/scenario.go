@@ -10,9 +10,8 @@
 // start threads) and run (drive the world, harvest snaps) so that
 // harnesses can perturb the built world before running it — the
 // fault-injection campaign (internal/fault) installs a vm.Injector
-// and shrinks trace buffers between the two phases. The one-call
-// Quickstart/CrossMachine/Deadlock wrappers preserve the original
-// deterministic behavior byte for byte.
+// and shrinks trace buffers between the two phases. All runs every
+// scenario unperturbed, byte for byte as the examples do.
 package scenario
 
 import (
@@ -181,16 +180,6 @@ func BuildQuickstart(opts Options) (*Setup, error) {
 	}, nil
 }
 
-// Quickstart reproduces examples/quickstart end to end.
-func Quickstart() (*Built, error) {
-	s, err := BuildQuickstart(Options{})
-	if err != nil {
-		return nil, err
-	}
-	s.Run(0)
-	return s.Collect()
-}
-
 // BuildCrossMachine builds examples/crossmachine: a pet-store server
 // faulting inside a string library while serving a client on another
 // machine.
@@ -263,18 +252,6 @@ func BuildCrossMachine(opts Options) (*Setup, error) {
 	}, nil
 }
 
-// CrossMachine reproduces examples/crossmachine end to end; both
-// sides' post-mortem snaps are returned (the server's exception snap
-// too, if taken).
-func CrossMachine() (*Built, error) {
-	s, err := BuildCrossMachine(Options{})
-	if err != nil {
-		return nil, err
-	}
-	s.Run(0)
-	return s.Collect()
-}
-
 // BuildDeadlock builds examples/deadlock: a lock-order inversion with
 // no crash, detected by the service heartbeat and snapped as a hang.
 func BuildDeadlock(opts Options) (*Setup, error) {
@@ -317,20 +294,6 @@ func BuildDeadlock(opts Options) (*Setup, error) {
 	}, nil
 }
 
-// Deadlock reproduces examples/deadlock end to end.
-func Deadlock() (*Built, error) {
-	s, err := BuildDeadlock(Options{})
-	if err != nil {
-		return nil, err
-	}
-	s.Run(0)
-	b, err := s.Collect()
-	if err != nil {
-		return nil, fmt.Errorf("scenario: deadlock hang not detected")
-	}
-	return b, nil
-}
-
 // Builders lists every scenario builder by name, in the committed
 // fleet's canonical order.
 var Builders = []struct {
@@ -352,15 +315,21 @@ func Build(name string, opts Options) (*Setup, error) {
 	return nil, fmt.Errorf("scenario: unknown scenario %q", name)
 }
 
-// All runs every scenario and merges the outputs.
+// All runs every scenario in Builders to completion and returns each
+// one's harvest, in Builders order.
 func All() ([]*Built, error) {
 	var out []*Built
-	for _, fn := range []func() (*Built, error){Quickstart, CrossMachine, Deadlock} {
-		b, err := fn()
+	for _, b := range Builders {
+		s, err := b.Build(Options{})
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, b)
+		s.Run(0)
+		built, err := s.Collect()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, built)
 	}
 	return out, nil
 }
@@ -382,15 +351,7 @@ func (b *Built) Write(dir string) ([]string, error) {
 		return nil, err
 	}
 	for _, mf := range b.Maps {
-		f, err := os.Create(filepath.Join(mapDir, mf.ModuleName+".map.json"))
-		if err != nil {
-			return nil, err
-		}
-		if err := mf.Save(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Close(); err != nil {
+		if err := module.WriteMapFile(filepath.Join(mapDir, mf.ModuleName+".map.json"), mf); err != nil {
 			return nil, err
 		}
 	}
