@@ -88,7 +88,8 @@ test-race:
 	$(GO) test -race ./...
 
 # Bounded fuzz smoke over every decoder of untrusted bytes (trace
-# records, snaps, mapfiles, journals, a shard's answer to the gate);
+# records, snaps, mapfiles, journals, an upload body, a shard's answer
+# to the gate);
 # the committed seed corpora live under <pkg>/testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz:
@@ -98,6 +99,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMapFileVerify -fuzztime $(FUZZTIME) ./internal/verify
 	$(GO) test -run '^$$' -fuzz FuzzFleetVerify -fuzztime $(FUZZTIME) ./internal/verify/fleet
 	$(GO) test -run '^$$' -fuzz FuzzArchiveIndex -fuzztime $(FUZZTIME) ./internal/archive
+	$(GO) test -run '^$$' -fuzz FuzzUploadBody -fuzztime $(FUZZTIME) ./internal/collect
 	$(GO) test -run '^$$' -fuzz FuzzGateBucketsResponse -fuzztime $(FUZZTIME) ./internal/shard/gate
 
 # Regression gate against another revision: five pairs of full

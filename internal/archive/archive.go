@@ -182,8 +182,14 @@ func ChecksumSnap(s *snap.Snap) (sum string, canonical []byte, err error) {
 	if err := s.Save(&buf); err != nil {
 		return "", nil, fmt.Errorf("archive: encoding snap: %w", err)
 	}
-	h := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(h[:]), buf.Bytes(), nil
+	return SumCanonical(buf.Bytes()), buf.Bytes(), nil
+}
+
+// SumCanonical is the content address of canonical snap JSON (the
+// bytes Snap.Save writes): its SHA-256 in lowercase hex.
+func SumCanonical(canonical []byte) string {
+	h := sha256.Sum256(canonical)
+	return hex.EncodeToString(h[:])
 }
 
 // IngestResult reports what one ingest did.
@@ -201,7 +207,11 @@ type IngestResult struct {
 // Safe for concurrent use; concurrent ingest of identical snaps
 // stores exactly one blob and counts every occurrence.
 func (a *Archive) Ingest(s *snap.Snap, sig Signature) (IngestResult, error) {
-	return a.ingest(s, sig, false)
+	sum, canonical, err := ChecksumSnap(s)
+	if err != nil {
+		return IngestResult{}, err
+	}
+	return a.ingestCanonical(sum, canonical, s, sig, false)
 }
 
 // IngestUnique ingests s only if its content is not already resident:
@@ -213,17 +223,32 @@ func (a *Archive) Ingest(s *snap.Snap, sig Signature) (IngestResult, error) {
 // concurrent IngestUnique of the same new content: the residency
 // check happens under the same lock that orders journal appends.
 func (a *Archive) IngestUnique(s *snap.Snap, sig Signature) (IngestResult, error) {
-	return a.ingest(s, sig, true)
-}
-
-func (a *Archive) ingest(s *snap.Snap, sig Signature, unique bool) (IngestResult, error) {
-	t0 := time.Now()
-	defer func() { a.met.ingestNanos.Observe(uint64(time.Since(t0))) }()
-
 	sum, canonical, err := ChecksumSnap(s)
 	if err != nil {
 		return IngestResult{}, err
 	}
+	return a.ingestCanonical(sum, canonical, s, sig, true)
+}
+
+// IngestCanonical is IngestUnique for a caller that already holds the
+// snap's canonical bytes (what s.Save writes) and their address
+// (SumCanonical of them): it trusts both and encodes and hashes
+// nothing. The collection daemon is that caller — it decodes an
+// upload once, refuses a body that is not s's canonical encoding, and
+// hashes the body it verified. The blob is still framed here, as
+// snap.WriteGzip of canonical, never stored as received: stored bytes
+// do not depend on the gzip level of whoever sent them.
+func (a *Archive) IngestCanonical(sum string, canonical []byte, s *snap.Snap, sig Signature) (IngestResult, error) {
+	return a.ingestCanonical(sum, canonical, s, sig, true)
+}
+
+// ingestCanonical is the one way a snap reaches the warehouse. With
+// unique set, content already resident returns Dup and journals
+// nothing (IngestUnique's contract).
+func (a *Archive) ingestCanonical(sum string, canonical []byte, s *snap.Snap, sig Signature, unique bool) (IngestResult, error) {
+	t0 := time.Now()
+	defer func() { a.met.ingestNanos.Observe(uint64(time.Since(t0))) }()
+
 	if unique {
 		// Fast path: already resident means nothing to write or journal.
 		if ref, ok := a.ref(sum); ok {

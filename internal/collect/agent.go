@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -27,11 +28,21 @@ import (
 // is never deleted — a human decides what a quarantined snap was.
 const quarantineDir = "quarantine"
 
+// spoolSuffix ends the name of every entry Spool writes:
+// "<sum>.snap.json.gz".
+const spoolSuffix = ".snap.json.gz"
+
+// maxUploadResponse bounds the agent's read of a 2xx upload reply. An
+// UploadResponse is a sum, a signature ID and a title — a few hundred
+// bytes; a reply that runs past this is not the daemon's answer.
+const maxUploadResponse = 64 << 10
+
 // Spool writes a snap into a spool directory under its content
 // address (tmp file + rename, so a crash never leaves a partial snap
 // where the agent would pick it up). Identical snaps spool once —
 // the name is the content hash — which makes local re-spooling as
-// idempotent as the wire protocol above it.
+// idempotent as the wire protocol above it. The file is the canonical
+// upload body: the agent sends its bytes as they are.
 func Spool(dir string, s *snap.Snap) (string, error) {
 	sum, canonical, err := archive.ChecksumSnap(s)
 	if err != nil {
@@ -40,7 +51,7 @@ func Spool(dir string, s *snap.Snap) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("collect: %w", err)
 	}
-	path := filepath.Join(dir, sum+".snap.json.gz")
+	path := filepath.Join(dir, sum+spoolSuffix)
 	if _, err := os.Stat(path); err == nil {
 		return path, nil
 	}
@@ -92,8 +103,8 @@ type AgentOptions struct {
 
 // Agent watches a spool directory and uploads every snap to a
 // collection daemon. Durability contract: a snap leaves the spool
-// only after a 2xx response whose hash echo matches the agent's own
-// content address — anything less (lost response, truncated reply,
+// only after a 2xx response whose hash echo matches the content
+// address it is spooled under — anything less (lost response, truncated reply,
 // 5xx, daemon death mid-upload) leaves the file spooled and the next
 // pass retries. The warehouse's content-addressed idempotency makes
 // those retries safe: re-uploading committed content is a no-op.
@@ -347,25 +358,21 @@ func (a *Agent) pass(ctx context.Context) (done, remaining int, hint time.Durati
 }
 
 // processFile pushes one spool entry through the protocol state
-// machine: load → precheck → upload → hash-echo commit.
+// machine: precheck → upload → hash-echo commit. An entry Spool wrote
+// is addressed by its name and its bytes are the upload body; the
+// agent neither decodes nor hashes it. Any other entry is re-spooled
+// first (respool).
 func (a *Agent) processFile(ctx context.Context, path string) (outcome, time.Duration, error) {
-	f, err := os.Open(path)
+	sum, ok := spoolSum(filepath.Base(path))
+	if !ok {
+		return a.respool(ctx, path, errors.New("not named by its content address"))
+	}
+	body, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return outCommitted, 0, nil // another drain already took it
 		}
 		return outRetry, 0, err
-	}
-	sn, lerr := snap.LoadAuto(f)
-	f.Close()
-	if lerr != nil {
-		// Not evidence the wire can carry; park it where a human will
-		// find it instead of spinning on it forever.
-		return a.quarantine(path, fmt.Errorf("unreadable snap: %w", lerr))
-	}
-	sum, _, err := archive.ChecksumSnap(sn)
-	if err != nil {
-		return a.quarantine(path, err)
 	}
 	base, err := a.targetFor(sum)
 	if err != nil {
@@ -398,11 +405,7 @@ func (a *Agent) processFile(ctx context.Context, path string) (outcome, time.Dur
 		return outRetry, 0, fmt.Errorf("precheck: unexpected status %s", resp.Status)
 	}
 
-	var body bytes.Buffer
-	if err := sn.SaveCompressed(&body); err != nil {
-		return a.quarantine(path, err)
-	}
-	req, err = http.NewRequestWithContext(ctx, http.MethodPost, base+PathSnap, &body)
+	req, err = http.NewRequestWithContext(ctx, http.MethodPost, base+PathSnap, bytes.NewReader(body))
 	if err != nil {
 		return outRetry, 0, err
 	}
@@ -416,16 +419,17 @@ func (a *Agent) processFile(ctx context.Context, path string) (outcome, time.Dur
 	switch {
 	case resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusCreated:
 		var ur UploadResponse
-		if err := json.NewDecoder(resp.Body).Decode(&ur); err != nil {
-			// Truncated or garbled response: the daemon may or may not
-			// have committed. Idempotency makes retrying the right move.
+		if err := json.NewDecoder(io.LimitReader(resp.Body, maxUploadResponse)).Decode(&ur); err != nil {
+			// Truncated, garbled or endless response: the daemon may or
+			// may not have committed. Idempotency makes retrying the
+			// right move.
 			return outRetry, 0, fmt.Errorf("unreadable upload response: %w", err)
 		}
 		if ur.Sum != sum {
 			return outRetry, 0, fmt.Errorf("hash echo %q does not match %q", ur.Sum, sum)
 		}
 		a.met.uploads.Inc()
-		a.rec.Record(sn.Time, "coll-agent-upload", sum[:12]+" -> "+ur.Sig)
+		a.rec.Record(0, "coll-agent-upload", sum[:12]+" -> "+ur.Sig)
 		return a.commit(path)
 	case resp.StatusCode == http.StatusTooManyRequests:
 		a.met.backpressure.Inc()
@@ -442,8 +446,52 @@ func (a *Agent) processFile(ctx context.Context, path string) (outcome, time.Dur
 		if t := strings.TrimSpace(string(snippet)); t != "" {
 			cause = fmt.Errorf("upload rejected: %s: %s", resp.Status, t)
 		}
+		if resp.StatusCode == http.StatusUnprocessableEntity {
+			// The bytes are not the snap their name addresses, or not
+			// its canonical encoding: a decoded snap re-spooled is both.
+			return a.respool(ctx, path, cause)
+		}
 		return a.quarantine(path, cause)
 	}
+}
+
+// respool handles every spool entry the upload path cannot send as it
+// is — a foreign name, a plain .snap.json, or bytes the daemon refused
+// with 422; cause says which. It decodes the entry, spools the snap
+// under its content address, removes the original and sends the
+// spooled copy through the state machine at once. An entry that does
+// not decode is quarantined, and so is one whose respool lands on its
+// own name, with cause kept: the daemon would refuse the same bytes
+// again, so retrying could only loop.
+func (a *Agent) respool(ctx context.Context, path string, cause error) (outcome, time.Duration, error) {
+	sn, err := snap.LoadFile(path)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return outCommitted, 0, nil // another drain already took it
+		}
+		// Not evidence the wire can carry; park it where a human will
+		// find it instead of spinning on it forever.
+		return a.quarantine(path, fmt.Errorf("unreadable snap: %w", err))
+	}
+	dst, err := Spool(a.spool, sn)
+	if err != nil {
+		return outRetry, 0, err
+	}
+	if dst == path {
+		return a.quarantine(path, cause)
+	}
+	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+		return outRetry, 0, err
+	}
+	a.rec.Record(sn.Time, "coll-agent-respool", filepath.Base(path)+" -> "+filepath.Base(dst)+": "+cause.Error())
+	return a.processFile(ctx, dst)
+}
+
+// spoolSum returns the content address a spool entry is named by, and
+// false for any name Spool does not write.
+func spoolSum(name string) (string, bool) {
+	sum, ok := strings.CutSuffix(name, spoolSuffix)
+	return sum, ok && validSum(sum)
 }
 
 // commit removes a spool entry — only ever called after the dedup

@@ -1,8 +1,12 @@
 package collect
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +18,7 @@ import (
 	"time"
 
 	"traceback/internal/archive"
+	"traceback/internal/snap"
 )
 
 // loopback is a real TCP listener on a kernel-assigned port — unlike
@@ -470,6 +475,223 @@ func TestAgentQuarantinesDefinitiveRejection(t *testing.T) {
 		if !strings.Contains(string(reason), want) {
 			t.Errorf("reason %q missing %q", reason, want)
 		}
+	}
+}
+
+// TestAgentBoundsUploadResponse: a reply to the upload that never
+// ends — a wedged daemon, or anything else listening at the URL — is
+// read only as far as an UploadResponse can reach, then counts as
+// unreadable and is retried long before the client's 30 s timeout;
+// the snap stays spooled.
+func TestAgentBoundsUploadResponse(t *testing.T) {
+	endless := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			w.WriteHeader(http.StatusNotFound) // precheck: not stored
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusCreated)
+		io.WriteString(w, `{"v":1,"sum":"`)
+		chunk := bytes.Repeat([]byte("a"), 32<<10)
+		for r.Context().Err() == nil {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+	}))
+	defer endless.Close()
+
+	spool := t.TempDir()
+	path := mustSpool(t, spool, 1)
+	t0 := time.Now()
+	out, _, err := fastAgent(spool, endless.URL).processFile(t.Context(), path)
+	if d := time.Since(t0); d > 5*time.Second {
+		t.Errorf("endless reply held the agent for %v", d)
+	}
+	if out != outRetry || err == nil || !strings.Contains(err.Error(), "unreadable upload response") {
+		t.Errorf("outcome %v, error %v; want a retry for an unreadable upload response", out, err)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Errorf("snap left the spool: %v", err)
+	}
+}
+
+// TestAgentShipsWhatItSpooled: an entry named by its content address
+// is the upload body, byte for byte, whatever gzip level framed it —
+// the agent neither decodes nor re-compresses it — and the daemon
+// frames the blob itself, so it stores exactly the bytes a direct
+// ingest of the same snap stores.
+func TestAgentShipsWhatItSpooled(t *testing.T) {
+	srv, _, arch := newTestDaemon(t, ServerOptions{})
+	var mu sync.Mutex
+	var bodies [][]byte
+	capture := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			b, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			mu.Lock()
+			bodies = append(bodies, b)
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(b))
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	defer capture.Close()
+
+	s := mkSnap("h1", 1)
+	sum, canonical, err := archive.ChecksumSnap(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fast bytes.Buffer
+	zw, err := gzip.NewWriterLevel(&fast, gzip.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zw.Write(canonical)
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	spool := t.TempDir()
+	if err := os.WriteFile(filepath.Join(spool, sum+spoolSuffix), fast.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := fastAgent(spool, capture.URL).Drain(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	posted := bodies
+	mu.Unlock()
+	if len(posted) != 1 || !bytes.Equal(posted[0], fast.Bytes()) {
+		t.Fatalf("the agent POSTed %d bod(ies), want exactly the spool entry's %d bytes", len(posted), fast.Len())
+	}
+
+	direct, err := archive.Open(filepath.Join(t.TempDir(), "direct"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+	if _, err := direct.Ingest(s, archive.SignSnap(s, nil)); err != nil {
+		t.Fatal(err)
+	}
+	want, got := blobBytes(t, direct, sum), blobBytes(t, arch, sum)
+	if bytes.Equal(want, fast.Bytes()) {
+		t.Fatal("the BestSpeed spool entry frames the snap as the archive does; the test shows nothing")
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("wire blob (%d bytes) differs from the direct ingest's blob (%d bytes)", len(got), len(want))
+	}
+}
+
+func blobBytes(t *testing.T, a *archive.Archive, sum string) []byte {
+	t.Helper()
+	rc, _, err := a.OpenBlob(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	b, err := io.ReadAll(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestAgentRespoolsWhatItCannotSend: an entry the agent cannot send as
+// it is — a foreign name, a plain .snap.json, a content-address name
+// over a different snap (the daemon answers 422) — is re-spooled under
+// its own address and lands; nothing is quarantined and the snap the
+// misleading name addresses is never stored.
+func TestAgentRespoolsWhatItCannotSend(t *testing.T) {
+	_, ts, arch := newTestDaemon(t, ServerOptions{})
+	spool := t.TempDir()
+	write := func(name string, s *snap.Snap, gzipped bool) {
+		t.Helper()
+		var buf bytes.Buffer
+		save := s.Save
+		if gzipped {
+			save = s.SaveCompressed
+		}
+		if err := save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(spool, name), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	misnamed, _, err := archive.ChecksumSnap(mkSnap("h1", 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	write("crash-2.snap.json.gz", mkSnap("h1", 2), true)
+	write("app-3.snap.json", mkSnap("h1", 3), false)
+	write(misnamed+spoolSuffix, mkSnap("h1", 5), true)
+
+	ag := fastAgent(spool, ts.URL)
+	if err := ag.Drain(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	if got := ag.met.quarantined.Load(); got != 0 {
+		t.Errorf("coll_agent_quarantined_total = %d, want 0", got)
+	}
+	if n := spoolLen(t, spool); n != 0 {
+		t.Errorf("spool still holds %d file(s)", n)
+	}
+	for _, n := range []int{2, 3, 5} {
+		sum, _, err := archive.ChecksumSnap(mkSnap("h1", n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !arch.Has(sum) {
+			t.Errorf("snap %d did not land", n)
+		}
+	}
+	if arch.Has(misnamed) || journalLen(t, arch) != 3 {
+		t.Errorf("archive holds the misnamed address (%v) or %d journal record(s), want 3", arch.Has(misnamed), journalLen(t, arch))
+	}
+}
+
+// TestAgentQuarantinesRespoolOntoItself: an entry under its own
+// content address whose bytes the daemon still refuses (here: a
+// non-canonical encoding of the same snap) re-spools onto its own
+// name. The agent parks it with the daemon's reason instead of
+// sending the same bytes forever.
+func TestAgentQuarantinesRespoolOntoItself(t *testing.T) {
+	_, ts, arch := newTestDaemon(t, ServerOptions{})
+	sum, canonical, err := archive.ChecksumSnap(mkSnap("h1", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var indented, body bytes.Buffer
+	if err := json.Indent(&indented, canonical, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.WriteGzip(&body, indented.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	spool := t.TempDir()
+	name := sum + spoolSuffix
+	if err := os.WriteFile(filepath.Join(spool, name), body.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ag := fastAgent(spool, ts.URL)
+	if err := ag.Drain(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	if got := ag.met.quarantined.Load(); got != 1 {
+		t.Errorf("coll_agent_quarantined_total = %d, want 1", got)
+	}
+	reason, err := os.ReadFile(filepath.Join(spool, quarantineDir, name+".reason"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(reason), "422") || !strings.Contains(string(reason), "canonical") {
+		t.Errorf("quarantine reason %q does not keep the daemon's 422", reason)
+	}
+	if journalLen(t, arch) != 0 {
+		t.Error("a refused body reached the journal")
 	}
 }
 

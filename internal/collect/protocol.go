@@ -30,8 +30,10 @@ const (
 	// PathBlobPrefix + <sha256 hex> answers the dedup precheck:
 	// HEAD → 200 when the blob is resident, 404 when not.
 	PathBlobPrefix = "/" + APIVersion + "/blob/"
-	// PathSnap accepts POST uploads: body is one snap in plain-JSON or
-	// gzip archival form; response is an UploadResponse.
+	// PathSnap accepts POST uploads: body is one snap's canonical JSON
+	// (the bytes Snap.Save writes), plain or as one gzip member at any
+	// level; any other encoding is refused 422. Response is an
+	// UploadResponse.
 	PathSnap = "/" + APIVersion + "/snap"
 	// PathBuckets and PathTop are the fleet triage queries, JSON
 	// mirrors of `tbstore ls` / `tbstore top`.
@@ -61,7 +63,7 @@ const (
 )
 
 // HeaderSum carries the agent's claimed content address on an upload.
-// The daemon recomputes the sum from the body and rejects a mismatch
+// The daemon hashes the body's (inflated) bytes and rejects a mismatch
 // (422), so a snap corrupted between spool and wire can never be
 // archived under the wrong address.
 const HeaderSum = "X-Traceback-Sum"

@@ -1,6 +1,7 @@
 package collect
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -216,8 +217,15 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		s.ingestGate()
 	}
 
+	// One pass over the body: inflate and decode once, keeping the
+	// inflated bytes. When they are the canonical encoding of the snap
+	// they decode to, they are exactly what the content address is
+	// computed over and what the blob holds, so they are hashed once and
+	// handed to the archive as they are. Any other encoding of a snap
+	// is refused: what the agent spools is always canonical, and
+	// storing anything else would take a second encode and hash.
 	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	sn, err := snap.LoadAuto(&countingReader{r: body, n: s.met.bytesIn})
+	sn, raw, err := snap.LoadCanonical(&countingReader{r: body, n: s.met.bytesIn})
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, snap.ErrTooLarge) {
@@ -226,11 +234,16 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		s.uploadError(w, fmt.Sprintf("unreadable snap: %v", err), status)
 		return
 	}
-	sum, _, err := archive.ChecksumSnap(sn)
-	if err != nil {
-		s.uploadError(w, err.Error(), http.StatusBadRequest)
+	canonical := bytes.NewBuffer(make([]byte, 0, len(raw)))
+	if err := sn.Save(canonical); err != nil {
+		s.uploadError(w, fmt.Sprintf("encoding snap: %v", err), http.StatusBadRequest)
 		return
 	}
+	if !bytes.Equal(canonical.Bytes(), raw) {
+		s.uploadError(w, "body is not the canonical encoding of its snap", http.StatusUnprocessableEntity)
+		return
+	}
+	sum := archive.SumCanonical(raw)
 	if claimed := r.Header.Get(HeaderSum); claimed != "" && claimed != sum {
 		s.uploadError(w, fmt.Sprintf("content hash mismatch: body is %s, claimed %s", sum, claimed),
 			http.StatusUnprocessableEntity)
@@ -238,7 +251,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	}
 
 	sig := archive.SignSnap(sn, s.maps)
-	res, err := s.arch.IngestUnique(sn, sig)
+	res, err := s.arch.IngestCanonical(sum, raw, sn, sig)
 	if err != nil {
 		s.uploadError(w, err.Error(), http.StatusInternalServerError)
 		return

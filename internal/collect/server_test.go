@@ -229,6 +229,65 @@ func TestUploadHashMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestUploadNonCanonicalRejected: the daemon stores only a body that
+// is the canonical encoding of the snap it decodes to, because those
+// bytes are what it hashes and archives. A body that decodes to a
+// valid snap some other way — even under the right claimed address —
+// is refused 422, one that breaks the single-member gzip rule 400;
+// neither journals anything, and each counts as an upload error.
+func TestUploadNonCanonicalRejected(t *testing.T) {
+	_, ts, arch := newTestDaemon(t, ServerOptions{})
+	sum, canonical, err := archive.ChecksumSnap(mkSnap("h1", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gz := func(b []byte) []byte {
+		var buf bytes.Buffer
+		if err := snap.WriteGzip(&buf, b); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, canonical, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		body []byte
+		want int
+	}{
+		{"case-folded key", gz(append([]byte(`{"pArtners":[],`), canonical[1:]...)), http.StatusUnprocessableEntity},
+		{"re-indented", gz(indented.Bytes()), http.StatusUnprocessableEntity},
+		{"plain JSON with bytes after the value", append(bytes.Clone(canonical), `{}`...), http.StatusUnprocessableEntity},
+		{"second gzip member", append(gz(canonical), gz(canonical)...), http.StatusBadRequest},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			journal := journalLen(t, arch)
+			errs := metricValue(t, ts.URL, "coll_upload_errors_total")
+			req, err := http.NewRequest(http.MethodPost, ts.URL+PathSnap, bytes.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set(HeaderSum, sum)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != c.want {
+				t.Errorf("status %d, want %d", resp.StatusCode, c.want)
+			}
+			if n := journalLen(t, arch); n != journal || arch.NumBlobs() != 0 {
+				t.Errorf("refused upload reached the archive: journal %d → %d, %d blob(s)", journal, n, arch.NumBlobs())
+			}
+			if v := metricValue(t, ts.URL, "coll_upload_errors_total"); v != errs+1 {
+				t.Errorf("coll_upload_errors_total %d → %d, want +1", errs, v)
+			}
+		})
+	}
+}
+
 func TestUploadGarbageRejected(t *testing.T) {
 	_, ts, arch := newTestDaemon(t, ServerOptions{})
 	resp, err := http.Post(ts.URL+PathSnap, "application/gzip", strings.NewReader("not a snap"))

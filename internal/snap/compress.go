@@ -2,6 +2,7 @@ package snap
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"errors"
 	"fmt"
@@ -68,7 +69,30 @@ func gzipTo(w io.Writer, fill func(io.Writer) error) error {
 // the magic bytes. Gzip input must be a single complete member:
 // truncation and trailing garbage are reported as wrapped ErrTruncated
 // / ErrTrailingData rather than raw decoder failures.
-func LoadAuto(r io.Reader) (*Snap, error) {
+func LoadAuto(r io.Reader) (*Snap, error) { return loadAuto(r, nil) }
+
+// LoadCanonical is LoadAuto that also returns every byte of the snap
+// JSON it read: the whole inflated gzip member, or the whole plain
+// input, bytes after the JSON value included. It accepts and rejects
+// what LoadAuto does, under the same single-member and trailing-data
+// rules and the same MaxInflatedBytes cap — which, because it holds
+// every byte, it applies to plain input too. A caller that finds raw
+// equal to s's Save bytes knows the input was the canonical encoding
+// and can hash raw instead of encoding s again: the collection
+// daemon's one pass over an upload.
+func LoadCanonical(r io.Reader) (s *Snap, raw []byte, err error) {
+	var tee bytes.Buffer
+	if s, err = loadAuto(r, &tee); err != nil {
+		return nil, nil, err
+	}
+	return s, tee.Bytes(), nil
+}
+
+// loadAuto is LoadAuto, copying what the JSON decoder reads into tee
+// when tee is not nil. Without a tee the plain path stays a bare
+// streaming decode; with one, the plain input is capped and read to
+// its end like a gzip member.
+func loadAuto(r io.Reader, tee *bytes.Buffer) (*Snap, error) {
 	br := bufio.NewReader(r)
 	magic, err := br.Peek(2)
 	if err != nil && len(magic) == 0 {
@@ -78,12 +102,29 @@ func LoadAuto(r io.Reader) (*Snap, error) {
 		return nil, fmt.Errorf("snap: %w", err)
 	}
 	if len(magic) == 2 && magic[0] == 0x1f && magic[1] == 0x8b {
-		return loadGzip(br)
+		return loadGzip(br, tee)
 	}
-	return Load(br)
+	if tee == nil {
+		return Load(br)
+	}
+	lr := &io.LimitedReader{R: br, N: MaxInflatedBytes + 1}
+	src := io.TeeReader(lr, tee)
+	s, err := Load(src)
+	if err == nil {
+		if _, err = io.Copy(io.Discard, src); err != nil {
+			err = fmt.Errorf("snap: %w", err)
+		}
+	}
+	if lr.N == 0 {
+		return nil, fmt.Errorf("snap: %w", ErrTooLarge)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
-func loadGzip(br *bufio.Reader) (*Snap, error) {
+func loadGzip(br *bufio.Reader, tee *bytes.Buffer) (*Snap, error) {
 	zr, err := gzip.NewReader(br)
 	if err != nil {
 		return nil, fmt.Errorf("snap: %w", classifyGzipErr(err))
@@ -95,10 +136,14 @@ func loadGzip(br *bufio.Reader) (*Snap, error) {
 	// One byte past the cap, so a member of exactly the cap still
 	// reaches its trailer.
 	lr := &io.LimitedReader{R: zr, N: MaxInflatedBytes + 1}
-	s, err := Load(lr)
+	var src io.Reader = lr
+	if tee != nil {
+		src = io.TeeReader(lr, tee)
+	}
+	s, err := Load(src)
 	if err != nil {
 		err = fmt.Errorf("gzip member: %w", classifyGzipErr(err))
-	} else if _, err = io.Copy(io.Discard, lr); err != nil {
+	} else if _, err = io.Copy(io.Discard, src); err != nil {
 		// Draining the member forces the trailer (CRC/length) check,
 		// which is where a truncated body surfaces.
 		err = fmt.Errorf("snap: %w", classifyGzipErr(err))

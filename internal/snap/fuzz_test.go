@@ -3,6 +3,7 @@ package snap
 import (
 	"bytes"
 	"compress/gzip"
+	"io"
 	"reflect"
 	"testing"
 )
@@ -11,7 +12,9 @@ import (
 // gzipped snaps, and truncated gzip streams — to the snap reader.
 // LoadAuto must either return a snap or an error, never panic, and
 // any snap it accepts must survive save→load round trips in both
-// plain and compressed form.
+// plain and compressed form. LoadCanonical, the collection daemon's
+// reader, must accept and reject exactly what LoadAuto does and
+// decode the same snap.
 func FuzzSnapReader(f *testing.F) {
 	valid := &Snap{
 		Host: "h", Process: "p", PID: 7, RuntimeID: 0xabcdef, Reason: "api",
@@ -55,8 +58,27 @@ func FuzzSnapReader(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := LoadAuto(bytes.NewReader(data))
+		cs, raw, cerr := LoadCanonical(bytes.NewReader(data))
+		if (err == nil) != (cerr == nil) {
+			t.Fatalf("LoadAuto error %v, LoadCanonical error %v", err, cerr)
+		}
 		if err != nil {
 			return // rejecting is always fine; panicking is not
+		}
+		if !reflect.DeepEqual(s, cs) {
+			t.Fatalf("LoadCanonical decodes a different snap than LoadAuto")
+		}
+		// raw is every byte the JSON stream held: the input itself, or
+		// all that its one gzip member inflates to.
+		want := data
+		if zr, zerr := gzip.NewReader(bytes.NewReader(data)); zerr == nil {
+			zr.Multistream(false)
+			if want, zerr = io.ReadAll(zr); zerr != nil {
+				t.Fatalf("accepted gzip member does not inflate: %v", zerr)
+			}
+		}
+		if !bytes.Equal(raw, want) {
+			t.Fatalf("LoadCanonical returned %d bytes, the input's JSON stream holds %d", len(raw), len(want))
 		}
 		// One save canonicalizes (fuzzer inputs may carry forms Save
 		// never emits, e.g. present-but-empty omitempty fields); from

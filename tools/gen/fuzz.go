@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/binary"
 	"path/filepath"
 
@@ -96,5 +97,22 @@ func genFuzz(root string) error {
 	// never emits (canonicalized on first save).
 	sd.add("case-insensitive-empty-partners", []byte(`{"pArtners":[]}`))
 	sd.add("inflate-bomb", bomb.Bytes())
+	// The canonical JSON behind another gzip level, and followed by a
+	// second value: LoadCanonical must hand back every byte of the JSON
+	// stream — what any member inflates to, and the bytes after a
+	// plain value — for the collection daemon's canonical check to see.
+	var fast bytes.Buffer
+	zw, err := gzip.NewWriterLevel(&fast, gzip.BestSpeed)
+	if err != nil {
+		return err
+	}
+	if _, err := zw.Write(plain.Bytes()); err != nil {
+		return err
+	}
+	if err := zw.Close(); err != nil {
+		return err
+	}
+	sd.add("valid-gzip-bestspeed", fast.Bytes())
+	sd.add("valid-json-trailing-bytes", append(bytes.Clone(plain.Bytes()), `{"host":"x"}`...))
 	return sd.err
 }
