@@ -4,17 +4,18 @@
 #   make test        full test suite
 #   make vet         static analysis only
 #   make check       tbcheck over the examples + seeded-broken corpus
+#   make examples    run the four examples end to end
 #   make ci          what the gate runs: fmt-check + vet + check +
-#                    race-detector tests
-#   make gen         regenerate the committed generated trees (tools/gen)
-#   make tables      regenerate the paper tables (tbbench)
+#                    examples + race-detector tests
+#   make gen         regenerate the committed generated trees (tools/gen),
+#                    the paper's tables among them
 #   make bench-check PARENT=<rev>   paired benchmark runs against <rev>
 #
 # The repo benchmark is bench/ (see bench/README.md).
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet fmt-check check ci fuzz examples tables verify clean gen bench-check
+.PHONY: all build test test-short test-race vet fmt-check check ci fuzz examples verify clean gen bench-check
 
 all: build test
 
@@ -69,11 +70,14 @@ check:
 # ./cmd/tbfault <repro line minus "tbfault"> -regress fault_evidence`
 # rewrites the evidence bundles (snaps + maps + repro) under
 # fault_evidence/, deterministically. `check` is a target of its own
-# because it drives a product CLI across a process boundary.
-ci: fmt-check vet check test-race
+# because it drives a product CLI across a process boundary;
+# `examples` runs each example program, which exits nonzero when its
+# fault is not snapped or its hang not detected.
+ci: fmt-check vet check examples test-race
 
 # Regenerate every committed generated tree — snaps/, snaps/regressions/,
-# the verifier's seeded-broken corpus, the decoder fuzz seeds — in
+# the verifier's seeded-broken corpus, the decoder fuzz seeds, the
+# paper's tables (internal/workload/testdata/tables.txt) — in
 # place (deterministic; `go run ./tools/gen -h` lists the trees).
 # tools/gen's own test fails when a committed tree is stale.
 gen:
@@ -114,9 +118,6 @@ bench-check:
 			bash bench/run.sh -save $(CURDIR)/.bench_build/check/$$side.json) || exit 1; \
 	done; done
 	bash bench/run.sh -compare .bench_build/check/parent.json .bench_build/check/change.json
-
-tables:
-	$(GO) run ./cmd/tbbench -table all
 
 examples:
 	$(GO) run ./examples/quickstart

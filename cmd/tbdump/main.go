@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -23,74 +24,84 @@ import (
 )
 
 func main() {
-	var (
-		fn      = flag.String("func", "", "disassemble only this function")
-		mapDump = flag.Bool("map", false, "treat the input as a mapfile and summarize it")
-		evDump  = flag.Bool("events", false, "treat the input as a flight-recorder dump (tbrun -events) and render it")
-		ndDump  = flag.Bool("nondet", false, "treat the input as a snap and print its embedded nondeterminism recording")
-	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: tbdump [flags] <module.tbm|mapfile.json|events.json|snap.json[.gz]>")
-		flag.Usage()
-		os.Exit(2)
-	}
-	path := flag.Arg(0)
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-
-	if *evDump {
-		dump, err := telemetry.ReadEventDump(f)
-		if err != nil {
-			fatal(err)
-		}
-		dumpEvents(dump)
-		return
-	}
-
-	if *ndDump {
-		s, err := snap.LoadAuto(f)
-		if err != nil {
-			fatal(err)
-		}
-		dumpNondet(s)
-		return
-	}
-
-	if *mapDump || strings.HasSuffix(path, ".json") {
-		mf, err := module.LoadMapFile(f)
-		if err != nil {
-			fatal(err)
-		}
-		dumpMap(mf)
-		return
-	}
-
-	m, err := module.Read(f)
-	if err != nil {
-		fatal(err)
-	}
-	if *fn != "" {
-		if err := module.DisasmFunc(os.Stdout, m, *fn); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	module.Disasm(os.Stdout, m)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func dumpMap(mf *module.MapFile) {
+// run is main with the process edges made explicit for in-process
+// CLI tests: 0 done, 1 an input that does not load, 2 usage.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tbdump", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		fn      = fs.String("func", "", "disassemble only this function")
+		mapDump = fs.Bool("map", false, "treat the input as a mapfile and summarize it")
+		evDump  = fs.Bool("events", false, "treat the input as a flight-recorder dump (tbrun -events) and render it")
+		ndDump  = fs.Bool("nondet", false, "treat the input as a snap and print its embedded nondeterminism recording")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: tbdump [flags] <module.tbm|mapfile.json|events.json|snap.json[.gz]>")
+		fs.Usage()
+		return 2
+	}
+	path := fs.Arg(0)
+	if err := dump(stdout, path, *fn, *mapDump, *evDump, *ndDump); err != nil {
+		fmt.Fprintln(stderr, "tbdump:", err)
+		return 1
+	}
+	return 0
+}
+
+func dump(w io.Writer, path, fn string, mapDump, evDump, ndDump bool) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	switch {
+	case evDump:
+		d, err := telemetry.ReadEventDump(f)
+		if err != nil {
+			return err
+		}
+		dumpEvents(w, d)
+		return nil
+	case ndDump:
+		s, err := snap.LoadAuto(f)
+		if err != nil {
+			return err
+		}
+		return dumpNondet(w, s)
+	case mapDump || strings.HasSuffix(path, ".json"):
+		mf, err := module.LoadMapFile(f)
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		dumpMap(w, mf)
+		return nil
+	}
+	m, err := module.Read(f)
+	if err != nil {
+		return err
+	}
+	if fn != "" {
+		return module.DisasmFunc(w, m, fn)
+	}
+	module.Disasm(w, m)
+	return nil
+}
+
+func dumpMap(w io.Writer, mf *module.MapFile) {
 	kind := "native"
 	if mf.Managed {
 		kind = "managed"
 	}
-	fmt.Printf("mapfile %s (%s): %d DAGs, base %d, checksum %s\n",
+	fmt.Fprintf(w, "mapfile %s (%s): %d DAGs, base %d, checksum %s\n",
 		mf.ModuleName, kind, mf.DAGCount, mf.DAGBase, mf.Checksum)
 	for _, d := range mf.DAGs {
-		fmt.Printf("DAG %d (%d blocks):\n", d.ID, len(d.Blocks))
+		fmt.Fprintf(w, "DAG %d (%d blocks):\n", d.ID, len(d.Blocks))
 		for bi, b := range d.Blocks {
 			bit := "-"
 			if b.Bit >= 0 {
@@ -113,7 +124,7 @@ func dumpMap(mf *module.MapFile) {
 			for _, ls := range b.Lines {
 				lines += fmt.Sprintf(" %s:%d", ls.File, ls.Line)
 			}
-			fmt.Printf("  block %d [%d,%d) bit=%s succs=%v%s |%s\n",
+			fmt.Fprintf(w, "  block %d [%d,%d) bit=%s succs=%v%s |%s\n",
 				bi, b.Start, b.End, bit, b.Succs, extra, lines)
 		}
 	}
@@ -121,11 +132,11 @@ func dumpMap(mf *module.MapFile) {
 
 // dumpEvents renders a flight-recorder dump: one line per retained
 // event, oldest first, with the machine clock at which it happened.
-func dumpEvents(d *telemetry.EventDump) {
-	fmt.Printf("flight recorder: %d event(s) recorded, %d dropped, %d retained\n",
+func dumpEvents(w io.Writer, d *telemetry.EventDump) {
+	fmt.Fprintf(w, "flight recorder: %d event(s) recorded, %d dropped, %d retained\n",
 		d.Total, d.Dropped, len(d.Events))
 	for _, e := range d.Events {
-		fmt.Printf("  #%-5d clock %-10d %-16s %s\n", e.Seq, e.Clock, e.Kind, e.Detail)
+		fmt.Fprintf(w, "  #%-5d clock %-10d %-16s %s\n", e.Seq, e.Clock, e.Kind, e.Detail)
 	}
 }
 
@@ -133,18 +144,18 @@ func dumpEvents(d *telemetry.EventDump) {
 // the provenance line, then the decoded nondeterminism stream, one
 // event per line in recorded order, with signal numbers resolved to
 // names. This is the log tbreplay re-executes.
-func dumpNondet(s *snap.Snap) {
+func dumpNondet(w io.Writer, s *snap.Snap) error {
 	if s.Nondet == nil {
-		fatal(fmt.Errorf("%s/%s: no nondet section (was the run recorded? see tbfault -record)", s.Process, s.Reason))
+		return fmt.Errorf("%s/%s: no nondet section (was the run recorded? see tbfault -record)", s.Process, s.Reason)
 	}
 	n := s.Nondet
 	words := make([]trace.Word, len(n.Words()))
-	for i, w := range n.Words() {
-		words[i] = trace.Word(w)
+	for i, x := range n.Words() {
+		words[i] = trace.Word(x)
 	}
 	recs, err := trace.DecodeNondet(words)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	prov := ""
 	if n.Wrap {
@@ -153,18 +164,14 @@ func dumpNondet(s *snap.Snap) {
 	if n.Trial {
 		prov += " trial"
 	}
-	fmt.Printf("nondet recording v%d: scenario %s%s · %d event(s) · checkpoint interval %d\n",
+	fmt.Fprintf(w, "nondet recording v%d: scenario %s%s · %d event(s) · checkpoint interval %d\n",
 		n.V, n.Scenario, prov, len(recs), n.Interval)
 	for i, r := range recs {
 		line := r.String()
 		if r.Kind == trace.NDSignal {
 			line += " (" + vm.SignalName(int(r.Sig)) + ")"
 		}
-		fmt.Printf("  #%-5d %s\n", i, line)
+		fmt.Fprintf(w, "  #%-5d %s\n", i, line)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tbdump:", err)
-	os.Exit(1)
+	return nil
 }

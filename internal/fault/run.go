@@ -160,7 +160,7 @@ func (c *Campaign) runManaged(idx int, sub int64) (*TrialReport, []*snap.Snap, [
 		}
 		var q uint64
 		v.OnQuantum = func(*mvm.VM) { q++ }
-		v.Run(1<<30, replay.PetShopDone(threads))
+		v.Run(1<<30, mvm.AllDone(threads))
 		bl = baseline{quanta: q}
 		c.spans[key] = bl
 	}
@@ -203,7 +203,7 @@ func (c *Campaign) runManaged(idx int, sub int64) (*TrialReport, []*snap.Snap, [
 		}
 	}
 	c.met.trials.Inc()
-	v.Run(1<<30, replay.PetShopDone(threads))
+	v.Run(1<<30, mvm.AllDone(threads))
 
 	snaps := v.Runtime().Snaps()
 	c.met.snaps.Add(uint64(len(snaps)))

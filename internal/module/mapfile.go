@@ -104,13 +104,17 @@ func (mf *MapFile) DAGByID(id uint32) (*MapDAG, bool) {
 	return nil, false
 }
 
-// Validate checks mapfile invariants: DAGCount matches the DAG list,
-// DAG IDs are unique and in-range for the module, path bits fit the
-// record format and are unique per DAG, successor references resolve
-// to real blocks without self edges or duplicates, and line spans stay
-// inside their block's instruction range. Deeper semantic checks (map
-// edges vs the real CFG, probe placement) belong to internal/verify.
+// Validate checks mapfile invariants: it names its module, DAGCount
+// matches the DAG list, DAG IDs are unique and in-range for the
+// module, path bits fit the record format and are unique per DAG,
+// successor references resolve to real blocks without self edges or
+// duplicates, and line spans stay inside their block's instruction
+// range. Deeper semantic checks (map edges vs the real CFG, probe
+// placement) belong to internal/verify.
 func (mf *MapFile) Validate() error {
+	if mf.ModuleName == "" {
+		return fmt.Errorf("mapfile names no module (not a mapfile?)")
+	}
 	if uint32(len(mf.DAGs)) != mf.DAGCount {
 		return fmt.Errorf("mapfile %s: %d DAGs but DAGCount=%d",
 			mf.ModuleName, len(mf.DAGs), mf.DAGCount)

@@ -306,6 +306,21 @@ func TestMapFileValidateRejectsEscapingLineSpan(t *testing.T) {
 	}
 }
 
+// TestLoadMapFileRejectsOtherJSON: any JSON object decodes into a
+// MapFile, so a document naming no module — a snap file, say — must
+// be refused rather than read as an empty map.
+func TestLoadMapFileRejectsOtherJSON(t *testing.T) {
+	_, err := LoadMapFile(strings.NewReader(`{"process":"app","reason":"SIGFPE","buffers":[]}`))
+	if err == nil || !strings.Contains(err.Error(), "names no module") {
+		t.Errorf("LoadMapFile of a snap document: %v, want a names-no-module error", err)
+	}
+	mf := validMap()
+	mf.ModuleName = ""
+	if err := mf.Validate(); err == nil {
+		t.Error("mapfile without a module name passed validation")
+	}
+}
+
 func TestDAGBaseFileRoundTrip(t *testing.T) {
 	d := &DAGBaseFile{Bases: map[string]uint32{"app": 0, "lib": 4096}}
 	var buf bytes.Buffer

@@ -493,6 +493,18 @@ func (v *VM) throw(t *MThread, code int) {
 	}
 }
 
+// AllDone is a Run predicate: every one of threads has finished.
+func AllDone(threads []*MThread) func() bool {
+	return func() bool {
+		for _, th := range threads {
+			if th.State != MDone {
+				return false
+			}
+		}
+		return true
+	}
+}
+
 // Run drives managed threads round-robin until done returns true, no
 // thread can make progress, or maxSteps quanta pass. Like a JVM, the
 // first thread's exit sets Exited but live threads keep running.

@@ -165,18 +165,6 @@ func BuildPetShop() (*mvm.VM, []*mvm.MThread, *module.MapFile, error) {
 	return v, threads, mf, nil
 }
 
-// PetShopDone reports all worker threads finished.
-func PetShopDone(threads []*mvm.MThread) func() bool {
-	return func() bool {
-		for _, th := range threads {
-			if th.State != mvm.MDone {
-				return false
-			}
-		}
-		return true
-	}
-}
-
 func runManaged(l *Log, strict bool) (*Result, error) {
 	v, threads, mf, err := BuildPetShop()
 	if err != nil {
@@ -184,7 +172,7 @@ func runManaged(l *Log, strict bool) (*Result, error) {
 	}
 	d := NewDriver(l, strict)
 	v.OnQuantum = d.ManagedOnQuantum
-	v.Run(1<<30, PetShopDone(threads))
+	v.Run(1<<30, mvm.AllDone(threads))
 	d.Finish()
 	return &Result{
 		Snaps:      v.Runtime().Snaps(),

@@ -253,7 +253,7 @@ func TestManagedRecordReplay(t *testing.T) {
 	var q uint64
 	fired := false
 	v.OnQuantum = managedRecordHook(rec, &q, &fired, 40, 1)
-	v.Run(1<<30, PetShopDone(threads))
+	v.Run(1<<30, mvm.AllDone(threads))
 	snaps := v.Runtime().Snaps()
 	if len(snaps) == 0 {
 		t.Fatal("managed trial produced no snap")

@@ -1,11 +1,6 @@
 package workload
 
-import (
-	"fmt"
-
-	"traceback/internal/mvm"
-	"traceback/internal/vm"
-)
+import "traceback/internal/mvm"
 
 // Table 3: SPECjbb — a server-side managed (Java) benchmark. Each
 // warehouse is a managed thread running the TPC-C-flavored
@@ -129,77 +124,53 @@ type JbbResult struct {
 	System     string
 	Warehouses int
 	// Normal and TraceBack are throughput scores (transactions per
-	// million cycles).
-	Normal, TraceBack float64
-	Ratio             float64
-	PaperRatio        float64
+	// million cycles), computed from the runtime cycle counts
+	// NormalCycles and TraceBackCycles.
+	Normal, TraceBack             float64
+	NormalCycles, TraceBackCycles uint64
+	Ratio                         float64
+	PaperRatio                    float64
 }
 
 // RunJbb measures one system/warehouse-count cell of Table 3.
 func RunJbb(sys JbbSystem, warehouses, txnsPerWarehouse int) (JbbResult, error) {
 	mod := buildJbb(sys.Mix)
-	run := func(instrumented bool) (float64, error) {
-		m := mod
-		var err error
-		if instrumented {
-			m, _, err = mvm.Instrument(mod, 0)
-			if err != nil {
-				return 0, err
-			}
-		}
-		w := vm.NewWorld(55)
-		mach := w.NewMachine(sys.Name, 0)
-		v := mvm.New(mach, nil, "specjbb", mvm.RuntimeConfig{
-			ProbeHCost:     sys.ProbeHCost,
-			ProbeLCost:     sys.ProbeLCost,
-			MTProbePenalty: 2,
-		})
-		if _, err := v.Load(m); err != nil {
-			return 0, err
-		}
-		var threads []*mvm.MThread
-		for i := 0; i < warehouses; i++ {
-			th, err := v.Start("warehouse", int64(i+1), int64(txnsPerWarehouse))
-			if err != nil {
-				return 0, err
-			}
-			threads = append(threads, th)
-		}
-		v.Run(1<<30, func() bool {
-			for _, th := range threads {
-				if th.State != mvm.MDone {
-					return false
-				}
-			}
-			return true
-		})
-		total := 0
-		for _, th := range threads {
-			if th.Uncaught != 0 {
-				return 0, fmt.Errorf("jbb warehouse threw %s", mvm.ExcName(th.Uncaught))
-			}
-			total += txnsPerWarehouse
-		}
-		return float64(total) / (float64(v.Cycles) / 1e6), nil
+	cfg := mvm.RuntimeConfig{
+		ProbeHCost:     sys.ProbeHCost,
+		ProbeLCost:     sys.ProbeLCost,
+		MTProbePenalty: 2,
 	}
-	normal, err := run(false)
+	args := make([][]int64, warehouses)
+	for i := range args {
+		args[i] = []int64{int64(i + 1), int64(txnsPerWarehouse)}
+	}
+	plain, err := runManaged(mod, cfg, 55, sys.Name, "specjbb", "warehouse", args)
 	if err != nil {
 		return JbbResult{}, err
 	}
-	tb, err := run(true)
+	im, _, err := mvm.Instrument(mod, 0)
 	if err != nil {
 		return JbbResult{}, err
 	}
+	tb, err := runManaged(im, cfg, 55, sys.Name, "specjbb", "warehouse", args)
+	if err != nil {
+		return JbbResult{}, err
+	}
+	total := float64(warehouses * txnsPerWarehouse)
+	normal := total / (float64(plain.Cycles) / 1e6)
+	traced := total / (float64(tb.Cycles) / 1e6)
 	paper := sys.PaperRatio1W
 	if warehouses > 1 {
 		paper = sys.PaperRatio5W
 	}
 	return JbbResult{
-		System:     sys.Name,
-		Warehouses: warehouses,
-		Normal:     normal,
-		TraceBack:  tb,
-		Ratio:      normal / tb, // throughput ratio, as Table 3 reports
-		PaperRatio: paper,
+		System:          sys.Name,
+		Warehouses:      warehouses,
+		Normal:          normal,
+		TraceBack:       traced,
+		NormalCycles:    plain.Cycles,
+		TraceBackCycles: tb.Cycles,
+		Ratio:           normal / traced, // throughput ratio, as Table 3 reports
+		PaperRatio:      paper,
 	}, nil
 }

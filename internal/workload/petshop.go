@@ -1,11 +1,6 @@
 package workload
 
-import (
-	"fmt"
-
-	"traceback/internal/mvm"
-	"traceback/internal/vm"
-)
+import "traceback/internal/mvm"
 
 // The PetShop paragraph (paper §6): a managed (.NET-analog) web
 // application under request load. Each request parses (bytecode
@@ -14,7 +9,9 @@ import (
 // time dominating and only line-boundary probes in the managed code,
 // the throughput drop lands near the paper's 1%.
 
-func buildPetShop() *mvm.Module {
+// PetShopModule builds the PetShop managed module; replay.BuildPetShop
+// instruments it for the fault campaign and managed replay.
+func PetShopModule() *mvm.Module {
 	b := mvm.NewBuilder("PetShop", "PetShop.java")
 
 	// handle(id) -> bytes sent
@@ -51,73 +48,40 @@ func buildPetShop() *mvm.Module {
 	return b.MustBuild()
 }
 
-// PetShopModule exposes the PetShop managed module so harnesses
-// outside the workload tables (the fault-injection campaign) can
-// instrument it and drive it under perturbation.
-func PetShopModule() *mvm.Module { return buildPetShop() }
-
-// PetShopResult compares request throughput.
-type PetShopResult struct {
-	ReqPerSecNormal float64
-	ReqPerSecTB     float64
-	Drop            float64 // fractional throughput reduction
+// petShopResult compares request throughput.
+type petShopResult struct {
+	Normal, TraceBack uint64 // machine clock at the end of the load
+	ReqPerSecNormal   float64
+	ReqPerSecTB       float64
+	Drop              float64 // fractional throughput reduction
 }
 
-// RunPetShop measures the PetShop-like workload with the given
-// number of worker threads and requests per worker.
-func RunPetShop(workers, requests int) (PetShopResult, error) {
-	mod := buildPetShop()
-	run := func(instrumented bool) (float64, error) {
-		m := mod
-		var err error
-		if instrumented {
-			m, _, err = mvm.Instrument(mod, 0)
-			if err != nil {
-				return 0, err
-			}
-		}
-		w := vm.NewWorld(88)
-		mach := w.NewMachine("dell600sc", 0)
-		v := mvm.New(mach, nil, "petshop", mvm.RuntimeConfig{})
-		if _, err := v.Load(m); err != nil {
-			return 0, err
-		}
-		var threads []*mvm.MThread
-		for i := 0; i < workers; i++ {
-			th, err := v.Start("worker", int64(requests))
-			if err != nil {
-				return 0, err
-			}
-			threads = append(threads, th)
-		}
-		v.Run(1<<30, func() bool {
-			for _, th := range threads {
-				if th.State != mvm.MDone {
-					return false
-				}
-			}
-			return true
-		})
-		for _, th := range threads {
-			if th.Uncaught != 0 {
-				return 0, fmt.Errorf("petshop worker threw %s", mvm.ExcName(th.Uncaught))
-			}
-		}
-		total := workers * requests
-		secs := float64(mach.Clock()) / (cyclesPerMs * 1000)
-		return float64(total) / secs, nil
+// runPetShop measures the PetShop-like workload: petShopWorkers worker
+// threads serving petShopRequests requests each.
+func runPetShop() (petShopResult, error) {
+	mod := PetShopModule()
+	args := make([][]int64, petShopWorkers)
+	for i := range args {
+		args[i] = []int64{petShopRequests}
 	}
-	normal, err := run(false)
+	plain, err := runManaged(mod, mvm.RuntimeConfig{}, 88, "dell600sc", "petshop", "worker", args)
 	if err != nil {
-		return PetShopResult{}, err
+		return petShopResult{}, err
 	}
-	tb, err := run(true)
+	im, _, err := mvm.Instrument(mod, 0)
 	if err != nil {
-		return PetShopResult{}, err
+		return petShopResult{}, err
 	}
-	return PetShopResult{
-		ReqPerSecNormal: normal,
-		ReqPerSecTB:     tb,
-		Drop:            1 - tb/normal,
-	}, nil
+	tb, err := runManaged(im, mvm.RuntimeConfig{}, 88, "dell600sc", "petshop", "worker", args)
+	if err != nil {
+		return petShopResult{}, err
+	}
+	r := petShopResult{Normal: plain.Machine.Clock(), TraceBack: tb.Machine.Clock()}
+	reqPerSec := func(clock uint64) float64 {
+		secs := float64(clock) / (cyclesPerMs * 1000)
+		return float64(petShopWorkers*petShopRequests) / secs
+	}
+	r.ReqPerSecNormal, r.ReqPerSecTB = reqPerSec(r.Normal), reqPerSec(r.TraceBack)
+	r.Drop = 1 - r.ReqPerSecTB/r.ReqPerSecNormal
+	return r, nil
 }

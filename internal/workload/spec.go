@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 
 	"traceback/internal/core"
 	"traceback/internal/minic"
@@ -11,199 +10,88 @@ import (
 	"traceback/internal/vm"
 )
 
-// SpecResult is one Table 1 row, measured.
-type SpecResult struct {
+// Every Table 1 run — plain, traced, ablated — is the one process of
+// a world seeded specSeed on a machine named specHost.
+const (
+	specSeed = 42
+	specHost = "bench"
+)
+
+// specResult is one Table 1 row, measured.
+type specResult struct {
 	Name         string
 	Normal       uint64 // cycles uninstrumented
 	TraceBack    uint64 // cycles instrumented
 	Ratio        float64
 	PaperRatio   float64
 	CodeGrowth   float64
-	Spills       int
 	ExitChecksum int
+
+	mod *module.Module // the compiled kernel and its argument, for
+	arg uint64         // the variants that re-instrument it
 }
 
-// compileSpec compiles one kernel.
-func compileSpec(p SpecProgram) (*module.Module, error) {
-	return minic.Compile(p.Name, p.Name+".c", p.Src)
+// runSpec measures program p at argument arg (p.Arg is the published
+// scale): uninstrumented, then instrumented with the default options.
+func runSpec(p SpecProgram, arg uint64) (specResult, error) {
+	mod, err := minic.Compile(p.Name, p.Name+".c", p.Src)
+	if err != nil {
+		return specResult{}, err
+	}
+	plain, err := runNative(mod, nil, specSeed, specHost, arg)
+	if err != nil {
+		return specResult{}, err
+	}
+	r := specResult{Name: p.Name, Normal: plain.Cycles, PaperRatio: p.PaperRatio, ExitChecksum: plain.ExitCode, mod: mod, arg: arg}
+	tb, stats, err := runTraced(r, core.Options{}, tbrt.Config{})
+	if err != nil {
+		return specResult{}, err
+	}
+	r.TraceBack, r.Ratio, r.CodeGrowth = tb.Cycles, float64(tb.Cycles)/float64(plain.Cycles), stats.CodeGrowth()
+	return r, nil
 }
 
-// runModule executes a module to completion and returns cycles+exit.
-func runModule(m *module.Module, instrumented bool, arg uint64, seed int64) (uint64, int, error) {
-	w := vm.NewWorld(seed)
-	mach := w.NewMachine("bench", 0)
-	var p *vm.Process
-	var err error
-	if instrumented {
-		p, _, err = tbrt.NewProcess(mach, m.Name, tbrt.Config{})
-		if err != nil {
-			return 0, 0, err
-		}
-	} else {
-		p = mach.NewProcess(m.Name, nil)
+// runTraced instruments row's kernel with opts and runs it at the
+// row's argument under cfg. A run whose exit status differs from the
+// row's uninstrumented one is an error: instrumentation must never
+// change a result.
+func runTraced(row specResult, opts core.Options, cfg tbrt.Config) (*vm.Process, core.Stats, error) {
+	res, err := core.Instrument(row.mod, opts)
+	if err != nil {
+		return nil, core.Stats{}, err
 	}
-	if _, err := p.Load(m); err != nil {
-		return 0, 0, err
+	p, err := runNative(res.Module, &cfg, specSeed, specHost, row.arg)
+	if err == nil && p.ExitCode != row.ExitChecksum {
+		err = fmt.Errorf("%s: instrumentation changed the result: %d vs %d", row.Name, row.ExitChecksum, p.ExitCode)
 	}
-	if _, err := p.StartMain(arg); err != nil {
-		return 0, 0, err
-	}
-	if err := vm.RunProcess(p, 1<<31); err != nil {
-		return 0, 0, err
-	}
-	if p.FatalSignal != 0 {
-		return 0, 0, fmt.Errorf("workload %s faulted: signal %d", m.Name, p.FatalSignal)
-	}
-	return p.Cycles, p.ExitCode, nil
+	return p, res.Stats, err
 }
 
-// RunSpec measures one Table 1 program. scale multiplies the
-// reference argument (use < 1 for quick runs).
-func RunSpec(p SpecProgram, scale float64, opts core.Options) (SpecResult, error) {
-	mod, err := compileSpec(p)
+// ablationResult compares an instrumentation variant on one kernel
+// with its Table 1 row.
+type ablationResult struct {
+	Name, Variant string
+	Normal        uint64 // the Table 1 row's uninstrumented cycles
+	TraceBack     uint64 // cycles instrumented with the variant
+	Ratio         float64
+	Baseline      float64 // the Table 1 row's ratio
+	Spills        int     // lightweight probes that spilled a register
+}
+
+// runAblation re-instruments base's kernel with opts; the
+// uninstrumented run and the baseline ratio are base's.
+func runAblation(base specResult, variant string, opts core.Options) (ablationResult, error) {
+	tb, stats, err := runTraced(base, opts, tbrt.Config{})
 	if err != nil {
-		return SpecResult{}, err
+		return ablationResult{}, fmt.Errorf("%s: %w", variant, err)
 	}
-	arg := uint64(float64(p.Arg) * scale)
-	if arg == 0 {
-		arg = 1
-	}
-	normal, exitN, err := runModule(mod, false, arg, 42)
-	if err != nil {
-		return SpecResult{}, err
-	}
-	res, err := core.Instrument(mod, opts)
-	if err != nil {
-		return SpecResult{}, err
-	}
-	tb, exitT, err := runModule(res.Module, true, arg, 42)
-	if err != nil {
-		return SpecResult{}, err
-	}
-	if exitN != exitT {
-		return SpecResult{}, fmt.Errorf("%s: instrumentation changed the result: %d vs %d", p.Name, exitN, exitT)
-	}
-	return SpecResult{
-		Name:         p.Name,
-		Normal:       normal,
-		TraceBack:    tb,
-		Ratio:        float64(tb) / float64(normal),
-		PaperRatio:   p.PaperRatio,
-		CodeGrowth:   res.Stats.CodeGrowth(),
-		Spills:       res.Stats.Spills,
-		ExitChecksum: exitN,
+	return ablationResult{
+		Name:      base.Name,
+		Variant:   variant,
+		Normal:    base.Normal,
+		TraceBack: tb.Cycles,
+		Ratio:     float64(tb.Cycles) / float64(base.Normal),
+		Baseline:  base.Ratio,
+		Spills:    stats.Spills,
 	}, nil
-}
-
-// RunSpecSuite measures the whole Table 1 suite and appends the
-// geometric mean row.
-func RunSpecSuite(scale float64) ([]SpecResult, float64, float64, error) {
-	var out []SpecResult
-	logSum, paperLogSum := 0.0, 0.0
-	for _, p := range SpecInt {
-		r, err := RunSpec(p, scale, core.Options{})
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		out = append(out, r)
-		logSum += math.Log(r.Ratio)
-		paperLogSum += math.Log(r.PaperRatio)
-	}
-	geo := math.Exp(logSum / float64(len(out)))
-	paperGeo := math.Exp(paperLogSum / float64(len(out)))
-	return out, geo, paperGeo, nil
-}
-
-// AblationResult compares instrumentation variants on one kernel.
-type AblationResult struct {
-	Name     string
-	Variant  string
-	Ratio    float64
-	Baseline float64 // default-options ratio
-}
-
-// RunAblations measures the design-choice ablations DESIGN.md §4
-// calls out, on the kernels where each matters most.
-func RunAblations(scale float64) ([]AblationResult, error) {
-	var out []AblationResult
-	add := func(progName, variant string, opts core.Options) error {
-		p, ok := SpecByName(progName)
-		if !ok {
-			return fmt.Errorf("no spec program %s", progName)
-		}
-		base, err := RunSpec(p, scale, core.Options{})
-		if err != nil {
-			return err
-		}
-		r, err := RunSpec(p, scale, opts)
-		if err != nil {
-			return err
-		}
-		out = append(out, AblationResult{Name: progName, Variant: variant, Ratio: r.Ratio, Baseline: base.Ratio})
-		return nil
-	}
-	// Probe register scavenging vs forced spills (the gzip story).
-	if err := add("gzip", "force-spill", core.Options{ForceSpill: true}); err != nil {
-		return nil, err
-	}
-	// DAG breaks at calls (the §2.2 requirement) on the call-dense
-	// kernel. NOTE: reconstruction is unsound without the breaks;
-	// this measures their cost only.
-	if err := add("perlbmk", "no-break-at-calls", core.Options{NoBreakAtCalls: true}); err != nil {
-		return nil, err
-	}
-	// Path-bit budget: fewer bits => more heavyweight probes.
-	if err := add("gcc", "max-path-bits-4", core.Options{MaxPathBits: 4}); err != nil {
-		return nil, err
-	}
-	if err := add("gcc", "max-path-bits-2", core.Options{MaxPathBits: 2}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SubBufferOverhead measures the runtime cost of sub-buffering
-// (paper §3.2) on a probe-heavy kernel: the same instrumented binary
-// with 1 (off) vs n sub-buffers.
-func SubBufferOverhead(scale float64, subs int) (off, on uint64, err error) {
-	p, _ := SpecByName("gzip")
-	mod, err := compileSpec(p)
-	if err != nil {
-		return 0, 0, err
-	}
-	res, err := core.Instrument(mod, core.Options{})
-	if err != nil {
-		return 0, 0, err
-	}
-	arg := uint64(float64(p.Arg) * scale)
-	if arg == 0 {
-		arg = 1
-	}
-	run := func(subBuffers int) (uint64, error) {
-		w := vm.NewWorld(42)
-		mach := w.NewMachine("bench", 0)
-		proc, _, err := tbrt.NewProcess(mach, "gzip", tbrt.Config{
-			BufferWords: 4096, SubBuffers: subBuffers,
-		})
-		if err != nil {
-			return 0, err
-		}
-		if _, err := proc.Load(res.Module); err != nil {
-			return 0, err
-		}
-		if _, err := proc.StartMain(arg); err != nil {
-			return 0, err
-		}
-		if err := vm.RunProcess(proc, 1<<31); err != nil {
-			return 0, err
-		}
-		return proc.Cycles, nil
-	}
-	if off, err = run(1); err != nil {
-		return 0, 0, err
-	}
-	if on, err = run(subs); err != nil {
-		return 0, 0, err
-	}
-	return off, on, nil
 }

@@ -6,49 +6,7 @@ import (
 	"traceback/internal/core"
 	"traceback/internal/tbrt"
 	"traceback/internal/telemetry"
-	"traceback/internal/vm"
 )
-
-// runInstrumented mirrors runModule's instrumented path with VM+rt
-// telemetry optionally enabled on a shared registry.
-func runInstrumented(t *testing.T, p SpecProgram, scale float64, withTelemetry bool) (uint64, *telemetry.Registry) {
-	t.Helper()
-	mod, err := compileSpec(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.Instrument(mod, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	arg := uint64(float64(p.Arg) * scale)
-	if arg == 0 {
-		arg = 1
-	}
-	w := vm.NewWorld(42)
-	mach := w.NewMachine("bench", 0)
-	cfg := tbrt.Config{}
-	var reg *telemetry.Registry
-	if withTelemetry {
-		reg = telemetry.New()
-		cfg.Telemetry = reg
-		mach.EnableTelemetry(reg)
-	}
-	proc, _, err := tbrt.NewProcess(mach, mod.Name, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := proc.Load(res.Module); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := proc.StartMain(arg); err != nil {
-		t.Fatal(err)
-	}
-	if err := vm.RunProcess(proc, 1<<31); err != nil {
-		t.Fatal(err)
-	}
-	return proc.Cycles, reg
-}
 
 // TestTelemetryCycleParity is the deployability guarantee behind the
 // self-telemetry layer: metrics and flight events are host-side only,
@@ -56,12 +14,18 @@ func runInstrumented(t *testing.T, p SpecProgram, scale float64, withTelemetry b
 // every Table 1 ratio derived from these runs is identical with
 // telemetry on or off.
 func TestTelemetryCycleParity(t *testing.T) {
-	scale := 0.05
 	for _, p := range SpecInt {
-		plain, _ := runInstrumented(t, p, scale, false)
-		traced, reg := runInstrumented(t, p, scale, true)
-		if plain != traced {
-			t.Errorf("%s: telemetry changed cycles: %d vs %d", p.Name, plain, traced)
+		row, err := runSpec(p, scaled(p, 0.05))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.New()
+		traced, _, err := runTraced(row, core.Options{}, tbrt.Config{Telemetry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if traced.Cycles != row.TraceBack {
+			t.Errorf("%s: telemetry changed cycles: %d vs %d", p.Name, row.TraceBack, traced.Cycles)
 		}
 		// The telemetry run actually observed the workload: the VM
 		// counted syscalls (exit is a thread-class one).

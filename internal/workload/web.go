@@ -1,12 +1,9 @@
 package workload
 
 import (
-	"fmt"
-
 	"traceback/internal/core"
 	"traceback/internal/minic"
 	"traceback/internal/tbrt"
-	"traceback/internal/vm"
 )
 
 // Table 2: SPECweb99 against an Apache-like server. The server is a
@@ -76,8 +73,9 @@ int main() {
 	exit(served % 251);
 }`
 
-// WebResult is the Table 2 comparison.
-type WebResult struct {
+// webResult is the Table 2 comparison.
+type webResult struct {
+	Normal, TraceBack uint64 // server machine clock at the end of the load
 	// Per paper Table 2: response time, operations/sec, Kbits/sec.
 	ResponseNormal, ResponseTB float64 // ms
 	OpsNormal, OpsTB           float64
@@ -88,56 +86,26 @@ type WebResult struct {
 // cyclesPerMs converts machine cycles to simulated milliseconds.
 const cyclesPerMs = 50_000
 
-// RunWeb runs the SPECweb99-like load with the given per-connection
-// request count (the paper's full test uses 21 connections; that is
-// fixed in the workload).
-func RunWeb(requestsPerConn int) (WebResult, error) {
+// runWeb runs the SPECweb99-like load: the workload's 21 connections,
+// webRequestsPerConn requests each.
+func runWeb() (webResult, error) {
 	mod, err := minic.Compile("apache", "httpd.c", srcWebServer)
 	if err != nil {
-		return WebResult{}, err
+		return webResult{}, err
 	}
-	run := func(instrumented bool) (cycles uint64, served int, err error) {
-		m := mod
-		if instrumented {
-			res, err := core.Instrument(mod, core.Options{})
-			if err != nil {
-				return 0, 0, err
-			}
-			m = res.Module
-		}
-		w := vm.NewWorld(77)
-		mach := w.NewMachine("server", 0)
-		var p *vm.Process
-		if instrumented {
-			p, _, err = tbrt.NewProcess(mach, "apache", tbrt.Config{NumBuffers: 24})
-			if err != nil {
-				return 0, 0, err
-			}
-		} else {
-			p = mach.NewProcess("apache", nil)
-		}
-		if _, err := p.Load(m); err != nil {
-			return 0, 0, err
-		}
-		if _, err := p.StartMain(uint64(requestsPerConn)); err != nil {
-			return 0, 0, err
-		}
-		if err := vm.RunProcess(p, 1<<31); err != nil {
-			return 0, 0, err
-		}
-		if p.FatalSignal != 0 {
-			return 0, 0, fmt.Errorf("web server faulted: %s", vm.SignalName(p.FatalSignal))
-		}
-		return mach.Clock(), requestsPerConn * 21, nil
-	}
-	normCycles, nReq, err := run(false)
+	plain, err := runNative(mod, nil, 77, "server", webRequestsPerConn)
 	if err != nil {
-		return WebResult{}, err
+		return webResult{}, err
 	}
-	tbCycles, _, err := run(true)
+	res, err := core.Instrument(mod, core.Options{})
 	if err != nil {
-		return WebResult{}, err
+		return webResult{}, err
 	}
+	tb, err := runNative(res.Module, &tbrt.Config{NumBuffers: 24}, 77, "server", webRequestsPerConn)
+	if err != nil {
+		return webResult{}, err
+	}
+	const nReq = webRequestsPerConn * 21
 	// Average bytes per request from the file-size mix.
 	const avgBytes = (1024 + 5120 + 51200 + 102400) / 4
 	mkRow := func(cycles uint64) (resp, ops, kbits float64) {
@@ -147,9 +115,9 @@ func RunWeb(requestsPerConn int) (WebResult, error) {
 		kbits = ops * avgBytes * 8 / 1024
 		return
 	}
-	var r WebResult
-	r.ResponseNormal, r.OpsNormal, r.KbitsNormal = mkRow(normCycles)
-	r.ResponseTB, r.OpsTB, r.KbitsTB = mkRow(tbCycles)
+	r := webResult{Normal: plain.Machine.Clock(), TraceBack: tb.Machine.Clock()}
+	r.ResponseNormal, r.OpsNormal, r.KbitsNormal = mkRow(r.Normal)
+	r.ResponseTB, r.OpsTB, r.KbitsTB = mkRow(r.TraceBack)
 	r.Ratio = r.ResponseTB / r.ResponseNormal
 	return r, nil
 }

@@ -7,9 +7,9 @@
 //	go run ./tools/gen snaps regressions  # only the named trees
 //	go run ./tools/gen -out d fuzz        # under d/ instead of the repository root
 //
-// Run it after changing the examples, the instrumentation, the fault
-// planner, the verifier's seed mutations or a file format, and commit
-// the result.
+// Run it after changing the examples, the instrumentation, the VM's
+// cost model, a workload, the fault planner, the verifier's seed
+// mutations or a file format, and commit the result.
 package main
 
 import (
@@ -36,6 +36,7 @@ var trees = []struct {
 	{"regressions", "snaps/regressions/: the fault-campaign regression corpus", genRegressions},
 	{"broken", "internal/verify/testdata/corpus/: seeded-broken modules and fleets, with their fuzz seeds", genBroken},
 	{"fuzz", "internal/{trace,snap}/testdata/fuzz/: decoder fuzz seeds", genFuzz},
+	{"tables", tablesFile + ": the paper's §6 tables, measured at the published scale", genTables},
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
