@@ -1,6 +1,7 @@
 # TraceBack reproduction — convenience targets.
 #
 #   make build       compile + vet everything
+#   make bin         build every CLI into bin/
 #   make test        full test suite
 #   make vet         static analysis only
 #   make check       tbcheck over the examples + seeded-broken corpus
@@ -15,7 +16,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet fmt-check check ci fuzz examples verify clean gen bench-check
+.PHONY: all build bin test test-short test-race vet fmt-check check ci fuzz examples clean gen bench-check
 
 all: build test
 
@@ -129,10 +130,7 @@ bin:
 	mkdir -p bin
 	$(GO) build -o bin ./cmd/...
 
-verify: build test
-	$(GO) test ./... 2>&1 | tee test_output.txt
-
 # snaps/ is committed (the deterministic example fleet the warehouse
 # gate ingests) — clean must not remove it.
 clean:
-	rm -rf bin test_output.txt fault_evidence
+	rm -rf bin fault_evidence

@@ -11,9 +11,12 @@
 //	tbagent -spool spool -server http://127.0.0.1:7321 -once
 //
 // Against a sharded fleet, -server takes the comma-separated shard
-// list in ring order; the agent places each snap by its content hash
-// and fails over to the next live shard when the home shard is down
-// or draining (counted in coll_agent_failover_total):
+// list in ring order; the agent places each snap by its content hash.
+// It never probes /healthz: an upload that cannot connect, or that a
+// draining daemon answers 503, marks that shard down for the rest of
+// the pass and the snap fails over to the next one (counted in
+// coll_agent_failover_total). One URL is a ring of one; with no shard
+// left the snap stays spooled and retries:
 //
 //	tbagent -spool spool -server http://s0:7321,http://s1:7321,http://s2:7321
 package main

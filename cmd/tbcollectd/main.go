@@ -14,8 +14,9 @@
 // (coll_* + arch_* + triage_* telemetry; ?format=json for JSON), GET
 // /healthz (state, uptime, warehouse totals). Uploads beyond
 // -inflight concurrent ingests are rejected 429 with Retry-After.
-// SIGINT/SIGTERM drains gracefully: in-flight ingests finish and the
-// store closes with a flushed index.
+// SIGINT/SIGTERM drains gracefully: new uploads are refused 503 with
+// Retry-After, in-flight ingests finish and the store closes with a
+// flushed index.
 package main
 
 import (
@@ -93,8 +94,8 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 	fmt.Fprintf(stdout, "tbcollectd: listening on http://%s (store %s, inflight %d)\n",
 		l.Addr(), *store, *inflight)
 
-	// Flip /healthz to the draining state first, so anything polling
-	// health sees the drain before the listener closes.
+	// Enter the drain first, so /healthz and every new upload say so
+	// before the listener closes.
 	err = serveUntil(sigs, srv, l, *drainTimeout, func() {
 		srv.BeginDrain()
 		fmt.Fprintln(stdout, "tbcollectd: draining")

@@ -499,17 +499,10 @@ func (c *cli) watch(args []string) error {
 		if tick > 1 {
 			d := *interval
 			if down > 0 {
-				// The daemon is away: back off exponentially (capped at
-				// 8x the interval) with jitter in [d/2, d], so a fleet of
-				// watchers does not hammer a restarting daemon in
-				// lockstep.
-				for i := 1; i < down && d < 8*(*interval); i++ {
-					d *= 2
-				}
-				if d > 8*(*interval) {
-					d = 8 * (*interval)
-				}
-				d = d/2 + time.Duration(rng.Int63n(int64(d/2)+1))
+				// The daemon is away: back off as the agent does, capped
+				// at 8x the interval, so a fleet of watchers does not
+				// hammer a restarting daemon in lockstep.
+				d = collect.Backoff(*interval, 8*(*interval), down, rng)
 			}
 			time.Sleep(d)
 		}

@@ -102,21 +102,29 @@ type AgentOptions struct {
 }
 
 // Agent watches a spool directory and uploads every snap to a
-// collection daemon. Durability contract: a snap leaves the spool
-// only after a 2xx response whose hash echo matches the content
-// address it is spooled under — anything less (lost response, truncated reply,
-// 5xx, daemon death mid-upload) leaves the file spooled and the next
-// pass retries. The warehouse's content-addressed idempotency makes
-// those retries safe: re-uploading committed content is a no-op.
+// collection daemon, or to a ring of shard daemons. Durability
+// contract: a snap leaves the spool only after a 2xx response whose
+// hash echo matches the content address it is spooled under — anything
+// less (lost response, truncated reply, 5xx, daemon death mid-upload)
+// leaves the file spooled and the next pass retries. The warehouse's
+// content-addressed idempotency makes those retries safe: re-uploading
+// committed content is a no-op.
+//
+// Placement needs no coordination: the first 32 bits of the content
+// address index the shard ring (internal/shard), one daemon being a
+// ring of one. Liveness needs no probe: the upload attempt is the
+// check. A shard that cannot be reached, or that answers 503 because
+// it is draining, is skipped for the rest of the pass and the snap
+// goes to the next shard in ring order at once. Such a failover can
+// land content off its home shard; the warehouse merge dedups by
+// content address, so the fleet view loses nothing, and every attempt
+// off home is counted (coll_agent_failover_total) and
+// flight-recorded.
 type Agent struct {
 	spool string
-	// servers holds the daemon base URLs in shard-ring order. A single
-	// entry is the classic one-daemon deployment; more make the agent
-	// shard-aware (fleet.go): snaps place by content hash, with
-	// failover to the next live shard when the home shard is down or
-	// draining.
+	// servers holds the daemon base URLs in shard-ring order.
 	servers []string
-	ring    *shard.Ring // nil when len(servers) == 1
+	ring    *shard.Ring
 
 	client      *http.Client
 	backoffBase time.Duration
@@ -125,9 +133,6 @@ type Agent struct {
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
-
-	healthMu sync.Mutex
-	health   []bool // per-server liveness, refreshed each pass (fleet mode)
 
 	reg *telemetry.Registry
 	rec *telemetry.Recorder
@@ -143,32 +148,17 @@ type agentMetrics struct {
 	failovers    *telemetry.Counter
 }
 
-// NewAgent builds an uploader for one spool directory against a
-// daemon base URL (e.g. "http://collector:7321").
-func NewAgent(spool, baseURL string, opts AgentOptions) *Agent {
-	a, err := NewFleetAgent(spool, []string{baseURL}, opts)
-	if err != nil {
-		// Unreachable: a one-server fleet is always constructible.
-		panic(err)
-	}
-	return a
-}
-
-// NewFleetAgent builds a shard-aware uploader over the fleet's daemon
-// base URLs, listed in shard-ring order (every agent and the gate must
-// agree on the order — it is the placement function). One URL behaves
-// exactly like NewAgent.
+// NewFleetAgent builds an uploader for one spool directory over the
+// daemon base URLs (e.g. "http://collector:7321"), listed in
+// shard-ring order: every agent and the gate must agree on the order —
+// it is the placement function. One URL is the one-daemon deployment.
 func NewFleetAgent(spool string, servers []string, opts AgentOptions) (*Agent, error) {
 	if len(servers) == 0 {
 		return nil, fmt.Errorf("collect: fleet agent needs at least one server")
 	}
-	var ring *shard.Ring
-	if len(servers) > 1 {
-		r, err := shard.NewRing(len(servers))
-		if err != nil {
-			return nil, err
-		}
-		ring = r
+	ring, err := shard.NewRing(len(servers))
+	if err != nil {
+		return nil, err
 	}
 	if opts.Client == nil {
 		opts.Client = &http.Client{Timeout: 30 * time.Second}
@@ -255,37 +245,14 @@ const (
 	outCommitted   outcome = iota // left the spool (uploaded or dedup-skipped)
 	outRetry                      // transient failure, file stays spooled
 	outQuarantined                // moved aside, never retried
+	outDown                       // the shard is down or draining: try the next one
 )
 
 // Drain uploads until the spool is empty, retrying failed snaps with
-// jittered exponential backoff (and honoring 429 Retry-After hints),
-// until ctx is cancelled. On cancellation the remaining snaps stay
-// spooled — the next Drain, even in a new process, resumes them.
-func (a *Agent) Drain(ctx context.Context) error {
-	attempt := 0
-	for {
-		done, remaining, hint, lastErr := a.pass(ctx)
-		if remaining == 0 {
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("collect: drain interrupted with %d snap(s) spooled (last error: %v): %w",
-				remaining, lastErr, err)
-		}
-		if done > 0 {
-			attempt = 0 // progress: the daemon is back, restart the ramp
-		}
-		attempt++
-		d := a.backoff(attempt)
-		if hint > d {
-			d = hint
-		}
-		if err := a.sleep(ctx, d); err != nil {
-			return fmt.Errorf("collect: drain interrupted with %d snap(s) spooled (last error: %v): %w",
-				remaining, lastErr, err)
-		}
-	}
-}
+// jittered exponential backoff (and honoring Retry-After hints), until
+// ctx is cancelled. On cancellation the remaining snaps stay spooled —
+// the next Drain, even in a new process, resumes them.
+func (a *Agent) Drain(ctx context.Context) error { return a.loop(ctx, 0) }
 
 // Run watches the spool until ctx is cancelled: drain what is there,
 // then poll for new snaps. Transient failures back off exactly as in
@@ -294,51 +261,59 @@ func (a *Agent) Run(ctx context.Context, poll time.Duration) error {
 	if poll <= 0 {
 		poll = 2 * time.Second
 	}
+	return a.loop(ctx, poll)
+}
+
+// loop is Drain (poll 0: stop once a pass leaves nothing spooled) and
+// Run (sleep poll after such a pass). Only Run returns ctx's error
+// bare.
+func (a *Agent) loop(ctx context.Context, poll time.Duration) error {
 	attempt := 0
 	for {
-		done, remaining, hint, _ := a.pass(ctx)
-		if err := ctx.Err(); err != nil {
-			return err
+		done, remaining, hint, lastErr := a.pass(ctx)
+		if remaining == 0 && poll == 0 {
+			return nil
 		}
-		var d time.Duration
-		switch {
-		case remaining == 0:
+		d := poll
+		if remaining == 0 {
 			attempt = 0
-			d = poll
-		default:
+		} else {
 			if done > 0 {
-				attempt = 0
+				attempt = 0 // progress: the daemon is back, restart the ramp
 			}
 			attempt++
-			d = a.backoff(attempt)
-			if hint > d {
-				d = hint
-			}
+			d = max(a.backoff(attempt), hint)
 		}
-		if err := a.sleep(ctx, d); err != nil {
-			return err
+		err := ctx.Err()
+		if err == nil {
+			err = a.sleep(ctx, d)
+		}
+		if err != nil {
+			if poll > 0 {
+				return err
+			}
+			return fmt.Errorf("collect: drain interrupted with %d snap(s) spooled (last error: %v): %w",
+				remaining, lastErr, err)
 		}
 	}
 }
 
 // pass tries every spooled snap once. done counts snaps that left the
 // spool, remaining what is still waiting (retryables), hint the
-// largest Retry-After the daemon sent, lastErr the most recent
+// largest Retry-After a daemon sent, lastErr the most recent
 // retryable failure (for diagnostics).
 func (a *Agent) pass(ctx context.Context) (done, remaining int, hint time.Duration, lastErr error) {
 	paths, err := a.scan()
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if len(paths) > 0 {
-		a.refreshHealth(ctx)
-	}
+	down := make([]bool, len(a.servers)) // shards an attempt found down or draining
 	for _, p := range paths {
 		if ctx.Err() != nil {
 			remaining++
 			continue
 		}
-		out, h, err := a.processFile(ctx, p)
+		out, h, err := a.processFile(ctx, p, down)
 		switch out {
 		case outCommitted, outQuarantined:
 			done++
@@ -349,9 +324,7 @@ func (a *Agent) pass(ctx context.Context) (done, remaining int, hint time.Durati
 				lastErr = err
 				a.rec.Record(0, "coll-agent-retry", filepath.Base(p)+": "+err.Error())
 			}
-			if h > hint {
-				hint = h
-			}
+			hint = max(hint, h)
 		}
 	}
 	return done, remaining, hint, lastErr
@@ -362,10 +335,16 @@ func (a *Agent) pass(ctx context.Context) (done, remaining int, hint time.Durati
 // is addressed by its name and its bytes are the upload body; the
 // agent neither decodes nor hashes it. Any other entry is re-spooled
 // first (respool).
-func (a *Agent) processFile(ctx context.Context, path string) (outcome, time.Duration, error) {
+//
+// The entry goes to its ring home, or to the next shard in ring order
+// that down does not mark. A shard the attempt finds down or draining
+// is marked for the rest of the pass and the walk goes on at once;
+// with no shard left the entry stays spooled, hinted with the largest
+// Retry-After seen.
+func (a *Agent) processFile(ctx context.Context, path string, down []bool) (outcome, time.Duration, error) {
 	sum, ok := spoolSum(filepath.Base(path))
 	if !ok {
-		return a.respool(ctx, path, errors.New("not named by its content address"))
+		return a.respool(ctx, path, down, errors.New("not named by its content address"))
 	}
 	body, err := os.ReadFile(path)
 	if err != nil {
@@ -374,13 +353,37 @@ func (a *Agent) processFile(ctx context.Context, path string) (outcome, time.Dur
 		}
 		return outRetry, 0, err
 	}
-	base, err := a.targetFor(sum)
+	home, err := a.ring.Place(sum)
 	if err != nil {
-		// Every shard down or draining: spool-and-retry, like a single
-		// daemon being unreachable.
 		return outRetry, 0, err
 	}
+	var hint time.Duration
+	cause := fmt.Errorf("no live shard (home %d of %d)", home, len(a.servers))
+	for i := range a.servers {
+		s := (home + i) % len(a.servers)
+		if down[s] {
+			continue
+		}
+		if ctx.Err() != nil {
+			break // a cancelled attempt says nothing about the next shard
+		}
+		if s != home {
+			a.met.failovers.Inc()
+			a.rec.Record(0, "coll-agent-failover", fmt.Sprintf("%s: shard %d -> %d", sum[:12], home, s))
+		}
+		out, h, err := a.upload(ctx, a.servers[s], path, sum, body, down)
+		if out != outDown {
+			return out, h, err
+		}
+		down[s] = true
+		hint, cause = max(hint, h), err
+	}
+	return outRetry, hint, cause
+}
 
+// upload runs the state machine against one daemon. A transport error
+// or a 503 is outDown; processFile never returns it.
+func (a *Agent) upload(ctx context.Context, base, path, sum string, body []byte, down []bool) (outcome, time.Duration, error) {
 	// Dedup precheck: a HEAD round trip instead of the whole body for
 	// crashes the warehouse already holds.
 	req, err := http.NewRequestWithContext(ctx, http.MethodHead, base+PathBlobPrefix+sum, nil)
@@ -389,7 +392,7 @@ func (a *Agent) processFile(ctx context.Context, path string) (outcome, time.Dur
 	}
 	resp, err := a.client.Do(req)
 	if err != nil {
-		return outRetry, 0, err
+		return outDown, 0, err
 	}
 	resp.Body.Close()
 	switch resp.StatusCode {
@@ -401,6 +404,8 @@ func (a *Agent) processFile(ctx context.Context, path string) (outcome, time.Dur
 	case http.StatusTooManyRequests:
 		a.met.backpressure.Inc()
 		return outRetry, retryAfter(resp), fmt.Errorf("precheck backpressure (429)")
+	case http.StatusServiceUnavailable:
+		return outDown, retryAfter(resp), fmt.Errorf("precheck: %s", resp.Status)
 	default:
 		return outRetry, 0, fmt.Errorf("precheck: unexpected status %s", resp.Status)
 	}
@@ -413,7 +418,7 @@ func (a *Agent) processFile(ctx context.Context, path string) (outcome, time.Dur
 	req.Header.Set(HeaderSum, sum)
 	resp, err = a.client.Do(req)
 	if err != nil {
-		return outRetry, 0, err
+		return outDown, 0, err
 	}
 	defer resp.Body.Close()
 	switch {
@@ -434,6 +439,8 @@ func (a *Agent) processFile(ctx context.Context, path string) (outcome, time.Dur
 	case resp.StatusCode == http.StatusTooManyRequests:
 		a.met.backpressure.Inc()
 		return outRetry, retryAfter(resp), fmt.Errorf("upload backpressure (429)")
+	case resp.StatusCode == http.StatusServiceUnavailable:
+		return outDown, retryAfter(resp), fmt.Errorf("upload: %s", resp.Status)
 	case resp.StatusCode >= 500:
 		return outRetry, 0, fmt.Errorf("upload: daemon error %s", resp.Status)
 	default:
@@ -449,7 +456,7 @@ func (a *Agent) processFile(ctx context.Context, path string) (outcome, time.Dur
 		if resp.StatusCode == http.StatusUnprocessableEntity {
 			// The bytes are not the snap their name addresses, or not
 			// its canonical encoding: a decoded snap re-spooled is both.
-			return a.respool(ctx, path, cause)
+			return a.respool(ctx, path, down, cause)
 		}
 		return a.quarantine(path, cause)
 	}
@@ -463,7 +470,7 @@ func (a *Agent) processFile(ctx context.Context, path string) (outcome, time.Dur
 // not decode is quarantined, and so is one whose respool lands on its
 // own name, with cause kept: the daemon would refuse the same bytes
 // again, so retrying could only loop.
-func (a *Agent) respool(ctx context.Context, path string, cause error) (outcome, time.Duration, error) {
+func (a *Agent) respool(ctx context.Context, path string, down []bool, cause error) (outcome, time.Duration, error) {
 	sn, err := snap.LoadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -484,7 +491,7 @@ func (a *Agent) respool(ctx context.Context, path string, cause error) (outcome,
 		return outRetry, 0, err
 	}
 	a.rec.Record(sn.Time, "coll-agent-respool", filepath.Base(path)+" -> "+filepath.Base(dst)+": "+cause.Error())
-	return a.processFile(ctx, dst)
+	return a.processFile(ctx, dst, down)
 }
 
 // spoolSum returns the content address a spool entry is named by, and
@@ -520,21 +527,24 @@ func (a *Agent) quarantine(path string, cause error) (outcome, time.Duration, er
 	return outQuarantined, 0, nil
 }
 
-// backoff computes the jittered exponential delay for the given
-// consecutive-failure count: base·2^(n-1) capped at max, then
-// uniformly jittered into [d/2, d] so a fleet's retries decorrelate.
 func (a *Agent) backoff(attempt int) time.Duration {
-	d := a.backoffBase
-	for i := 1; i < attempt && d < a.backoffMax; i++ {
+	a.rngMu.Lock()
+	defer a.rngMu.Unlock()
+	return Backoff(a.backoffBase, a.backoffMax, attempt, a.rng)
+}
+
+// Backoff is the jittered exponential delay after attempt consecutive
+// failures: base·2^(attempt-1) capped at limit, then drawn uniformly
+// from [d/2, d] so a fleet's retries decorrelate.
+func Backoff(base, limit time.Duration, attempt int, rng *rand.Rand) time.Duration {
+	d := base
+	for i := 1; i < attempt && d < limit; i++ {
 		d *= 2
 	}
-	if d > a.backoffMax {
-		d = a.backoffMax
+	if d > limit {
+		d = limit
 	}
-	a.rngMu.Lock()
-	j := time.Duration(a.rng.Int63n(int64(d/2) + 1))
-	a.rngMu.Unlock()
-	return d/2 + j
+	return d/2 + time.Duration(rng.Int63n(int64(d/2)+1))
 }
 
 // retryAfter parses a Retry-After seconds hint (0 when absent/bad).

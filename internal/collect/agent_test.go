@@ -39,15 +39,21 @@ func newLoopback() (*loopback, error) {
 func (lb *loopback) Addr() string { return lb.Listener.Addr().String() }
 func (lb *loopback) URL() string  { return "http://" + lb.Addr() }
 
-// fastAgent builds an agent whose retries cost (almost) no wall
-// clock: instant sleep, tiny backoff, pinned jitter seed.
-func fastAgent(spool, base string) *Agent {
-	return NewAgent(spool, base, AgentOptions{
+// fastAgent builds an agent over the daemon base URLs whose retries
+// cost (almost) no wall clock: instant sleep, tiny backoff, pinned
+// jitter seed.
+func fastAgent(t *testing.T, spool string, bases ...string) *Agent {
+	t.Helper()
+	a, err := NewFleetAgent(spool, bases, AgentOptions{
 		BackoffBase: time.Millisecond,
 		BackoffMax:  4 * time.Millisecond,
 		Seed:        1,
 		Sleep:       func(ctx context.Context, d time.Duration) error { return ctx.Err() },
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
 }
 
 func mustSpool(t *testing.T, dir string, n int) string {
@@ -98,7 +104,7 @@ func TestAgentDrainAndDedupSkip(t *testing.T) {
 	spool1 := t.TempDir()
 	mustSpool(t, spool1, 1)
 	mustSpool(t, spool1, 2)
-	a1 := fastAgent(spool1, ts.URL)
+	a1 := fastAgent(t, spool1, ts.URL)
 	if err := a1.Drain(t.Context()); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +123,7 @@ func TestAgentDrainAndDedupSkip(t *testing.T) {
 	// after the precheck — and the journal records nothing new.
 	spool2 := t.TempDir()
 	mustSpool(t, spool2, 1)
-	a2 := fastAgent(spool2, ts.URL)
+	a2 := fastAgent(t, spool2, ts.URL)
 	if err := a2.Drain(t.Context()); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +168,7 @@ func TestAgentRetriesThroughErrorStorm(t *testing.T) {
 
 	spool := t.TempDir()
 	mustSpool(t, spool, 1)
-	ag := fastAgent(spool, storm.URL)
+	ag := fastAgent(t, spool, storm.URL)
 	if err := ag.Drain(t.Context()); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +207,7 @@ func TestAgentHonors429RetryAfter(t *testing.T) {
 	defer gate.Close()
 
 	var slept []time.Duration
-	ag := NewAgent(t.TempDir(), gate.URL, AgentOptions{
+	ag, err := NewFleetAgent(t.TempDir(), []string{gate.URL}, AgentOptions{
 		BackoffBase: time.Millisecond,
 		BackoffMax:  4 * time.Millisecond,
 		Seed:        1,
@@ -210,6 +216,9 @@ func TestAgentHonors429RetryAfter(t *testing.T) {
 			return ctx.Err()
 		},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	mustSpool(t, ag.spool, 1)
 	if err := ag.Drain(t.Context()); err != nil {
 		t.Fatal(err)
@@ -266,7 +275,7 @@ func TestAgentTruncatedResponseRetriesIdempotently(t *testing.T) {
 
 	spool := t.TempDir()
 	mustSpool(t, spool, 1)
-	ag := fastAgent(spool, trunc.URL)
+	ag := fastAgent(t, spool, trunc.URL)
 	if err := ag.Drain(t.Context()); err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +323,7 @@ func TestAgentSurvivesDaemonKillRestart(t *testing.T) {
 	spool := t.TempDir()
 	mustSpool(t, spool, 1)
 	mustSpool(t, spool, 2)
-	ag := fastAgent(spool, lb.URL())
+	ag := fastAgent(t, spool, lb.URL())
 	drained := make(chan error, 1)
 	go func() { drained <- ag.Drain(t.Context()) }()
 
@@ -404,7 +413,7 @@ func TestAgentQuarantinesUnreadableSnap(t *testing.T) {
 	}
 	mustSpool(t, spool, 1)
 
-	ag := fastAgent(spool, ts.URL)
+	ag := fastAgent(t, spool, ts.URL)
 	if err := ag.Drain(t.Context()); err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +447,7 @@ func TestAgentQuarantinesDefinitiveRejection(t *testing.T) {
 
 	spool := t.TempDir()
 	mustSpool(t, spool, 1)
-	ag := fastAgent(spool, reject.URL)
+	ag := fastAgent(t, spool, reject.URL)
 	if err := ag.Drain(t.Context()); err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +513,7 @@ func TestAgentBoundsUploadResponse(t *testing.T) {
 	spool := t.TempDir()
 	path := mustSpool(t, spool, 1)
 	t0 := time.Now()
-	out, _, err := fastAgent(spool, endless.URL).processFile(t.Context(), path)
+	out, _, err := fastAgent(t, spool, endless.URL).processFile(t.Context(), path, make([]bool, 1))
 	if d := time.Since(t0); d > 5*time.Second {
 		t.Errorf("endless reply held the agent for %v", d)
 	}
@@ -558,7 +567,7 @@ func TestAgentShipsWhatItSpooled(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(spool, sum+spoolSuffix), fast.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := fastAgent(spool, capture.URL).Drain(t.Context()); err != nil {
+	if err := fastAgent(t, spool, capture.URL).Drain(t.Context()); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -629,7 +638,7 @@ func TestAgentRespoolsWhatItCannotSend(t *testing.T) {
 	write("app-3.snap.json", mkSnap("h1", 3), false)
 	write(misnamed+spoolSuffix, mkSnap("h1", 5), true)
 
-	ag := fastAgent(spool, ts.URL)
+	ag := fastAgent(t, spool, ts.URL)
 	if err := ag.Drain(t.Context()); err != nil {
 		t.Fatal(err)
 	}
@@ -676,7 +685,7 @@ func TestAgentQuarantinesRespoolOntoItself(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(spool, name), body.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ag := fastAgent(spool, ts.URL)
+	ag := fastAgent(t, spool, ts.URL)
 	if err := ag.Drain(t.Context()); err != nil {
 		t.Fatal(err)
 	}
@@ -706,7 +715,7 @@ func TestAgentDrainCancelKeepsSpool(t *testing.T) {
 	spool := t.TempDir()
 	mustSpool(t, spool, 1)
 	ctx, cancel := context.WithCancel(t.Context())
-	ag := NewAgent(spool, down.URL, AgentOptions{
+	ag, err := NewFleetAgent(spool, []string{down.URL}, AgentOptions{
 		BackoffBase: time.Millisecond,
 		BackoffMax:  4 * time.Millisecond,
 		Seed:        1,
@@ -715,6 +724,9 @@ func TestAgentDrainCancelKeepsSpool(t *testing.T) {
 			return ctx.Err()
 		},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ag.Drain(ctx); err == nil {
 		t.Fatal("cancelled drain reported success")
 	}
@@ -725,7 +737,7 @@ func TestAgentDrainCancelKeepsSpool(t *testing.T) {
 	// Process restart: a fresh agent against a healthy daemon resumes
 	// from the spool alone.
 	_, ts, arch := newTestDaemon(t, ServerOptions{})
-	if err := fastAgent(spool, ts.URL).Drain(t.Context()); err != nil {
+	if err := fastAgent(t, spool, ts.URL).Drain(t.Context()); err != nil {
 		t.Fatal(err)
 	}
 	if n := spoolLen(t, spool); n != 0 || journalLen(t, arch) != 1 {

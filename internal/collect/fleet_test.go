@@ -6,7 +6,9 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,22 +17,6 @@ import (
 	"traceback/internal/snap"
 	"traceback/internal/telemetry"
 )
-
-// fastFleetAgent builds a shard-aware agent with no-wall-clock
-// retries against the given daemon base URLs.
-func fastFleetAgent(t *testing.T, spool string, bases ...string) *Agent {
-	t.Helper()
-	a, err := NewFleetAgent(spool, bases, AgentOptions{
-		BackoffBase: time.Millisecond,
-		BackoffMax:  4 * time.Millisecond,
-		Seed:        1,
-		Sleep:       func(ctx context.Context, d time.Duration) error { return ctx.Err() },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
-}
 
 func flightKinds(reg *telemetry.Registry) []string {
 	var kinds []string
@@ -70,7 +56,7 @@ func TestFleetAgentRespectsPlacement(t *testing.T) {
 	for i := 0; i < snaps; i++ {
 		mustSpool(t, spool, i)
 	}
-	ag := fastFleetAgent(t, spool, bases...)
+	ag := fastAgent(t, spool, bases...)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := ag.Drain(ctx); err != nil {
@@ -139,7 +125,7 @@ func TestFleetAgentFailoverOnDeadShard(t *testing.T) {
 
 	ts1.Close() // shard 1 dies before the agent ever runs
 
-	ag := fastFleetAgent(t, spool, ts0.URL, ts1.URL)
+	ag := fastAgent(t, spool, ts0.URL, ts1.URL)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := ag.Drain(ctx); err != nil {
@@ -174,7 +160,7 @@ func TestFleetAgentDrainingShardRedirects(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		mustSpool(t, spool, i)
 	}
-	ag := fastFleetAgent(t, spool, ts0.URL, ts1.URL)
+	ag := fastAgent(t, spool, ts0.URL, ts1.URL)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := ag.Drain(ctx); err != nil {
@@ -204,7 +190,7 @@ func TestFleetAgentAllShardsDownSpools(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		mustSpool(t, spool, i)
 	}
-	ag := fastFleetAgent(t, spool, ts0.URL, ts1.URL)
+	ag := fastAgent(t, spool, ts0.URL, ts1.URL)
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	if err := ag.Drain(ctx); err == nil {
@@ -212,6 +198,141 @@ func TestFleetAgentAllShardsDownSpools(t *testing.T) {
 	}
 	if got := spoolLen(t, spool); got != 3 {
 		t.Errorf("%d snap(s) spooled, want all 3 kept", got)
+	}
+}
+
+// requestLog fronts a daemon and counts the requests it serves by
+// method and route (every /v1/blob/{sum} is one route).
+type requestLog struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func countRequests(t *testing.T, h http.Handler) (*httptest.Server, *requestLog) {
+	log := &requestLog{n: map[string]int{}}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		route := r.URL.Path
+		if strings.HasPrefix(route, PathBlobPrefix) {
+			route = PathBlobPrefix
+		}
+		log.mu.Lock()
+		log.n[r.Method+" "+route]++
+		log.mu.Unlock()
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	return ts, log
+}
+
+func (l *requestLog) count(key string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.n[key]
+}
+
+// spoolHomed spools n distinct snaps and returns their content
+// addresses grouped by ring home.
+func spoolHomed(t *testing.T, spool string, ring *shard.Ring, n int) map[int][]string {
+	t.Helper()
+	homes := map[int][]string{}
+	for i := 0; i < n; i++ {
+		s := mkSnap("h1", i)
+		sum, _, err := archive.ChecksumSnap(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Spool(spool, s); err != nil {
+			t.Fatal(err)
+		}
+		home, err := ring.Place(sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		homes[home] = append(homes[home], sum)
+	}
+	return homes
+}
+
+// TestFleetAgentSendsNoHealthProbes: the upload attempt is the only
+// liveness check. A healthy three-shard drain asks no shard for
+// /healthz, and every blob still lands on its ring home.
+func TestFleetAgentSendsNoHealthProbes(t *testing.T) {
+	const n = 3
+	ring, err := shard.NewRing(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bases := make([]string, n)
+	archs := make([]*archive.Archive, n)
+	logs := make([]*requestLog, n)
+	for i := range bases {
+		srv, _, arch := newTestDaemon(t, ServerOptions{})
+		ts, log := countRequests(t, srv.Handler())
+		bases[i], archs[i], logs[i] = ts.URL, arch, log
+	}
+	spool := t.TempDir()
+	homes := spoolHomed(t, spool, ring, 12)
+	if err := fastAgent(t, spool, bases...).Drain(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	for s := range bases {
+		if got := logs[s].count("GET " + PathHealth); got != 0 {
+			t.Errorf("shard %d was asked for %s %d time(s)", s, PathHealth, got)
+		}
+		for _, sum := range homes[s] {
+			if !archs[s].Has(sum) {
+				t.Errorf("blob %s is not on its ring home, shard %d", sum[:8], s)
+			}
+		}
+		if got := archs[s].NumBlobs(); got != len(homes[s]) {
+			t.Errorf("shard %d holds %d blob(s), its ring homes %d", s, got, len(homes[s]))
+		}
+	}
+}
+
+// TestFleetAgentDrainingShardCostsOnePost: a draining shard refuses the
+// first upload of a pass with 503 and is skipped for the rest of it —
+// one POST however many snaps it homes. Every one of them lands on the
+// next shard in ring order as a counted failover.
+func TestFleetAgentDrainingShardCostsOnePost(t *testing.T) {
+	const n, draining = 3, 1
+	ring, err := shard.NewRing(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bases := make([]string, n)
+	archs := make([]*archive.Archive, n)
+	logs := make([]*requestLog, n)
+	for i := range bases {
+		srv, _, arch := newTestDaemon(t, ServerOptions{})
+		if i == draining {
+			srv.BeginDrain()
+		}
+		ts, log := countRequests(t, srv.Handler())
+		bases[i], archs[i], logs[i] = ts.URL, arch, log
+	}
+	spool := t.TempDir()
+	homes := spoolHomed(t, spool, ring, 12)
+	if len(homes[draining]) < 2 {
+		t.Fatalf("the draining shard homes %d snap(s); the test needs at least 2", len(homes[draining]))
+	}
+	ag := fastAgent(t, spool, bases...)
+	if done, remaining, _, err := ag.pass(t.Context()); remaining != 0 || done != 12 {
+		t.Fatalf("one pass: %d done, %d spooled (last error %v), want 12/0", done, remaining, err)
+	}
+	if got := logs[draining].count("POST " + PathSnap); got != 1 {
+		t.Errorf("the draining shard was sent %d POST(s) in one pass, want 1", got)
+	}
+	for _, sum := range homes[draining] {
+		if !archs[draining+1].Has(sum) {
+			t.Errorf("blob %s homed on the draining shard is not on the next one", sum[:8])
+		}
+	}
+	if got := archs[draining].NumBlobs(); got != 0 {
+		t.Errorf("the draining shard took %d blob(s)", got)
+	}
+	if got, want := ag.met.failovers.Load(), uint64(len(homes[draining])); got != want {
+		t.Errorf("coll_agent_failover_total = %d, want %d (snaps homed on the draining shard)", got, want)
 	}
 }
 

@@ -32,8 +32,9 @@ const (
 	PathBlobPrefix = "/" + APIVersion + "/blob/"
 	// PathSnap accepts POST uploads: body is one snap's canonical JSON
 	// (the bytes Snap.Save writes), plain or as one gzip member at any
-	// level; any other encoding is refused 422. Response is an
-	// UploadResponse.
+	// level; any other encoding is refused 422, and every upload that
+	// arrives while the daemon drains is refused 503 with Retry-After.
+	// Response is an UploadResponse.
 	PathSnap = "/" + APIVersion + "/snap"
 	// PathBuckets and PathTop are the fleet triage queries, JSON
 	// mirrors of `tbstore ls` / `tbstore top`.
@@ -96,7 +97,7 @@ const (
 	HealthOK = "ok"
 	// HealthDraining: the daemon is shutting down gracefully —
 	// in-flight ingests run to completion but new work should go
-	// elsewhere (HTTP 503, so load balancers eject it).
+	// elsewhere (HTTP 503, here and on every new upload).
 	HealthDraining = "draining"
 )
 

@@ -29,14 +29,13 @@ type ServerOptions struct {
 	MaxInflight int
 	// MaxBodyBytes bounds one upload body (default 64 MiB).
 	MaxBodyBytes int64
-	// RetryAfter is the backpressure hint sent with 429 (default 1s).
-	RetryAfter time.Duration
 	// Telemetry is the registry coll_ metrics land in (nil: private).
 	Telemetry *telemetry.Registry
-	// Triage overrides the fleet-health thresholds for /v1/regressions
-	// and /v1/clusters (zero value: triage defaults).
-	Triage triage.Config
 }
+
+// retryAfterSecs is the Retry-After an upload refused with 429 (at
+// capacity) or 503 (draining) carries.
+const retryAfterSecs = "1"
 
 // Server fronts an archive.Archive with the collection protocol. It
 // is safe for concurrent use; ingest concurrency is bounded by a
@@ -46,9 +45,8 @@ type Server struct {
 	arch *archive.Archive
 	maps recon.MapResolver
 
-	sem        chan struct{}
-	maxBody    int64
-	retryAfter time.Duration
+	sem     chan struct{}
+	maxBody int64
 
 	hs       *http.Server
 	draining atomic.Bool
@@ -83,22 +81,18 @@ func NewServer(arch *archive.Archive, opts ServerOptions) *Server {
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = 64 << 20
 	}
-	if opts.RetryAfter <= 0 {
-		opts.RetryAfter = time.Second
-	}
 	reg := opts.Telemetry
 	if reg == nil {
 		reg = telemetry.New()
 	}
 	s := &Server{
-		arch:       arch,
-		maps:       opts.Maps,
-		sem:        make(chan struct{}, opts.MaxInflight),
-		maxBody:    opts.MaxBodyBytes,
-		retryAfter: opts.RetryAfter,
-		reg:        reg,
-		rec:        reg.Recorder(256),
-		started:    time.Now(),
+		arch:    arch,
+		maps:    opts.Maps,
+		sem:     make(chan struct{}, opts.MaxInflight),
+		maxBody: opts.MaxBodyBytes,
+		reg:     reg,
+		rec:     reg.Recorder(256),
+		started: time.Now(),
 	}
 	s.met = serverMetrics{
 		uploads:      reg.Counter("coll_uploads_total", "snaps ingested over the wire"),
@@ -119,7 +113,7 @@ func NewServer(arch *archive.Archive, opts ServerOptions) *Server {
 	mux.HandleFunc("GET "+PathBlobPrefix+"{sum}", s.handleBlob)
 	mux.HandleFunc("POST "+PathSnap, s.handleUpload)
 	mux.HandleFunc("GET "+PathHealth, s.handleHealth)
-	MountTriage(mux, arch, triage.New(arch, opts.Maps, opts.Triage, reg), reg, nil)
+	MountTriage(mux, arch, triage.New(arch, opts.Maps, triage.Config{}, reg), reg, nil)
 	// Built here, not in Serve, so a Shutdown that wins the race with
 	// the serving goroutine still makes Serve return ErrServerClosed.
 	s.hs = &http.Server{Handler: mux}
@@ -137,9 +131,10 @@ func (s *Server) Metrics() *telemetry.Registry { return s.reg }
 func (s *Server) Serve(l net.Listener) error { return s.hs.Serve(l) }
 
 // BeginDrain flips the daemon into the draining state without
-// closing the listener: /healthz answers 503 {"state":"draining"}
-// while uploads still complete, so a load balancer polling health
-// stops routing new work before the listener disappears. Shutdown
+// closing the listener: /healthz answers 503 {"state":"draining"} and
+// so does every upload that arrives from now on, with Retry-After, so
+// agents take new work to the next shard (or back to the spool) before
+// the listener disappears. Uploads already admitted complete. Shutdown
 // implies it; calling BeginDrain first makes the drain observable.
 func (s *Server) BeginDrain() {
 	if !s.draining.Swap(true) {
@@ -197,18 +192,24 @@ func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
 	io.Copy(w, rc)
 }
 
-// handleUpload is the ingest path: bounded by the semaphore, verified
-// against the claimed content address, committed idempotently.
+// handleUpload is the ingest path: refused while draining, bounded by
+// the semaphore, verified against the claimed content address,
+// committed idempotently.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	defer func() { s.met.uploadNanos.Observe(uint64(time.Since(t0))) }()
 
+	if s.draining.Load() {
+		w.Header().Set("Retry-After", retryAfterSecs)
+		http.Error(w, "draining", http.StatusServiceUnavailable)
+		return
+	}
 	select {
 	case s.sem <- struct{}{}:
 	default:
 		s.met.backpressure.Inc()
 		s.rec.Record(0, "coll-backpressure", r.RemoteAddr)
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.retryAfter+time.Second-1)/time.Second)))
+		w.Header().Set("Retry-After", retryAfterSecs)
 		http.Error(w, "ingest at capacity", http.StatusTooManyRequests)
 		return
 	}

@@ -24,7 +24,7 @@ func TestUploadStormSameSnap(t *testing.T) {
 	for i := 0; i < agents; i++ {
 		spool := t.TempDir()
 		mustSpool(t, spool, 7) // every machine saw the same crash
-		ag := fastAgent(spool, ts.URL)
+		ag := fastAgent(t, spool, ts.URL)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -90,7 +90,7 @@ func TestLoopbackIndexParity(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				ag := fastAgent(spool, ts.URL)
+				ag := fastAgent(t, spool, ts.URL)
 				wg.Add(1)
 				go func(a int) {
 					defer wg.Done()

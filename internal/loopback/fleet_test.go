@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
@@ -148,9 +149,10 @@ func shipTree(t *testing.T, tree *committedTree, inflight int) {
 			check(t, err)
 			check(t, os.WriteFile(filepath.Join(spool, filepath.Base(tree.paths[j])), b, 0o644))
 		}
-		ag := collect.NewAgent(spool, node.URL, collect.AgentOptions{
+		ag, err := collect.NewFleetAgent(spool, []string{node.URL}, collect.AgentOptions{
 			BackoffBase: 5 * time.Millisecond, BackoffMax: 100 * time.Millisecond, Seed: 1,
 		})
+		check(t, err)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -169,6 +171,71 @@ func shipTree(t *testing.T, tree *committedTree, inflight int) {
 	check(t, err)
 	if !bytes.Equal(rebuilt, got) {
 		t.Errorf("index rebuilt from the daemon's journal differs from its live index:\n--- rebuilt ---\n%s\n--- live ---\n%s", rebuilt, got)
+	}
+}
+
+// TestLoneDaemonDrainRefusesUploads: a draining daemon says so in its
+// answer to the upload itself — 503 with Retry-After — so a one-daemon
+// agent keeps the snap spooled, waits out the hint and journals
+// nothing; once the daemon is killed and restarted on its address, the
+// next drain commits the snap.
+func TestLoneDaemonDrainRefusesUploads(t *testing.T) {
+	node, err := StartNode(filepath.Join(t.TempDir(), "wh"), collect.ServerOptions{})
+	check(t, err)
+	t.Cleanup(func() { node.Kill(); node.Close() })
+	node.Srv.BeginDrain()
+
+	spool := t.TempDir()
+	path, err := collect.Spool(spool, mkSnap(1))
+	check(t, err)
+	body, err := os.ReadFile(path)
+	check(t, err)
+	resp, err := http.Post(node.URL+collect.PathSnap, "application/gzip", bytes.NewReader(body))
+	check(t, err)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("upload to a draining daemon: %s, Retry-After %q; want 503 with a hint",
+			resp.Status, resp.Header.Get("Retry-After"))
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var slept time.Duration
+	ag, err := collect.NewFleetAgent(spool, []string{node.URL}, collect.AgentOptions{
+		BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond, Seed: 1,
+		Sleep: func(ctx context.Context, d time.Duration) error {
+			slept = d
+			cancel() // give up during the first wait
+			return ctx.Err()
+		},
+	})
+	check(t, err)
+	if err := ag.Drain(ctx); err == nil {
+		t.Fatal("drain against a draining daemon reported success")
+	}
+	if slept < time.Second {
+		t.Errorf("the agent waited %v, want at least the 1s Retry-After", slept)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("the refused snap left the spool: %v", err)
+	}
+	check(t, node.Kill())
+	check(t, node.Arch.Flush())
+	f, err := os.Open(node.Arch.JournalPath())
+	check(t, err)
+	recs, err := archive.DecodeJournal(f)
+	f.Close()
+	check(t, err)
+	if len(recs) != 0 || node.Arch.NumBlobs() != 0 {
+		t.Fatalf("a draining daemon journaled %d record(s), stored %d blob(s)", len(recs), node.Arch.NumBlobs())
+	}
+
+	check(t, node.Restart())
+	drain(t, ag)
+	sum, _, err := archive.ChecksumSnap(mkSnap(1))
+	check(t, err)
+	if !node.Arch.Has(sum) {
+		t.Error("the snap did not land after the restart")
 	}
 }
 

@@ -9,8 +9,6 @@ package service
 import (
 	"fmt"
 
-	"traceback/internal/archive"
-	"traceback/internal/recon"
 	"traceback/internal/snap"
 	"traceback/internal/tbrt"
 	"traceback/internal/telemetry"
@@ -35,15 +33,8 @@ type Service struct {
 	// Snaps collects snaps the service triggered.
 	Snaps []*snap.Snap
 
-	// arch, when set, receives every service-triggered snap (hang,
-	// external, group) so they accumulate in the warehouse instead of
-	// only in Snaps. archMaps fingerprints them; nil maps degrade to
-	// weak metadata signatures.
-	arch     *archive.Archive
-	archMaps recon.MapResolver
-
-	// forward, when set, additionally hands every service-triggered
-	// snap to the fleet collection plane (typically
+	// forward, when set, hands every service-triggered snap (hang,
+	// external, group) to the fleet collection plane (typically
 	// collect.SpoolForwarder: spool to disk, let tbagent upload), so
 	// remote machines feed the central warehouse automatically.
 	forward func(*snap.Snap) error
@@ -58,8 +49,6 @@ type Service struct {
 	hangs       *telemetry.Counter
 	externals   *telemetry.Counter
 	groupSnaps  *telemetry.Counter
-	archived    *telemetry.Counter
-	archiveErrs *telemetry.Counter
 	forwarded   *telemetry.Counter
 	forwardErrs *telemetry.Counter
 }
@@ -85,21 +74,10 @@ func (s *Service) bindTelemetry(reg *telemetry.Registry) {
 	s.hangs = reg.Counter("svc_hangs_total", "processes declared hung by heartbeat timeout")
 	s.externals = reg.Counter("svc_external_snaps_total", "external snaps triggered by name")
 	s.groupSnaps = reg.Counter("svc_group_snaps_total", "group-propagated snaps taken")
-	s.archived = reg.Counter("svc_archived_total", "service-triggered snaps ingested into the warehouse")
-	s.archiveErrs = reg.Counter("svc_archive_errors_total", "warehouse ingests that failed")
 	s.forwarded = reg.Counter("svc_forwarded_total", "service-triggered snaps handed to the collection plane")
 	s.forwardErrs = reg.Counter("svc_forward_errors_total", "collection-plane forwards that failed")
 	s.verify = verify.NewMetrics(reg)
 	s.fleetM = fleet.NewMetrics(reg)
-}
-
-// SetArchive routes every snap the service triggers into the
-// warehouse. maps fingerprints them via reconstruction; pass nil to
-// archive under weak metadata signatures (still bucketed, still
-// deduplicated, just coarser).
-func (s *Service) SetArchive(a *archive.Archive, maps recon.MapResolver) {
-	s.arch = a
-	s.archMaps = maps
 }
 
 // SetForward routes every snap the service triggers into the fleet
@@ -107,15 +85,13 @@ func (s *Service) SetArchive(a *archive.Archive, maps recon.MapResolver) {
 // snap lands in the local spool and tbagent uploads it to tbcollectd,
 // so remote machines feed the central warehouse without any local CLI
 // step. A forward failure is counted and flight-recorded but never
-// blocks the snap — it stays in Snaps (and the local archive, when
-// one is attached) regardless.
+// blocks the snap — it stays in Snaps regardless.
 func (s *Service) SetForward(fwd func(*snap.Snap) error) {
 	s.forward = fwd
 }
 
 // collect is the single funnel for service-triggered snaps: remember
-// it, archive it when a warehouse is attached, and forward it to the
-// collection plane when one is wired.
+// it, and forward it to the collection plane when one is wired.
 func (s *Service) collect(sn *snap.Snap) {
 	if sn == nil {
 		return
@@ -129,16 +105,6 @@ func (s *Service) collect(sn *snap.Snap) {
 			s.forwarded.Inc()
 		}
 	}
-	if s.arch == nil {
-		return
-	}
-	sig := archive.SignSnap(sn, s.archMaps)
-	if _, err := s.arch.Ingest(sn, sig); err != nil {
-		s.archiveErrs.Inc()
-		s.rec.Record(s.machine.Clock(), "archive-error", err.Error())
-		return
-	}
-	s.archived.Inc()
 }
 
 // ObserveVerification records a module verification outcome in the

@@ -254,10 +254,10 @@ func TestCrossMachineGroupSnap(t *testing.T) {
 	}
 }
 
-// TestServiceArchivesTriggeredSnaps: with a warehouse attached, every
-// snap the service triggers (hang, external) lands in the archive
-// under a reconstructed — not weak — signature, and re-triggering the
-// same fault grows the bucket, not the blob set.
+// TestServiceArchivesTriggeredSnaps: with a warehouse ingest as the
+// forward sink, every snap the service triggers (hang, external) lands
+// in the archive under a reconstructed — not weak — signature, and
+// re-triggering the same fault grows the bucket, not the blob set.
 func TestServiceArchivesTriggeredSnaps(t *testing.T) {
 	res := buildApp(t, hangSrc)
 	w := vm.NewWorld(1)
@@ -276,7 +276,11 @@ func TestServiceArchivesTriggeredSnaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer arch.Close()
-	svc.SetArchive(arch, recon.NewMapSet(res.Map))
+	maps := recon.NewMapSet(res.Map)
+	svc.SetForward(func(sn *snap.Snap) error {
+		_, err := arch.Ingest(sn, archive.SignSnap(sn, maps))
+		return err
+	})
 
 	w.Run(1000, func() bool { return p.Exited })
 	mach.SetClock(mach.Clock() + 50_000)
@@ -312,13 +316,13 @@ func TestServiceArchivesTriggeredSnaps(t *testing.T) {
 	if err := svc.Metrics().WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "svc_archived_total 2") {
-		t.Errorf("svc_archived_total != 2:\n%s", sb.String())
+	if !strings.Contains(sb.String(), "svc_forwarded_total 2") {
+		t.Errorf("svc_forwarded_total != 2:\n%s", sb.String())
 	}
 }
 
-// TestServiceArchiveNilMapsDegradesToWeak: an attached warehouse with
-// no map resolver still preserves evidence, bucketed weakly.
+// TestServiceArchiveNilMapsDegradesToWeak: a forward sink ingesting
+// with no map resolver still preserves evidence, bucketed weakly.
 func TestServiceArchiveNilMapsDegradesToWeak(t *testing.T) {
 	res := buildApp(t, hangSrc)
 	w := vm.NewWorld(1)
@@ -336,7 +340,10 @@ func TestServiceArchiveNilMapsDegradesToWeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer arch.Close()
-	svc.SetArchive(arch, nil)
+	svc.SetForward(func(sn *snap.Snap) error {
+		_, err := arch.Ingest(sn, archive.SignSnap(sn, nil))
+		return err
+	})
 
 	w.Run(1000, nil)
 	mach.SetClock(mach.Clock() + 50_000)

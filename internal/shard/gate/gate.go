@@ -77,8 +77,6 @@ type Options struct {
 	// Maps resolves mapfiles for cluster exemplar reconstruction; nil
 	// degrades clustering exactly as it does on a single daemon.
 	Maps recon.MapResolver
-	// Triage overrides the fleet-health thresholds (zero: defaults).
-	Triage triage.Config
 	// Telemetry is the registry gate_ metrics land in (nil: private).
 	Telemetry *telemetry.Registry
 }
@@ -166,7 +164,7 @@ func New(shards []string, opts Options) (*Gate, error) {
 	// fan-out refresh before every query.
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET "+collect.PathHealth, g.handleHealth)
-	collect.MountTriage(mux, g, triage.New(g, opts.Maps, opts.Triage, reg), reg,
+	collect.MountTriage(mux, g, triage.New(g, opts.Maps, triage.Config{}, reg), reg,
 		func(r *http.Request) error { return g.refresh(r.Context()) })
 	g.hs = &http.Server{Handler: mux}
 	return g, nil
@@ -348,7 +346,9 @@ func (g *Gate) Buckets() []archive.Bucket {
 
 // LoadSnap fetches a blob from its ring-home shard, falling back to a
 // scan of the others: after an agent failover the blob may be
-// resident off-home, and the gate must still find it.
+// resident off-home, and the gate must still find it. A shard's answer
+// counts only when its bytes are the snap sum addresses; any other
+// answer is an error and the scan goes on.
 func (g *Gate) LoadSnap(sum string) (*snap.Snap, error) {
 	home, err := g.ring.Place(sum)
 	if err != nil {
@@ -379,7 +379,14 @@ func (g *Gate) fetchSnap(base, sum string) (*snap.Snap, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("blob: unexpected status %s", resp.Status)
 	}
-	return snap.LoadAuto(resp.Body)
+	sn, raw, err := snap.LoadCanonical(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("blob: %w", err)
+	}
+	if got := archive.SumCanonical(raw); got != sum {
+		return nil, fmt.Errorf("blob: shard answered %.12s with content addressed %.12s", sum, got)
+	}
+	return sn, nil
 }
 
 // handleHealth probes every shard and aggregates: "ok" only when the
@@ -405,6 +412,13 @@ func (g *Gate) handleHealth(w http.ResponseWriter, r *http.Request) {
 	collect.WriteJSON(w, code, HealthResponse{V: 1, State: state, Shards: states})
 }
 
+// maxHealthBody caps one shard's /healthz answer: a HealthResponse is
+// a state and six numbers, well under a few hundred bytes.
+const maxHealthBody = 4 << 10
+
+// probeShard reports the state a shard's /healthz names, or "down"
+// when there is no such answer: unreachable, past the cap, or not a
+// HealthResponse.
 func (g *Gate) probeShard(ctx context.Context, base string) string {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+collect.PathHealth, nil)
 	if err != nil {
@@ -415,8 +429,9 @@ func (g *Gate) probeShard(ctx context.Context, base string) string {
 		return "down"
 	}
 	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxHealthBody+1))
 	var hr collect.HealthResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil || hr.State == "" {
+	if err != nil || len(body) > maxHealthBody || json.Unmarshal(body, &hr) != nil || hr.State == "" {
 		return "down"
 	}
 	return hr.State

@@ -705,3 +705,93 @@ func TestGateShardDownFailsClosed(t *testing.T) {
 		t.Errorf("draining shard reports %q, want %q", hr.Shards[1].State, collect.HealthDraining)
 	}
 }
+
+// blobReply answers every GET /v1/blob/{sum} with one fixed body: a
+// shard that lies about what it holds.
+func blobReply(t *testing.T, body []byte) *httptest.Server {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(body)
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestGateLoadSnapDistrustsBlobs: a shard's blob counts only when its
+// bytes are the snap the content address names. A home shard that
+// answers with some other valid snap is passed over for the honest
+// failover residue off-home; with nothing but such answers, LoadSnap
+// fails and says why.
+func TestGateLoadSnapDistrustsBlobs(t *testing.T) {
+	ring, err := shard.NewRing(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mkSnap(1, "h1", 1000)
+	sum, _, err := archive.ChecksumSnap(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	home, err := ring.Place(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gz, plain bytes.Buffer
+	if err := mkSnap(2, "h1", 1000).SaveCompressed(&gz); err != nil {
+		t.Fatal(err)
+	}
+	if err := mkSnap(3, "h1", 1000).Save(&plain); err != nil {
+		t.Fatal(err)
+	}
+	gzLiar, plainLiar := blobReply(t, gz.Bytes()), blobReply(t, plain.Bytes())
+
+	honest := startNode(t, "honest")
+	if _, err := honest.Arch.IngestUnique(s, archive.SignSnap(s, nil)); err != nil {
+		t.Fatal(err)
+	}
+	urls := make([]string, 2)
+	urls[home], urls[1-home] = gzLiar.URL, honest.URL
+	g, _ := newGate(t, urls)
+	got, err := g.LoadSnap(sum)
+	if err != nil {
+		t.Fatalf("LoadSnap past a lying home shard: %v", err)
+	}
+	if gotSum, _, err := archive.ChecksumSnap(got); err != nil || gotSum != sum {
+		t.Errorf("LoadSnap returned the snap addressed %.12s (%v), want %.12s", gotSum, err, sum)
+	}
+
+	urls[home], urls[1-home] = gzLiar.URL, plainLiar.URL
+	g, _ = newGate(t, urls)
+	if got, err := g.LoadSnap(sum); err == nil || !strings.Contains(err.Error(), "addressed") {
+		t.Errorf("LoadSnap over lying shards: %v, %v; want an error naming the mismatch", got, err)
+	}
+}
+
+// TestGateHealthBoundsShardAnswer: a shard whose /healthz answer never
+// ends is read only as far as a HealthResponse can reach, then
+// reported down — long before the gate's 30 s client timeout.
+func TestGateHealthBoundsShardAnswer(t *testing.T) {
+	endless := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"v":1,"state":"ok"`)
+		pad := bytes.Repeat([]byte(" "), 32<<10)
+		for r.Context().Err() == nil {
+			if _, err := w.Write(pad); err != nil {
+				return
+			}
+		}
+	}))
+	defer endless.Close()
+	_, gw := newGate(t, []string{endless.URL})
+
+	t0 := time.Now()
+	code, body := get(t, gw.URL+collect.PathHealth)
+	if d := time.Since(t0); d > 5*time.Second {
+		t.Errorf("an endless /healthz held the gate for %v", d)
+	}
+	var hr gate.HealthResponse
+	if err := json.Unmarshal(body, &hr); err != nil {
+		t.Fatal(err)
+	}
+	if code != http.StatusServiceUnavailable || len(hr.Shards) != 1 || hr.Shards[0].State != "down" {
+		t.Errorf("gate /healthz: %d %+v, want 503 with the shard down", code, hr)
+	}
+}

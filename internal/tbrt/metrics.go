@@ -39,7 +39,7 @@ func (rt *Runtime) initMetrics() {
 		snapNanos:    reg.Histogram("tbrt_snap_nanos", "host-side snap build+write latency", telemetry.DurationBuckets()),
 		snapWords:    reg.Histogram("tbrt_snap_words", "trace words captured per snap", telemetry.SizeBuckets()),
 	}
-	rt.rec = reg.Recorder(rt.cfg.EventBuffer)
+	rt.rec = reg.Recorder(256)
 }
 
 // event records a flight-recorder entry stamped with the

@@ -61,10 +61,6 @@ type Config struct {
 	// to aggregate runtime, VM, and service metrics into one
 	// exposition. Telemetry is host-side: it never charges VM cycles.
 	Telemetry *telemetry.Registry
-	// EventBuffer sizes the flight recorder — the ring of the last N
-	// notable events (default 256). The recorder is shared through
-	// the registry, so layers on one registry share one ring.
-	EventBuffer int
 }
 
 func (c Config) withDefaults() Config {
@@ -82,9 +78,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Telemetry == nil {
 		c.Telemetry = telemetry.New()
-	}
-	if c.EventBuffer == 0 {
-		c.EventBuffer = 256
 	}
 	c.Policy = c.Policy.withDefaults()
 	return c
