@@ -41,10 +41,11 @@ fmt-check:
 # instrument to a module tbcheck finds clean, and every seeded-broken
 # module in the verifier's corpus must be flagged (-broken inverts the
 # exit status, so a silently-passing verifier fails the gate). The
-# fleet lines do the same cross-module: all examples together must
-# form a clean fleet (no unserved RPC endpoints, no reply-less recv
-# paths, no mining-ambiguous probe words), and every seeded-broken
-# fleet under corpus/fleet/ must be flagged by its pass.
+# -fleet lines do the same for module sets: all examples together must
+# form a clean set (no unserved RPC endpoints, no reply-less recv
+# paths), every seeded-broken set under corpus/fleet/ must be flagged,
+# and a set is checked module by module too, so a clean pair plus a
+# seeded-broken module must draw that module's probe-coverage error.
 check:
 	$(GO) run ./cmd/tbcheck examples/*/*.mc
 	$(GO) run ./cmd/tbcheck -broken internal/verify/testdata/corpus/ambiguous-encoding.tbm \
@@ -56,9 +57,11 @@ check:
 	$(GO) run ./cmd/tbcheck internal/verify/testdata/corpus/clean.tbm
 	$(GO) run ./cmd/tbcheck -fleet examples/*/*.mc
 	$(GO) run ./cmd/tbcheck -fleet internal/verify/testdata/corpus/fleet/fleet-clean
-	$(GO) run ./cmd/tbcheck -fleet -broken internal/verify/testdata/corpus/fleet/ambiguous-trailer \
+	$(GO) run ./cmd/tbcheck -broken internal/verify/testdata/corpus/fleet/ambiguous-trailer \
 		internal/verify/testdata/corpus/fleet/missing-sync \
 		internal/verify/testdata/corpus/fleet/unserved-endpoint
+	$(GO) run ./cmd/tbcheck -fleet internal/verify/testdata/corpus/fleet/fleet-clean \
+		internal/verify/testdata/corpus/missing-probe.tbm | grep -q 'error: \[probe-coverage\]'
 
 # The CI gate: formatting, static analysis, instrumentation
 # verification and the race-detector pass, which subsumes plain `go
@@ -102,7 +105,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzNondetRecordDecode -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzSnapReader -fuzztime $(FUZZTIME) ./internal/snap
 	$(GO) test -run '^$$' -fuzz FuzzMapFileVerify -fuzztime $(FUZZTIME) ./internal/verify
-	$(GO) test -run '^$$' -fuzz FuzzFleetVerify -fuzztime $(FUZZTIME) ./internal/verify/fleet
+	$(GO) test -run '^$$' -fuzz FuzzFleetVerify -fuzztime $(FUZZTIME) ./internal/verify
 	$(GO) test -run '^$$' -fuzz FuzzArchiveIndex -fuzztime $(FUZZTIME) ./internal/archive
 	$(GO) test -run '^$$' -fuzz FuzzUploadBody -fuzztime $(FUZZTIME) ./internal/collect
 	$(GO) test -run '^$$' -fuzz FuzzGateBucketsResponse -fuzztime $(FUZZTIME) ./internal/shard/gate

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"traceback/internal/core"
@@ -107,13 +108,13 @@ func TestCheckJSONOutput(t *testing.T) {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
 	var res struct {
-		Module string `json:"module"`
-		Errors int    `json:"errors"`
+		Modules []string `json:"modules"`
+		Errors  int      `json:"errors"`
 	}
 	if err := json.Unmarshal(out.Bytes(), &res); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, out.String())
 	}
-	if res.Module != "app" || res.Errors != 0 {
+	if len(res.Modules) != 1 || res.Modules[0] != mc || res.Errors != 0 {
 		t.Errorf("JSON result = %+v", res)
 	}
 }
@@ -217,6 +218,39 @@ func TestCheckFleetBrokenCorpus(t *testing.T) {
 		errb.Reset()
 		if code := run([]string{"-fleet", caseDir}, &out, &errb); code != 1 {
 			t.Errorf("%s without -broken: exit %d, want 1", caseDir, code)
+		}
+	}
+}
+
+// TestCheckFleetRunsPerModulePasses: a set is verified module by
+// module too, so a seeded-broken member fails a -fleet run even though
+// it breaks no cross-module rule.
+func TestCheckFleetRunsPerModulePasses(t *testing.T) {
+	corpus := "../../internal/verify/testdata/corpus/"
+	var out, errb bytes.Buffer
+	args := []string{"-fleet", corpus + "fleet/fleet-clean/fleetclient.tbm",
+		corpus + "fleet/fleet-clean/fleetserver.tbm", corpus + "missing-probe.tbm"}
+	if code := run(args, &out, &errb); code != 1 {
+		t.Fatalf("exit %d, want 1; stderr: %s\nstdout: %s", code, errb.String(), out.String())
+	}
+	if !strings.Contains(out.String(), "error: [probe-coverage]") || strings.Contains(out.String(), "verified clean") {
+		t.Errorf("missing-probe.tbm not flagged by probe-coverage:\n%s", out.String())
+	}
+}
+
+// TestCheckWriteFailure: a report that cannot be written is an I/O
+// failure (exit 2) in text mode as in -json mode, not a silent pass.
+func TestCheckWriteFailure(t *testing.T) {
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	defer full.Close()
+	_, mc, _, _ := writeFixture(t)
+	for _, args := range [][]string{{mc}, {"-json", mc}} {
+		var errb bytes.Buffer
+		if code := run(args, full, &errb); code != 2 {
+			t.Errorf("%v with stdout on /dev/full: exit %d, want 2 (stderr: %s)", args, code, errb.String())
 		}
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"traceback/internal/minic"
 	"traceback/internal/module"
 	"traceback/internal/verify"
-	"traceback/internal/verify/fleet"
 )
 
 func main() {
@@ -42,13 +41,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		baseFile  = fs.String("basefile", "", "DAG base file (JSON) assigning bases by module name")
 		emitPlain = fs.Bool("emit-module", false, "with .mc input: also write the uninstrumented module")
 		doVerify  = fs.Bool("verify", true, "statically verify the instrumented output; refuse to write on errors")
-		fleetWith = fs.String("fleetwith", "", "comma-separated .tbm peers: cross-module verify the output against them; refuse to write on errors")
+		fleetWith = fs.String("fleetwith", "", "comma-separated .tbm peers: verify the output together with them as one module set (needs -verify)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: tbinstr [flags] <module.mc|module.tbm>")
+	if fs.NArg() != 1 || (*fleetWith != "" && !*doVerify) {
+		fmt.Fprintln(stderr, "usage: tbinstr [flags] <module.mc|module.tbm> (-fleetwith needs -verify)")
 		fs.Usage()
 		return 2
 	}
@@ -102,36 +101,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *doVerify {
-		vres := verify.Verify(res.Module, res.Map, verify.Options{})
+		inputs := []verify.Input{{Module: res.Module, Map: res.Map, Path: in}}
+		if *fleetWith != "" {
+			for _, peer := range strings.Split(*fleetWith, ",") {
+				pm, err := readModule(peer)
+				if err != nil {
+					return fail(fmt.Errorf("%s: %w", peer, err))
+				}
+				inputs = append(inputs, verify.Input{Module: pm, Path: peer})
+			}
+		}
+		vres := verify.Verify(inputs, verify.Options{})
 		for _, d := range vres.Diags {
 			if d.Severity != verify.SevInfo {
 				fmt.Fprintln(stderr, "tbinstr:", d)
 			}
 		}
 		if !vres.Ok() {
-			return fail(fmt.Errorf("%s failed static verification (%d errors); refusing to write (use -verify=false to override)",
-				mod.Name, vres.NumError))
-		}
-	}
-
-	if *fleetWith != "" {
-		inputs := []fleet.Input{{Module: res.Module, Path: in}}
-		for _, peer := range strings.Split(*fleetWith, ",") {
-			pm, err := readModule(peer)
-			if err != nil {
-				return fail(fmt.Errorf("%s: %w", peer, err))
-			}
-			inputs = append(inputs, fleet.Input{Module: pm, Path: peer})
-		}
-		fres := fleet.Verify(inputs, fleet.Options{})
-		for _, d := range fres.Diags {
-			if d.Severity != verify.SevInfo {
-				fmt.Fprintln(stderr, "tbinstr:", d)
-			}
-		}
-		if !fres.Ok() {
-			return fail(fmt.Errorf("%s failed cross-module verification against %s (%d errors); refusing to write",
-				mod.Name, *fleetWith, fres.NumError))
+			return fail(fmt.Errorf("%s failed static verification (%d errors); refusing to write", mod.Name, vres.NumError))
 		}
 	}
 

@@ -94,9 +94,31 @@ func TestInstrumentRefusesBrokenFleet(t *testing.T) {
 	}
 }
 
+// TestInstrumentRefusesBrokenPeer: peers get the per-module passes
+// too, so a peer that breaks no cross-module rule but clobbers a live
+// register in a probe still makes -fleetwith refuse.
+func TestInstrumentRefusesBrokenPeer(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "build")
+	var stdout, stderr bytes.Buffer
+	peer := "../../internal/verify/testdata/corpus/clobbering-probe.tbm"
+	if code := run([]string{"-o", out, "-fleetwith", peer, quickstart}, &stdout, &stderr); code != 1 {
+		t.Errorf("exit %d, want 1", code)
+	}
+	if want := "[probe-safety]"; !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr lacks %q:\n%s", want, stderr.String())
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("a refused module still left %s behind (%v)", out, err)
+	}
+}
+
 func TestInstrumentUsage(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run(nil, &stdout, &stderr); code != 2 || !strings.Contains(stderr.String(), "usage: tbinstr") {
 		t.Errorf("no input: exit %d, stderr %q", code, stderr.String())
+	}
+	stderr.Reset()
+	if code := run([]string{"-verify=false", "-fleetwith", "peer.tbm", quickstart}, &stdout, &stderr); code != 2 {
+		t.Errorf("-fleetwith with -verify=false: exit %d, want 2", code)
 	}
 }

@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -25,24 +27,39 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with the process edges made explicit for in-process
+// CLI tests: 0 the run finished (whatever the program did), 1 a load,
+// snap or output failure, 2 usage.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tbrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		policyPath = flag.String("policy", "", "textual policy file (default: snap on everything)")
-		snapDir    = flag.String("snapdir", "snaps", "directory for snap files")
-		arg        = flag.Uint64("arg", 0, "argument passed to main")
-		bufWords   = flag.Int("bufwords", 16384, "trace buffer size in words")
-		numBufs    = flag.Int("buffers", 8, "number of main trace buffers")
-		subBufs    = flag.Int("subbuffers", 4, "sub-buffers per buffer")
-		killAfter  = flag.Int("kill-after", 0, "kill -9 the process after N scheduling quanta")
-		maxSteps   = flag.Int("maxsteps", 50_000_000, "scheduling quantum budget")
-		seed       = flag.Int64("seed", 42, "machine PRNG seed")
-		metricsTo  = flag.String("metrics", "", "write runtime+VM metrics to this file on exit (- = stdout; .json = JSON, else Prometheus text)")
-		eventsTo   = flag.String("events", "", "write the flight-recorder event dump (JSON) to this file on exit")
+		policyPath = fs.String("policy", "", "textual policy file (default: snap on everything)")
+		snapDir    = fs.String("snapdir", "snaps", "directory for snap files")
+		arg        = fs.Uint64("arg", 0, "argument passed to main")
+		bufWords   = fs.Int("bufwords", 16384, "trace buffer size in words")
+		numBufs    = fs.Int("buffers", 8, "number of main trace buffers")
+		subBufs    = fs.Int("subbuffers", 4, "sub-buffers per buffer")
+		killAfter  = fs.Int("kill-after", 0, "kill -9 the process after N scheduling quanta")
+		maxSteps   = fs.Int("maxsteps", 50_000_000, "scheduling quantum budget")
+		seed       = fs.Int64("seed", 42, "machine PRNG seed")
+		metricsTo  = fs.String("metrics", "", "write runtime+VM metrics to this file on exit (- = stdout; .json = JSON, else Prometheus text)")
+		eventsTo   = fs.String("events", "", "write the flight-recorder event dump (JSON) to this file on exit")
 	)
-	flag.Parse()
-	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: tbrun [flags] <module.tbm> [more modules...]")
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() < 1 {
+		fmt.Fprintln(stderr, "usage: tbrun [flags] <module.tbm> [more modules...]")
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "tbrun:", err)
+		return 1
 	}
 
 	// One registry is shared by the runtime and the VM, so the
@@ -59,51 +76,56 @@ func main() {
 	if *policyPath != "" {
 		f, err := os.Open(*policyPath)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		pol, err := tbrt.ParsePolicy(f)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		cfg.Policy = pol
 	}
 
 	if err := os.MkdirAll(*snapDir, 0o755); err != nil {
-		fatal(err)
+		return fail(err)
 	}
+	// A snap that cannot be written stops the run; sinkErr carries the
+	// first such failure out of the runtime's callback.
 	snapN := 0
+	var sinkErr error
 	cfg.SnapSink = func(s *snap.Snap) {
+		if sinkErr != nil {
+			return
+		}
 		snapN++
 		path := filepath.Join(*snapDir, fmt.Sprintf("%s-%d.snap.json", s.Process, snapN))
-		if err := writeSnap(path, s); err != nil {
-			fatal(err)
+		if sinkErr = writeSnap(path, s); sinkErr == nil {
+			fmt.Fprintf(stdout, "snap: %s (%s)\n", path, s.Reason)
 		}
-		fmt.Printf("snap: %s (%s)\n", path, s.Reason)
 	}
 
 	world := vm.NewWorld(*seed)
 	mach := world.NewMachine("tbrun-host", 0)
 	mach.EnableTelemetry(reg)
-	name := filepath.Base(flag.Arg(flag.NArg() - 1))
+	name := filepath.Base(fs.Arg(fs.NArg() - 1))
 	proc, rt, err := tbrt.NewProcess(mach, name, cfg)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	vmetrics := verify.NewMetrics(reg)
 	rec := reg.FlightRecorder()
-	for _, path := range flag.Args() {
+	for _, path := range fs.Args() {
 		f, err := os.Open(path)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		mod, err := module.Read(f)
 		f.Close()
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", path, err))
+			return fail(fmt.Errorf("%s: %w", path, err))
 		}
 		if _, err := proc.Load(mod); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		tag := "uninstrumented"
 		if mod.Instrumented {
@@ -112,7 +134,7 @@ func main() {
 			// only as trustworthy as the module's probes, so record
 			// whether they check out (module-only: no mapfile at run
 			// time).
-			vres := verify.Verify(mod, nil, verify.Options{})
+			vres := verify.Verify([]verify.Input{{Module: mod}}, verify.Options{})
 			vmetrics.Observe(vres)
 			if vres.Ok() {
 				tag += ", verified"
@@ -122,55 +144,61 @@ func main() {
 				rec.Record(0, "module-verify-failed", mod.Name)
 				for _, d := range vres.Diags {
 					if d.Severity == verify.SevError {
-						fmt.Fprintln(os.Stderr, "tbrun:", d)
+						fmt.Fprintln(stderr, "tbrun:", d)
 					}
 				}
 			}
 		}
-		fmt.Printf("loaded %s (%s)\n", mod.Name, tag)
+		fmt.Fprintf(stdout, "loaded %s (%s)\n", mod.Name, tag)
 	}
 	if _, err := proc.StartMain(*arg); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
+	stop := func() bool { return proc.Exited || sinkErr != nil }
 	if *killAfter > 0 {
-		world.Run(*killAfter, func() bool { return proc.Exited })
-		if !proc.Exited {
-			fmt.Println("kill -9")
+		world.Run(*killAfter, stop)
+		if !proc.Exited && sinkErr == nil {
+			fmt.Fprintln(stdout, "kill -9")
 			mach.KillProcess(proc)
 			rt.PostMortemSnap()
 		}
 	} else {
-		world.Run(*maxSteps, func() bool { return proc.Exited })
+		world.Run(*maxSteps, stop)
+	}
+	if sinkErr != nil {
+		return fail(sinkErr)
 	}
 
-	os.Stdout.Write(proc.Out)
+	stdout.Write(proc.Out)
 	switch {
 	case !proc.Exited:
-		fmt.Println("process did not finish (hung?); taking an external snap")
+		fmt.Fprintln(stdout, "process did not finish (hung?); taking an external snap")
 		rt.TakeSnap(tbrt.SnapReason{Kind: "external", Detail: "tbrun timeout"})
+		if sinkErr != nil {
+			return fail(sinkErr)
+		}
 	case proc.FatalSignal != 0:
-		fmt.Printf("process terminated: %s\n", vm.SignalName(proc.FatalSignal))
+		fmt.Fprintf(stdout, "process terminated: %s\n", vm.SignalName(proc.FatalSignal))
 	default:
-		fmt.Printf("process exited normally: status %d (%d cycles)\n", proc.ExitCode, proc.Cycles)
+		fmt.Fprintf(stdout, "process exited normally: status %d (%d cycles)\n", proc.ExitCode, proc.Cycles)
 	}
 
 	if *metricsTo != "" {
-		if err := reg.WriteFile(*metricsTo, os.Stdout); err != nil {
-			fatal(err)
+		if err := reg.WriteFile(*metricsTo, stdout); err != nil {
+			return fail(err)
 		}
 	}
 	if *eventsTo != "" {
 		f, err := os.Create(*eventsTo)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		err = reg.FlightRecorder().WriteJSON(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
+		if err := errors.Join(reg.FlightRecorder().WriteJSON(f), f.Close()); err != nil {
+			return fail(err)
 		}
 	}
+	return 0
 }
 
 // writeSnap writes s to path as plain JSON. The bytes go to a
@@ -197,9 +225,4 @@ func writeSnap(path string, s *snap.Snap) error {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tbrun:", err)
-	os.Exit(1)
 }

@@ -11,7 +11,7 @@ import "traceback/internal/isa"
 // the current SP. The model assumes every SP adjustment goes through
 // PUSH/POP/CALL/RET and that callees do not write the caller's live
 // stack slots; stores through SP or FP conservatively smash tracked
-// stack values. See DESIGN.md §13 for the soundness discussion.
+// stack values. See DESIGN.md §8 for the soundness discussion.
 
 // ConstVal is a flat constant lattice value: unknown or one int64.
 type ConstVal struct {

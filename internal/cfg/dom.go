@@ -1,10 +1,11 @@
 package cfg
 
 // Dominator tree construction (Cooper-Harvey-Kennedy "A Simple, Fast
-// Dominance Algorithm"). The fleet verifier uses dominance to pair
-// RPC replies with the receives that bind their requests: a reply
-// that is not dominated by a receive can execute with no pending
-// request on some path, so its SYNC record has nothing to stitch to.
+// Dominance Algorithm"). The verifier's sync-protocol pass uses
+// dominance to pair RPC replies with the receives that bind their
+// requests: a reply that is not dominated by a receive can execute
+// with no pending request on some path, so its SYNC record has
+// nothing to stitch to.
 
 // DomTree is the dominator tree of a Graph. Blocks unreachable from
 // the entry have Idom == -1 and are dominated by nothing (not even

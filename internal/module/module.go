@@ -154,6 +154,13 @@ func (m *Module) Validate() error {
 		}
 	}
 	for i, in := range m.Code {
+		var regs [6]uint8
+		for _, r := range in.Writes(in.Reads(regs[:0])) {
+			if r >= isa.NumRegs {
+				return fmt.Errorf("module %s: instruction %d (%v) names register %d of %d",
+					m.Name, i, in.Op, r, isa.NumRegs)
+			}
+		}
 		if in.Op.HasCodeTarget() {
 			if in.Imm < 0 || uint32(in.Imm) >= n {
 				return fmt.Errorf("module %s: instruction %d (%v) targets %d outside code",

@@ -156,6 +156,17 @@ func TestValidateCatchesBadBranchTarget(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesBadRegister: a register field past the register
+// file would index out of range in every analysis and in the VM, so a
+// loaded module carrying one is refused.
+func TestValidateCatchesBadRegister(t *testing.T) {
+	m := sample()
+	m.Code[0] = isa.Instr{Op: isa.MOV, A: isa.NumRegs + 4, B: 1}
+	if err := m.Validate(); err == nil {
+		t.Error("out-of-range register passed validation")
+	}
+}
+
 func TestValidateCatchesUnsortedLines(t *testing.T) {
 	m := sample()
 	m.Lines[0].Index = 2

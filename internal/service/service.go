@@ -13,7 +13,6 @@ import (
 	"traceback/internal/tbrt"
 	"traceback/internal/telemetry"
 	"traceback/internal/verify"
-	"traceback/internal/verify/fleet"
 	"traceback/internal/vm"
 )
 
@@ -39,12 +38,11 @@ type Service struct {
 	// remote machines feed the central warehouse automatically.
 	forward func(*snap.Snap) error
 
-	// Self-telemetry (svc_ prefix) plus a flight recorder for
-	// heartbeat misses.
+	// Self-telemetry (svc_ and verify_ prefixes) plus a flight
+	// recorder for heartbeat misses and verification outcomes.
 	reg         *telemetry.Registry
 	rec         *telemetry.Recorder
 	verify      *verify.Metrics
-	fleetM      *fleet.Metrics
 	heartbeats  *telemetry.Counter
 	hangs       *telemetry.Counter
 	externals   *telemetry.Counter
@@ -58,18 +56,8 @@ func New(m *vm.Machine, hangCycles uint64) *Service {
 	if hangCycles == 0 {
 		hangCycles = 500_000
 	}
-	s := &Service{machine: m, HangCycles: hangCycles}
-	s.bindTelemetry(telemetry.New())
-	return s
-}
-
-// UseTelemetry rebinds the service's metrics onto a shared registry
-// (call before the first CheckStatus to keep counts in one place).
-func (s *Service) UseTelemetry(reg *telemetry.Registry) { s.bindTelemetry(reg) }
-
-func (s *Service) bindTelemetry(reg *telemetry.Registry) {
-	s.reg = reg
-	s.rec = reg.Recorder(256)
+	reg := telemetry.New()
+	s := &Service{machine: m, HangCycles: hangCycles, reg: reg, rec: reg.Recorder(256)}
 	s.heartbeats = reg.Counter("svc_heartbeats_total", "STATUS sweeps over registered runtimes")
 	s.hangs = reg.Counter("svc_hangs_total", "processes declared hung by heartbeat timeout")
 	s.externals = reg.Counter("svc_external_snaps_total", "external snaps triggered by name")
@@ -77,7 +65,7 @@ func (s *Service) bindTelemetry(reg *telemetry.Registry) {
 	s.forwarded = reg.Counter("svc_forwarded_total", "service-triggered snaps handed to the collection plane")
 	s.forwardErrs = reg.Counter("svc_forward_errors_total", "collection-plane forwards that failed")
 	s.verify = verify.NewMetrics(reg)
-	s.fleetM = fleet.NewMetrics(reg)
+	return s
 }
 
 // SetForward routes every snap the service triggers into the fleet
@@ -107,28 +95,16 @@ func (s *Service) collect(sn *snap.Snap) {
 	}
 }
 
-// ObserveVerification records a module verification outcome in the
-// service's registry (verify_ counters) and flight recorder, so snaps
-// taken on this machine carry provenance for how trustworthy the
-// instrumentation feeding them is.
-func (s *Service) ObserveVerification(res *verify.Result) {
-	s.verify.Observe(res)
-	kind := "module-verified"
-	if !res.Ok() {
-		kind = "module-verify-failed"
-	}
-	s.rec.Record(s.machine.Clock(), kind, res.Module)
-}
-
 // Metrics returns the service's registry.
 func (s *Service) Metrics() *telemetry.Registry { return s.reg }
 
 // Register adds a runtime to the service (the runtime side of the
 // local protocol). Once the machine hosts two or more distinct
-// instrumented modules, every registration re-runs the cross-module
-// verification, so a module that breaks the fleet's RPC/SYNC
-// invariants is flagged the moment it joins — before any fault needs
-// diagnosing.
+// instrumented modules, every registration re-verifies the machine's
+// module set, so a module that is broken itself or breaks the set's
+// RPC/SYNC invariants is flagged the moment it joins — before any
+// fault needs diagnosing. (A lone module was verified by whatever
+// loaded it: tbinstr refuses to write a failing one, tbrun checks it.)
 func (s *Service) Register(rt *tbrt.Runtime) {
 	s.runtimes = append(s.runtimes, rt)
 	if len(s.fleetModules()) >= 2 {
@@ -139,9 +115,9 @@ func (s *Service) Register(rt *tbrt.Runtime) {
 // fleetModules gathers the distinct instrumented modules currently
 // loaded across every registered runtime, deduplicated by checksum
 // (two processes running the same module contribute one fleet member).
-func (s *Service) fleetModules() []fleet.Input {
+func (s *Service) fleetModules() []verify.Input {
 	seen := map[string]bool{}
-	var out []fleet.Input
+	var out []verify.Input
 	for _, rt := range s.runtimes {
 		for _, lm := range rt.Proc().Modules {
 			if lm.Unloaded || lm.Mod == nil || !lm.Mod.Instrumented {
@@ -152,18 +128,19 @@ func (s *Service) fleetModules() []fleet.Input {
 				continue
 			}
 			seen[sum] = true
-			out = append(out, fleet.Input{Module: lm.Mod})
+			out = append(out, verify.Input{Module: lm.Mod})
 		}
 	}
 	return out
 }
 
-// VerifyFleet runs the cross-module pass suite over every distinct
-// instrumented module on the machine, recording the outcome in the
-// verify_fleet_ counters and the flight recorder.
-func (s *Service) VerifyFleet() *fleet.Result {
-	res := fleet.Verify(s.fleetModules(), fleet.Options{})
-	s.fleetM.Observe(res)
+// VerifyFleet verifies every distinct instrumented module on the
+// machine as one set (per-module passes for each, cross-module passes
+// once there are two or more), recording the outcome in the verify_
+// counters and the flight recorder.
+func (s *Service) VerifyFleet() *verify.Result {
+	res := verify.Verify(s.fleetModules(), verify.Options{})
+	s.verify.Observe(res)
 	kind := "fleet-verified"
 	if !res.Ok() {
 		kind = "fleet-verify-failed"

@@ -432,7 +432,7 @@ func buildNamed(t *testing.T, name, src string) *core.Result {
 
 // TestFleetVerifyOnRegister: once two distinct instrumented modules
 // are loaded on the machine, registration triggers the cross-module
-// verification and the verify_fleet_ counters record the outcome.
+// verification and the verify_ counters record the outcome.
 func TestFleetVerifyOnRegister(t *testing.T) {
 	callerSrc := `int main() {
 		int req = alloc(64);
@@ -461,7 +461,7 @@ func TestFleetVerifyOnRegister(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.Register(rt1)
-	runs := svc.fleetM.Runs.Load()
+	runs := svc.verify.Runs.Load()
 	if runs != 0 {
 		t.Fatalf("fleet check ran with a single module loaded (%d runs)", runs)
 	}
@@ -474,14 +474,14 @@ func TestFleetVerifyOnRegister(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.Register(rt2)
-	if got := svc.fleetM.Runs.Load(); got != 1 {
+	if got := svc.verify.Runs.Load(); got != 1 {
 		t.Fatalf("fleet runs = %d, want 1", got)
 	}
 	// Endpoint 78 has no server in the fleet: the run must fail.
-	if got := svc.fleetM.Failed.Load(); got != 1 {
+	if got := svc.verify.Failed.Load(); got != 1 {
 		t.Fatalf("fleet failed runs = %d, want 1", got)
 	}
-	if got := svc.fleetM.DiagErrors.Load(); got == 0 {
+	if got := svc.verify.DiagErrors.Load(); got == 0 {
 		t.Fatal("no error diagnostics counted for the unserved endpoint")
 	}
 
@@ -524,10 +524,49 @@ func TestFleetVerifyCleanPair(t *testing.T) {
 		}
 		svc.Register(rt)
 	}
-	if got := svc.fleetM.Clean.Load(); got != 1 {
+	if got := svc.verify.Clean.Load(); got != 1 {
 		t.Fatalf("fleet clean runs = %d, want 1", got)
 	}
-	if got := svc.fleetM.Failed.Load(); got != 0 {
+	if got := svc.verify.Failed.Load(); got != 0 {
 		t.Fatalf("fleet failed runs = %d, want 0", got)
+	}
+}
+
+// TestFleetVerifyRunsPerModulePasses: a module that breaks no
+// cross-module rule but fails a per-module pass (a heavyweight probe
+// word with a path bit preset) still fails the registration check.
+func TestFleetVerifyRunsPerModulePasses(t *testing.T) {
+	callerSrc := `int main() {
+		int req = alloc(64);
+		int resp = alloc(64);
+		rpc_call(77, req, 8, resp);
+		exit(0);
+	}`
+	serverSrc := `int main() {
+		int buf = alloc(64);
+		rpc_recv(77, buf, 64);
+		rpc_reply(77, 0, buf, 8);
+		exit(0);
+	}`
+	client := buildNamed(t, "client", callerSrc)
+	server := buildNamed(t, "server", serverSrc)
+	server.Module.Code[server.Module.DAGFixups[0]].Imm |= 1
+
+	w := vm.NewWorld(1)
+	mach := w.NewMachine("host", 0)
+	svc := New(mach, 0)
+	for i, res := range []*core.Result{client, server} {
+		name := []string{"client-proc", "server-proc"}[i]
+		p, rt, err := tbrt.NewProcess(mach, name, tbrt.Config{Policy: tbrt.DefaultPolicy()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Load(res.Module); err != nil {
+			t.Fatal(err)
+		}
+		svc.Register(rt)
+	}
+	if got := svc.verify.Failed.Load(); got != 1 {
+		t.Fatalf("failed verification runs = %d, want 1", got)
 	}
 }

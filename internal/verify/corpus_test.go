@@ -22,7 +22,7 @@ func TestCorpusRecall(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.Name, func(t *testing.T) {
-			res := verify.Verify(c.Module, c.Map, verify.Options{})
+			res := verifyOne(c.Module, c.Map, verify.Options{})
 			var b bytes.Buffer
 			res.WriteText(&b)
 			if c.Pass == "" {
@@ -60,7 +60,7 @@ func TestCorpusModuleOnly(t *testing.T) {
 			continue
 		}
 		t.Run(c.Name, func(t *testing.T) {
-			res := verify.Verify(c.Module, nil, verify.Options{})
+			res := verifyOne(c.Module, nil, verify.Options{})
 			if !res.HasError(c.Pass) {
 				var b bytes.Buffer
 				res.WriteText(&b)

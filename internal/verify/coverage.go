@@ -65,7 +65,7 @@ func (ctx *context) coveragePlacement(fi *fnInfo) {
 	}
 	for _, b := range g.Blocks {
 		p, hasProbe := fi.probes[b.Start]
-		if !fi.reach[b.ID] {
+		if !fi.dom.Reachable(b.ID) {
 			if hasProbe {
 				ctx.errorf(PassCoverage, -1, int(b.Start),
 					"%s probe in unreachable block", p.kind)
@@ -102,7 +102,7 @@ func (ctx *context) coveragePlacement(fi *fnInfo) {
 	// single traversal. Unreachable cycles are exempt: they must hold
 	// no probes at all (flagged above).
 	for _, scc := range g.NontrivialSCCs(func(id int) bool { return heavyAt(id) }) {
-		if !fi.reach[scc[0]] {
+		if !fi.dom.Reachable(scc[0]) {
 			continue
 		}
 		ctx.errorf(PassCoverage, -1, int(g.Blocks[scc[0]].Start),

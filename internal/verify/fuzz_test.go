@@ -34,7 +34,7 @@ func FuzzMapFileVerify(f *testing.F) {
 		if err := json.Unmarshal(data, fz); err != nil {
 			return
 		}
-		res := verify.Verify(m, fz, verify.Options{MaxPaths: 64})
+		res := verifyOne(m, fz, verify.Options{MaxPaths: 64})
 		if res == nil {
 			t.Fatal("Verify returned nil result")
 		}

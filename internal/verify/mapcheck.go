@@ -59,13 +59,13 @@ func (ctx *context) mapConsistency() {
 			}
 			n := occ[b.Start]
 			switch {
-			case fi.reach[b.ID] && n == 0:
+			case fi.dom.Reachable(b.ID) && n == 0:
 				ctx.errorf(PassMap, -1, int(b.Start),
 					"reachable block not described by any DAG: its execution would vanish from reconstruction")
 			case n > 1:
 				ctx.errorf(PassMap, -1, int(b.Start),
 					"block claimed by %d map blocks (ambiguous ownership)", n)
-			case !fi.reach[b.ID] && n > 0:
+			case !fi.dom.Reachable(b.ID) && n > 0:
 				ctx.warnf(PassMap, -1, int(b.Start),
 					"unreachable block appears in the mapfile")
 			}

@@ -7,7 +7,6 @@ import (
 	"traceback/internal/isa"
 	"traceback/internal/minic"
 	"traceback/internal/module"
-	"traceback/internal/verify/fleet"
 )
 
 // The fleet baseline is the smallest interesting distributed shape:
@@ -44,12 +43,12 @@ type FleetModule struct {
 	Module *module.Module
 }
 
-// FleetCase is one cross-module corpus entry: a module set and the
-// fleet pass that must report at least one error-level diagnostic for
-// it. Pass is empty for the clean baseline.
+// FleetCase is one module-set corpus entry: a module set and the
+// verify pass that must report at least one error-level diagnostic
+// for it. Pass is empty for the clean baseline.
 type FleetCase struct {
 	Name    string
-	Pass    string // fleet pass name expected to flag it; "" = clean
+	Pass    string // verify pass name expected to flag it; "" = clean
 	Desc    string
 	Modules []FleetModule
 }
@@ -83,11 +82,11 @@ func FleetCases() ([]FleetCase, error) {
 	}{
 		{"fleet-clean", "", "unmutated client/server pair; must fleet-verify with zero errors",
 			func([]FleetModule) error { return nil }},
-		{"unserved-endpoint", fleet.PassRPC,
+		{"unserved-endpoint", "rpc-endpoints",
 			"client's call endpoint constant rewritten 77->78; no module serves 78, so the call raises RPCServerFault at runtime", unservedEndpoint},
-		{"missing-sync", fleet.PassSync,
-			"one branch's rpc-reply NOPed out of the server; a path from recv escapes without emitting SyncReplySend", missingSync},
-		{"ambiguous-trailer", fleet.PassAmbiguity,
+		{"missing-sync", "sync-protocol",
+			"one branch's rpc-reply replaced by a write of its result register; a path from recv escapes without emitting SyncReplySend", missingSync},
+		{"ambiguous-trailer", "decodability",
 			"a heavy probe word rewritten to an extended-record trailer shape (tag 0x7F, bit 31 clear); wrapped-buffer suffixes gain a second valid backward mining", ambiguousTrailer},
 	}
 	out := make([]FleetCase, 0, len(mutations))
@@ -131,10 +130,12 @@ func unservedEndpoint(mods []FleetModule) error {
 	return fmt.Errorf("no MOVI 77 endpoint constant in client")
 }
 
-// missingSync NOPs the server's last rpc-reply syscall — the
-// else-branch reply — leaving a path on which the recv's pending
-// request is never answered. The marshaling PUSH/POPs stay balanced;
-// only the SYS itself disappears.
+// missingSync replaces the server's last rpc-reply syscall — the
+// else-branch reply — with MOVI RV, 0, leaving a path on which the
+// recv's pending request is never answered. The replacement writes
+// RV as the syscall did, so no lightweight probe that scavenges RV
+// finds it live and only sync-protocol flags the case; the marshaling
+// PUSH/POPs stay balanced.
 func missingSync(mods []FleetModule) error {
 	m, err := fleetModule(mods, "fleetserver")
 	if err != nil {
@@ -146,7 +147,7 @@ func missingSync(mods []FleetModule) error {
 	}
 	for i := int(helper.Entry) - 1; i >= 0; i-- {
 		if m.Code[i].Op == isa.SYS && int(m.Code[i].Imm) == isa.SysRPCReply {
-			m.Code[i] = isa.Instr{Op: isa.NOP}
+			m.Code[i] = isa.Instr{Op: isa.MOVI, A: isa.RV}
 			return nil
 		}
 	}
@@ -156,7 +157,8 @@ func missingSync(mods []FleetModule) error {
 // ambiguousTrailer rewrites the server's first heavy probe word into
 // the 0x7F trailer shape: bit 31 clear, top byte the extended-record
 // trailer tag, so backward mining can also read it as closing a
-// phantom extended record.
+// phantom extended record. It is no DAG record, which decodability
+// reports.
 func ambiguousTrailer(mods []FleetModule) error {
 	m, err := fleetModule(mods, "fleetserver")
 	if err != nil {

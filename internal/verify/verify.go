@@ -1,17 +1,18 @@
 // Package verify statically checks the invariants that TraceBack
-// reconstruction assumes an instrumented module satisfies. The paper's
-// pitch — first-fault diagnosis from a single snap, no re-run —
-// silently collapses when instrumentation and mapfile disagree, so the
-// contract between internal/core (which emits probes) and
-// internal/recon (which decodes them) is proved here at instrument
+// reconstruction assumes of its input. The paper's pitch — first-fault
+// diagnosis from a single snap, no re-run — silently collapses when
+// instrumentation and mapfile disagree, or when a served RPC skips the
+// reply half of the SYNC sequence, so the contract between
+// internal/core (which emits probes) and internal/recon (which decodes
+// them and stitches machines) is proved here at instrument and load
 // time rather than discovered as garbage traces in production.
 //
-// The suite is a go/analysis-style pass runner over the repository's
-// own IR (module, cfg, trace — stdlib only). Passes:
+// Verify runs over a module set. Every module gets the per-module
+// passes; a set of two or more also gets the cross-module passes:
 //
 //   - structure: module/mapfile structural validation, CFG
 //     construction (classifying typed cfg.BuildError kinds), probe
-//     parsing, reachability, and helper-aware liveness. All later
+//     parsing, dominators, and helper-aware liveness. All later
 //     passes consume its results.
 //   - probe-coverage: exactly one probe per control-flow block that
 //     needs one (DAG headers heavyweight, bit-carrying blocks
@@ -26,15 +27,22 @@
 //   - map-consistency: every MapDAG block corresponds to exactly one
 //     CFG block, DAG edges equal the in-DAG CFG successor edges, the
 //     DAG ID table is total, and the checksum/base/count header ties
-//     the mapfile to this exact module (the PR-1 "mapfile drift"
-//     class).
-//   - decodability: no two distinct block paths through a DAG emit
-//     the same record word — probe words are well-formed DAG records
-//     with in-range IDs (catching sentinel/bad-DAG collisions, the
-//     0x00/0x7F trailer-ambiguity class at the encoding level,
-//     including across buffer wrap points), path bits are single-bit
-//     and match the mapfile, and maximal path enumeration proves
-//     bitset injectivity.
+//     the mapfile to this exact module (the "mapfile drift" class).
+//   - decodability: every probe word mines back as exactly one DAG
+//     record — heavy words are well-formed DAG records with in-window
+//     IDs (catching Invalid, Sentinel, 0x7F-trailer-shaped and
+//     BadDAGID collisions, including across buffer wrap points),
+//     light masks are single bits inside the path field matching the
+//     mapfile, and maximal path enumeration proves bitset injectivity.
+//   - rpc-endpoints (set): constant-propagate SysRPCCall/SysRPCRecv
+//     endpoint ids and require every resolvable call endpoint to be
+//     served by some module's recv. A resolvable endpoint nobody
+//     serves is an error, because the VM raises RPCServerFault for it.
+//   - sync-protocol (set): every path from a successful rpc-recv
+//     reaches an rpc-reply (directly or via a call, possibly across
+//     modules, to a function proven to always reply) before the
+//     function returns, the process exits, or another recv overwrites
+//     the pending request (paper §5.1).
 package verify
 
 import (
@@ -103,13 +111,15 @@ const (
 	PassSafety    = "probe-safety"
 	PassMap       = "map-consistency"
 	PassEncoding  = "decodability"
+	PassRPC       = "rpc-endpoints"
+	PassSync      = "sync-protocol"
 )
 
 // AllPasses lists every pass name in sorted order, for stable -passes
 // usage text and JSON output. Execution order is fixed by Verify
 // itself (structure always first), not by this list.
 func AllPasses() []string {
-	names := []string{PassStructure, PassCoverage, PassSafety, PassMap, PassEncoding}
+	names := []string{PassStructure, PassCoverage, PassSafety, PassMap, PassEncoding, PassRPC, PassSync}
 	sort.Strings(names)
 	return names
 }
@@ -117,9 +127,9 @@ func AllPasses() []string {
 // Diagnostic is one finding. Instr and DAG are -1 when the finding is
 // not tied to an instruction or DAG; File/Line are the source position
 // of Instr when the module's line table covers it. Module is set only
-// by fleet-mode verification, where diagnostics from several modules
-// mix in one result and need attribution; single-module output leaves
-// it empty and renders byte-identically to before the field existed.
+// when a set of two or more modules is verified, where diagnostics
+// from several modules mix in one result and need attribution;
+// single-module output leaves it empty.
 type Diagnostic struct {
 	Pass     string   `json:"pass"`
 	Severity Severity `json:"severity"`
@@ -155,9 +165,10 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s%s: [%s] %s%s", pos, d.Severity, d.Pass, d.Msg, loc)
 }
 
-// Result is the outcome of one Verify run.
+// Result is the outcome of one Verify run. Modules names the inputs in
+// order (Input.Path, else the module's name).
 type Result struct {
-	Module   string       `json:"module"`
+	Modules  []string     `json:"modules"`
 	Diags    []Diagnostic `json:"diags"`
 	NumError int          `json:"errors"`
 	NumWarn  int          `json:"warnings"`
@@ -234,42 +245,98 @@ func (o Options) enabled(pass string) bool {
 	return false
 }
 
-// Verify runs the pass suite over an instrumented module and its
-// mapfile. mf may be nil: the map-consistency pass and the map-driven
-// halves of coverage/decodability are skipped (noted at info level).
-// Verify never panics on structurally valid inputs; malformed inputs
-// produce error diagnostics instead.
-func Verify(m *module.Module, mf *module.MapFile, opts Options) *Result {
+// Input is one module under verification. Map, when set, is its
+// mapfile. Path, when set, names the input in Result.Modules and in
+// diagnostics (e.g. the file it was read from) instead of the
+// module's name. An Input with a Map and no Module checks the
+// mapfile's structure alone.
+type Input struct {
+	Module *module.Module
+	Map    *module.MapFile
+	Path   string
+}
+
+func (in Input) name() string {
+	switch {
+	case in.Path != "":
+		return in.Path
+	case in.Module != nil:
+		return in.Module.Name
+	case in.Map != nil:
+		return in.Map.ModuleName
+	}
+	return "<nil>"
+}
+
+// Verify runs the per-module passes over every input and, when the set
+// holds two or more inputs, the cross-module passes over all of them.
+// A module without a mapfile skips map-consistency and the map-driven
+// halves of coverage/decodability (noted at info level). Verify never
+// panics on structurally valid inputs: malformed inputs produce error
+// diagnostics instead, and a module too broken for the per-module
+// passes takes no part in the cross-module ones.
+func Verify(inputs []Input, opts Options) *Result {
 	if opts.MaxPaths <= 0 {
 		opts.MaxPaths = DefaultMaxPaths
 	}
-	res := &Result{Module: m.Name}
-	ctx := &context{m: m, mf: mf, opts: opts, res: res}
-	if !ctx.structure() {
-		return res
+	res := &Result{}
+	set := &moduleSet{res: res}
+	for _, in := range inputs {
+		ctx := &context{m: in.Module, mf: in.Map, opts: opts, res: res}
+		res.Modules = append(res.Modules, in.name())
+		if len(inputs) > 1 {
+			ctx.name = in.name()
+		}
+		ctx.verify()
+		set.mods = append(set.mods, ctx)
 	}
-	if mf != nil && mf.Managed {
+	if len(inputs) > 1 {
+		set.verify(opts)
+	}
+	return res
+}
+
+// verify runs the per-module passes.
+func (ctx *context) verify() {
+	if ctx.m == nil {
+		ctx.mapOnly()
+		return
+	}
+	if !ctx.structure() {
+		return
+	}
+	if ctx.mf != nil && ctx.mf.Managed {
 		// Bytecode instrumentation (paper §2.4): probes live in the
 		// managed VM's code stream, not in this module's native code,
 		// so the native-probe passes do not apply. Structural mapfile
 		// validation already ran.
-		ctx.report(Diagnostic{Pass: PassStructure, Severity: SevInfo, DAG: -1, Instr: -1,
-			Msg: "managed mapfile: native probe passes skipped"})
-		return res
+		ctx.infof(PassStructure, "managed mapfile: native probe passes skipped")
+		return
 	}
-	if opts.enabled(PassCoverage) {
+	if ctx.opts.enabled(PassCoverage) {
 		ctx.coverage()
 	}
-	if opts.enabled(PassSafety) {
+	if ctx.opts.enabled(PassSafety) {
 		ctx.safety()
 	}
-	if ctx.mf != nil && opts.enabled(PassMap) {
+	if ctx.mf != nil && ctx.opts.enabled(PassMap) {
 		ctx.mapConsistency()
 	}
-	if opts.enabled(PassEncoding) {
+	if ctx.opts.enabled(PassEncoding) {
 		ctx.encoding()
 	}
-	return res
+}
+
+// mapOnly checks an input that carries no module: its mapfile, if
+// any, can only be validated structurally.
+func (ctx *context) mapOnly() {
+	if ctx.mf == nil {
+		ctx.errorf(PassStructure, -1, -1, "no module to verify")
+	} else if err := ctx.mf.Validate(); err != nil {
+		ctx.errorf(PassStructure, -1, -1, "mapfile invalid: %v", err)
+	} else {
+		ctx.infof(PassStructure, "mapfile structurally valid (no module given: probe and consistency passes skipped)")
+	}
 }
 
 // blockRef locates a mapfile block: DAG index (into mf.DAGs) and
@@ -278,11 +345,12 @@ type blockRef struct {
 	dag, idx int
 }
 
-// fnInfo is the per-function analysis state the passes share.
+// fnInfo is the per-function analysis state the passes share, built
+// once by the structure pass.
 type fnInfo struct {
-	fn    module.Func
-	g     *cfg.Graph
-	reach []bool // block ID -> reachable from function entry
+	fn  module.Func
+	g   *cfg.Graph
+	dom *cfg.DomTree // also answers reachability from the entry
 	// liveIn/liveOut use the helper-aware effect: a CALL to the probe
 	// helper clobbers only RV (+SP transiently), not the full
 	// caller-saved set, so probe safety is judged against what the
@@ -293,12 +361,13 @@ type fnInfo struct {
 	probes map[uint32]*probeInfo
 }
 
-// context carries one Verify run.
+// context carries one module through a Verify run.
 type context struct {
 	m    *module.Module
 	mf   *module.MapFile // nil when absent or structurally invalid
 	opts Options
 	res  *Result
+	name string // set in Diagnostic.Module; empty for a lone module
 
 	helper    module.Func
 	hasHelper bool
@@ -307,9 +376,13 @@ type context struct {
 	// place maps an instrumented-code block Start to its mapfile
 	// location. Occupancy conflicts are diagnosed by map-consistency.
 	place map[uint32]blockRef
+
+	// RPC syscall sites, collected for the cross-module passes.
+	calls, recvs, replies []rpcSite
 }
 
 func (ctx *context) report(d Diagnostic) {
+	d.Module = ctx.name
 	if d.Instr >= 0 {
 		idx := uint32(d.Instr)
 		if d.File == "" {
@@ -385,8 +458,7 @@ func (ctx *context) structure() bool {
 			ctx.reportBuildError(fn, err)
 			continue
 		}
-		fi := &fnInfo{fn: fn, g: g}
-		fi.reach = reachable(g)
+		fi := &fnInfo{fn: fn, g: g, dom: g.Dominators()}
 		fi.liveIn, fi.liveOut = g.LivenessFunc(ctx.effect)
 		ctx.parseProbes(fi)
 		ctx.funcs = append(ctx.funcs, fi)
@@ -434,24 +506,6 @@ func (ctx *context) helperAwareEffect() func(isa.Instr) (uses, defs cfg.RegSet) 
 		}
 		return cfg.InstrEffect(in)
 	}
-}
-
-// reachable marks blocks reachable from the function entry.
-func reachable(g *cfg.Graph) []bool {
-	seen := make([]bool, len(g.Blocks))
-	stack := []int{g.Entry}
-	seen[g.Entry] = true
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range g.Blocks[v].Succs {
-			if !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	return seen
 }
 
 // funcContaining returns the analyzed function covering instruction

@@ -69,11 +69,16 @@ func build(t *testing.T, src string) (*module.Module, *module.MapFile) {
 	return res.Module, res.Map
 }
 
+// verifyOne verifies a single module and its (possibly nil) mapfile.
+func verifyOne(m *module.Module, mf *module.MapFile, opts verify.Options) *verify.Result {
+	return verify.Verify([]verify.Input{{Module: m, Map: mf}}, opts)
+}
+
 // mustClean verifies and fails the test with the full diagnostic
 // listing if anything error-level came back.
 func mustClean(t *testing.T, m *module.Module, mf *module.MapFile) *verify.Result {
 	t.Helper()
-	res := verify.Verify(m, mf, verify.Options{})
+	res := verifyOne(m, mf, verify.Options{})
 	if !res.Ok() {
 		var b bytes.Buffer
 		res.WriteText(&b)
@@ -111,7 +116,7 @@ func TestVerifyCleanNonzeroDAGBase(t *testing.T) {
 
 func TestVerifyModuleOnly(t *testing.T) {
 	m, _ := build(t, richSrc)
-	res := verify.Verify(m, nil, verify.Options{})
+	res := verifyOne(m, nil, verify.Options{})
 	if !res.Ok() {
 		var b bytes.Buffer
 		res.WriteText(&b)
@@ -133,7 +138,7 @@ func TestVerifyUninstrumentedModule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := verify.Verify(mod, nil, verify.Options{})
+	res := verifyOne(mod, nil, verify.Options{})
 	if res.Ok() {
 		t.Fatal("uninstrumented module must fail verification")
 	}
@@ -145,7 +150,7 @@ func TestVerifyUninstrumentedModule(t *testing.T) {
 func TestVerifyMapfileDrift(t *testing.T) {
 	m, _ := build(t, richSrc)
 	_, otherMap := build(t, `int main() { print_int(1); exit(0); }`)
-	res := verify.Verify(m, otherMap, verify.Options{})
+	res := verifyOne(m, otherMap, verify.Options{})
 	if res.Ok() {
 		t.Fatal("module paired with another program's mapfile must fail")
 	}
@@ -160,7 +165,7 @@ func TestVerifyManagedMapSkipsNativePasses(t *testing.T) {
 	m, mf := build(t, `int main() { exit(0); }`)
 	managed := cloneMap(t, mf)
 	managed.Managed = true
-	res := verify.Verify(m, managed, verify.Options{})
+	res := verifyOne(m, managed, verify.Options{})
 	if !res.Ok() {
 		var b bytes.Buffer
 		res.WriteText(&b)
@@ -179,7 +184,7 @@ func TestVerifyManagedMapSkipsNativePasses(t *testing.T) {
 
 func TestVerifyPassSelection(t *testing.T) {
 	m, mf := build(t, richSrc)
-	res := verify.Verify(m, mf, verify.Options{Passes: []string{verify.PassCoverage}})
+	res := verifyOne(m, mf, verify.Options{Passes: []string{verify.PassCoverage}})
 	if !res.Ok() {
 		t.Fatal("restricted pass run should still be clean")
 	}
@@ -192,20 +197,20 @@ func TestVerifyPassSelection(t *testing.T) {
 
 func TestVerifyWriteJSON(t *testing.T) {
 	m, mf := build(t, richSrc)
-	res := verify.Verify(m, mf, verify.Options{})
+	res := verifyOne(m, mf, verify.Options{})
 	var b bytes.Buffer
 	if err := res.WriteJSON(&b); err != nil {
 		t.Fatal(err)
 	}
 	var back struct {
-		Module string              `json:"module"`
-		Diags  []verify.Diagnostic `json:"diags"`
-		Errors int                 `json:"errors"`
+		Modules []string            `json:"modules"`
+		Diags   []verify.Diagnostic `json:"diags"`
+		Errors  int                 `json:"errors"`
 	}
 	if err := json.Unmarshal(b.Bytes(), &back); err != nil {
 		t.Fatalf("JSON output does not round-trip: %v", err)
 	}
-	if back.Module != "app" || back.Errors != 0 {
+	if len(back.Modules) != 1 || back.Modules[0] != "app" || back.Errors != 0 {
 		t.Errorf("JSON result = %+v", back)
 	}
 }
@@ -214,12 +219,12 @@ func TestVerifyMetrics(t *testing.T) {
 	reg := telemetry.New()
 	mt := verify.NewMetrics(reg)
 	m, mf := build(t, richSrc)
-	mt.Observe(verify.Verify(m, mf, verify.Options{}))
+	mt.Observe(verifyOne(m, mf, verify.Options{}))
 	uninstr, err := minic.Compile("app", "app.mc", richSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mt.Observe(verify.Verify(uninstr, nil, verify.Options{}))
+	mt.Observe(verifyOne(uninstr, nil, verify.Options{}))
 	if got := mt.Runs.Load(); got != 2 {
 		t.Errorf("runs = %d, want 2", got)
 	}
@@ -241,7 +246,7 @@ func TestAllPassesSorted(t *testing.T) {
 	}
 	want := map[string]bool{
 		verify.PassStructure: true, verify.PassCoverage: true, verify.PassSafety: true,
-		verify.PassMap: true, verify.PassEncoding: true,
+		verify.PassMap: true, verify.PassEncoding: true, verify.PassRPC: true, verify.PassSync: true,
 	}
 	if len(passes) != len(want) {
 		t.Fatalf("AllPasses() = %v, want %d passes", passes, len(want))
@@ -265,7 +270,7 @@ func TestDiagnosticModuleAttribution(t *testing.T) {
 		Pass: verify.PassCoverage, Severity: verify.SevError,
 		Func: "main", DAG: -1, Instr: 7, Msg: "boom",
 	}
-	// Empty module: rendering is byte-identical to the pre-fleet form.
+	// Empty module (a lone input): no module attribution is rendered.
 	if got, want := base.String(), "error: [probe-coverage] boom (func main, instr 7)"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}

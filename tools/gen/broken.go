@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 
 	"traceback/internal/verify"
-	"traceback/internal/verify/fleet"
 	"traceback/internal/verify/seed"
 )
 
@@ -18,11 +17,12 @@ import (
 // seed for FuzzMapFileVerify / FuzzFleetVerify, so the fuzzers start
 // from structurally valid inputs rather than noise.
 func genBroken(root string) error {
-	corpus := filepath.Join(root, "internal", "verify", "testdata", "corpus")
-	if err := genBrokenModules(corpus, filepath.Join(root, "internal", "verify", "testdata", "fuzz", "FuzzMapFileVerify")); err != nil {
+	testdata := filepath.Join(root, "internal", "verify", "testdata")
+	corpus := filepath.Join(testdata, "corpus")
+	if err := genBrokenModules(corpus, filepath.Join(testdata, "fuzz", "FuzzMapFileVerify")); err != nil {
 		return err
 	}
-	return genBrokenFleets(filepath.Join(corpus, "fleet"), filepath.Join(root, "internal", "verify", "fleet", "testdata", "fuzz", "FuzzFleetVerify"))
+	return genBrokenFleets(filepath.Join(corpus, "fleet"), filepath.Join(testdata, "fuzz", "FuzzFleetVerify"))
 }
 
 func genBrokenModules(corpus, seeds string) error {
@@ -39,7 +39,7 @@ func genBrokenModules(corpus, seeds string) error {
 	for _, c := range cases {
 		// Each case must behave as advertised before being committed
 		// as ground truth.
-		res := verify.Verify(c.Module, c.Map, verify.Options{})
+		res := verify.Verify([]verify.Input{{Module: c.Module, Map: c.Map}}, verify.Options{})
 		if c.Pass == "" && !res.Ok() {
 			return fmt.Errorf("case %s: baseline not clean (%d errors)", c.Name, res.NumError)
 		}
@@ -67,7 +67,7 @@ func genBrokenModules(corpus, seeds string) error {
 func genBrokenFleets(corpus, seeds string) error {
 	type entry struct {
 		Name    string   `json:"name"`
-		Pass    string   `json:"pass"` // fleet pass expected to flag it; "" = clean
+		Pass    string   `json:"pass"` // pass expected to flag it; "" = clean
 		Desc    string   `json:"desc"`
 		Modules []string `json:"modules"` // .tbm basenames inside the case dir
 	}
@@ -77,11 +77,11 @@ func genBrokenFleets(corpus, seeds string) error {
 	}
 	var manifest []entry
 	for _, c := range cases {
-		var inputs []fleet.Input
+		var inputs []verify.Input
 		for _, fm := range c.Modules {
-			inputs = append(inputs, fleet.Input{Module: fm.Module, Path: fm.Name})
+			inputs = append(inputs, verify.Input{Module: fm.Module, Path: fm.Name})
 		}
-		res := fleet.Verify(inputs, fleet.Options{})
+		res := verify.Verify(inputs, verify.Options{})
 		if c.Pass == "" && !res.Ok() {
 			return fmt.Errorf("fleet case %s: baseline not clean (%d errors)", c.Name, res.NumError)
 		}
