@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"traceback/internal/recon"
 	"traceback/internal/snap"
@@ -87,14 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	opts := recon.RenderOptions{Flat: *flat, MaxEvents: *maxEvents}
 	if *srcDir != "" {
-		cache := recon.NewSourceCache(func(file string) []string {
-			b, err := os.ReadFile(filepath.Join(*srcDir, filepath.Base(file)))
-			if err != nil {
-				return nil
-			}
-			return strings.Split(string(b), "\n")
-		})
-		opts.Source = cache.Lines
+		opts.Source = recon.NewSourceCache(*srcDir).Lines
 	}
 
 	pipe := recon.NewPipeline(cache, *jobs)

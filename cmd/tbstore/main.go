@@ -33,7 +33,7 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -57,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tbstore", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	store := fs.String("store", "store", "warehouse directory")
-	metricsTo := fs.String("metrics", "", "write archive+pipeline metrics to this file when done (- = stderr; .json = JSON, else Prometheus text)")
+	metricsTo := fs.String("metrics", "", "write archive metrics to this file when done (- = stderr; .json = JSON, else Prometheus text)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -140,17 +140,17 @@ func closeArch(arch *archive.Archive, err *error) {
 	}
 }
 
-// ingest reconstructs every input snap on the parallel pipeline (one
-// shared mapfile cache across the whole batch), fingerprints each
-// crash, and folds them into the warehouse with -jobs concurrent
-// ingest workers. Sources that cannot be reconstructed (mapfiles
-// missing) still archive under a weak metadata signature; sources
-// that cannot even be loaded are reported and skipped.
+// ingest signs every input snap and folds it into the warehouse with
+// -jobs concurrent workers, each running the daemon's signing path:
+// load the snap, archive.SignSnap it against one shared mapfile cache,
+// ingest it. A snap that cannot be reconstructed (mapfiles missing)
+// still archives under the weak metadata signature; one that cannot
+// even be loaded is reported and skipped.
 func (c *cli) ingest(args []string) (err error) {
 	fs := flag.NewFlagSet("tbstore ingest", flag.ContinueOnError)
 	fs.SetOutput(c.stderr)
 	mapsDir := fs.String("maps", ".", "directory containing *.map.json mapfiles")
-	jobs := fs.Int("jobs", 0, "reconstruction + ingest worker count (0 = GOMAXPROCS)")
+	jobs := fs.Int("jobs", 0, "signing + ingest worker count (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -170,49 +170,47 @@ func (c *cli) ingest(args []string) (err error) {
 		return err
 	}
 	cache := recon.NewMapCache(loader.Load)
-	pipe := recon.NewPipeline(cache, *jobs)
-	c.reg = pipe.Registry()
-
-	arch, err := archive.OpenWith(c.store, archive.Options{Telemetry: pipe.Registry()})
+	arch, err := c.openArch()
 	if err != nil {
 		return err
 	}
 	defer closeArch(arch, &err)
 
-	sources := make([]recon.Source, len(paths))
-	for i, p := range paths {
-		sources[i] = recon.FileSource(p)
-	}
-	results := pipe.Run(sources)
-
-	// Concurrent ingest over the reconstructed batch: the archive
-	// single-flights identical snaps, so worker count only affects
-	// wall clock, never the resulting index.
+	// The archive single-flights identical snaps, so the worker count
+	// only affects wall clock, never the resulting index.
 	type outcome struct {
 		res archive.IngestResult
 		err error
 	}
-	outs := make([]outcome, len(results))
+	outs := make([]outcome, len(paths))
+	if *jobs <= 0 {
+		*jobs = runtime.GOMAXPROCS(0)
+	}
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, pipe.Jobs())
-	for i := range results {
+	sem := make(chan struct{}, *jobs)
+	for i, p := range paths {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(i int) {
+		go func() {
 			defer func() { <-sem; wg.Done() }()
-			outs[i].res, outs[i].err = ingestOne(arch, &results[i])
-		}(i)
+			s, err := snap.LoadFile(p)
+			if err != nil {
+				outs[i].err = err
+				return
+			}
+			outs[i].res, outs[i].err = arch.Ingest(s, archive.SignSnap(s, cache))
+		}()
 	}
 	wg.Wait()
 
 	var stored, dups, newBuckets int
-	for i := range outs {
-		if outs[i].err != nil {
-			fmt.Fprintf(c.stderr, "tbstore: %s: %v\n", results[i].Name, outs[i].err)
+	for i, o := range outs {
+		if o.err != nil {
+			fmt.Fprintf(c.stderr, "tbstore: %s: %v\n", paths[i], o.err)
 			c.failed++
 			continue
 		}
-		r := outs[i].res
+		r := o.res
 		state := "stored"
 		if r.Dup {
 			state = "dup"
@@ -228,25 +226,11 @@ func (c *cli) ingest(args []string) (err error) {
 			weak = " (weak)"
 		}
 		fmt.Fprintf(c.stdout, "%s: %s %s -> bucket %s%s\n",
-			results[i].Name, state, r.Sum[:12], r.Sig.ID, weak)
+			paths[i], state, r.Sum[:12], r.Sig.ID, weak)
 	}
 	fmt.Fprintf(c.stdout, "ingested %d snap(s): %d stored, %d deduplicated, %d new bucket(s); store holds %d blob(s) in %d bucket(s), %d bytes\n",
 		stored+dups, stored, dups, newBuckets, arch.NumBlobs(), len(arch.Buckets()), arch.StoredBytes())
 	return nil
-}
-
-// ingestOne archives one pipeline result. A reconstruction failure
-// downgrades to the weak metadata signature so the snap is preserved
-// either way — the warehouse must never drop evidence.
-func ingestOne(arch *archive.Archive, res *recon.Result) (archive.IngestResult, error) {
-	if res.Err == nil {
-		return arch.Ingest(res.Trace.Snap, archive.FromTrace(res.Trace))
-	}
-	s, err := snap.LoadFile(res.Name)
-	if err != nil {
-		return archive.IngestResult{}, res.Err
-	}
-	return arch.Ingest(s, archive.SignSnap(s, nil))
 }
 
 func (c *cli) ls(args []string) (err error) {
@@ -354,21 +338,13 @@ func (c *cli) show(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	pipe := recon.NewPipeline(recon.NewMapCache(loader.Load), 0)
-	pt, err := pipe.ReconstructSnap(s)
+	pt, err := recon.Reconstruct(s, recon.NewMapCache(loader.Load))
 	if err != nil {
 		return err
 	}
 	opts := recon.RenderOptions{}
 	if *srcDir != "" {
-		cache := recon.NewSourceCache(func(file string) []string {
-			b, err := os.ReadFile(filepath.Join(*srcDir, filepath.Base(file)))
-			if err != nil {
-				return nil
-			}
-			return strings.Split(string(b), "\n")
-		})
-		opts.Source = cache.Lines
+		opts.Source = recon.NewSourceCache(*srcDir).Lines
 	}
 	recon.Render(c.stdout, pt, opts)
 	fmt.Fprintln(c.stdout)

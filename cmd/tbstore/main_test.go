@@ -11,6 +11,7 @@ import (
 	"traceback/internal/archive"
 	"traceback/internal/recon"
 	"traceback/internal/scenario"
+	"traceback/internal/snap"
 )
 
 // buildFleet writes the deterministic example snaps + mapfiles into a
@@ -280,5 +281,60 @@ func TestMetricsFlagKeepsStdoutClean(t *testing.T) {
 	}
 	if doc, err := os.ReadFile(mfile); err != nil || !strings.Contains(string(doc), "arch_") {
 		t.Errorf("show: metrics JSON missing arch_ telemetry (err %v)", err)
+	}
+}
+
+// TestIngestCommittedTreesEqualsDirect: `tbstore ingest` of each
+// committed snap tree writes the index.json a direct loop of
+// Ingest(s, SignSnap(s, cache)) writes — the CLI signs the way the
+// daemon does, the weak fallback (the torn-module-table regression)
+// included.
+func TestIngestCommittedTreesEqualsDirect(t *testing.T) {
+	for _, tree := range []string{"../../snaps", "../../snaps/regressions"} {
+		mapsDir := filepath.Join(tree, "maps")
+		cliStore := filepath.Join(t.TempDir(), "cli")
+		var out, errb bytes.Buffer
+		if code := run([]string{"-store", cliStore, "ingest", "-maps", mapsDir, "-jobs", "4", tree}, &out, &errb); code != 0 {
+			t.Fatalf("%s: ingest exited %d: %s", tree, code, errb.String())
+		}
+
+		paths, err := snap.ExpandPaths([]string{tree}, func(string) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		loader, err := recon.NewDirLoader(mapsDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := recon.NewMapCache(loader.Load)
+		directStore := filepath.Join(t.TempDir(), "direct")
+		direct, err := archive.Open(directStore)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range paths {
+			s, err := snap.LoadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := direct.Ingest(s, archive.SignSnap(s, cache)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := direct.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		got, err := os.ReadFile(filepath.Join(cliStore, "index.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(directStore, "index.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: tbstore ingest index.json differs from the direct SignSnap loop:\n%s\nvs\n%s", tree, got, want)
+		}
 	}
 }

@@ -112,8 +112,31 @@ func main() {
 			Source: func(f string) []string { return sources[f] },
 		})
 	}
+	if !crossesJNI(mt) {
+		log.Fatal("no stitched logical thread holds lines from both NativeString.java and NativeString.c")
+	}
 	fmt.Println("\nThe trace crosses the JNI boundary: the managed call site, then")
 	fmt.Println("the native path into memcpy — where a 43-byte string lands in an 8-byte")
 	fmt.Println("buffer, smashing the return address. A stack backtrace here shows")
 	fmt.Println("garbage; the flight-recorder history does not need the stack at all.")
+}
+
+// crossesJNI reports whether some logical thread carries line events
+// from both sides of the boundary — the managed SYNC path working end
+// to end.
+func crossesJNI(mt *recon.MasterTrace) bool {
+	for _, lt := range mt.Logical {
+		files := map[string]bool{}
+		for _, seg := range lt.Segments {
+			for _, e := range seg.Events {
+				if e.Kind == recon.EvLine {
+					files[e.File] = true
+				}
+			}
+		}
+		if files["NativeString.java"] && files["NativeString.c"] {
+			return true
+		}
+	}
+	return false
 }

@@ -74,13 +74,11 @@ type FaultView struct {
 }
 
 // FaultViewOf extracts the fault-directed view from a reconstructed
-// snap. The thread chosen is the trigger thread when the snap names
-// one, else the first faulted thread, else the first thread with
-// history — the same priority the fault-directed display uses. ok is
-// false when no line history exists (weak-signature territory).
+// snap, on the thread recon.Render leads with (pt.FaultThread()). ok
+// is false when no line history exists (weak-signature territory).
 func FaultViewOf(pt *recon.ProcessTrace) (FaultView, bool) {
-	t := pickThread(pt)
-	if t == nil || len(t.Events) == 0 {
+	t := pt.FaultThread()
+	if t == nil {
 		return FaultView{}, false
 	}
 
@@ -154,13 +152,13 @@ func FromTrace(pt *recon.ProcessTrace) Signature {
 }
 
 // SignSnap is the single signing funnel shared by every ingest path —
-// `tbstore ingest`, the tbcollectd upload handler, and the service's
-// auto-archive: reconstruct s on maps (pass a *recon.MapCache to share
-// parses across snaps) and fingerprint the fault-directed view,
-// degrading to the weak metadata signature when reconstruction is
-// impossible (maps nil or missing the snap's modules). Reconstruction
-// is deterministic, so a snap signs identically no matter which path
-// ingested it — the property the loopback parity gates assert byte
+// `tbstore ingest` and the tbcollectd upload handler: reconstruct s
+// on maps (pass a *recon.MapCache to share parses across snaps) and
+// fingerprint the fault-directed view, degrading to the weak metadata
+// signature when reconstruction is impossible (maps nil or missing the
+// snap's modules). Reconstruction is deterministic, so a snap signs
+// identically no matter which path ingested it — the property the
+// loopback parity gates and `tbstore ingest`'s own test assert byte
 // for byte.
 func SignSnap(s *snap.Snap, maps recon.MapResolver) Signature {
 	if maps != nil {
@@ -191,25 +189,6 @@ func weakSignature(s *snap.Snap) Signature {
 		Title: fmt.Sprintf("%s (%s, unreconstructed)", s.Reason, s.Process),
 		Weak:  true,
 	}
-}
-
-func pickThread(pt *recon.ProcessTrace) *recon.ThreadTrace {
-	if pt.Snap.TriggerTID != 0 {
-		if t, ok := pt.ThreadByTID(pt.Snap.TriggerTID); ok && len(t.Events) > 0 {
-			return t
-		}
-	}
-	for _, t := range pt.Threads {
-		if t.Faulted && len(t.Events) > 0 {
-			return t
-		}
-	}
-	for _, t := range pt.Threads {
-		if len(t.Events) > 0 {
-			return t
-		}
-	}
-	return nil
 }
 
 func frameOf(e *recon.Event) Frame {

@@ -44,9 +44,6 @@ type Block struct {
 	HasRet bool // block ends in RET
 }
 
-// LastOp returns the opcode of the block's final instruction.
-func (b *Block) LastOp(code []isa.Instr) isa.Op { return code[b.End-1].Op }
-
 // Graph is a function-level CFG over a module's code.
 type Graph struct {
 	Fn     module.Func

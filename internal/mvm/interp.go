@@ -63,9 +63,6 @@ type LoadedMod struct {
 	statics []int64
 }
 
-// Static reads a static field by slot (snap/variables support).
-func (lm *LoadedMod) Static(i int) int64 { return lm.statics[i] }
-
 // MThreadState is a managed thread state.
 type MThreadState uint8
 

@@ -54,11 +54,9 @@ type ManagedRuntime struct {
 
 	heap heap
 
-	bufs     map[int]*mbuf
-	nextDAG  uint32
-	bindings map[int]*mbinding
-	nextLT   uint32
-	partners map[uint64]bool
+	bufs    map[int]*mbuf
+	nextDAG uint32
+	lt      *trace.LogicalThreads
 
 	suppress map[string]int
 	snaps    []*snap.Snap
@@ -72,19 +70,12 @@ type mbuf struct {
 	wrapped bool
 }
 
-type mbinding struct {
-	originRT uint64
-	ltid     uint32
-	seq      uint32
-}
-
 func newManagedRuntime(v *VM, cfg RuntimeConfig) *ManagedRuntime {
 	return &ManagedRuntime{
 		v:        v,
 		cfg:      cfg.withDefaults(),
 		bufs:     map[int]*mbuf{},
-		bindings: map[int]*mbinding{},
-		partners: map[uint64]bool{},
+		lt:       trace.NewLogicalThreads(v.ID),
 		suppress: map[string]int{},
 	}
 }
@@ -255,71 +246,18 @@ func (rt *ManagedRuntime) takeSnap(reason string, t *MThread, code int, addr uin
 		d.SetWords(b.words)
 		s.Buffers = append(s.Buffers, d)
 	}
-	for id := range rt.partners {
-		s.Partners = append(s.Partners, id)
-	}
+	s.Partners = rt.lt.Partners()
 	rt.snaps = append(rt.snaps, s)
 	return s
 }
 
 // JNI bridge (paper §3.3/§5.1): a native call from managed code is
-// traced as an RPC between the managed and native runtimes.
-
-func encodeExt(rtid uint64, ltid, seq uint32) []byte {
-	b := make([]byte, 16)
-	binary.LittleEndian.PutUint64(b, rtid)
-	binary.LittleEndian.PutUint32(b[8:], ltid)
-	binary.LittleEndian.PutUint32(b[12:], seq)
-	return b
-}
-
-func decodeExt(b []byte) (rtid uint64, ltid, seq uint32, ok bool) {
-	if len(b) != 16 {
-		return 0, 0, 0, false
-	}
-	return binary.LittleEndian.Uint64(b),
-		binary.LittleEndian.Uint32(b[8:]),
-		binary.LittleEndian.Uint32(b[12:]), true
-}
-
-func (rt *ManagedRuntime) syncSend(t *MThread, reply bool) []byte {
-	bind := rt.bindings[t.TID]
-	if bind == nil {
-		rt.nextLT++
-		bind = &mbinding{originRT: rt.v.ID, ltid: rt.nextLT}
-		rt.bindings[t.TID] = bind
-	} else {
-		bind.seq++
-	}
-	point := trace.SyncCallSend
-	if reply {
-		point = trace.SyncReplySend
-	}
-	rt.appendEvent(t, trace.AppendSync(nil, trace.Sync{
-		Point: point, RuntimeID: bind.originRT,
-		LogicalThread: bind.ltid, Seq: bind.seq, TS: rt.now(),
-	}))
-	return encodeExt(bind.originRT, bind.ltid, bind.seq)
-}
-
-func (rt *ManagedRuntime) syncRecv(t *MThread, ext []byte, reply bool) {
-	rtid, ltid, seq, ok := decodeExt(ext)
-	if !ok {
-		return
-	}
-	if rtid != rt.v.ID {
-		rt.partners[rtid] = true
-	}
-	bind := &mbinding{originRT: rtid, ltid: ltid, seq: seq + 1}
-	rt.bindings[t.TID] = bind
-	point := trace.SyncCallRecv
-	if reply {
-		point = trace.SyncReplyRecv
-	}
-	rt.appendEvent(t, trace.AppendSync(nil, trace.Sync{
-		Point: point, RuntimeID: rtid,
-		LogicalThread: ltid, Seq: bind.seq, TS: rt.now(),
-	}))
+// traced as an RPC between the managed and native runtimes, through
+// the same trace.LogicalThreads protocol; writeSync stamps and writes
+// one of its SYNC records.
+func (rt *ManagedRuntime) writeSync(t *MThread, s trace.Sync) {
+	s.TS = rt.now()
+	rt.appendEvent(t, trace.AppendSync(nil, s))
 }
 
 // jniBridge is implemented by the native TraceBack runtime; when the
@@ -350,7 +288,8 @@ func (v *VM) callNative(t *MThread, f *mframe, nb NativeBinding) {
 		v.throw(t, ExcNativeDied)
 		return
 	}
-	ext := v.rt.syncSend(t, false)
+	rec, ext, _ := v.rt.lt.Send(t.TID, false)
+	v.rt.writeSync(t, rec)
 	nt, err := v.Proc.StartThread(entry, 0)
 	if err != nil {
 		v.throw(t, ExcNativeDied)
@@ -380,8 +319,8 @@ func (v *VM) callNative(t *MThread, f *mframe, nb NativeBinding) {
 		return
 	}
 	if haveBridge {
-		if ext2 := bridge.TakeJNIReply(nt.TID); ext2 != nil {
-			v.rt.syncRecv(t, ext2, true)
+		if rec, ok := v.rt.lt.Recv(t.TID, bridge.TakeJNIReply(nt.TID), true); ok {
+			v.rt.writeSync(t, rec)
 		}
 	}
 	f.push(int64(nt.ExitValue))

@@ -168,7 +168,7 @@ func (ex *expander) record(r trace.Record) error {
 		}
 		ex.anchor(e.TS)
 		ex.trimAt(e.Addr)
-		ex.emit(Event{Kind: EvException, Note: "exception " + signame(int(e.Code))})
+		ex.emit(Event{Kind: EvException, Note: "exception " + vm.SignalName(int(e.Code))})
 		ex.tt.Faulted = true
 	case trace.KindExceptionEnd:
 		if ts, err := trace.DecodeTS(r); err == nil {
@@ -341,5 +341,3 @@ func (ex *expander) markLastLineFault() {
 		}
 	}
 }
-
-func signame(sig int) string { return vm.SignalName(sig) }

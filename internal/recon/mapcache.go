@@ -2,8 +2,10 @@ package recon
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -147,37 +149,31 @@ func (l *DirLoader) Load(sum string) (*module.MapFile, error) {
 	return nil, fmt.Errorf("no mapfile with checksum %s", sum)
 }
 
-// SourceCache memoizes source-file line splits for rendering. It is
-// safe for concurrent use, unlike the ad-hoc closure-captured map it
-// replaces in cmd/tbrecon (a lazily-built lookup table the parallel
-// pipeline would otherwise race on).
+// SourceCache memoizes source-file line splits for rendering: the
+// -src lookup of tbrecon and `tbstore show`. It is safe for
+// concurrent use.
 type SourceCache struct {
 	mu    sync.Mutex
-	read  func(file string) []string
+	dir   string
 	lines map[string][]string
 }
 
-// NewSourceCache wraps a file reader in a memoizing cache.
-func NewSourceCache(read func(file string) []string) *SourceCache {
-	return &SourceCache{read: read, lines: map[string][]string{}}
+// NewSourceCache looks source files up in dir by base name; a file
+// that cannot be read has no lines.
+func NewSourceCache(dir string) *SourceCache {
+	return &SourceCache{dir: dir, lines: map[string][]string{}}
 }
 
 // Lines returns the (cached) lines of file.
 func (c *SourceCache) Lines(file string) []string {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	lines, ok := c.lines[file]
 	if !ok {
-		// Drop the lock during the read: file reads may be slow and
-		// the small risk of a duplicate read beats serializing on I/O.
-		c.mu.Unlock()
-		lines = c.read(file)
-		c.mu.Lock()
-		if prev, again := c.lines[file]; again {
-			lines = prev
-		} else {
-			c.lines[file] = lines
+		if b, err := os.ReadFile(filepath.Join(c.dir, filepath.Base(file))); err == nil {
+			lines = strings.Split(string(b), "\n")
 		}
+		c.lines[file] = lines
 	}
-	c.mu.Unlock()
 	return lines
 }

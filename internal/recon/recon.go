@@ -145,6 +145,32 @@ func (pt *ProcessTrace) ThreadByTID(tid uint32) (*ThreadTrace, bool) {
 	return nil, false
 }
 
+// FaultThread is the thread the fault-directed view leads with (paper
+// §4.3.3): the snap's trigger thread when it has history, else the
+// first faulted thread with history, else the first thread with any;
+// nil when no thread has history. Render and the crash signature
+// both take their thread from here.
+func (pt *ProcessTrace) FaultThread() *ThreadTrace {
+	if pt.Snap.TriggerTID != 0 {
+		if t, ok := pt.ThreadByTID(pt.Snap.TriggerTID); ok && len(t.Events) > 0 {
+			return t
+		}
+	}
+	var first *ThreadTrace
+	for _, t := range pt.Threads {
+		if len(t.Events) == 0 {
+			continue
+		}
+		if t.Faulted {
+			return t
+		}
+		if first == nil {
+			first = t
+		}
+	}
+	return first
+}
+
 // Reconstruct rebuilds per-thread histories from a snap and its
 // mapfiles. This is the sequential path — the oracle the parallel
 // Pipeline must match byte for byte.

@@ -18,10 +18,11 @@ type RenderOptions struct {
 }
 
 // Render writes a human-readable trace. View selection is
-// fault-directed (paper §4.3.3): a faulting snap leads with the
-// faulting thread's full history and highlights the faulting line; a
-// hang snap leads with a one-line-per-thread summary of what each
-// thread was last doing.
+// fault-directed (paper §4.3.3): a hang snap opens with a
+// one-line-per-thread summary of what each thread was last doing;
+// then every thread's history follows, led by pt.FaultThread() (which
+// swaps places with the first thread; the rest keep their order), so
+// a faulting snap opens on the faulting line.
 func Render(w io.Writer, pt *ProcessTrace, opts RenderOptions) {
 	s := pt.Snap
 	fmt.Fprintf(w, "snap: process %q on %s (pid %d), reason: %s\n",
@@ -41,9 +42,9 @@ func Render(w io.Writer, pt *ProcessTrace, opts RenderOptions) {
 
 	order := make([]*ThreadTrace, len(pt.Threads))
 	copy(order, pt.Threads)
-	// Faulting thread first.
+	lead := pt.FaultThread()
 	for i, t := range order {
-		if t.TID == s.TriggerTID || t.Faulted {
+		if t == lead {
 			order[0], order[i] = order[i], order[0]
 			break
 		}

@@ -253,13 +253,3 @@ func (s *Service) snapGroupOf(name string) {
 		}
 	}
 }
-
-// AllSnaps gathers every snap from every registered runtime plus the
-// service's own — the input set for distributed reconstruction.
-func (s *Service) AllSnaps() []*snap.Snap {
-	var out []*snap.Snap
-	for _, rt := range s.runtimes {
-		out = append(out, rt.Snaps()...)
-	}
-	return out
-}

@@ -1,8 +1,6 @@
 package tbrt
 
 import (
-	"encoding/binary"
-
 	"traceback/internal/isa"
 	"traceback/internal/trace"
 	"traceback/internal/vm"
@@ -25,18 +23,15 @@ func (rt *Runtime) OnThreadStart(t *vm.Thread) {
 // function IS the reply (paper §3.3/§5.1).
 func (rt *Runtime) OnThreadExit(t *vm.Thread) {
 	if rt.jniBound[t.TID] {
-		if bind := rt.bindings[t.TID]; bind != nil {
-			bind.seq++
-			rt.appendEvent(t, trace.AppendSync(nil, trace.Sync{
-				Point: trace.SyncReplySend, RuntimeID: bind.originRT,
-				LogicalThread: bind.ltid, Seq: bind.seq, TS: rt.now(),
-			}))
-			rt.jniReply[t.TID] = encodeExt(bind.originRT, bind.ltid, bind.seq)
+		if s, ext, ok := rt.lt.Send(t.TID, true); ok {
+			s.TS = rt.now()
+			rt.appendEvent(t, trace.AppendSync(nil, s))
+			rt.jniReply[t.TID] = ext
 		}
 		delete(rt.jniBound, t.TID)
 	}
 	rt.releaseBuffer(t, true)
-	delete(rt.bindings, t.TID)
+	rt.lt.Drop(t.TID)
 }
 
 // BindJNI binds a freshly spawned native thread into the managed
@@ -269,75 +264,30 @@ func (rt *Runtime) OnSyscall(t *vm.Thread, num int) {
 	}
 }
 
-// rpcExt is the 16-byte trace payload extension attached to RPC
-// messages: (origin runtime ID, logical thread ID, seq).
-func encodeExt(rtid uint64, ltid, seq uint32) []byte {
-	b := make([]byte, 16)
-	binary.LittleEndian.PutUint64(b, rtid)
-	binary.LittleEndian.PutUint32(b[8:], ltid)
-	binary.LittleEndian.PutUint32(b[12:], seq)
-	return b
-}
-
-func decodeExt(b []byte) (rtid uint64, ltid, seq uint32, ok bool) {
-	if len(b) != 16 {
-		return 0, 0, 0, false
-	}
-	return binary.LittleEndian.Uint64(b),
-		binary.LittleEndian.Uint32(b[8:]),
-		binary.LittleEndian.Uint32(b[12:]), true
-}
-
 // OnRPCSend implements the caller/callee send sides of paper §5.1:
 // bind (or reuse) a logical thread for the physical thread, write a
-// SYNC record, and attach (runtime ID, logical thread ID, seq) to the
-// payload.
+// SYNC record, and return the (runtime ID, logical thread ID, seq)
+// extension for the payload.
 func (rt *Runtime) OnRPCSend(t *vm.Thread, reply bool) []byte {
-	bind := rt.bindings[t.TID]
-	if bind == nil {
-		if reply {
-			return nil // replying to a call we never saw; nothing to stitch
-		}
-		rt.nextLT++
-		bind = &binding{originRT: rt.ID, ltid: rt.nextLT, seq: 0}
-		rt.bindings[t.TID] = bind
-	} else {
-		bind.seq++
+	s, ext, ok := rt.lt.Send(t.TID, reply)
+	if !ok {
+		return nil // replying to a call we never saw; nothing to stitch
 	}
-	point := trace.SyncCallSend
-	if reply {
-		point = trace.SyncReplySend
-	}
-	rt.appendEvent(t, trace.AppendSync(nil, trace.Sync{
-		Point: point, RuntimeID: bind.originRT,
-		LogicalThread: bind.ltid, Seq: bind.seq, TS: rt.now(),
-	}))
-	rt.met.syncs.Inc()
-	rt.event("rpc-sync", point.String())
-	return encodeExt(bind.originRT, bind.ltid, bind.seq)
+	rt.writeSync(t, s)
+	return ext
 }
 
 // OnRPCRecv implements the receive sides: adopt the caller's logical
-// thread, bump the sequence number, record the SYNC, and note the
-// peer runtime in the partner list.
+// thread at the next sequence number and record the SYNC.
 func (rt *Runtime) OnRPCRecv(t *vm.Thread, ext []byte, reply bool) {
-	rtid, ltid, seq, ok := decodeExt(ext)
-	if !ok {
-		return
+	if s, ok := rt.lt.Recv(t.TID, ext, reply); ok {
+		rt.writeSync(t, s)
 	}
-	if rtid != rt.ID {
-		rt.partners[rtid] = true
-	}
-	bind := &binding{originRT: rtid, ltid: ltid, seq: seq + 1}
-	rt.bindings[t.TID] = bind
-	point := trace.SyncCallRecv
-	if reply {
-		point = trace.SyncReplyRecv
-	}
-	rt.appendEvent(t, trace.AppendSync(nil, trace.Sync{
-		Point: point, RuntimeID: rtid,
-		LogicalThread: ltid, Seq: bind.seq, TS: rt.now(),
-	}))
+}
+
+func (rt *Runtime) writeSync(t *vm.Thread, s trace.Sync) {
+	s.TS = rt.now()
+	rt.appendEvent(t, trace.AppendSync(nil, s))
 	rt.met.syncs.Inc()
-	rt.event("rpc-sync", point.String())
+	rt.event("rpc-sync", s.Point.String())
 }

@@ -6,6 +6,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"traceback/internal/vm"
 )
 
 // Policy controls snap triggers and suppression (paper §3.6: "a
@@ -44,7 +46,7 @@ func DefaultPolicy() Policy {
 
 // snapOnException evaluates the exception trigger for a signal name.
 func (p Policy) snapOnException(sig int) bool {
-	name := signalNameForPolicy(sig)
+	name := vm.SignalName(sig)
 	match := false
 	for _, e := range p.Exceptions {
 		if excl := strings.HasPrefix(e, "!"); excl {
@@ -127,10 +129,4 @@ func ParsePolicy(r io.Reader) (Policy, error) {
 		return p, err
 	}
 	return p.withDefaults(), nil
-}
-
-func signalNameForPolicy(sig int) string {
-	// Reuse the VM's naming but avoid importing vm here... it is
-	// already imported by hooks; keep one source of truth.
-	return vmSignalName(sig)
 }

@@ -136,9 +136,7 @@ type Runtime struct {
 	logicalClock uint64
 
 	// Logical-thread state for distributed tracing (paper §5.1).
-	bindings map[int]*binding
-	nextLT   uint32
-	partners map[uint64]bool
+	lt *trace.LogicalThreads
 
 	// savedDAG holds, per thread, the interrupted DAG record pending
 	// re-issue when a signal handler returns.
@@ -172,20 +170,12 @@ type dagRange struct {
 	checksum    string
 }
 
-type binding struct {
-	originRT uint64
-	ltid     uint32
-	seq      uint32
-}
-
 // NewProcess creates a process with an attached TraceBack runtime.
 func NewProcess(m *vm.Machine, name string, cfg Config) (*vm.Process, *Runtime, error) {
 	rt := &Runtime{
 		cfg:           cfg.withDefaults(),
 		byThread:      map[int]*buffer{},
 		byChecksum:    map[string]uint32{},
-		bindings:      map[int]*binding{},
-		partners:      map[uint64]bool{},
 		savedDAG:      map[int][]trace.Word{},
 		jniBound:      map[int]bool{},
 		jniReply:      map[int][]byte{},
@@ -197,6 +187,7 @@ func NewProcess(m *vm.Machine, name string, cfg Config) (*vm.Process, *Runtime, 
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s/%s/%d", m.Name, name, p.PID)
 	rt.ID = h.Sum64()
+	rt.lt = trace.NewLogicalThreads(rt.ID)
 	rt.initMetrics()
 	if err := rt.initBuffers(); err != nil {
 		return nil, nil, err

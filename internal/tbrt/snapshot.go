@@ -2,15 +2,11 @@ package tbrt
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"traceback/internal/snap"
 	"traceback/internal/trace"
-	"traceback/internal/vm"
 )
-
-func vmSignalName(sig int) string { return vm.SignalName(sig) }
 
 // SnapReason describes a snap trigger.
 type SnapReason struct {
@@ -131,10 +127,7 @@ func (rt *Runtime) buildSnap(reason SnapReason) *snap.Snap {
 		words += b.words
 	}
 	rt.met.snapWords.Observe(uint64(words))
-	for id := range rt.partners {
-		s.Partners = append(s.Partners, id)
-	}
-	sort.Slice(s.Partners, func(i, j int) bool { return s.Partners[i] < s.Partners[j] })
+	s.Partners = rt.lt.Partners()
 	return s
 }
 

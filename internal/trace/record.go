@@ -153,10 +153,6 @@ func AppendExtended(buf []Word, kind Kind, small uint16, payload ...Word) []Word
 	return append(buf, trailer(kind, length))
 }
 
-// ExtendedLen returns the total word count of an extended record with
-// the given payload size.
-func ExtendedLen(payloadWords int) int { return payloadWords + 2 }
-
 // SplitU64 splits v into (lo, hi) words.
 func SplitU64(v uint64) (Word, Word) { return Word(v), Word(v >> 32) }
 

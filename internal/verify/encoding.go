@@ -2,6 +2,7 @@ package verify
 
 import (
 	"traceback/internal/module"
+	"traceback/internal/recon"
 	"traceback/internal/trace"
 )
 
@@ -215,8 +216,9 @@ func (ctx *context) dagInjectivity(di int) {
 }
 
 // walkPaths DFS-enumerates maximal paths from the last element of
-// path, round-tripping each completed path through expandBits. It
-// returns false once the budget is exhausted.
+// path, round-tripping each completed path through recon.ExpandPath,
+// the decoder reconstruction runs. It returns false once the budget is
+// exhausted.
 func (ctx *context) walkPaths(d *module.MapDAG, dagID int, path []int, budget *int) bool {
 	cur := path[len(path)-1]
 	succs := d.Blocks[cur].Succs
@@ -225,13 +227,13 @@ func (ctx *context) walkPaths(d *module.MapDAG, dagID int, path []int, budget *i
 			return false
 		}
 		*budget--
-		var bits uint32
+		var bits trace.Word
 		for _, b := range path {
 			if bit := d.Blocks[b].Bit; bit >= 0 {
 				bits |= 1 << uint(bit)
 			}
 		}
-		got := expandBits(d, bits)
+		got := recon.ExpandPath(d, bits)
 		want := observablePrefix(d, path)
 		if !equalPath(got, want) {
 			ctx.errorf(PassEncoding, dagID, int(d.Blocks[path[len(path)-1]].Start),
@@ -245,34 +247,6 @@ func (ctx *context) walkPaths(d *module.MapDAG, dagID int, path []int, budget *i
 		}
 	}
 	return true
-}
-
-// expandBits mirrors recon's ExpandPath over the in-memory DAG: start
-// at the header, follow the single bit-less successor implicitly,
-// otherwise the first (lowest-index) successor whose bit is set; stop
-// when nothing is marked or the walk would go backward.
-func expandBits(d *module.MapDAG, bits uint32) []int {
-	path := []int{0}
-	cur := 0
-	for {
-		succs := d.Blocks[cur].Succs
-		next := -1
-		if len(succs) == 1 && d.Blocks[succs[0]].Bit < 0 {
-			next = succs[0]
-		} else {
-			for _, s := range succs {
-				if bit := d.Blocks[s].Bit; bit >= 0 && bits&(1<<uint(bit)) != 0 {
-					next = s
-					break
-				}
-			}
-		}
-		if next < 0 || next <= cur {
-			return path
-		}
-		path = append(path, next)
-		cur = next
-	}
 }
 
 // observablePrefix is the portion of an executed path the record can

@@ -518,7 +518,6 @@ func (w *World) Run(maxSteps int, done func() bool) int {
 		}
 		var pick *Machine
 		for _, m := range w.Machines {
-			m.deliverDue()
 			if pick == nil || m.clock < pick.clock {
 				pick = m
 			}
@@ -531,7 +530,6 @@ func (w *World) Run(maxSteps int, done func() bool) int {
 			// are idle, stop.
 			idleAll := true
 			for _, m := range w.Machines {
-				m.deliverDue()
 				if m.Step() {
 					idleAll = false
 					break

@@ -24,11 +24,6 @@ func (w *World) RegisterEndpoint(id uint64, p *Process) {
 	w.endpoints[id] = &endpoint{proc: p}
 }
 
-// deliverDue is a hook point for delayed messages; with the current
-// queue design messages become visible when the receiving machine's
-// clock passes deliverAt, enforced in rpcRecv.
-func (m *Machine) deliverDue() {}
-
 // rpcCall implements SysRPCCall: r1=endpoint, r2=req addr, r3=req
 // len, r4=resp addr (capacity prefix convention: first 4 bytes at
 // resp addr give the caller's buffer capacity). The calling thread

@@ -468,16 +468,6 @@ func (p *Process) Unload(lm *LoadedModule) {
 	p.Hooks.OnModuleUnload(p, lm)
 }
 
-// ModuleAt returns the loaded module containing absolute code address a.
-func (p *Process) ModuleAt(a uint64) (*LoadedModule, bool) {
-	for _, lm := range p.Modules {
-		if a >= uint64(lm.CodeBase) && a < uint64(lm.CodeBase)+uint64(len(lm.Mod.Code)) {
-			return lm, true
-		}
-	}
-	return nil, false
-}
-
 // DefaultStackSize is the per-thread stack size.
 const DefaultStackSize = 64 << 10
 
