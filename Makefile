@@ -5,7 +5,8 @@
 #   make test        full test suite
 #   make vet         static analysis only
 #   make check       tbcheck over the examples + seeded-broken corpus
-#   make examples    run the four examples end to end
+#   make examples    run the four examples end to end, twice each,
+#                    failing on any stdout difference
 #   make ci          what the gate runs: fmt-check + vet + check +
 #                    examples + race-detector tests
 #   make gen         regenerate the committed generated trees (tools/gen),
@@ -123,11 +124,15 @@ bench-check:
 	done; done
 	bash bench/run.sh -compare .bench_build/check/parent.json .bench_build/check/change.json
 
+# Each example runs twice and must print the same bytes both times
+# (cmp), so a map-order leak into the rendering the examples share
+# with snaps/ fails the gate.
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/crosslang
-	$(GO) run ./examples/crossmachine
-	$(GO) run ./examples/deadlock
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && $(GO) build -o "$$d" ./examples/... && \
+	for e in quickstart crosslang crossmachine deadlock; do \
+		echo "--- examples/$$e" && "$$d/$$e" > "$$d/$$e.1" && "$$d/$$e" > "$$d/$$e.2" && \
+		cat "$$d/$$e.1" && cmp "$$d/$$e.1" "$$d/$$e.2" || exit 1; \
+	done
 
 bin:
 	mkdir -p bin

@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
+	"strings"
 
 	"traceback/internal/recon"
 	"traceback/internal/snap"
@@ -115,9 +117,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *logical:
 		mt := recon.Stitch(pts)
 		fmt.Fprintf(stdout, "stitched %d snap(s) into %d logical thread(s)\n", len(pts), len(mt.Logical))
+		var skews []string // sorted: map order must not reach stdout
 		for pair, skew := range mt.SkewEstimates {
-			fmt.Fprintf(stdout, "clock skew estimate: runtime %x -> %x: %d cycles\n", pair[0], pair[1], skew)
+			skews = append(skews, fmt.Sprintf("clock skew estimate: runtime %x -> %x: %d cycles\n", pair[0], pair[1], skew))
 		}
+		sort.Strings(skews)
+		fmt.Fprint(stdout, strings.Join(skews, ""))
 		fmt.Fprintln(stdout)
 		for _, lt := range mt.Logical {
 			recon.RenderLogical(stdout, lt, opts)

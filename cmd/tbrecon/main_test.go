@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,9 +11,9 @@ import (
 	"traceback/internal/core"
 	"traceback/internal/minic"
 	"traceback/internal/module"
+	"traceback/internal/scenario"
 	"traceback/internal/snap"
 	"traceback/internal/tbrt"
-	"traceback/internal/vm"
 )
 
 // writeFixture compiles a faulting program, runs it under the
@@ -30,16 +31,16 @@ func writeFixture(t *testing.T, dir string) (snapPath string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := vm.NewWorld(1)
-	mach := w.NewMachine("host", 0)
-	p, rt, err := tbrt.NewProcess(mach, "app", tbrt.Config{Policy: tbrt.DefaultPolicy()})
+	s, err := scenario.Launch(scenario.Spec{
+		Seed:     1,
+		Machines: []scenario.MachineSpec{{Name: "host"}},
+		Procs:    []scenario.ProcSpec{{Role: "app", Modules: []*module.Module{res.Module}, Config: &tbrt.Config{Policy: tbrt.DefaultPolicy()}}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Load(res.Module)
-	p.StartMain(0)
-	w.Run(50_000, func() bool { return p.Exited })
-	snaps := rt.Snaps()
+	s.Run(50_000)
+	snaps := s.Runtimes["app"].Snaps()
 	if len(snaps) == 0 {
 		t.Fatal("no snap from faulting program")
 	}
@@ -170,5 +171,30 @@ func TestDirectoryGzipAndPlainDedup(t *testing.T) {
 	}
 	if got := strings.Count(out.String(), "snap: process"); got != 2 {
 		t.Errorf("rendered %d snaps, want 2 (one per file, no double-count)\n%s", got, out.String())
+	}
+}
+
+// TestLogicalOutputDeterministic: -logical over the regression corpus,
+// whose crossmachine snaps give two clock skew estimates, prints the
+// same bytes on every run — map order never reaches stdout. The
+// corpus's seeded-bad snap makes each run exit 1; only stdout counts.
+func TestLogicalOutputDeterministic(t *testing.T) {
+	root, err := scenario.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(root, "snaps", "regressions")
+	var first []byte
+	for i := 1; i <= 8; i++ {
+		var out bytes.Buffer
+		run([]string{"-logical", "-maps", filepath.Join(dir, "maps"), dir}, &out, io.Discard)
+		if i == 1 {
+			first = out.Bytes()
+			if bytes.Count(first, []byte("clock skew estimate")) < 2 {
+				t.Fatalf("want two skew estimates:\n%s", first)
+			}
+		} else if !bytes.Equal(out.Bytes(), first) {
+			t.Fatalf("run %d: stdout differs from run 1:\n%s\n--- run 1 ---\n%s", i, out.Bytes(), first)
+		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 
 	"traceback/internal/module"
+	"traceback/internal/scenario"
 	"traceback/internal/snap"
 	"traceback/internal/tbrt"
 	"traceback/internal/telemetry"
@@ -104,16 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	world := vm.NewWorld(*seed)
-	mach := world.NewMachine("tbrun-host", 0)
-	mach.EnableTelemetry(reg)
-	name := filepath.Base(fs.Arg(fs.NArg() - 1))
-	proc, rt, err := tbrt.NewProcess(mach, name, cfg)
-	if err != nil {
-		return fail(err)
-	}
-	vmetrics := verify.NewMetrics(reg)
-	rec := reg.FlightRecorder()
+	var mods []*module.Module
 	for _, path := range fs.Args() {
 		f, err := os.Open(path)
 		if err != nil {
@@ -124,9 +116,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(fmt.Errorf("%s: %w", path, err))
 		}
-		if _, err := proc.Load(mod); err != nil {
-			return fail(err)
-		}
+		mods = append(mods, mod)
+	}
+	name := filepath.Base(fs.Arg(fs.NArg() - 1))
+	setup, err := scenario.Launch(scenario.Spec{Seed: *seed, Machines: []scenario.MachineSpec{{Name: "tbrun-host"}},
+		Procs: []scenario.ProcSpec{{Role: name, Modules: mods, Config: &cfg, Arg: *arg}}})
+	if err != nil {
+		return fail(err)
+	}
+	proc, rt := setup.Procs[name], setup.Runtimes[name]
+	vmetrics := verify.NewMetrics(reg)
+	rec := reg.FlightRecorder()
+	for _, mod := range mods {
 		tag := "uninstrumented"
 		if mod.Instrumented {
 			tag = fmt.Sprintf("%d DAGs", mod.DAGCount)
@@ -151,20 +152,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "loaded %s (%s)\n", mod.Name, tag)
 	}
-	if _, err := proc.StartMain(*arg); err != nil {
-		return fail(err)
-	}
 
 	stop := func() bool { return proc.Exited || sinkErr != nil }
 	if *killAfter > 0 {
-		world.Run(*killAfter, stop)
+		setup.World.Run(*killAfter, stop)
 		if !proc.Exited && sinkErr == nil {
 			fmt.Fprintln(stdout, "kill -9")
-			mach.KillProcess(proc)
+			proc.Machine.KillProcess(proc)
 			rt.PostMortemSnap()
 		}
 	} else {
-		world.Run(*maxSteps, stop)
+		setup.World.Run(*maxSteps, stop)
 	}
 	if sinkErr != nil {
 		return fail(sinkErr)

@@ -22,8 +22,10 @@ import (
 
 	"traceback/internal/core"
 	"traceback/internal/minic"
+	"traceback/internal/module"
 	"traceback/internal/mvm"
 	"traceback/internal/recon"
+	"traceback/internal/scenario"
 	"traceback/internal/tbrt"
 	"traceback/internal/vm"
 )
@@ -51,15 +53,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	world := vm.NewWorld(3)
-	mach := world.NewMachine("solaris-box", 0)
-	proc, natRT, err := tbrt.NewProcess(mach, "java", tbrt.Config{Policy: tbrt.DefaultPolicy()})
+	// The JVM's host process: the instrumented native library is
+	// loaded, and the managed runtime (attached below) runs main.
+	s, err := scenario.Launch(scenario.Spec{Seed: 3, Machines: []scenario.MachineSpec{{Name: "solaris-box"}},
+		Procs: []scenario.ProcSpec{{Role: "java", Modules: []*module.Module{natRes.Module},
+			Config: &tbrt.Config{Policy: tbrt.DefaultPolicy()}, NoMain: true}}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := proc.Load(natRes.Module); err != nil {
-		log.Fatal(err)
-	}
+	proc, natRT := s.Procs["java"], s.Runtimes["java"]
 
 	// The "long string" in native memory; the managed side gets its
 	// address through JNI.
@@ -78,7 +80,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	jvm := mvm.New(mach, proc, "java", mvm.RuntimeConfig{})
+	jvm := mvm.New(proc.Machine, proc, "java", mvm.RuntimeConfig{})
 	if _, err := jvm.Load(jmod); err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,9 @@
 // fails to check it and happily calls GetPetName, which "succeeds"
 // with a wrong name.
 //
+// The world is the "crossmachine" scenario: client.c, server.c and
+// strlib.c (the msvcr70d.dll analog, a library the server links).
+//
 // TraceBack instruments both sides; the SYNC records written around
 // the RPCs stitch the client and server physical threads into one
 // logical thread, so the reconstructed trace walks from the client's
@@ -16,95 +19,37 @@
 package main
 
 import (
-	_ "embed"
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
-	"traceback/internal/core"
-	"traceback/internal/minic"
-	"traceback/internal/module"
 	"traceback/internal/recon"
-	"traceback/internal/tbrt"
+	"traceback/internal/scenario"
+	"traceback/internal/snap"
 	"traceback/internal/vm"
 )
 
-// strlib.c: the msvcr70d.dll analog — a separately built library
-// module the server links against.
-
-// server.c: the pet-store COM server.
-
-// client.c: sets the name, ignores the returned HRESULT, reads it
-// back — the Figure 6 bug. The COM proxy stubs are real functions,
-// so the RPC boundary breaks DAGs exactly as a marshaled call would.
-
-func build(name, file, src string) (*module.Module, *core.Result) {
-	mod, err := minic.Compile(name, file, src)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := core.Instrument(mod, core.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	return mod, res
-}
-
-//go:embed strlib.mc
-var strlibSrc string
-
-//go:embed server.mc
-var serverSrc string
-
-//go:embed client.mc
-var clientSrc string
-
 func main() {
-	_, strlibRes := build("strlib", "strlib.c", strlibSrc)
-	_, serverRes := build("server", "server.c", serverSrc)
-	_, clientRes := build("client", "client.c", clientSrc)
-
-	world := vm.NewWorld(6)
-	clientBox := world.NewMachine("client-box", 0)
-	serverBox := world.NewMachine("server-box", 7500) // skewed clock
-
-	serverProc, serverRT, err := tbrt.NewProcess(serverBox, "petstore", tbrt.Config{Policy: tbrt.DefaultPolicy()})
+	s, err := scenario.Build("crossmachine", scenario.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := serverProc.Load(strlibRes.Module); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := serverProc.Load(serverRes.Module); err != nil {
-		log.Fatal(err)
-	}
-	clientProc, clientRT, err := tbrt.NewProcess(clientBox, "petclient", tbrt.Config{Policy: tbrt.DefaultPolicy()})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := clientProc.Load(clientRes.Module); err != nil {
-		log.Fatal(err)
-	}
-	world.RegisterEndpoint(9, serverProc)
-
-	if _, err := serverProc.StartMain(0); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := clientProc.StartMain(0); err != nil {
-		log.Fatal(err)
-	}
-	world.Run(5_000_000, func() bool { return clientProc.Exited && serverProc.Exited })
+	s.Run(0)
 	fmt.Printf("client: %s, server: %s\n",
-		vm.SignalName(clientProc.FatalSignal), vm.SignalName(serverProc.FatalSignal))
-	fmt.Printf("server snaps: %d (first-chance SIGSEGV in wcscpy)\n\n", len(serverRT.Snaps()))
+		vm.SignalName(s.Procs["petclient"].FatalSignal), vm.SignalName(s.Procs["petstore"].FatalSignal))
+	fmt.Printf("server snaps: %d (first-chance SIGSEGV in wcscpy)\n\n", len(s.Runtimes["petstore"].Snaps()))
 
-	// Gather both sides' snaps and stitch.
-	maps := recon.NewMapSet(strlibRes.Map, serverRes.Map, clientRes.Map)
+	// Gather both sides' snaps — the harvest ends with the server's
+	// and the client's post-mortem pulls — and stitch.
+	b, err := s.Collect()
+	if err != nil {
+		log.Fatal(err)
+	}
+	maps := scenario.MapSet(b)
+	n := len(b.Snaps)
 	var pts []*recon.ProcessTrace
-	for _, rt := range []*tbrt.Runtime{clientRT, serverRT} {
-		s := rt.PostMortemSnap()
-		pt, err := recon.Reconstruct(s, maps)
+	for _, sn := range []*snap.Snap{b.Snaps[n-1], b.Snaps[n-2]} {
+		pt, err := recon.Reconstruct(sn, maps)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -113,14 +58,9 @@ func main() {
 	mt := recon.Stitch(pts)
 	fmt.Printf("logical threads: %d, skew estimates: %v\n\n", len(mt.Logical), mt.SkewEstimates)
 
-	sources := map[string][]string{
-		"strlib.c": strings.Split(strlibSrc, "\n"),
-		"server.c": strings.Split(serverSrc, "\n"),
-		"client.c": strings.Split(clientSrc, "\n"),
-	}
 	for _, lt := range mt.Logical {
 		recon.RenderLogical(os.Stdout, lt, recon.RenderOptions{
-			Source: func(f string) []string { return sources[f] },
+			Source: func(file string) []string { return s.Sources[file] },
 		})
 		fmt.Println()
 	}

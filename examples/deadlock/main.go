@@ -1,77 +1,46 @@
 // Hang diagnosis: two threads take two locks in opposite orders and
-// deadlock. Nothing crashes — so no exception trigger fires. The
-// per-machine TraceBack service process detects the hang through its
-// heartbeat (the process stops making progress), snaps it, and the
-// fault-directed view shows one line per thread: exactly where each
-// one is stuck (paper §3.6.1, §3.7.5, §4.3.3).
+// deadlock (bank.mc, the "deadlock" scenario). Nothing crashes — so no
+// exception trigger fires. The per-machine TraceBack service process
+// detects the hang through its heartbeat (the process stops making
+// progress), snaps it, and the fault-directed view shows one line per
+// thread: exactly where each one is stuck (paper §3.6.1, §3.7.5,
+// §4.3.3).
 //
 //	go run ./examples/deadlock
 package main
 
 import (
-	_ "embed"
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
-	"traceback/internal/core"
-	"traceback/internal/minic"
 	"traceback/internal/recon"
-	"traceback/internal/service"
-	"traceback/internal/tbrt"
-	"traceback/internal/vm"
+	"traceback/internal/scenario"
 )
 
-//go:embed bank.mc
-var appSrc string
-
 func main() {
-	mod, err := minic.Compile("bank", "bank.mc", appSrc)
+	// The machine's service process has the runtime registered.
+	s, err := scenario.Build("deadlock", scenario.Options{})
 	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := core.Instrument(mod, core.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	world := vm.NewWorld(4)
-	mach := world.NewMachine("prod-host", 0)
-	proc, rt, err := tbrt.NewProcess(mach, "bank", tbrt.Config{Policy: tbrt.DefaultPolicy()})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := proc.Load(res.Module); err != nil {
-		log.Fatal(err)
-	}
-
-	// The machine's service process, with the runtime registered.
-	svc := service.New(mach, 100_000)
-	svc.Register(rt)
-
-	if _, err := proc.StartMain(0); err != nil {
 		log.Fatal(err)
 	}
 	// Run; the process deadlocks and stops making progress.
-	world.Run(200_000, func() bool { return proc.Exited })
-	fmt.Printf("process exited: %v (it is hung)\n", proc.Exited)
+	s.Run(0)
+	fmt.Printf("process exited: %v (it is hung)\n", s.Procs["bank"].Exited)
 
 	// The service heartbeat sweep notices and snaps.
-	mach.SetClock(mach.Clock() + 200_000) // time passes with no progress
-	hung := svc.CheckStatus()
-	fmt.Printf("service detected hung processes: %v (%d snap)\n\n", hung, len(svc.Snaps))
-	if len(svc.Snaps) == 0 {
-		log.Fatal("hang not detected")
-	}
-
-	pt, err := recon.Reconstruct(svc.Snaps[0], recon.NewMapSet(res.Map))
+	b, err := s.Collect()
 	if err != nil {
 		log.Fatal(err)
 	}
-	srcLines := strings.Split(appSrc, "\n")
+	fmt.Printf("service detected hung processes: %v (%d snap)\n\n", b.Hung, len(b.Snaps))
+
+	pt, err := recon.Reconstruct(b.Snaps[0], scenario.MapSet(b))
+	if err != nil {
+		log.Fatal(err)
+	}
 	recon.Render(os.Stdout, pt, recon.RenderOptions{
-		Source:    func(string) []string { return srcLines },
+		Source:    func(file string) []string { return s.Sources[file] },
 		MaxEvents: 12,
 	})
 	fmt.Println("\nThe hang view shows thread 2 stopped at the lock_audit acquire")

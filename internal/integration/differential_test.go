@@ -10,6 +10,7 @@ import (
 	"traceback/internal/minic"
 	"traceback/internal/module"
 	"traceback/internal/recon"
+	"traceback/internal/scenario"
 	"traceback/internal/tbrt"
 	"traceback/internal/vm"
 	"traceback/internal/workload"
@@ -27,36 +28,19 @@ import (
 // thread 1.
 func oracleLines(t *testing.T, mod *module.Module, arg uint64) ([]uint32, int) {
 	t.Helper()
-	w := vm.NewWorld(99)
-	mach := w.NewMachine("oracle", 0)
-	p := mach.NewProcess("app", nil)
-	lm, err := p.Load(mod)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := launchApp(t, 99, nil, arg, mod)
+	base := s.Procs["app"].Modules[0].CodeBase
 	var seq []uint32
-	mach.OnStep = func(th *vm.Thread) {
+	s.World.Machines[0].OnStep = func(th *vm.Thread) {
 		if th.TID != 1 {
 			return
 		}
-		rel := uint32(th.PC) - lm.CodeBase
-		_, line, ok := mod.LineFor(rel)
-		if !ok {
-			return
-		}
-		if n := len(seq); n == 0 || seq[n-1] != line {
+		_, line, ok := mod.LineFor(uint32(th.PC) - base)
+		if ok && (len(seq) == 0 || seq[len(seq)-1] != line) {
 			seq = append(seq, line)
 		}
 	}
-	if _, err := p.StartMain(arg); err != nil {
-		t.Fatal(err)
-	}
-	if err := vm.RunProcess(p, 10_000_000); err != nil {
-		t.Fatal(err)
-	}
-	if p.FatalSignal != 0 {
-		t.Fatalf("oracle run faulted: %s", vm.SignalName(p.FatalSignal))
-	}
+	p := runApp(t, s)
 	return seq, p.ExitCode
 }
 
@@ -69,36 +53,29 @@ func reconLines(t *testing.T, mod *module.Module, arg uint64) ([]uint32, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := vm.NewWorld(99)
-	mach := w.NewMachine("dut", 0)
 	// Buffers large enough that nothing wraps: the oracle sees the
 	// whole history, so reconstruction must too.
-	p, rt, err := tbrt.NewProcess(mach, "app", tbrt.Config{BufferWords: 1 << 19, NumBuffers: 1, SubBuffers: 4})
-	if err != nil {
-		t.Fatal(err)
+	s := launchApp(t, 99, &tbrt.Config{BufferWords: 1 << 19, NumBuffers: 1, SubBuffers: 4}, arg, res.Module)
+	p := runApp(t, s)
+	seq, truncated := threadLines(t, s, res.Map)
+	if truncated {
+		t.Fatal("trace truncated despite huge buffer")
 	}
-	if _, err := p.Load(res.Module); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.StartMain(arg); err != nil {
-		t.Fatal(err)
-	}
-	if err := vm.RunProcess(p, 20_000_000); err != nil {
-		t.Fatal(err)
-	}
-	if p.FatalSignal != 0 {
-		t.Fatalf("instrumented run faulted: %s", vm.SignalName(p.FatalSignal))
-	}
-	pt, err := recon.Reconstruct(rt.PostMortemSnap(), recon.NewMapSet(res.Map))
+	return seq, p.ExitCode
+}
+
+// threadLines reconstructs a post-mortem snap of s's "app" and returns
+// thread 1's line sequence, consecutive duplicates collapsed, and
+// whether its trace was truncated.
+func threadLines(t *testing.T, s *scenario.Setup, mf *module.MapFile) ([]uint32, bool) {
+	t.Helper()
+	pt, err := recon.Reconstruct(s.Runtimes["app"].PostMortemSnap(), recon.NewMapSet(mf))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tt, ok := pt.ThreadByTID(1)
 	if !ok {
 		t.Fatal("no thread 1")
-	}
-	if tt.Truncated {
-		t.Fatal("trace truncated despite huge buffer")
 	}
 	var seq []uint32
 	for _, e := range tt.Events {
@@ -115,7 +92,7 @@ func reconLines(t *testing.T, mod *module.Module, arg uint64) ([]uint32, int) {
 			seq = append(seq, e.Line)
 		}
 	}
-	return seq, p.ExitCode
+	return seq, tt.Truncated
 }
 
 func diffSeqs(a, b []uint32) string {

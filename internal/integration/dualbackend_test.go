@@ -43,20 +43,11 @@ func runNativeExit(t *testing.T, src string, arg uint64, seed int64) int64 {
 	if err != nil {
 		t.Fatalf("seed %d native compile: %v\n%s", seed, err, src)
 	}
-	w := vm.NewWorld(1)
-	mach := w.NewMachine("n", 0)
-	p := mach.NewProcess("dual", nil)
-	if _, err := p.Load(mod); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.StartMain(arg); err != nil {
-		t.Fatal(err)
-	}
-	if err := vm.RunProcess(p, 10_000_000); err != nil {
-		t.Fatal(err)
-	}
-	if p.FatalSignal != 0 {
-		t.Fatalf("seed %d: native faulted: %s\n%s", seed, vm.SignalName(p.FatalSignal), src)
+	s := launchApp(t, 1, nil, arg, mod)
+	s.Run(10_000_000)
+	p := s.Procs["app"]
+	if !p.Exited || p.FatalSignal != 0 {
+		t.Fatalf("seed %d: native run did not exit cleanly (signal %s)\n%s", seed, vm.SignalName(p.FatalSignal), src)
 	}
 	return int64(p.ExitCode)
 }

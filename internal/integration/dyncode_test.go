@@ -49,15 +49,8 @@ int main() { exit(render_%s()); }`, name, version+2, name)
 	}
 
 	runHost := func() (*vm.Process, *tbrt.Runtime) {
-		w := vm.NewWorld(31)
-		mach := w.NewMachine("webhost", 0)
-		p, rt, err := tbrt.NewProcess(mach, "aspnet", tbrt.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.Load(hostRes.Module); err != nil {
-			t.Fatal(err)
-		}
+		s := launchApp(t, 31, &tbrt.Config{}, 0, hostRes.Module)
+		p := s.Procs["app"]
 		p.SetModuleResolver(func(name string) *vm.LoadedModule {
 			page, err := minic.Compile(name, name+".mc", pageSource(name, 1))
 			if err != nil {
@@ -76,13 +69,7 @@ int main() { exit(render_%s()); }`, name, version+2, name)
 			}
 			return lm
 		})
-		if _, err := p.StartMain(0); err != nil {
-			t.Fatal(err)
-		}
-		if err := vm.RunProcess(p, 1_000_000); err != nil {
-			t.Fatal(err)
-		}
-		return p, rt
+		return runApp(t, s), s.Runtimes["app"]
 	}
 
 	p1, _ := runHost()

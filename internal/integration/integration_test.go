@@ -13,10 +13,38 @@ import (
 	"traceback/internal/minic"
 	"traceback/internal/module"
 	"traceback/internal/recon"
+	"traceback/internal/scenario"
 	"traceback/internal/snap"
 	"traceback/internal/tbrt"
 	"traceback/internal/vm"
 )
+
+// launchApp launches mods, in load order, as the one process "app" of
+// a world seeded seed, with main(arg) started; a nil cfg runs it
+// uninstrumented.
+func launchApp(t *testing.T, seed int64, cfg *tbrt.Config, arg uint64, mods ...*module.Module) *scenario.Setup {
+	t.Helper()
+	s, err := scenario.Launch(scenario.Spec{
+		Seed:     seed,
+		Machines: []scenario.MachineSpec{{Name: "host"}},
+		Procs:    []scenario.ProcSpec{{Role: "app", Modules: mods, Config: cfg, Arg: arg}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// runApp runs s and fails t unless its "app" exits without a signal.
+func runApp(t *testing.T, s *scenario.Setup) *vm.Process {
+	t.Helper()
+	s.Run(50_000_000)
+	p := s.Procs["app"]
+	if !p.Exited || p.FatalSignal != 0 {
+		t.Fatalf("app did not exit cleanly (exited %v, signal %s)", p.Exited, vm.SignalName(p.FatalSignal))
+	}
+	return p
+}
 
 // pipeline compiles src, instruments it, runs it, and reconstructs.
 func pipeline(t *testing.T, src string, arg uint64, cfg tbrt.Config) (*recon.ProcessTrace, *vm.Process, *tbrt.Runtime) {
@@ -29,26 +57,16 @@ func pipeline(t *testing.T, src string, arg uint64, cfg tbrt.Config) (*recon.Pro
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := vm.NewWorld(21)
-	mach := w.NewMachine("host", 0)
-	p, rt, err := tbrt.NewProcess(mach, "app", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Load(res.Module); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.StartMain(arg); err != nil {
-		t.Fatal(err)
-	}
-	vm.RunProcess(p, 20_000_000)
-	var s *snap.Snap
+	s := launchApp(t, 21, &cfg, arg, res.Module)
+	s.Run(20_000_000)
+	p, rt := s.Procs["app"], s.Runtimes["app"]
+	var sn *snap.Snap
 	if snaps := rt.Snaps(); len(snaps) > 0 {
-		s = snaps[0]
+		sn = snaps[0]
 	} else {
-		s = rt.PostMortemSnap()
+		sn = rt.PostMortemSnap()
 	}
-	pt, err := recon.Reconstruct(s, recon.NewMapSet(res.Map))
+	pt, err := recon.Reconstruct(sn, recon.NewMapSet(res.Map))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,26 +404,12 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := vm.NewWorld(2)
-	mach := w.NewMachine("host", 0)
-	p, rt, err := tbrt.NewProcess(mach, "app", tbrt.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Load(libRes.Module); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Load(appRes.Module); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.StartMain(0); err != nil {
-		t.Fatal(err)
-	}
-	vm.RunProcess(p, 1_000_000)
+	s := launchApp(t, 2, &tbrt.Config{}, 0, libRes.Module, appRes.Module)
+	p := runApp(t, s)
 	if p.ExitCode != 16 {
 		t.Fatalf("exit = %d, want 16", p.ExitCode)
 	}
-	pt, err := recon.Reconstruct(rt.PostMortemSnap(), recon.NewMapSet(libRes.Map, appRes.Map))
+	pt, err := recon.Reconstruct(s.Runtimes["app"].PostMortemSnap(), recon.NewMapSet(libRes.Map, appRes.Map))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,25 +454,13 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := vm.NewWorld(2)
-	mach := w.NewMachine("host", 0)
-	p, rt, err := tbrt.NewProcess(mach, "app", tbrt.Config{Policy: tbrt.DefaultPolicy()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Load(lib); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Load(appRes.Module); err != nil {
-		t.Fatal(err)
-	}
-	p.StartMain(0)
-	vm.RunProcess(p, 1_000_000)
-	if p.FatalSignal != vm.SigFpe {
+	setup := launchApp(t, 2, &tbrt.Config{Policy: tbrt.DefaultPolicy()}, 0, lib, appRes.Module)
+	setup.Run(1_000_000)
+	if p := setup.Procs["app"]; p.FatalSignal != vm.SigFpe {
 		t.Fatalf("signal = %s", vm.SignalName(p.FatalSignal))
 	}
 	var s *snap.Snap
-	if sn := rt.Snaps(); len(sn) > 0 {
+	if sn := setup.Runtimes["app"].Snaps(); len(sn) > 0 {
 		s = sn[0]
 	}
 	pt, err := recon.Reconstruct(s, recon.NewMapSet(appRes.Map))
@@ -503,33 +495,16 @@ func TestOverheadSanity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runCycles := func(m *module.Module, instrumented bool) (uint64, int) {
-		w := vm.NewWorld(1)
-		mach := w.NewMachine("m", 0)
-		var p *vm.Process
-		if instrumented {
-			p, _, err = tbrt.NewProcess(mach, "bench", tbrt.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			p = mach.NewProcess("bench", nil)
-		}
-		if _, err := p.Load(m); err != nil {
-			t.Fatal(err)
-		}
-		p.StartMain(0)
-		if err := vm.RunProcess(p, 50_000_000); err != nil {
-			t.Fatal(err)
-		}
+	runCycles := func(m *module.Module, cfg *tbrt.Config) (uint64, int) {
+		p := runApp(t, launchApp(t, 1, cfg, 0, m))
 		return p.Cycles, p.ExitCode
 	}
-	base, exitA := runCycles(mod, false)
+	base, exitA := runCycles(mod, nil)
 	res, err := core.Instrument(mod, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, exitB := runCycles(res.Module, true)
+	inst, exitB := runCycles(res.Module, &tbrt.Config{})
 	if exitA != exitB {
 		t.Fatalf("instrumentation changed the answer: %d vs %d", exitA, exitB)
 	}

@@ -5,9 +5,7 @@ import (
 
 	"traceback/internal/core"
 	"traceback/internal/minic"
-	"traceback/internal/recon"
 	"traceback/internal/tbrt"
-	"traceback/internal/vm"
 )
 
 // TestWrappedBufferSuffix: with a small trace buffer the oldest
@@ -41,39 +39,11 @@ int main(int a) {
 		t.Fatal(err)
 	}
 	for _, bufWords := range []int{512, 2048, 8192} {
-		w := vm.NewWorld(99)
-		mach := w.NewMachine("dut", 0)
-		p, rt, err := tbrt.NewProcess(mach, "wrap", tbrt.Config{
-			BufferWords: bufWords, NumBuffers: 1, SubBuffers: 4,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Load(res.Module)
-		p.StartMain(3)
-		if err := vm.RunProcess(p, 50_000_000); err != nil {
-			t.Fatal(err)
-		}
-		if p.ExitCode != exitO {
+		s := launchApp(t, 99, &tbrt.Config{BufferWords: bufWords, NumBuffers: 1, SubBuffers: 4}, 3, res.Module)
+		if p := runApp(t, s); p.ExitCode != exitO {
 			t.Fatalf("bufWords %d: exit %d vs oracle %d", bufWords, p.ExitCode, exitO)
 		}
-		pt, err := recon.Reconstruct(rt.PostMortemSnap(), recon.NewMapSet(res.Map))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tt, ok := pt.ThreadByTID(1)
-		if !ok {
-			t.Fatal("no thread")
-		}
-		var got []uint32
-		for _, e := range tt.Events {
-			if e.Kind != recon.EvLine {
-				continue
-			}
-			if n := len(got); n == 0 || got[n-1] != e.Line {
-				got = append(got, e.Line)
-			}
-		}
+		got, truncated := threadLines(t, s, res.Map)
 		if len(got) < 5 {
 			t.Fatalf("bufWords %d: only %d lines recovered", bufWords, len(got))
 		}
@@ -84,7 +54,7 @@ int main(int a) {
 			t.Errorf("bufWords %d: reconstruction is not a suffix of ground truth\nlast oracle: %v\nrecovered head: %v",
 				bufWords, tail(oracle, 12), head(got, 12))
 		}
-		if bufWords == 512 && !tt.Truncated {
+		if bufWords == 512 && !truncated {
 			t.Errorf("bufWords %d: small buffer not marked truncated", bufWords)
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"traceback/internal/scenario"
 	"traceback/internal/snap"
 	"traceback/internal/tbrt"
-	"traceback/internal/vm"
 	"traceback/internal/workload"
 )
 
@@ -143,24 +142,18 @@ const (
 // instrumented module on a fresh single-machine world, with
 // PetShopWorkers worker threads started and nothing executed.
 func BuildPetShop() (*mvm.VM, []*mvm.MThread, *module.MapFile, error) {
-	mod := workload.PetShopModule()
-	im, mf, err := mvm.Instrument(mod, 0)
+	im, mf, err := mvm.Instrument(workload.PetShopModule(), 0)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	world := vm.NewWorld(petShopSeed)
-	mach := world.NewMachine("petshop-host", 0)
-	v := mvm.New(mach, nil, "petshop", mvm.RuntimeConfig{SnapOnUncaught: true})
-	if _, err := v.Load(im); err != nil {
-		return nil, nil, nil, err
+	args := make([][]int64, PetShopWorkers)
+	for i := range args {
+		args[i] = []int64{PetShopRequests}
 	}
-	var threads []*mvm.MThread
-	for i := 0; i < PetShopWorkers; i++ {
-		th, err := v.Start("worker", int64(PetShopRequests))
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		threads = append(threads, th)
+	v, threads, err := workload.LaunchManaged(im, mvm.RuntimeConfig{SnapOnUncaught: true},
+		petShopSeed, "petshop-host", "petshop", "worker", args)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	return v, threads, mf, nil
 }

@@ -1,24 +1,25 @@
-// Package scenario re-runs the example workloads (examples/quickstart,
-// examples/crossmachine, examples/deadlock) in-process and hands back
-// the snaps and mapfiles they produce. The examples double as the
-// repository's fleet simulator: the VM is deterministic, so every
-// re-run reproduces byte-identical snaps — which is exactly what the
-// warehouse's signature-stability and dedup guarantees are tested
-// against (and what `tools/gen snaps` commits under snaps/).
+// Package scenario is the one launcher: Launch builds every world —
+// tbrun's, the paper's tables', the integration tests' — from a Spec
+// that holds its seed, machines and processes as data. The three
+// named scenarios are the paper's worked failures (the quickstart
+// crash, Figure 6's cross-machine fault, §3.6.1's hang), compiled from
+// the examples' MiniC sources; the examples run them and only narrate
+// and render. The VM is deterministic, so every re-run reproduces
+// byte-identical snaps: the fleet `tools/gen snaps` commits under
+// snaps/, and what the warehouse's dedup guarantees are tested against.
 //
-// Each scenario is split into build (compile, create the world,
-// start threads) and run (drive the world, harvest snaps) so that
-// harnesses can perturb the built world before running it — the
-// fault-injection campaign (internal/fault) installs a vm.Injector
-// and shrinks trace buffers between the two phases. All runs every
-// scenario unperturbed, byte for byte as the examples do.
+// A Setup is built but not yet run, so a harness can perturb the world
+// first: the fault campaign (internal/fault) installs a vm.Injector
+// and shrinks trace buffers, replay installs a recorder.
 package scenario
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 
 	"traceback/internal/core"
 	"traceback/internal/minic"
@@ -35,6 +36,7 @@ type Built struct {
 	Name  string
 	Snaps []*snap.Snap
 	Maps  []*module.MapFile
+	Hung  []string // processes the service declared hung (deadlock only)
 }
 
 // Options perturbs how a scenario is built. The zero value reproduces
@@ -47,37 +49,104 @@ type Options struct {
 	Config *tbrt.Config
 }
 
-func (o Options) config() tbrt.Config {
-	if o.Config != nil {
-		return *o.Config
-	}
-	return tbrt.Config{Policy: tbrt.DefaultPolicy()}
+// Spec is one world for Launch, as data.
+type Spec struct {
+	Seed     int64
+	Machines []MachineSpec // in creation order
+	Procs    []ProcSpec    // in creation order
 }
 
-// Setup is a built-but-not-yet-run scenario: the world exists, every
-// process's main thread is started, and nothing has executed. A
-// harness may install a vm.Injector on World (or otherwise perturb
-// state) before calling Run.
+// MachineSpec is one machine of a Spec.
+type MachineSpec struct {
+	Name string
+	Skew int64 // clock offset from world time, in cycles
+}
+
+// ProcSpec is one process of a Spec.
+type ProcSpec struct {
+	Role    string           // the process name; keys Setup.Procs and Setup.Runtimes
+	Machine int              // index into Spec.Machines
+	Modules []*module.Module // in load order
+	// Config runs the process under the TraceBack runtime, its machine
+	// reporting to Config.Telemetry when set; nil runs it uninstrumented.
+	Config   *tbrt.Config
+	Arg      uint64 // main's argument
+	NoMain   bool   // load only: start no main thread
+	Endpoint uint64 // the RPC endpoint it serves (0: none)
+}
+
+// Setup is a built-but-not-yet-run world: every process is loaded,
+// every main thread is started, and nothing has executed. A harness
+// may install a vm.Injector, a recorder or an OnStep hook on World
+// (or otherwise perturb state) before calling Run.
 type Setup struct {
-	Name  string
+	Name  string // the named scenario; empty for a bare Launch
 	World *vm.World
-	// Procs and Runtimes key the scenario's processes by role name
-	// (e.g. "app", "petstore", "petclient", "bank").
+	// Procs and Runtimes key the processes by role ("app", "petstore",
+	// …); an uninstrumented process has no runtime.
 	Procs    map[string]*vm.Process
 	Runtimes map[string]*tbrt.Runtime
 	Maps     []*module.MapFile
+	// Sources holds a named scenario's source lines, keyed by the file
+	// name its line tables record (e.g. "server.c"), and Stats each
+	// module's instrumentation statistics, keyed by module name.
+	Sources map[string][]string
+	Stats   map[string]core.Stats
 	// MaxSteps is the default quantum budget for Run.
 	MaxSteps int
 	// Service is the machine-local watchdog (deadlock scenario only).
 	Service *service.Service
 
-	done    func(*Setup) bool
-	collect func(*Setup) *Built
+	mains   []*vm.Process
+	collect func(*Setup, *Built)
 }
 
-// Roles lists the scenario's process roles in sorted order — the
-// order campaigns plan over and harvests walk, so both are independent
-// of map iteration.
+// Launch builds spec's world: the machines, then each process created
+// with its modules loaded and its endpoint registered, then the main
+// threads started in spec order. Nothing runs.
+func Launch(spec Spec) (*Setup, error) {
+	s := &Setup{World: vm.NewWorld(spec.Seed), Procs: map[string]*vm.Process{}, Runtimes: map[string]*tbrt.Runtime{}}
+	for _, m := range spec.Machines {
+		s.World.NewMachine(m.Name, m.Skew)
+	}
+	for _, ps := range spec.Procs {
+		mach := s.World.Machines[ps.Machine]
+		var p *vm.Process
+		if ps.Config == nil {
+			p = mach.NewProcess(ps.Role, nil)
+		} else {
+			if ps.Config.Telemetry != nil {
+				mach.EnableTelemetry(ps.Config.Telemetry)
+			}
+			var err error
+			if p, s.Runtimes[ps.Role], err = tbrt.NewProcess(mach, ps.Role, *ps.Config); err != nil {
+				return nil, err
+			}
+		}
+		for _, m := range ps.Modules {
+			if _, err := p.Load(m); err != nil {
+				return nil, err
+			}
+		}
+		if ps.Endpoint != 0 {
+			s.World.RegisterEndpoint(ps.Endpoint, p)
+		}
+		s.Procs[ps.Role] = p
+	}
+	for _, ps := range spec.Procs {
+		if p := s.Procs[ps.Role]; !ps.NoMain {
+			if _, err := p.StartMain(ps.Arg); err != nil {
+				return nil, err
+			}
+			s.mains = append(s.mains, p)
+		}
+	}
+	return s, nil
+}
+
+// Roles lists the world's process roles in sorted order — the order
+// campaigns plan over and harvests walk, so both are independent of
+// map iteration.
 func (s *Setup) Roles() []string {
 	roles := make([]string, 0, len(s.Procs))
 	for r := range s.Procs {
@@ -87,19 +156,21 @@ func (s *Setup) Roles() []string {
 	return roles
 }
 
-// Run drives the world until the scenario's completion condition,
-// nothing can run, or maxSteps quanta pass (0: the scenario default).
+// Run drives the world until every process that started a main has
+// exited, nothing can run, or maxSteps quanta pass (0: MaxSteps).
 func (s *Setup) Run(maxSteps int) {
 	if maxSteps <= 0 {
 		maxSteps = s.MaxSteps
 	}
-	s.World.Run(maxSteps, func() bool { return s.done(s) })
+	running := func(p *vm.Process) bool { return !p.Exited }
+	s.World.Run(maxSteps, func() bool { return !slices.ContainsFunc(s.mains, running) })
 }
 
-// Collect harvests the scenario's snaps per its original semantics
-// (hang checks included). Call after Run.
+// Collect harvests a named scenario's snaps per its original
+// semantics (hang checks included). Call after Run.
 func (s *Setup) Collect() (*Built, error) {
-	b := s.collect(s)
+	b := &Built{Name: s.Name, Maps: s.Maps}
+	s.collect(s, b)
 	if len(b.Snaps) == 0 {
 		return nil, fmt.Errorf("scenario: %s produced no snap", s.Name)
 	}
@@ -127,171 +198,116 @@ func Root() (string, error) {
 	}
 }
 
-func compile(root, name, file, relPath string) (*module.Module, *core.Result, error) {
-	src, err := os.ReadFile(filepath.Join(root, relPath))
-	if err != nil {
-		return nil, nil, fmt.Errorf("scenario: %w", err)
-	}
-	mod, err := minic.Compile(name, file, string(src))
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := core.Instrument(mod, core.Options{})
-	if err != nil {
-		return nil, nil, err
-	}
-	return mod, res, nil
+// named is one named scenario: a Spec whose i'th process loads the
+// modules sources[i] names, plus how to harvest it.
+type named struct {
+	name     string
+	spec     Spec
+	sources  [][]source
+	maxSteps int
+	// hangCycles, when set, starts a service watchdog on the first
+	// machine with every runtime registered.
+	hangCycles uint64
+	collect    func(*Setup, *Built)
 }
 
-// BuildQuickstart builds examples/quickstart: a latent divide-by-zero
-// triggered in production mode, snapped at the first-chance exception.
-func BuildQuickstart(opts Options) (*Setup, error) {
+// source is one MiniC module, examples/<scenario>/<module>.mc,
+// compiled under the file name its line table records.
+type source struct{ module, file string }
+
+// build compiles and instruments the scenario's modules and launches
+// it, every process under opts' runtime configuration.
+func (n named) build(opts Options) (*Setup, error) {
 	root, err := Root()
 	if err != nil {
 		return nil, err
 	}
-	_, res, err := compile(root, "app", "app.mc", "examples/quickstart/app.mc")
+	cfg := tbrt.Config{Policy: tbrt.DefaultPolicy()}
+	if opts.Config != nil {
+		cfg = *opts.Config
+	}
+	spec := n.spec
+	spec.Procs = slices.Clone(spec.Procs)
+	var maps []*module.MapFile
+	sources := map[string][]string{}
+	stats := map[string]core.Stats{}
+	for i := range spec.Procs {
+		spec.Procs[i].Config = &cfg
+		for _, src := range n.sources[i] {
+			text, err := os.ReadFile(filepath.Join(root, "examples", n.name, src.module+".mc"))
+			if err != nil {
+				return nil, fmt.Errorf("scenario: %w", err)
+			}
+			mod, err := minic.Compile(src.module, src.file, string(text))
+			if err != nil {
+				return nil, err
+			}
+			res, err := core.Instrument(mod, core.Options{})
+			if err != nil {
+				return nil, err
+			}
+			spec.Procs[i].Modules = append(spec.Procs[i].Modules, res.Module)
+			maps = append(maps, res.Map)
+			sources[src.file] = strings.Split(string(text), "\n")
+			stats[src.module] = res.Stats
+		}
+	}
+	s, err := Launch(spec)
 	if err != nil {
 		return nil, err
 	}
-	world := vm.NewWorld(1)
-	machine := world.NewMachine("prod-host", 0)
-	proc, rt, err := tbrt.NewProcess(machine, "app", opts.config())
-	if err != nil {
-		return nil, err
+	s.Name, s.Maps, s.Sources, s.Stats = n.name, maps, sources, stats
+	s.MaxSteps, s.collect = n.maxSteps, n.collect
+	if n.hangCycles != 0 {
+		s.Service = service.New(s.World.Machines[0], n.hangCycles)
+		for _, role := range s.Roles() {
+			s.Service.Register(s.Runtimes[role])
+		}
 	}
-	if _, err := proc.Load(res.Module); err != nil {
-		return nil, err
-	}
-	if _, err := proc.StartMain(1); err != nil {
-		return nil, err
-	}
-	return &Setup{
-		Name:     "quickstart",
-		World:    world,
-		Procs:    map[string]*vm.Process{"app": proc},
-		Runtimes: map[string]*tbrt.Runtime{"app": rt},
-		Maps:     []*module.MapFile{res.Map},
-		MaxSteps: 1_000_000,
-		done:     func(*Setup) bool { return proc.Exited },
-		collect: func(s *Setup) *Built {
-			return &Built{Name: s.Name, Snaps: rt.Snaps(), Maps: s.Maps}
-		},
-	}, nil
+	return s, nil
 }
 
-// BuildCrossMachine builds examples/crossmachine: a pet-store server
-// faulting inside a string library while serving a client on another
-// machine.
-func BuildCrossMachine(opts Options) (*Setup, error) {
-	root, err := Root()
-	if err != nil {
-		return nil, err
-	}
-	_, strlibRes, err := compile(root, "strlib", "strlib.c", "examples/crossmachine/strlib.mc")
-	if err != nil {
-		return nil, err
-	}
-	_, serverRes, err := compile(root, "server", "server.c", "examples/crossmachine/server.mc")
-	if err != nil {
-		return nil, err
-	}
-	_, clientRes, err := compile(root, "client", "client.c", "examples/crossmachine/client.mc")
-	if err != nil {
-		return nil, err
-	}
-
-	world := vm.NewWorld(6)
-	clientBox := world.NewMachine("client-box", 0)
-	serverBox := world.NewMachine("server-box", 7500)
-	serverProc, serverRT, err := tbrt.NewProcess(serverBox, "petstore", opts.config())
-	if err != nil {
-		return nil, err
-	}
-	if _, err := serverProc.Load(strlibRes.Module); err != nil {
-		return nil, err
-	}
-	if _, err := serverProc.Load(serverRes.Module); err != nil {
-		return nil, err
-	}
-	clientProc, clientRT, err := tbrt.NewProcess(clientBox, "petclient", opts.config())
-	if err != nil {
-		return nil, err
-	}
-	if _, err := clientProc.Load(clientRes.Module); err != nil {
-		return nil, err
-	}
-	world.RegisterEndpoint(9, serverProc)
-	if _, err := serverProc.StartMain(0); err != nil {
-		return nil, err
-	}
-	if _, err := clientProc.StartMain(0); err != nil {
-		return nil, err
-	}
-	return &Setup{
-		Name:  "crossmachine",
-		World: world,
-		Procs: map[string]*vm.Process{
-			"petstore": serverProc, "petclient": clientProc,
-		},
-		Runtimes: map[string]*tbrt.Runtime{
-			"petstore": serverRT, "petclient": clientRT,
-		},
-		Maps:     []*module.MapFile{strlibRes.Map, serverRes.Map, clientRes.Map},
-		MaxSteps: 5_000_000,
-		done:     func(*Setup) bool { return clientProc.Exited && serverProc.Exited },
-		collect: func(s *Setup) *Built {
-			b := &Built{Name: s.Name, Maps: s.Maps}
-			// The server snapped at its first-chance SIGSEGV during
-			// the run; the post-mortem pulls add each side's final
-			// state.
-			exc := append([]*snap.Snap(nil), serverRT.Snaps()...)
-			b.Snaps = append(exc, serverRT.PostMortemSnap(), clientRT.PostMortemSnap())
-			return b
-		},
-	}, nil
+// quickstart: a latent divide-by-zero triggered in production mode,
+// snapped at the first-chance exception.
+var quickstart = named{
+	name:     "quickstart",
+	spec:     Spec{Seed: 1, Machines: []MachineSpec{{Name: "prod-host"}}, Procs: []ProcSpec{{Role: "app", Arg: 1}}},
+	sources:  [][]source{{{"app", "app.mc"}}},
+	maxSteps: 1_000_000,
+	collect:  func(s *Setup, b *Built) { b.Snaps = s.Runtimes["app"].Snaps() },
 }
 
-// BuildDeadlock builds examples/deadlock: a lock-order inversion with
-// no crash, detected by the service heartbeat and snapped as a hang.
-func BuildDeadlock(opts Options) (*Setup, error) {
-	root, err := Root()
-	if err != nil {
-		return nil, err
-	}
-	_, res, err := compile(root, "bank", "bank.mc", "examples/deadlock/bank.mc")
-	if err != nil {
-		return nil, err
-	}
-	world := vm.NewWorld(4)
-	mach := world.NewMachine("prod-host", 0)
-	proc, rt, err := tbrt.NewProcess(mach, "bank", opts.config())
-	if err != nil {
-		return nil, err
-	}
-	if _, err := proc.Load(res.Module); err != nil {
-		return nil, err
-	}
-	svc := service.New(mach, 100_000)
-	svc.Register(rt)
-	if _, err := proc.StartMain(0); err != nil {
-		return nil, err
-	}
-	return &Setup{
-		Name:     "deadlock",
-		World:    world,
-		Procs:    map[string]*vm.Process{"bank": proc},
-		Runtimes: map[string]*tbrt.Runtime{"bank": rt},
-		Maps:     []*module.MapFile{res.Map},
-		MaxSteps: 200_000,
-		Service:  svc,
-		done:     func(*Setup) bool { return proc.Exited },
-		collect: func(s *Setup) *Built {
-			mach.SetClock(mach.Clock() + 200_000)
-			svc.CheckStatus()
-			return &Built{Name: s.Name, Snaps: svc.Snaps, Maps: s.Maps}
-		},
-	}, nil
+// crossMachine: a pet-store server faulting inside a string library
+// while serving a client on another machine, whose clock is skewed.
+var crossMachine = named{
+	name: "crossmachine",
+	spec: Spec{Seed: 6, Machines: []MachineSpec{{Name: "client-box"}, {Name: "server-box", Skew: 7500}},
+		Procs: []ProcSpec{{Role: "petstore", Machine: 1, Endpoint: 9}, {Role: "petclient"}}},
+	sources:  [][]source{{{"strlib", "strlib.c"}, {"server", "server.c"}}, {{"client", "client.c"}}},
+	maxSteps: 5_000_000,
+	collect: func(s *Setup, b *Built) {
+		// The server snapped at its first-chance SIGSEGV during the
+		// run; the post-mortem pulls add each side's final state.
+		server, client := s.Runtimes["petstore"], s.Runtimes["petclient"]
+		exc := append([]*snap.Snap(nil), server.Snaps()...)
+		b.Snaps = append(exc, server.PostMortemSnap(), client.PostMortemSnap())
+	},
+}
+
+// deadlock: a lock-order inversion with no crash, detected by the
+// service heartbeat and snapped as a hang.
+var deadlock = named{
+	name:       "deadlock",
+	spec:       Spec{Seed: 4, Machines: []MachineSpec{{Name: "prod-host"}}, Procs: []ProcSpec{{Role: "bank"}}},
+	sources:    [][]source{{{"bank", "bank.mc"}}},
+	maxSteps:   200_000,
+	hangCycles: 100_000,
+	collect: func(s *Setup, b *Built) {
+		m := s.World.Machines[0]
+		m.SetClock(m.Clock() + 200_000) // time passes with no progress
+		b.Hung = s.Service.CheckStatus()
+		b.Snaps = s.Service.Snaps
+	},
 }
 
 // Builders lists every scenario builder by name, in the committed
@@ -300,9 +316,9 @@ var Builders = []struct {
 	Name  string
 	Build func(Options) (*Setup, error)
 }{
-	{"quickstart", BuildQuickstart},
-	{"crossmachine", BuildCrossMachine},
-	{"deadlock", BuildDeadlock},
+	{quickstart.name, quickstart.build},
+	{crossMachine.name, crossMachine.build},
+	{deadlock.name, deadlock.build},
 }
 
 // Build builds the named scenario from Builders.

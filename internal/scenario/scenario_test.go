@@ -5,6 +5,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"traceback/internal/minic"
+	"traceback/internal/module"
+	"traceback/internal/tbrt"
 )
 
 func TestBuildUnknownName(t *testing.T) {
@@ -56,5 +60,31 @@ func TestRolesSorted(t *testing.T) {
 	}
 	if got, want := s.Roles(), []string{"petclient", "petstore"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Roles() = %v, want %v", got, want)
+	}
+}
+
+// TestLaunchNoMainUninstrumented: a nil Config launches a process with
+// no runtime, a NoMain process gets no thread, and Run returns once
+// every started main has exited although the main-less process never
+// does.
+func TestLaunchNoMainUninstrumented(t *testing.T) {
+	mod, err := minic.Compile("app", "app.mc", "int main() { exit(getarg() + 1); }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Launch(Spec{Seed: 1, Machines: []MachineSpec{{Name: "a"}, {Name: "b", Skew: 10}}, Procs: []ProcSpec{
+		{Role: "host", Machine: 1, Modules: []*module.Module{mod}, Config: &tbrt.Config{}, NoMain: true},
+		{Role: "app", Modules: []*module.Module{mod}, Arg: 6},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(1_000_000)
+	host, app := s.Procs["host"], s.Procs["app"]
+	if !app.Exited || app.ExitCode != 7 || host.Exited || len(host.Threads) != 0 || host.Machine.Name != "b" {
+		t.Errorf("app exited %v code %d; host exited %v with %d threads on %s", app.Exited, app.ExitCode, host.Exited, len(host.Threads), host.Machine.Name)
+	}
+	if _, ok := s.Runtimes["app"]; ok || s.Runtimes["host"] == nil {
+		t.Errorf("runtime of app %v, of host %v; want host's only", s.Runtimes["app"], s.Runtimes["host"])
 	}
 }
