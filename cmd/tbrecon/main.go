@@ -12,10 +12,12 @@
 //
 // The rendered trace is the only thing written to stdout; -stats and
 // -metrics report on stderr (or to a file) so piped output stays
-// byte-identical whether or not telemetry is requested.
+// byte-identical whether or not telemetry is requested. Output that
+// cannot be written (a full disk, a closed pipe) is an error, exit 1.
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -93,6 +95,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	pipe := recon.NewPipeline(cache, *jobs)
 	results := pipe.Run(sources)
 
+	// All of stdout goes through one buffer; a write that failed
+	// surfaces at the final Flush.
+	out := bufio.NewWriter(stdout)
+
 	// A failed source must not sink the rest of the batch: report it,
 	// reconstruct everything else, exit nonzero at the end.
 	failed := 0
@@ -105,8 +111,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		pts = append(pts, res.Trace)
 		if *showVars {
-			recon.RenderVariables(stdout, res.Trace.Snap, cache)
-			fmt.Fprintln(stdout)
+			recon.RenderVariables(out, res.Trace.Snap, cache)
+			fmt.Fprintln(out)
 		}
 	}
 	if len(pts) == 0 {
@@ -116,27 +122,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch {
 	case *logical:
 		mt := recon.Stitch(pts)
-		fmt.Fprintf(stdout, "stitched %d snap(s) into %d logical thread(s)\n", len(pts), len(mt.Logical))
+		fmt.Fprintf(out, "stitched %d snap(s) into %d logical thread(s)\n", len(pts), len(mt.Logical))
 		var skews []string // sorted: map order must not reach stdout
 		for pair, skew := range mt.SkewEstimates {
 			skews = append(skews, fmt.Sprintf("clock skew estimate: runtime %x -> %x: %d cycles\n", pair[0], pair[1], skew))
 		}
 		sort.Strings(skews)
-		fmt.Fprint(stdout, strings.Join(skews, ""))
-		fmt.Fprintln(stdout)
+		fmt.Fprint(out, strings.Join(skews, ""))
+		fmt.Fprintln(out)
 		for _, lt := range mt.Logical {
-			recon.RenderLogical(stdout, lt, opts)
-			fmt.Fprintln(stdout)
+			recon.RenderLogical(out, lt, opts)
+			fmt.Fprintln(out)
 		}
 	case *interleave:
 		for _, pt := range pts {
-			recon.RenderInterleaved(stdout, pt)
+			recon.RenderInterleaved(out, pt)
 		}
 	default:
 		for _, pt := range pts {
-			recon.Render(stdout, pt, opts)
-			fmt.Fprintln(stdout)
+			recon.Render(out, pt, opts)
+			fmt.Fprintln(out)
 		}
+	}
+	if err := out.Flush(); err != nil {
+		return fail(err)
 	}
 
 	if *showStats {

@@ -94,6 +94,29 @@ func TestStdoutByteCleanWithTelemetry(t *testing.T) {
 	}
 }
 
+// TestReconWriteFailure: a trace that cannot be written is a failure
+// (exit 1, reason on stderr) in every rendering mode, not a silent
+// pass.
+func TestReconWriteFailure(t *testing.T) {
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	defer full.Close()
+	dir := t.TempDir()
+	snapPath := writeFixture(t, dir)
+	for _, mode := range [][]string{nil, {"-logical"}, {"-interleave"}} {
+		args := append(append([]string{"-maps", dir}, mode...), snapPath)
+		var errb bytes.Buffer
+		if code := run(args, full, &errb); code != 1 {
+			t.Errorf("%v with stdout on /dev/full: exit %d, want 1 (stderr: %s)", mode, code, errb.String())
+		}
+		if !strings.Contains(errb.String(), "tbrecon: ") {
+			t.Errorf("%v: no error on stderr", mode)
+		}
+	}
+}
+
 // TestMetricsFileJSON checks the .json branch of -metrics.
 func TestMetricsFileJSON(t *testing.T) {
 	dir := t.TempDir()

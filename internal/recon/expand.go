@@ -15,7 +15,13 @@ import (
 // took; a single bit-less successor is implied (its predecessors all
 // branch unconditionally).
 func ExpandPath(d *module.MapDAG, bits trace.Word) []int {
-	path := []int{0}
+	return appendPath(nil, d, bits)
+}
+
+// appendPath is ExpandPath appending into dst, so the expander can
+// reuse one scratch slice across records.
+func appendPath(dst []int, d *module.MapDAG, bits trace.Word) []int {
+	dst = append(dst, 0)
 	cur := 0
 	for {
 		b := &d.Blocks[cur]
@@ -34,10 +40,10 @@ func ExpandPath(d *module.MapDAG, bits trace.Word) []int {
 		if next < 0 || next <= cur {
 			break
 		}
-		path = append(path, next)
+		dst = append(dst, next)
 		cur = next
 	}
-	return path
+	return dst
 }
 
 // ExpandManaged decodes a managed (bytecode-instrumented) DAG record:
@@ -45,14 +51,28 @@ func ExpandPath(d *module.MapDAG, bits trace.Word) []int {
 // bit is set executed, in code order (paper §2.4 — line accuracy is
 // all Java reconstruction needs).
 func ExpandManaged(d *module.MapDAG, bits trace.Word) []int {
-	path := []int{0}
+	return appendManaged(nil, d, bits)
+}
+
+// appendManaged is ExpandManaged appending into dst.
+func appendManaged(dst []int, d *module.MapDAG, bits trace.Word) []int {
+	dst = append(dst, 0)
 	for i := 1; i < len(d.Blocks); i++ {
 		b := &d.Blocks[i]
 		if b.Bit >= 0 && bits&(1<<uint(b.Bit)) != 0 {
-			path = append(path, i)
+			dst = append(dst, i)
 		}
 	}
-	return path
+	return dst
+}
+
+// appendExpansion expands a DAG record by the rule its module was
+// instrumented under.
+func appendExpansion(dst []int, d *module.MapDAG, bits trace.Word, managed bool) []int {
+	if managed {
+		return appendManaged(dst, d, bits)
+	}
+	return appendPath(dst, d, bits)
 }
 
 // expander turns one thread segment's records into events. All its
@@ -79,16 +99,42 @@ type expander struct {
 
 	ts        uint64
 	anchorSeq int
+
+	path []int // scratch for the current record's block sequence
 }
 
 func expandSegment(s *snap.Snap, maps MapResolver, seg segment) (*ThreadTrace, error) {
 	ex := &expander{s: s, maps: maps, tt: &ThreadTrace{TID: seg.tid}}
+	ex.tt.Events = make([]Event, 0, ex.countEvents(seg.recs))
 	for _, r := range seg.recs {
 		if err := ex.record(r); err != nil {
 			return nil, err
 		}
 	}
 	return ex.tt, nil
+}
+
+// countEvents bounds the events a segment expands to: every line of
+// every DAG record's expanded path, plus one for each other record,
+// so expandSegment allocates its events once. Resolve errors count
+// nothing here; the real pass reports them.
+func (ex *expander) countEvents(recs []trace.Record) int {
+	n := 0
+	for _, r := range recs {
+		if r.Kind != trace.KindNone || r.BadDAG() {
+			n++
+			continue
+		}
+		_, d, managed, err := resolveDAG(ex.s, ex.maps, r.DAGID)
+		if err != nil {
+			continue
+		}
+		ex.path = appendExpansion(ex.path[:0], d, r.Bits, managed)
+		for _, bi := range ex.path {
+			n += len(d.Blocks[bi].Lines)
+		}
+	}
+	return n
 }
 
 func (ex *expander) anchor(ts uint64) {
@@ -207,11 +253,11 @@ func (ex *expander) emitPending() {
 	ex.lastEmitted = len(path)
 }
 
+// expand expands the current DAG record into the expander's scratch
+// path, valid until the next call.
 func (ex *expander) expand() []int {
-	if ex.lastManaged {
-		return ExpandManaged(ex.lastDAG, ex.lastBits)
-	}
-	return ExpandPath(ex.lastDAG, ex.lastBits)
+	ex.path = appendExpansion(ex.path[:0], ex.lastDAG, ex.lastBits, ex.lastManaged)
+	return ex.path
 }
 
 // emitBlock expands one block into line events with call-hierarchy

@@ -2,6 +2,7 @@ package recon
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -465,9 +466,12 @@ func benchCorpus(tb testing.TB, nSnaps int) (snapPaths []string, mapsDir, mapPat
 // sharing one binary: the sequential baseline re-parses the mapfile
 // for every snap (one tbrecon invocation per snap, the pre-pipeline
 // workflow), the pipeline parses it once into the shared MapCache.
+// expand and render time the two per-snap stages alone on one of
+// those snaps, already loaded.
 func BenchmarkPipelineRecon(b *testing.B) {
 	const nSnaps = 16
 	snapPaths, mapsDir, mapPath := benchCorpus(b, nSnaps)
+	b.ReportAllocs()
 
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -516,6 +520,43 @@ func BenchmarkPipelineRecon(b *testing.B) {
 			if snap := pipe.Snapshot(); snap.CacheHits == 0 {
 				b.Fatalf("no cache hits in a shared-binary batch: %s", snap)
 			}
+		}
+	})
+	s, err := snap.LoadFile(snapPaths[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	mr, err := os.Open(mapPath)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mf, err := module.LoadMapFile(mr)
+	mr.Close()
+	if err != nil {
+		b.Fatal(err)
+	}
+	maps := NewMapSet(mf)
+	var segs []segment
+	for bi := range s.Buffers {
+		segs = append(segs, mineBuffer(&s.Buffers[bi]).segs...)
+	}
+	b.Run("expand", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, seg := range segs {
+				if _, err := expandSegment(s, maps, seg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+
+	pt, err := Reconstruct(s, maps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("render", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Render(io.Discard, pt, RenderOptions{})
 		}
 	})
 }

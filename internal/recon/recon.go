@@ -53,8 +53,7 @@ const (
 	EvThreadStart
 	EvThreadEnd
 	EvBadDAG
-	EvSyscall   // synchronization-point marker with resolved position
-	EvTruncated // history older than this point was overwritten
+	EvSyscall // synchronization-point marker with resolved position
 )
 
 func (k EventKind) String() string {
@@ -77,18 +76,18 @@ func (k EventKind) String() string {
 		return "bad-dag"
 	case EvSyscall:
 		return "syscall"
-	case EvTruncated:
-		return "truncated"
 	}
 	return "?"
 }
 
 // Event is one entry of a reconstructed history.
 type Event struct {
-	Kind   EventKind
+	Kind EventKind
+	// Fault marks the line an exception record trimmed the trace at.
+	Fault  bool
+	Line   uint32
 	Module string
 	File   string
-	Line   uint32
 	Func   string
 	Depth  int
 	// Repeat counts consecutive re-executions of the same line
@@ -103,8 +102,6 @@ type Event struct {
 	AnchorSeq int
 	// Sync is set for EvSync events.
 	Sync *trace.Sync
-	// Fault marks the line an exception record trimmed the trace at.
-	Fault bool
 	// CallTo is set on the line event that performs a call.
 	CallTo string
 
@@ -358,40 +355,36 @@ type segment struct {
 
 // splitByThread partitions a buffer's record stream at thread
 // start/end records (buffers house several thread lifetimes in
-// sequence, paper §3.1.2).
+// sequence, paper §3.1.2). Segments alias recs rather than copy it.
 func splitByThread(recs []trace.Record, ownerTID uint32) []segment {
 	var segs []segment
-	cur := segment{tid: 0}
-	flush := func() {
-		if len(cur.recs) > 0 {
-			segs = append(segs, cur)
+	var tid uint32
+	start := 0
+	flush := func(end int) {
+		if end > start {
+			segs = append(segs, segment{tid: tid, recs: recs[start:end]})
 		}
+		start, tid = end, 0
 	}
-	for _, r := range recs {
+	for i, r := range recs {
 		switch r.Kind {
 		case trace.KindThreadStart:
-			flush()
-			ev, err := trace.DecodeThreadEvent(r)
-			cur = segment{recs: []trace.Record{r}}
-			if err == nil {
-				cur.tid = ev.TID
+			flush(i)
+			if ev, err := trace.DecodeThreadEvent(r); err == nil {
+				tid = ev.TID
 			}
 		case trace.KindThreadEnd:
 			// A wrapped buffer may have lost its ThreadStart; the
 			// termination record still identifies the owner.
-			if cur.tid == 0 {
+			if tid == 0 {
 				if ev, err := trace.DecodeThreadEvent(r); err == nil {
-					cur.tid = ev.TID
+					tid = ev.TID
 				}
 			}
-			cur.recs = append(cur.recs, r)
-			flush()
-			cur = segment{tid: 0}
-		default:
-			cur.recs = append(cur.recs, r)
+			flush(i + 1)
 		}
 	}
-	flush()
+	flush(len(recs))
 	// Records before the first ThreadStart belong to an earlier,
 	// partially overwritten lifetime; if there is exactly one
 	// headless segment and we know the owner, attribute it.

@@ -3,7 +3,9 @@ package recon
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
+	"sync"
 )
 
 // RenderOptions controls trace rendering.
@@ -24,20 +26,23 @@ type RenderOptions struct {
 // swaps places with the first thread; the rest keep their order), so
 // a faulting snap opens on the faulting line.
 func Render(w io.Writer, pt *ProcessTrace, opts RenderOptions) {
+	bp := renderBufs.Get().(*[]byte)
+	defer putRenderBuf(bp)
+	buf := *bp
 	s := pt.Snap
-	fmt.Fprintf(w, "snap: process %q on %s (pid %d), reason: %s\n",
+	buf = fmt.Appendf(buf, "snap: process %q on %s (pid %d), reason: %s\n",
 		s.Process, s.Host, s.PID, s.Reason)
 	if pt.Unrecoverable > 0 {
-		fmt.Fprintf(w, "note: %d buffer(s) unrecoverable\n", pt.Unrecoverable)
+		buf = fmt.Appendf(buf, "note: %d buffer(s) unrecoverable\n", pt.Unrecoverable)
 	}
 
 	hang := strings.Contains(s.Reason, "hang")
 	if hang {
-		fmt.Fprintf(w, "-- hang view: last activity per thread --\n")
+		buf = append(buf, "-- hang view: last activity per thread --\n"...)
 		for _, t := range pt.Threads {
-			fmt.Fprintf(w, "thread %d: %s\n", t.TID, lastActivity(t))
+			buf = fmt.Appendf(buf, "thread %d: %s\n", t.TID, lastActivity(t))
 		}
-		fmt.Fprintln(w)
+		buf = append(buf, '\n')
 	}
 
 	order := make([]*ThreadTrace, len(pt.Threads))
@@ -50,8 +55,10 @@ func Render(w io.Writer, pt *ProcessTrace, opts RenderOptions) {
 		}
 	}
 	for _, t := range order {
-		RenderThread(w, t, opts)
+		buf = appendThread(w, buf, t, opts)
 	}
+	w.Write(buf)
+	*bp = buf
 }
 
 // lastActivity summarizes a thread's newest event (hang view). A
@@ -83,62 +90,133 @@ func noteSuffix(e *Event) string {
 
 // RenderThread writes one thread's line-by-line history.
 func RenderThread(w io.Writer, t *ThreadTrace, opts RenderOptions) {
-	fmt.Fprintf(w, "== thread %d ==\n", t.TID)
+	bp := renderBufs.Get().(*[]byte)
+	defer putRenderBuf(bp)
+	*bp = appendThread(w, *bp, t, opts)
+	w.Write(*bp)
+}
+
+// renderFlushAt is the size of the batches the renderer writes in.
+const renderFlushAt = 32 << 10
+
+// renderBufs recycles render buffers: a rendering keeps nothing, so
+// it should allocate nothing once warm.
+var renderBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, renderFlushAt+4<<10)
+	return &b
+}}
+
+// putRenderBuf returns a buffer to the pool, dropping one a long line
+// grew far past the batch size.
+func putRenderBuf(bp *[]byte) {
+	if cap(*bp) > 4*renderFlushAt {
+		return
+	}
+	*bp = (*bp)[:0]
+	renderBufs.Put(bp)
+}
+
+// appendThread appends t's history to buf, writing buf to w and
+// emptying it each time it passes renderFlushAt. It returns the
+// unwritten remainder.
+func appendThread(w io.Writer, buf []byte, t *ThreadTrace, opts RenderOptions) []byte {
+	buf = append(buf, "== thread "...)
+	buf = strconv.AppendUint(buf, uint64(t.TID), 10)
+	buf = append(buf, " ==\n"...)
 	if t.Truncated {
-		fmt.Fprintf(w, "  ... older history overwritten ...\n")
+		buf = append(buf, "  ... older history overwritten ...\n"...)
 	}
 	evs := t.Events
 	if opts.MaxEvents > 0 && len(evs) > opts.MaxEvents {
 		evs = evs[len(evs)-opts.MaxEvents:]
-		fmt.Fprintf(w, "  ... (%d earlier events elided) ...\n", len(t.Events)-len(evs))
+		buf = fmt.Appendf(buf, "  ... (%d earlier events elided) ...\n", len(t.Events)-len(evs))
 	}
 	for i := range evs {
-		e := &evs[i]
-		indent := "  "
-		if !opts.Flat && e.Depth > 0 {
-			indent += strings.Repeat("| ", e.Depth)
-		}
-		switch e.Kind {
-		case EvLine:
-			mark := " "
-			if e.Fault {
-				mark = ">"
-			}
-			rep := ""
-			if e.Repeat > 0 {
-				rep = fmt.Sprintf(" (x%d)", e.Repeat+1)
-			}
-			src := ""
-			if opts.Source != nil {
-				if lines := opts.Source(e.File); int(e.Line-1) < len(lines) && e.Line >= 1 {
-					src = "\t" + strings.TrimSpace(lines[e.Line-1])
-				}
-			}
-			fmt.Fprintf(w, "%s%s%s %s:%d%s%s%s\n",
-				indent, mark, e.Module, e.File, e.Line, rep, noteSuffix(e), src)
-		case EvException:
-			fmt.Fprintf(w, "%s!! %s\n", indent, e.Note)
-		case EvExceptionEnd:
-			fmt.Fprintf(w, "%s.. %s\n", indent, e.Note)
-		case EvSync:
-			fmt.Fprintf(w, "%s~~ sync %s (logical thread %d seq %d)\n",
-				indent, e.Note, e.Sync.LogicalThread, e.Sync.Seq)
-		case EvSnapMark:
-			fmt.Fprintf(w, "%s** %s\n", indent, e.Note)
-		case EvThreadStart:
-			fmt.Fprintf(w, "%s-- thread start --\n", indent)
-		case EvThreadEnd:
-			fmt.Fprintf(w, "%s-- thread end --\n", indent)
-		case EvBadDAG:
-			fmt.Fprintf(w, "%s?? %s\n", indent, e.Note)
-		case EvSyscall:
-			if e.File != "" {
-				fmt.Fprintf(w, "%s~  %s (%s:%d)\n", indent, e.Note, e.File, e.Line)
-			} else {
-				fmt.Fprintf(w, "%s~  %s\n", indent, e.Note)
-			}
+		buf = appendEvent(buf, &evs[i], opts)
+		if len(buf) >= renderFlushAt {
+			w.Write(buf)
+			buf = buf[:0]
 		}
 	}
+	return buf
+}
+
+// appendEvent appends one event's line: the call-hierarchy indent,
+// then a kind-specific body. A kind with no rendering appends nothing.
+func appendEvent(buf []byte, e *Event, opts RenderOptions) []byte {
+	start := len(buf)
+	buf = append(buf, "  "...)
+	if !opts.Flat {
+		for d := 0; d < e.Depth; d++ {
+			buf = append(buf, "| "...)
+		}
+	}
+	switch e.Kind {
+	case EvLine:
+		if e.Fault {
+			buf = append(buf, '>')
+		} else {
+			buf = append(buf, ' ')
+		}
+		buf = append(buf, e.Module...)
+		buf = append(buf, ' ')
+		buf = append(buf, e.File...)
+		buf = append(buf, ':')
+		buf = strconv.AppendUint(buf, uint64(e.Line), 10)
+		if e.Repeat > 0 {
+			buf = append(buf, " (x"...)
+			buf = strconv.AppendInt(buf, int64(e.Repeat+1), 10)
+			buf = append(buf, ')')
+		}
+		if e.Note != "" {
+			buf = append(buf, " ["...)
+			buf = append(buf, e.Note...)
+			buf = append(buf, ']')
+		}
+		if opts.Source != nil {
+			if lines := opts.Source(e.File); int(e.Line-1) < len(lines) && e.Line >= 1 {
+				buf = append(buf, '\t')
+				buf = append(buf, strings.TrimSpace(lines[e.Line-1])...)
+			}
+		}
+	case EvException:
+		buf = append(buf, "!! "...)
+		buf = append(buf, e.Note...)
+	case EvExceptionEnd:
+		buf = append(buf, ".. "...)
+		buf = append(buf, e.Note...)
+	case EvSync:
+		buf = append(buf, "~~ sync "...)
+		buf = append(buf, e.Note...)
+		buf = append(buf, " (logical thread "...)
+		buf = strconv.AppendUint(buf, uint64(e.Sync.LogicalThread), 10)
+		buf = append(buf, " seq "...)
+		buf = strconv.AppendUint(buf, uint64(e.Sync.Seq), 10)
+		buf = append(buf, ')')
+	case EvSnapMark:
+		buf = append(buf, "** "...)
+		buf = append(buf, e.Note...)
+	case EvThreadStart:
+		buf = append(buf, "-- thread start --"...)
+	case EvThreadEnd:
+		buf = append(buf, "-- thread end --"...)
+	case EvBadDAG:
+		buf = append(buf, "?? "...)
+		buf = append(buf, e.Note...)
+	case EvSyscall:
+		buf = append(buf, "~  "...)
+		buf = append(buf, e.Note...)
+		if e.File != "" {
+			buf = append(buf, " ("...)
+			buf = append(buf, e.File...)
+			buf = append(buf, ':')
+			buf = strconv.AppendUint(buf, uint64(e.Line), 10)
+			buf = append(buf, ')')
+		}
+	default:
+		return buf[:start]
+	}
+	return append(buf, '\n')
 }
 
 // RenderInterleaved writes the merged multi-thread view.
