@@ -66,13 +66,15 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 	if fs.NArg() != 0 {
 		return fail(fmt.Errorf("unexpected arguments %v", fs.Args()))
 	}
+	// Without -maps, maps stays a nil interface (never a typed nil
+	// *MapCache): the daemon then files snaps under weak signatures.
 	var maps recon.MapResolver
 	if *mapsDir != "" {
-		loader, err := recon.NewDirLoader(*mapsDir)
+		cache, _, err := recon.NewMapDir(*mapsDir)
 		if err != nil {
 			return fail(err)
 		}
-		maps = recon.NewMapCache(loader.Load)
+		maps = cache
 	}
 	if *gateShards != "" {
 		return runGate(*listen, *gateShards, maps, *drainTimeout, stdout, fail, sigs)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -9,6 +10,11 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"traceback/internal/archive"
+	"traceback/internal/collect"
+	"traceback/internal/recon"
+	"traceback/internal/snap"
 )
 
 // syncBuffer is a bytes.Buffer safe to read while run() writes it
@@ -75,6 +81,77 @@ func TestDaemonServesAndDrains(t *testing.T) {
 	// The store closed cleanly: the index was flushed.
 	if _, err := os.Stat(filepath.Join(store, "index.json")); err != nil {
 		t.Errorf("index not flushed at shutdown: %v", err)
+	}
+}
+
+// TestDaemonMapsSignStrong: with -maps the daemon signs an upload on
+// those mapfiles, so a committed snap is filed under the strong
+// signature archive.SignSnap gives with them; without -maps the daemon
+// has no mapfiles and files it under the weak signature.
+func TestDaemonMapsSignStrong(t *testing.T) {
+	path := filepath.Join("..", "..", "snaps", "quickstart-app-1.snap.json.gz")
+	mapsDir := filepath.Join("..", "..", "snaps", "maps")
+	body, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := snap.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, _, err := archive.ChecksumSnap(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maps, _, err := recon.NewMapDir(mapsDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strong, weak := archive.SignSnap(s, maps), archive.SignSnap(s, nil)
+	if strong.Weak || !weak.Weak {
+		t.Fatalf("signatures: strong %+v, weak %+v", strong, weak)
+	}
+
+	for _, tc := range []struct {
+		name string
+		args []string
+		want archive.Signature
+	}{
+		{"maps", []string{"-maps", mapsDir}, strong},
+		{"no-maps", nil, weak},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr syncBuffer
+			sigs := make(chan os.Signal, 1)
+			exited := make(chan int, 1)
+			args := append([]string{"-listen", "127.0.0.1:0", "-store", filepath.Join(t.TempDir(), "wh")}, tc.args...)
+			go func() { exited <- run(args, &stdout, &stderr, sigs) }()
+			defer func() {
+				sigs <- os.Interrupt
+				if code := <-exited; code != 0 {
+					t.Errorf("daemon exited %d: %s", code, stderr.String())
+				}
+			}()
+
+			req, err := http.NewRequest(http.MethodPost, waitForListen(t, &stdout)+collect.PathSnap, bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", "application/gzip")
+			req.Header.Set(collect.HeaderSum, sum)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var ur collect.UploadResponse
+			if err := json.NewDecoder(resp.Body).Decode(&ur); err != nil {
+				t.Fatalf("upload: %s: %v", resp.Status, err)
+			}
+			if ur.Sig != tc.want.ID || ur.Weak != tc.want.Weak {
+				t.Errorf("filed under %s (weak=%v), want %s (weak=%v)", ur.Sig, ur.Weak, tc.want.ID, tc.want.Weak)
+			}
+		})
 	}
 }
 

@@ -65,14 +65,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Mapfiles load lazily, keyed by checksum: the batch pipeline
 	// parses each one at most once no matter how many snaps share it.
-	loader, err := recon.NewDirLoader(*mapsDir)
+	cache, nmaps, err := recon.NewMapDir(*mapsDir)
 	if err != nil {
 		return fail(err)
 	}
-	if loader.NumFiles() == 0 {
+	if nmaps == 0 {
 		fmt.Fprintf(stderr, "tbrecon: warning: no mapfiles found in %s\n", *mapsDir)
 	}
-	cache := recon.NewMapCache(loader.Load)
 
 	// Deduplicated across arguments: `tbrecon snaps/ snaps/a.snap.json`
 	// must reconstruct (and render) a.snap.json once, not twice.

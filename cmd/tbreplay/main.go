@@ -9,9 +9,9 @@
 // execution halts where the original did, and the faulting process's
 // reconstructed fault-directed view is printed.
 //
-//	tbreplay -maps maps snap-1.snap.json.gz        # replay + render the fault view
-//	tbreplay -json snap-1.snap.json.gz             # machine-readable verdict
-//	tbreplay -perturb 7 snap-1.snap.json.gz        # replay under one seeded variation
+//	tbreplay snap-1.snap.json.gz             # replay + render the fault view
+//	tbreplay -json snap-1.snap.json.gz       # machine-readable verdict
+//	tbreplay -perturb 7 snap-1.snap.json.gz  # replay under one seeded variation
 //
 // Exit status: 0 when the replay reproduces every given snap byte for
 // byte (recording sections excluded); 1 on divergence — the replay
@@ -29,7 +29,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"traceback/internal/module"
 	"traceback/internal/recon"
 	"traceback/internal/replay"
 	"traceback/internal/snap"
@@ -56,7 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tbreplay", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		mapsDir  = fs.String("maps", "", "directory with extra *.map.json mapfiles for the fault view (the replay rebuilds its own)")
 		jsonOut  = fs.Bool("json", false, "print the machine-readable verdict instead of the fault view")
 		perturb  = fs.Int64("perturb", 0, "replay under one seeded variation of the recording instead of strictly (nonzero seed)")
 		noRender = fs.Bool("q", false, "suppress the fault-directed view")
@@ -125,7 +123,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		printText(stdout, &out)
 		if !*noRender && len(res.Snaps) > 0 {
-			if err := render(stdout, stderr, res, snaps[0], *mapsDir); err != nil {
+			if err := render(stdout, res, snaps[0]); err != nil {
 				fmt.Fprintln(stderr, "tbreplay: fault view:", err)
 			}
 		}
@@ -204,8 +202,9 @@ func printText(w io.Writer, out *output) {
 
 // render prints the fault-directed view of the replayed snap matching
 // the first input (falling back to the first harvested snap under
-// perturbation, where the execution legitimately differs).
-func render(stdout, stderr io.Writer, res *replay.Result, input *snap.Snap, mapsDir string) error {
+// perturbation, where the execution legitimately differs). The replay
+// rebuilt every module it loaded, so res.Maps covers the snap.
+func render(stdout io.Writer, res *replay.Result, input *snap.Snap) error {
 	target := res.Snaps[0]
 	if want, err := replay.StrippedBytes(input); err == nil {
 		for _, s := range res.Snaps {
@@ -215,40 +214,11 @@ func render(stdout, stderr io.Writer, res *replay.Result, input *snap.Snap, maps
 			}
 		}
 	}
-	maps := &chainMaps{primary: recon.NewMapSet(res.Maps...)}
-	if mapsDir != "" {
-		loader, err := recon.NewDirLoader(mapsDir)
-		if err != nil {
-			return err
-		}
-		maps.loader = loader
-	}
-	pt, err := recon.Reconstruct(target, maps)
+	pt, err := recon.Reconstruct(target, recon.NewMapSet(res.Maps...))
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "--- fault-directed view: %s/%s ---\n", target.Process, target.Reason)
 	recon.Render(stdout, pt, recon.RenderOptions{})
 	return nil
-}
-
-// chainMaps resolves checksums against the replay-built mapfiles
-// first, then lazily against the -maps directory.
-type chainMaps struct {
-	primary *recon.MapSet
-	loader  *recon.DirLoader
-}
-
-func (c *chainMaps) ForChecksum(sum string) (*module.MapFile, bool) {
-	if mf, ok := c.primary.ForChecksum(sum); ok {
-		return mf, true
-	}
-	if c.loader == nil {
-		return nil, false
-	}
-	mf, err := c.loader.Load(sum)
-	if err != nil {
-		return nil, false
-	}
-	return mf, true
 }

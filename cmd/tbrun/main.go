@@ -100,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		snapN++
 		path := filepath.Join(*snapDir, fmt.Sprintf("%s-%d.snap.json", s.Process, snapN))
-		if sinkErr = writeSnap(path, s); sinkErr == nil {
+		if _, sinkErr = snap.WriteFile(path, s.Save); sinkErr == nil {
 			fmt.Fprintf(stdout, "snap: %s (%s)\n", path, s.Reason)
 		}
 	}
@@ -197,30 +197,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
-}
-
-// writeSnap writes s to path as plain JSON. The bytes go to a
-// dot-named temp file in the same directory first (a name
-// snap.IsFileName ignores) and reach path by rename, so a tbagent
-// watching the directory never reads a partial snap.
-func writeSnap(path string, s *snap.Snap) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".snap-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	// CreateTemp makes the file private; a snap stays as readable as
-	// os.Create would have left it.
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := s.Save(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

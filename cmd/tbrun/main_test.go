@@ -89,12 +89,12 @@ func TestWriteSnapLeavesOnlySnaps(t *testing.T) {
 				SubWords: 4, Raw: []byte{byte(n), 0, 0, 0}}},
 		}
 		name := fmt.Sprintf("%s-%d.snap.json", s.Process, n)
-		if err := writeSnap(filepath.Join(dir, name), s); err != nil {
+		if _, err := snap.WriteFile(filepath.Join(dir, name), s.Save); err != nil {
 			t.Fatal(err)
 		}
 		want[name] = s
 	}
-	if err := writeSnap(filepath.Join(dir, "missing", "app-4.snap.json"), want["app-1.snap.json"]); err == nil {
+	if _, err := snap.WriteFile(filepath.Join(dir, "missing", "app-4.snap.json"), want["app-1.snap.json"].Save); err == nil {
 		t.Error("writing into a missing directory succeeded")
 	}
 

@@ -42,6 +42,7 @@ import (
 	"traceback/internal/archive"
 	"traceback/internal/collect"
 	"traceback/internal/recon"
+	"traceback/internal/shard"
 	"traceback/internal/snap"
 	"traceback/internal/telemetry"
 	"traceback/internal/triage"
@@ -165,11 +166,10 @@ func (c *cli) ingest(args []string) (err error) {
 	}
 	sort.Strings(paths)
 
-	loader, err := recon.NewDirLoader(*mapsDir)
+	cache, _, err := recon.NewMapDir(*mapsDir)
 	if err != nil {
 		return err
 	}
-	cache := recon.NewMapCache(loader.Load)
 	arch, err := c.openArch()
 	if err != nil {
 		return err
@@ -279,7 +279,7 @@ func (c *cli) top(args []string) (err error) {
 	buckets := arch.Buckets()
 	if *since > 0 {
 		cut := uint64(0)
-		if newest := arch.NewestTime(); newest > *since {
+		if newest := shard.NewestTime(buckets); newest > *since {
 			cut = newest - *since
 		}
 		kept := buckets[:0]
@@ -334,11 +334,11 @@ func (c *cli) show(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	loader, err := recon.NewDirLoader(*mapsDir)
+	maps, _, err := recon.NewMapDir(*mapsDir)
 	if err != nil {
 		return err
 	}
-	pt, err := recon.Reconstruct(s, recon.NewMapCache(loader.Load))
+	pt, err := recon.Reconstruct(s, maps)
 	if err != nil {
 		return err
 	}
@@ -428,11 +428,11 @@ func (c *cli) clusters(args []string) (err error) {
 		return err
 	}
 	defer closeArch(arch, &err)
-	loader, err := recon.NewDirLoader(*mapsDir)
+	maps, _, err := recon.NewMapDir(*mapsDir)
 	if err != nil {
 		return err
 	}
-	rep, err := triage.New(arch, recon.NewMapCache(loader.Load), triage.Config{}, c.reg).Clusters()
+	rep, err := triage.New(arch, maps, triage.Config{}, c.reg).Clusters()
 	if err != nil {
 		return err
 	}

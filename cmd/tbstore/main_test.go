@@ -76,11 +76,11 @@ func TestIngestTopShowLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Close()
-	loader, err := recon.NewDirLoader(mapsDir)
+	maps, _, err := recon.NewMapDir(mapsDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := recon.NewPipeline(recon.NewMapCache(loader.Load), 0).ReconstructSnap(rep)
+	pt, err := recon.NewPipeline(maps, 0).ReconstructSnap(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,11 +302,10 @@ func TestIngestCommittedTreesEqualsDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		loader, err := recon.NewDirLoader(mapsDir)
+		cache, _, err := recon.NewMapDir(mapsDir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cache := recon.NewMapCache(loader.Load)
 		directStore := filepath.Join(t.TempDir(), "direct")
 		direct, err := archive.Open(directStore)
 		if err != nil {

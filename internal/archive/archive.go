@@ -348,32 +348,16 @@ func (a *Archive) ensureBlob(sum string, canonical []byte) (dup bool, size int64
 }
 
 // writeBlob gzips the exact canonical bytes the content address was
-// computed over (LoadAuto reads it back), via tmp file + rename.
+// computed over (LoadAuto reads it back) into a snap file.
 func (a *Archive) writeBlob(path string, canonical []byte) (int64, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return 0, fmt.Errorf("archive: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".blob-*")
+	size, err := snap.WriteFile(path, func(w io.Writer) error { return snap.WriteGzip(w, canonical) })
 	if err != nil {
-		return 0, fmt.Errorf("archive: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := snap.WriteGzip(tmp, canonical); err != nil {
-		tmp.Close()
 		return 0, fmt.Errorf("archive: writing blob: %w", err)
 	}
-	fi, err := tmp.Stat()
-	if err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("archive: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, fmt.Errorf("archive: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return 0, fmt.Errorf("archive: %w", err)
-	}
-	return fi.Size(), nil
+	return size, nil
 }
 
 // LoadSnap reads a stored snap back by its content address.
@@ -453,12 +437,7 @@ func (a *Archive) Snapshot() ([]Bucket, Version) {
 		out = append(out, cloneBucket(b))
 	}
 	a.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Sig < out[j].Sig
-	})
+	sortTriage(out)
 	return out, v
 }
 
@@ -674,7 +653,7 @@ func (a *Archive) planGC(pol GCPolicy) []BlobRef {
 			newest = r.Time
 		}
 	}
-	sortRefs(refs) // oldest first
+	sort.Slice(refs, func(i, j int) bool { return refOrder(&refs[i], &refs[j]) < 0 }) // oldest first
 	reps := map[string]bool{}
 	if pol.KeepReps {
 		for _, b := range a.st.buckets {

@@ -79,6 +79,14 @@ func TestIngestDedupOneBlobTwoCounts(t *testing.T) {
 	if sum2 != r1.Sum {
 		t.Errorf("reloaded snap re-checksums to %s, want %s", sum2[:8], r1.Sum[:8])
 	}
+	// Blobs are snap files, as readable as every other one.
+	fi, err := os.Stat(filepath.Join(a.Root(), "blobs", r1.Sum[:2], r1.Sum+".snap.json.gz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perm := fi.Mode().Perm(); perm != 0o644 {
+		t.Errorf("blob mode %v, want 0644", perm)
+	}
 }
 
 func TestBucketAggregation(t *testing.T) {

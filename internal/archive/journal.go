@@ -200,8 +200,8 @@ func DecodeIndex(data []byte) (*Index, error) {
 	return &idx, nil
 }
 
-// state is the in-memory reduction the journal replays into. All
-// ordering inside it is normalized (see normalize), which is what
+// state is the in-memory reduction the journal replays into. Every
+// bucket in it is a fold of its records (fold.go), which is what
 // makes the index deterministic regardless of ingest concurrency.
 type state struct {
 	buckets map[string]*Bucket
@@ -225,37 +225,36 @@ func (st *state) apply(rec *JournalRecord) (newBucket bool) {
 	st.applied++
 	switch rec.Op {
 	case OpIngest:
-		b, ok := st.buckets[rec.Sig]
-		if !ok {
-			b = &Bucket{
-				Sig: rec.Sig, Title: rec.Title, Weak: rec.Weak,
-				FirstSeen: rec.Time, LastSeen: rec.Time,
-			}
+		b := st.buckets[rec.Sig]
+		if b == nil {
+			b = &Bucket{}
 			st.buckets[rec.Sig] = b
 			newBucket = true
 		}
-		b.Count++
-		if rec.Time < b.FirstSeen {
-			b.FirstSeen = rec.Time
+		// The record folds in as a bucket of one occurrence.
+		host := [1]string{rec.Host}
+		win := [1]RateWindow{{Start: windowStart(rec.Time), Count: 1}}
+		ref := [1]BlobRef{{
+			Sum: rec.Sum, Bytes: rec.Bytes,
+			Host: rec.Host, Process: rec.Process,
+			Reason: rec.Reason, Time: rec.Time,
+		}}
+		one := Bucket{
+			Sig: rec.Sig, Title: rec.Title, Weak: rec.Weak, Count: 1,
+			FirstSeen: rec.Time, LastSeen: rec.Time, Windows: win[:],
 		}
-		if rec.Time > b.LastSeen {
-			b.LastSeen = rec.Time
+		if rec.Host != "" {
+			one.Hosts = host[:]
 		}
-		b.Windows = addWindow(b.Windows, rec.Time)
-		b.Hosts = insertSorted(b.Hosts, rec.Host)
-		if _, dup := st.blobs[rec.Sum]; !dup {
-			ref := BlobRef{
-				Sum: rec.Sum, Bytes: rec.Bytes,
-				Host: rec.Host, Process: rec.Process,
-				Reason: rec.Reason, Time: rec.Time,
-			}
-			st.blobs[rec.Sum] = &ref
+		// One bucket owns each blob: content already resident adds an
+		// occurrence, not a second ref.
+		if _, resident := st.blobs[rec.Sum]; !resident {
+			st.blobs[rec.Sum] = &ref[0]
 			st.owner[rec.Sum] = rec.Sig
 			st.bytes += rec.Bytes
-			b.Snaps = append(b.Snaps, ref)
-			sortRefs(b.Snaps)
-			b.Rep = b.Snaps[0].Sum
+			one.Snaps = ref[:]
 		}
+		b.fold(&one)
 	case OpGC:
 		for _, sum := range rec.Removed {
 			ref, ok := st.blobs[sum]
@@ -329,27 +328,4 @@ func reduceJournal(recs []JournalRecord) *state {
 		st.apply(&recs[i])
 	}
 	return st
-}
-
-func sortRefs(refs []BlobRef) {
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].Time != refs[j].Time {
-			return refs[i].Time < refs[j].Time
-		}
-		return refs[i].Sum < refs[j].Sum
-	})
-}
-
-func insertSorted(hosts []string, h string) []string {
-	if h == "" {
-		return hosts
-	}
-	i := sort.SearchStrings(hosts, h)
-	if i < len(hosts) && hosts[i] == h {
-		return hosts
-	}
-	hosts = append(hosts, "")
-	copy(hosts[i+1:], hosts[i:])
-	hosts[i] = h
-	return hosts
 }

@@ -31,7 +31,6 @@ func TestVersionTracksIndexChanges(t *testing.T) {
 		t.Fatalf("replayed IngestUnique: %+v, %v; want a dup", res, err)
 	}
 	a.Buckets()
-	a.NewestTime()
 	if _, err := a.Bucket("aa"); err != nil {
 		t.Fatal(err)
 	}

@@ -11,14 +11,13 @@
 // because the retained set is a pure function of the multiset of
 // ingest times — window w survives iff w lies within WindowCap
 // windows of the newest window the bucket ever saw — and a record is
-// counted iff its window survives. Whether a stale record is dropped
-// on arrival (the newest window was already known) or folded in and
-// evicted later (the newest window arrived afterwards), the final
-// windows are identical, so any -jobs width and any journal replay
-// yield byte-identical indexes.
+// counted iff its window survives. The bucket fold (fold.go) sums
+// windows per start and then evicts against the newest, so a stale
+// record is evicted as it arrives (the newest window was already
+// known) or later (the newest window arrived afterwards), and either
+// way the final windows are identical: any -jobs width, any journal
+// replay and any grouping of shard indexes yield the same windows.
 package archive
-
-import "sort"
 
 const (
 	// WindowWidth is the rate-window span in snap-time cycles. The
@@ -54,38 +53,6 @@ func horizonStart(newest uint64) uint64 {
 	return newest - span
 }
 
-// addWindow folds one ingest occurrence at time t into a sorted
-// window list, evicting anything that falls off the horizon. The
-// result depends only on the multiset of times folded in, never on
-// their order (see the package comment of this file).
-func addWindow(ws []RateWindow, t uint64) []RateWindow {
-	w := windowStart(t)
-	newest := w
-	if n := len(ws); n > 0 && ws[n-1].Start > newest {
-		newest = ws[n-1].Start
-	}
-	if w >= horizonStart(newest) {
-		i := sort.Search(len(ws), func(i int) bool { return ws[i].Start >= w })
-		if i < len(ws) && ws[i].Start == w {
-			ws[i].Count++
-		} else {
-			ws = append(ws, RateWindow{})
-			copy(ws[i+1:], ws[i:])
-			ws[i] = RateWindow{Start: w, Count: 1}
-		}
-	}
-	// Evict from the old end; the list is sorted by Start.
-	h := horizonStart(newest)
-	drop := 0
-	for drop < len(ws) && ws[drop].Start < h {
-		drop++
-	}
-	if drop > 0 {
-		ws = append(ws[:0], ws[drop:]...)
-	}
-	return ws
-}
-
 // WindowCount sums a bucket's occurrences in windows whose start lies
 // in [from, to] (inclusive on both ends, in window-start units).
 func (b *Bucket) WindowCount(from, to uint64) uint64 {
@@ -96,19 +63,4 @@ func (b *Bucket) WindowCount(from, to uint64) uint64 {
 		}
 	}
 	return n
-}
-
-// NewestTime reports the newest snap time any bucket has seen — the
-// deterministic "now" every rate and regression computation measures
-// against (0 when the archive is empty).
-func (a *Archive) NewestTime() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var newest uint64
-	for _, b := range a.st.buckets {
-		if b.LastSeen > newest {
-			newest = b.LastSeen
-		}
-	}
-	return newest
 }

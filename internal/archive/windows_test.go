@@ -82,9 +82,14 @@ func TestWindowsOrderIndependent(t *testing.T) {
 // WindowCap windows, and retention is measured against the bucket's
 // newest window.
 func TestWindowsEvictionBound(t *testing.T) {
+	st := newState()
 	var ws []RateWindow
+	ingest := func(at uint64) {
+		st.apply(mkTimedSnap(0, at))
+		ws = st.buckets["aa"].Windows
+	}
 	for i := 0; i < WindowCap*3; i++ {
-		ws = addWindow(ws, uint64(i)*WindowWidth)
+		ingest(uint64(i) * WindowWidth)
 	}
 	if len(ws) != WindowCap {
 		t.Fatalf("retained %d windows, want %d", len(ws), WindowCap)
@@ -96,11 +101,11 @@ func TestWindowsEvictionBound(t *testing.T) {
 	// A record exactly on the horizon is retained; one window older is
 	// dropped without disturbing the rest.
 	before := append([]RateWindow(nil), ws...)
-	ws = addWindow(ws, horizonStart(newest)-WindowWidth)
+	ingest(horizonStart(newest) - WindowWidth)
 	if len(ws) != len(before) {
 		t.Errorf("behind-horizon record changed the histogram: %d vs %d windows", len(ws), len(before))
 	}
-	ws = addWindow(ws, horizonStart(newest))
+	ingest(horizonStart(newest))
 	if ws[0].Count != before[0].Count+1 {
 		t.Errorf("on-horizon record not counted: %+v", ws[0])
 	}

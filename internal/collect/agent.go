@@ -38,7 +38,7 @@ const spoolSuffix = ".snap.json.gz"
 const maxUploadResponse = 64 << 10
 
 // Spool writes a snap into a spool directory under its content
-// address (tmp file + rename, so a crash never leaves a partial snap
+// address (snap.WriteFile, so a crash never leaves a partial snap
 // where the agent would pick it up). Identical snaps spool once —
 // the name is the content hash — which makes local re-spooling as
 // idempotent as the wire protocol above it. The file is the canonical
@@ -55,19 +55,7 @@ func Spool(dir string, s *snap.Snap) (string, error) {
 	if _, err := os.Stat(path); err == nil {
 		return path, nil
 	}
-	tmp, err := os.CreateTemp(dir, ".spool-*")
-	if err != nil {
-		return "", fmt.Errorf("collect: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := snap.WriteGzip(tmp, canonical); err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("collect: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return "", fmt.Errorf("collect: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if _, err := snap.WriteFile(path, func(w io.Writer) error { return snap.WriteGzip(w, canonical) }); err != nil {
 		return "", fmt.Errorf("collect: %w", err)
 	}
 	return path, nil

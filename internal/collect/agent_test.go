@@ -93,6 +93,13 @@ func TestSpoolContentAddressed(t *testing.T) {
 	if n := spoolLen(t, dir); n != 1 {
 		t.Errorf("spool holds %d file(s), want 1", n)
 	}
+	fi, err := os.Stat(p1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perm := fi.Mode().Perm(); perm != 0o644 {
+		t.Errorf("spooled %s: mode %v, want 0644", filepath.Base(p1), perm)
+	}
 	if p3 := mustSpool(t, dir, 2); p3 == p1 {
 		t.Error("distinct snaps spooled to the same path")
 	}

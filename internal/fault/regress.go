@@ -191,7 +191,7 @@ func WriteArtifacts(dir string, arts []Artifact) ([]string, error) {
 		// (relative to the bundle directory).
 		for i, s := range a.Snaps {
 			if s.Nondet != nil {
-				repro += fmt.Sprintf("tbreplay -maps maps snap-%d.snap.json.gz\n", i+1)
+				repro += fmt.Sprintf("tbreplay snap-%d.snap.json.gz\n", i+1)
 				break
 			}
 		}

@@ -81,10 +81,10 @@ func TestCommittedFleetWireEqualsDirect(t *testing.T) {
 // committedTree is one committed snap tree and the index its direct
 // ingest produced.
 type committedTree struct {
-	name   string
-	paths  []string
-	loader *recon.DirLoader
-	want   []byte
+	name    string
+	paths   []string
+	mapsDir string
+	want    []byte
 }
 
 // ingestDirect ingests the snaps of dir in-process under dir/maps. A
@@ -103,13 +103,13 @@ func ingestDirect(t *testing.T, name, dir string, corpus bool) *committedTree {
 	}
 	paths, err := snap.ExpandPaths([]string{dir}, nil)
 	check(t, err)
-	loader, err := recon.NewDirLoader(filepath.Join(dir, "maps"))
+	mapsDir := filepath.Join(dir, "maps")
+	maps, _, err := recon.NewMapDir(mapsDir)
 	check(t, err)
 
 	direct, err := archive.Open(filepath.Join(t.TempDir(), name))
 	check(t, err)
 	defer direct.Close()
-	maps := recon.NewMapCache(loader.Load)
 	for _, p := range paths {
 		s, err := snap.LoadFile(p)
 		check(t, err)
@@ -124,7 +124,7 @@ func ingestDirect(t *testing.T, name, dir string, corpus bool) *committedTree {
 				base, res.Sig.Weak, res.Sig.Title, weak[base])
 		}
 	}
-	return &committedTree{name: name, paths: paths, loader: loader, want: indexBytes(t, direct)}
+	return &committedTree{name: name, paths: paths, mapsDir: mapsDir, want: indexBytes(t, direct)}
 }
 
 // shipTree pushes the tree's committed files through two racing
@@ -132,8 +132,10 @@ func ingestDirect(t *testing.T, name, dir string, corpus bool) *committedTree {
 // daemon's live and journal-rebuilt index to the direct ingest's.
 func shipTree(t *testing.T, tree *committedTree, inflight int) {
 	work := t.TempDir()
+	maps, _, err := recon.NewMapDir(tree.mapsDir)
+	check(t, err)
 	node, err := StartNode(filepath.Join(work, "wh"), collect.ServerOptions{
-		Maps: recon.NewMapCache(tree.loader.Load), MaxInflight: inflight,
+		Maps: maps, MaxInflight: inflight,
 	})
 	check(t, err)
 	defer node.Close()
@@ -359,8 +361,9 @@ func TestShardedCampaign(t *testing.T) {
 		local, err := archive.Open(filepath.Join(root, "single"))
 		check(t, err)
 		defer local.Close()
+		buckets := local.Buckets()
 		sameSet(t, "local triage vs the wire",
-			FlaggedSet(triage.Classify(local.Buckets(), local.NewestTime(), triage.Defaults())), flagged)
+			FlaggedSet(triage.Classify(buckets, shard.NewestTime(buckets), triage.Defaults())), flagged)
 	})
 
 	// Kill/restart mid-campaign loses nothing. Byte-equivalence is

@@ -95,58 +95,42 @@ func (c *MapCache) Len() int {
 	return len(c.entries)
 }
 
-// DirLoader lazily resolves checksums against a directory of
-// *.map.json mapfiles: files are parsed one at a time, on demand,
-// until the requested checksum is found, and each file is parsed at
-// most once. Safe for concurrent use.
-type DirLoader struct {
-	mu sync.Mutex
-	// pending lists files not yet parsed, in sorted order for
-	// deterministic resolution when checksums collide.
-	pending    []string
-	byChecksum map[string]*module.MapFile
-}
-
-// NewDirLoader indexes dir without parsing anything yet.
-func NewDirLoader(dir string) (*DirLoader, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.map.json"))
+// NewMapDir returns a MapCache over a directory of *.map.json
+// mapfiles, and the number of mapfiles in it. Nothing is parsed up
+// front: a lookup parses the files not yet read, in sorted order, until
+// one with its checksum appears, so each file is parsed at most once
+// and the first of two files with one checksum wins.
+func NewMapDir(dir string) (*MapCache, int, error) {
+	pending, err := filepath.Glob(filepath.Join(dir, "*.map.json"))
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	sort.Strings(paths)
-	return &DirLoader{pending: paths, byChecksum: map[string]*module.MapFile{}}, nil
-}
-
-// NumFiles reports how many mapfiles the loader found in the
-// directory.
-func (l *DirLoader) NumFiles() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.pending) + len(l.byChecksum)
-}
-
-// Load parses mapfiles until one with the requested checksum appears.
-func (l *DirLoader) Load(sum string) (*module.MapFile, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if mf, ok := l.byChecksum[sum]; ok {
-		return mf, nil
-	}
-	for len(l.pending) > 0 {
-		p := l.pending[0]
-		l.pending = l.pending[1:]
-		mf, err := module.ReadMapFile(p)
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := l.byChecksum[mf.Checksum]; !dup {
-			l.byChecksum[mf.Checksum] = mf
-		}
-		if mf.Checksum == sum {
+	sort.Strings(pending)
+	n := len(pending)
+	var mu sync.Mutex // guards pending and parsed
+	parsed := map[string]*module.MapFile{}
+	return NewMapCache(func(sum string) (*module.MapFile, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if mf, ok := parsed[sum]; ok {
 			return mf, nil
 		}
-	}
-	return nil, fmt.Errorf("no mapfile with checksum %s", sum)
+		for len(pending) > 0 {
+			path := pending[0]
+			pending = pending[1:]
+			mf, err := module.ReadMapFile(path)
+			if err != nil {
+				return nil, err
+			}
+			if _, dup := parsed[mf.Checksum]; !dup {
+				parsed[mf.Checksum] = mf
+			}
+			if mf.Checksum == sum {
+				return mf, nil
+			}
+		}
+		return nil, fmt.Errorf("no mapfile with checksum %s", sum)
+	}), n, nil
 }
 
 // SourceCache memoizes source-file line splits for rendering: the

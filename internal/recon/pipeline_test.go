@@ -507,11 +507,11 @@ func BenchmarkPipelineRecon(b *testing.B) {
 			sources[i] = FileSource(p)
 		}
 		for i := 0; i < b.N; i++ {
-			loader, err := NewDirLoader(mapsDir)
+			maps, _, err := NewMapDir(mapsDir)
 			if err != nil {
 				b.Fatal(err)
 			}
-			pipe := NewPipeline(NewMapCache(loader.Load), 8)
+			pipe := NewPipeline(maps, 8)
 			for _, r := range pipe.Run(sources) {
 				if r.Err != nil {
 					b.Fatal(r.Err)

@@ -189,11 +189,10 @@ func TestRenderThreadMatchesOracle(t *testing.T) {
 func TestRenderMatchesOracleOnCorpus(t *testing.T) {
 	var pts []*ProcessTrace
 	for _, dir := range []string{"../../snaps", "../../snaps/regressions"} {
-		loader, err := NewDirLoader(filepath.Join(dir, "maps"))
+		maps, _, err := NewMapDir(filepath.Join(dir, "maps"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		maps := NewMapCache(loader.Load)
 		paths, err := snap.ExpandPaths([]string{dir}, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -108,8 +108,8 @@ func TestMergeEqualsSingleNodeReduction(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("merged buckets differ from single-node reduction:\ngot  %+v\nwant %+v", got, want)
 	}
-	if NewestTime(got) != single.NewestTime() {
-		t.Errorf("merged NewestTime = %d, want %d", NewestTime(got), single.NewestTime())
+	if NewestTime(got) != NewestTime(single.Buckets()) {
+		t.Errorf("merged NewestTime = %d, want %d", NewestTime(got), NewestTime(single.Buckets()))
 	}
 }
 

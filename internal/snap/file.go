@@ -2,6 +2,7 @@ package snap
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,17 +26,45 @@ func LoadFile(path string) (*Snap, error) {
 	return LoadAuto(f)
 }
 
-// SaveFile writes the snap to path in the archival (gzip) form.
+// SaveFile writes the snap to path in the archival (gzip) form,
+// atomically (see WriteFile).
 func SaveFile(path string, s *Snap) error {
-	f, err := os.Create(path)
+	_, err := WriteFile(path, s.SaveCompressed)
+	return err
+}
+
+// WriteFile is the one writer of snap files. fill writes the content
+// into a dot-named temp file in path's directory (a name IsFileName
+// skips), which is made mode 0644, closed and renamed onto path, so a
+// reader — a tbagent watching a spool, a warehouse lookup — sees the
+// whole file or none of it. The directory must exist. WriteFile
+// returns the size of the file written.
+func WriteFile(path string, fill func(io.Writer) error) (int64, error) {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".snap-*")
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if err := s.SaveCompressed(f); err != nil {
-		f.Close()
-		return err
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	if err := tmp.Chmod(0o644); err != nil {
+		tmp.Close()
+		return 0, err
 	}
-	return f.Close()
+	if err := fill(tmp); err != nil {
+		tmp.Close()
+		return 0, err
+	}
+	fi, err := tmp.Stat()
+	if err != nil {
+		tmp.Close()
+		return 0, err
+	}
+	if err := tmp.Close(); err != nil {
+		return 0, err
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return 0, err
+	}
+	return fi.Size(), nil
 }
 
 // ExpandPaths turns command-line arguments into snap file paths: a

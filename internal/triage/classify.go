@@ -93,7 +93,7 @@ func (r *Report) Flagged() []Assessment {
 }
 
 // Classify runs the classifier over a bucket set against the given
-// newest snap time (normally archive.NewestTime()). It is a pure
+// newest snap time (normally shard.NewestTime(buckets)). It is a pure
 // function: the same inputs always produce the same report.
 func Classify(buckets []archive.Bucket, now uint64, cfg Config) *Report {
 	cfg = cfg.withDefaults()
