@@ -67,13 +67,19 @@ check:
 # The CI gate: formatting, static analysis, instrumentation
 # verification and the race-detector pass, which subsumes plain `go
 # test` and holds every end-to-end byte-identity invariant (DESIGN.md
-# §16 names the test behind each) — the fault-injection campaigns
+# §15 names the test behind each) — the fault-injection campaigns
 # included: fault.TestCampaignEndToEnd runs the fixed-seed campaigns
 # over every fault kind, fault.TestCommittedCorpus and
 # tbfault.TestReplayCommittedCorpus replay the committed regression
-# corpus. A failing campaign test logs its repro line; `go run
-# ./cmd/tbfault <repro line minus "tbfault"> -regress fault_evidence`
-# rewrites the evidence bundles (snaps + maps + repro) under
+# corpus; tools/gen's TestDocReferencesResolve keeps every section
+# reference into DESIGN.md and every test the docs cite pointing at
+# something that exists; and each CLI's /dev/full test
+# (TestStoreWriteFailure, TestDumpWriteFailure,
+# TestReplayCLIWriteFailure, TestReplayWriteFailure and their older
+# siblings) fails the CLI when its output cannot be written. A failing
+# campaign test logs its repro line; `go run ./cmd/tbfault <repro
+# line minus "tbfault"> -regress fault_evidence` rewrites the evidence
+# bundles (snaps + maps + repro) under
 # fault_evidence/, deterministically. `check` is a target of its own
 # because it drives a product CLI across a process boundary;
 # `examples` runs each example program, which exits nonzero when its

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -28,7 +29,7 @@ func main() {
 }
 
 // run is main with the process edges made explicit for in-process
-// CLI tests: 0 done, 1 an input that does not load, 2 usage.
+// CLI tests: 0 done, 1 unloadable input or unwritable output, 2 usage.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tbdump", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -46,8 +47,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	path := fs.Arg(0)
-	if err := dump(stdout, path, *fn, *mapDump, *evDump, *ndDump); err != nil {
+	w := bufio.NewWriter(stdout)
+	err := dump(w, fs.Arg(0), *fn, *mapDump, *evDump, *ndDump)
+	if ferr := w.Flush(); err == nil {
+		err = ferr
+	}
+	if err != nil {
 		fmt.Fprintln(stderr, "tbdump:", err)
 		return 1
 	}
@@ -149,11 +154,7 @@ func dumpNondet(w io.Writer, s *snap.Snap) error {
 		return fmt.Errorf("%s/%s: no nondet section (was the run recorded? see tbfault -record)", s.Process, s.Reason)
 	}
 	n := s.Nondet
-	words := make([]trace.Word, len(n.Words()))
-	for i, x := range n.Words() {
-		words[i] = trace.Word(x)
-	}
-	recs, err := trace.DecodeNondet(words)
+	recs, err := trace.DecodeNondet(n.Words())
 	if err != nil {
 		return err
 	}

@@ -121,3 +121,38 @@ func TestDumpUsage(t *testing.T) {
 		t.Errorf("no input: exit %d, stderr %q", code, errs)
 	}
 }
+
+// TestDumpWriteFailure: output that cannot be written is a failure
+// (exit 1, reason on stderr) in every dump mode.
+func TestDumpWriteFailure(t *testing.T) {
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	defer full.Close()
+	rec := telemetry.NewRecorder(4)
+	rec.Record(10, "module-verified", "app")
+	events := filepath.Join(t.TempDir(), "flight.json")
+	f, err := os.Create(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.WriteJSON(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	for _, args := range [][]string{
+		{"-map", filepath.Join(snapsDir, "maps", "app.map.json")},
+		{"-nondet", filepath.Join(snapsDir, "regressions", "managed-interrupt-1.snap.json.gz")},
+		{"-events", events},
+		{"../../internal/verify/testdata/corpus/clean.tbm"},
+	} {
+		var errb bytes.Buffer
+		if code := run(args, full, &errb); code != 1 {
+			t.Errorf("%v with stdout on /dev/full: exit %d, want 1 (stderr: %s)", args, code, errb.String())
+		}
+		if !strings.Contains(errb.String(), "tbdump: ") {
+			t.Errorf("%v: no error on stderr", args)
+		}
+	}
+}

@@ -16,10 +16,11 @@
 // under -regress so the failure can be committed as a regression
 // case. `replay` exits 1 when any committed case no longer matches
 // its manifest — including when a seeded-known-bad case's corruption
-// goes undetected.
+// goes undetected. Both exit 1 when their output cannot be written.
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"flag"
 	"fmt"
@@ -147,6 +148,8 @@ func runReplay(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "tbfault:", err)
 		return 1
 	}
+	w := bufio.NewWriter(stdout)
+	defer w.Flush()
 	bad := 0
 	for i := range corpus.Cases {
 		cc := &corpus.Cases[i]
@@ -159,13 +162,17 @@ func runReplay(args []string, stdout, stderr io.Writer) int {
 		if cc.Expect == fault.ExpectViolation {
 			what = "corruption detected"
 		}
-		fmt.Fprintf(stdout, "ok   %-20s %s\n", cc.Name, what)
+		fmt.Fprintf(w, "ok   %-20s %s\n", cc.Name, what)
 	}
 	if bad > 0 {
 		fmt.Fprintf(stderr, "tbfault: replay: %d of %d case(s) failed\n", bad, len(corpus.Cases))
 		return 1
 	}
-	fmt.Fprintf(stdout, "replay: %d case(s) match their manifest\n", len(corpus.Cases))
+	fmt.Fprintf(w, "replay: %d case(s) match their manifest\n", len(corpus.Cases))
+	if err := w.Flush(); err != nil {
+		fmt.Fprintln(stderr, "tbfault:", err)
+		return 1
+	}
 	return 0
 }
 

@@ -211,6 +211,24 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
+// TestReplayWriteFailure: a corpus verdict that cannot be written
+// fails the replay (exit 1, reason on stderr).
+func TestReplayWriteFailure(t *testing.T) {
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	defer full.Close()
+	var stderr bytes.Buffer
+	dir := filepath.Join(repoRoot(t), "snaps", "regressions")
+	if code := run([]string{"replay", "-dir", dir}, full, &stderr); code != 1 {
+		t.Errorf("replay with stdout on /dev/full: exit %d, want 1 (stderr: %s)", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "tbfault: ") {
+		t.Error("no error on stderr")
+	}
+}
+
 // TestRunOutWriteFailure: a report that cannot be written fails the
 // run, in either format.
 func TestRunOutWriteFailure(t *testing.T) {

@@ -17,10 +17,12 @@
 // byte (recording sections excluded); 1 on divergence — the replay
 // stopped conforming to the log, or the reconstruction differs — with
 // a machine-readable JSON divergence report on stderr; 2 on usage
-// errors or snaps that carry no recording.
+// errors, snaps that carry no recording, or output that cannot be
+// written (1 stays reserved for divergence).
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -114,19 +116,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		out.Snaps = append(out.Snaps, s.Process+"/"+s.Reason)
 	}
 
+	w := bufio.NewWriter(stdout)
 	if *jsonOut {
-		enc := json.NewEncoder(stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(&out); err != nil {
 			return fail(err)
 		}
 	} else {
-		printText(stdout, &out)
+		printText(w, &out)
 		if !*noRender && len(res.Snaps) > 0 {
-			if err := render(stdout, res, snaps[0]); err != nil {
+			if err := render(w, res, snaps[0]); err != nil {
 				fmt.Fprintln(stderr, "tbreplay: fault view:", err)
 			}
 		}
+	}
+	if err := w.Flush(); err != nil {
+		return fail(err)
 	}
 
 	if out.Divergence != nil {

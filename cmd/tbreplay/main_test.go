@@ -160,3 +160,24 @@ func TestReplayCLIPerturbNonStrict(t *testing.T) {
 		t.Fatalf("perturbed run reported a strict divergence: %s", errb.String())
 	}
 }
+
+// TestReplayCLIWriteFailure: a verdict or fault view that cannot be
+// written is exit 2 (1 means divergence), with the reason on stderr.
+func TestReplayCLIWriteFailure(t *testing.T) {
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	defer full.Close()
+	paths := record(t)
+	for _, mode := range [][]string{nil, {"-q"}, {"-json"}} {
+		args := append(append([]string{}, mode...), paths[0])
+		var errb bytes.Buffer
+		if code := run(args, full, &errb); code != 2 {
+			t.Errorf("%v with stdout on /dev/full: exit %d, want 2 (stderr: %s)", mode, code, errb.String())
+		}
+		if !strings.Contains(errb.String(), "tbreplay: ") {
+			t.Errorf("%v: no error on stderr", mode)
+		}
+	}
+}

@@ -22,10 +22,11 @@
 // -since`) are deterministic functions of the warehouse index: the
 // same store answers byte-identically however it was ingested, and
 // identically to a tbcollectd daemon serving the same warehouse over
-// /v1/regressions.
+// /v1/regressions. Output that cannot be written is an error, exit 1.
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -73,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	cmd, rest := fs.Arg(0), fs.Args()[1:]
-	c := &cli{store: *store, stdout: stdout, stderr: stderr}
+	c := &cli{store: *store, stdout: bufio.NewWriter(stdout), stderr: stderr}
 	var err error
 	switch cmd {
 	case "ingest":
@@ -97,6 +98,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	default:
 		return fail(fmt.Errorf("unknown command %q (want ingest|ls|top|show|regressions|rates|clusters|watch|gc)", cmd))
 	}
+	if ferr := c.stdout.Flush(); err == nil {
+		err = ferr
+	}
 	if err != nil {
 		return fail(err)
 	}
@@ -112,10 +116,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 type cli struct {
-	store          string
-	stdout, stderr io.Writer
-	reg            *telemetry.Registry
-	failed         int
+	store  string
+	stdout *bufio.Writer // flushed by run, and by watch every tick
+	stderr io.Writer
+	reg    *telemetry.Registry
+	failed int
 }
 
 // openArch opens the warehouse with a fresh registry bound, so every
@@ -458,6 +463,7 @@ func (c *cli) clusters(args []string) (err error) {
 // does not end the watch: ticks keep coming with jittered exponential
 // backoff between them, and the first successful poll afterward prints
 // a one-line reconnected notice so the outage is visible in the log.
+// Each tick is flushed; one that cannot be written ends the watch.
 func (c *cli) watch(args []string) error {
 	fs := flag.NewFlagSet("tbstore watch", flag.ContinueOnError)
 	fs.SetOutput(c.stderr)
@@ -489,6 +495,9 @@ func (c *cli) watch(args []string) error {
 			down = 0
 		} else {
 			down++
+		}
+		if err := c.stdout.Flush(); err != nil {
+			return err
 		}
 	}
 	return nil

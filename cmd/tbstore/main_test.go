@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"traceback/internal/archive"
+	"traceback/internal/collect"
+	"traceback/internal/loopback"
 	"traceback/internal/recon"
 	"traceback/internal/scenario"
 	"traceback/internal/snap"
@@ -334,6 +336,47 @@ func TestIngestCommittedTreesEqualsDirect(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: tbstore ingest index.json differs from the direct SignSnap loop:\n%s\nvs\n%s", tree, got, want)
+		}
+	}
+}
+
+// TestStoreWriteFailure: a listing that cannot be written is a failure
+// (exit 1, reason on stderr) for every reading subcommand, and watch
+// stops at the first tick it cannot write instead of polling on.
+func TestStoreWriteFailure(t *testing.T) {
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	defer full.Close()
+	store := filepath.Join(t.TempDir(), "wh")
+	mustRun(t, "-store", store, "ingest", "-maps", "../../snaps/maps", "../../snaps")
+	a, err := archive.Open(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig := a.Buckets()[0].Sig
+	a.Close()
+
+	node, err := loopback.StartNode(filepath.Join(t.TempDir(), "daemon"), collect.ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+
+	for _, args := range [][]string{
+		{"-store", store, "top"},
+		{"-store", store, "ls"},
+		{"-store", store, "regressions", "-all"},
+		{"-store", store, "show", "-maps", "../../snaps/maps", sig},
+		{"watch", "-url", node.URL, "-interval", "1ms", "-count", "50"},
+	} {
+		var errb bytes.Buffer
+		if code := run(args, full, &errb); code != 1 {
+			t.Errorf("%v with stdout on /dev/full: exit %d, want 1 (stderr: %s)", args, code, errb.String())
+		}
+		if !strings.Contains(errb.String(), "tbstore: ") {
+			t.Errorf("%v: no error on stderr", args)
 		}
 	}
 }

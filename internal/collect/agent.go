@@ -61,16 +61,6 @@ func Spool(dir string, s *snap.Snap) (string, error) {
 	return path, nil
 }
 
-// SpoolForwarder adapts a spool directory to the service's forward
-// hook: every service-triggered snap (hang, external, group) lands in
-// the spool and rides the agent to the warehouse.
-func SpoolForwarder(dir string) func(*snap.Snap) error {
-	return func(s *snap.Snap) error {
-		_, err := Spool(dir, s)
-		return err
-	}
-}
-
 // AgentOptions configures an uploader.
 type AgentOptions struct {
 	// Client is the HTTP client (default: 30s-timeout client).

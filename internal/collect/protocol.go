@@ -1,13 +1,12 @@
 // Package collect is the fleet collection plane: the network layer
 // that moves crash snaps from instrumented machines into the snap
-// warehouse (internal/archive). The paper's deployment model is a
-// support organization triaging faults across a fleet; after the
-// warehouse PR, snaps could only reach it through a local CLI. This
-// package adds the missing wire: tbcollectd (Server) fronts an
-// archive with a small versioned HTTP API, and tbagent (Agent)
-// watches a spool directory on each machine and uploads with dedup
-// precheck, jittered exponential backoff, and a durable commit rule —
-// a snap leaves the spool only after a 2xx whose hash echo matches.
+// warehouse (internal/archive), for the paper's deployment model of a
+// support organization triaging faults across a fleet. tbcollectd
+// (Server) fronts an archive with a small versioned HTTP API, and
+// tbagent (Agent) watches a spool directory on each machine and
+// uploads with dedup precheck, jittered exponential backoff, and a
+// durable commit rule — a snap leaves the spool only after a 2xx
+// whose hash echo matches.
 //
 // The protocol is built for lossy fleets: every upload is idempotent
 // (content-addressed; the warehouse journals one entry per unique

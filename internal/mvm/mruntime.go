@@ -15,10 +15,6 @@ type RuntimeConfig struct {
 	BufferWords int
 	// SnapOnUncaught snaps when an exception kills a thread.
 	SnapOnUncaught bool
-	// SnapOnException snaps first-chance on every managed exception
-	// (paper: a snap trigger "like an ArrayIndexOutOfBounds exception
-	// in Java"), subject to suppression.
-	SnapOnException bool
 	// ProbeHCost / ProbeLCost are the cycle costs of managed probes.
 	// They are platform-dependent (TLS and memory-system speed differ
 	// across the paper's Win/Lin/Sun systems); defaults 6 and 2.
@@ -174,13 +170,6 @@ func (rt *ManagedRuntime) onException(t *MThread, code int, addr uint64) {
 	rt.appendEvent(t, trace.AppendException(nil, trace.Exception{
 		Code: uint16(code), Addr: addr, TS: rt.now(),
 	}))
-	if rt.cfg.SnapOnException {
-		key := fmt.Sprintf("exc/%d/%d", code, addr)
-		rt.suppress[key]++
-		if rt.suppress[key] <= 1 {
-			rt.takeSnap("exception "+ExcName(code), t, code, addr)
-		}
-	}
 }
 
 func (rt *ManagedRuntime) onUncaught(t *MThread, code int) {

@@ -46,15 +46,9 @@ func appendPath(dst []int, d *module.MapDAG, bits trace.Word) []int {
 	return dst
 }
 
-// ExpandManaged decodes a managed (bytecode-instrumented) DAG record:
-// the header block always executed; every block whose line-boundary
-// bit is set executed, in code order (paper §2.4 — line accuracy is
-// all Java reconstruction needs).
-func ExpandManaged(d *module.MapDAG, bits trace.Word) []int {
-	return appendManaged(nil, d, bits)
-}
-
-// appendManaged is ExpandManaged appending into dst.
+// appendManaged decodes a managed DAG record into dst: the header
+// block, then every block whose line-boundary bit is set, in code
+// order (paper §2.4: line accuracy is all Java reconstruction needs).
 func appendManaged(dst []int, d *module.MapDAG, bits trace.Word) []int {
 	dst = append(dst, 0)
 	for i := 1; i < len(d.Blocks); i++ {

@@ -15,9 +15,6 @@ func NewView(t *ThreadTrace) *View {
 	return &View{t: t, pos: len(t.Events) - 1}
 }
 
-// Pos returns the current event index.
-func (v *View) Pos() int { return v.pos }
-
 // Current returns the current event (nil when the history is empty).
 func (v *View) Current() *Event {
 	if v.pos < 0 || v.pos >= len(v.t.Events) {
@@ -28,9 +25,6 @@ func (v *View) Current() *Event {
 
 // SeekOldest positions at the start of the recovered history.
 func (v *View) SeekOldest() { v.pos = 0 }
-
-// SeekNewest positions at the newest event.
-func (v *View) SeekNewest() { v.pos = len(v.t.Events) - 1 }
 
 // Step moves one event forward in time. Returns false at the end.
 func (v *View) Step() bool {

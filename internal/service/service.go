@@ -32,10 +32,8 @@ type Service struct {
 	// Snaps collects snaps the service triggered.
 	Snaps []*snap.Snap
 
-	// forward, when set, hands every service-triggered snap (hang,
-	// external, group) to the fleet collection plane (typically
-	// collect.SpoolForwarder: spool to disk, let tbagent upload), so
-	// remote machines feed the central warehouse automatically.
+	// forward, when set, receives every service-triggered snap (hang,
+	// external, group); see SetForward.
 	forward func(*snap.Snap) error
 
 	// Self-telemetry (svc_ and verify_ prefixes) plus a flight
@@ -69,11 +67,10 @@ func New(m *vm.Machine, hangCycles uint64) *Service {
 }
 
 // SetForward routes every snap the service triggers into the fleet
-// collection plane. fwd is typically collect.SpoolForwarder(dir): the
-// snap lands in the local spool and tbagent uploads it to tbcollectd,
-// so remote machines feed the central warehouse without any local CLI
-// step. A forward failure is counted and flight-recorded but never
-// blocks the snap — it stays in Snaps regardless.
+// collection plane: a fwd that calls collect.Spool(dir, s) lands it in
+// the local spool for tbagent to upload to tbcollectd. A forward
+// failure is counted and flight-recorded but never blocks the snap —
+// it stays in Snaps regardless.
 func (s *Service) SetForward(fwd func(*snap.Snap) error) {
 	s.forward = fwd
 }

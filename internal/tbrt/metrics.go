@@ -54,20 +54,9 @@ func (rt *Runtime) Metrics() *telemetry.Registry { return rt.cfg.Telemetry }
 // FlightRecorder returns the runtime's event ring.
 func (rt *Runtime) FlightRecorder() *telemetry.Recorder { return rt.rec }
 
-// Legacy stat accessors, kept for tests and benches that predate the
-// registry; they are views over the registry counters.
-
-// Wraps counts buffer sentinel hits.
+// Wraps counts buffer sentinel hits. It and SubCommits serve the
+// benchmark and the fault campaign; read other counters via Metrics().
 func (rt *Runtime) Wraps() int { return int(rt.met.wraps.Load()) }
 
 // SubCommits counts sub-buffer commits.
 func (rt *Runtime) SubCommits() int { return int(rt.met.subCommits.Load()) }
-
-// Desperations counts desperation-buffer assignments.
-func (rt *Runtime) Desperations() int { return int(rt.met.desperations.Load()) }
-
-// Rebased counts load-time DAG range rebases.
-func (rt *Runtime) Rebased() int { return int(rt.met.rebased.Load()) }
-
-// BadDAGs counts modules demoted to the bad-DAG ID.
-func (rt *Runtime) BadDAGs() int { return int(rt.met.badDAGs.Load()) }

@@ -105,7 +105,7 @@ func TestScavengeDeadThreads(t *testing.T) {
 			continue
 		}
 		words := b.Words()
-		span := trace.StripSentinels(words)
+		span := withoutBoundaries(words, b.SubWords, 0, len(words))
 		if len(trace.MineBackward(span)) > 0 {
 			found = true
 		}

@@ -154,8 +154,7 @@ type Runtime struct {
 	suppress map[string]int
 	snaps    []*snap.Snap
 
-	// met holds the runtime's registry-backed self-telemetry; the
-	// legacy stat accessors (Wraps, SubCommits, ...) read from it.
+	// met holds the runtime's registry-backed self-telemetry.
 	met rtMetrics
 	rec *telemetry.Recorder
 }

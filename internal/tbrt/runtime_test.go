@@ -62,6 +62,20 @@ func newRT(t *testing.T, cfg Config) (*vm.Process, *Runtime, *vm.Machine) {
 	return p, rt, m
 }
 
+// withoutBoundaries returns words[lo:hi] minus the sub-buffer
+// boundary slots (each sub-buffer's final word), dropped by position
+// as recon.logicalSpan drops them: a payload word that happens to
+// equal trace.Sentinel is kept.
+func withoutBoundaries(words []trace.Word, subWords uint32, lo, hi int) []trace.Word {
+	out := make([]trace.Word, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		if subWords == 0 || (i+1)%int(subWords) != 0 {
+			out = append(out, words[i])
+		}
+	}
+	return out
+}
+
 // mainBufferRecords returns mined records (oldest first) of the main
 // buffer that owns/owned tid, using the snap's last pointer.
 func mainBufferRecords(t *testing.T, s *snap.Snap, tid uint32) []trace.Record {
@@ -74,7 +88,7 @@ func mainBufferRecords(t *testing.T, s *snap.Snap, tid uint32) []trace.Record {
 		if !b.LastKnown {
 			continue
 		}
-		span := trace.StripSentinels(words[:b.LastPtr+1])
+		span := withoutBoundaries(words, b.SubWords, 0, int(b.LastPtr)+1)
 		recs := trace.MineBackward(span)
 		trace.Reverse(recs)
 		for _, r := range recs {
@@ -172,8 +186,9 @@ func TestBufferWrapAndSubCommit(t *testing.T) {
 	for _, b := range s.Buffers {
 		if b.Kind == snap.BufMain && b.LastKnown {
 			words := b.Words()
-			span := append(append([]uint32{}, words[b.LastPtr+1:]...), words[:b.LastPtr+1]...)
-			recs := trace.MineBackward(trace.StripSentinels(span))
+			span := append(withoutBoundaries(words, b.SubWords, int(b.LastPtr)+1, len(words)),
+				withoutBoundaries(words, b.SubWords, 0, int(b.LastPtr)+1)...)
+			recs := trace.MineBackward(span)
 			if len(recs) < 5 {
 				t.Errorf("wrapped buffer mined only %d records", len(recs))
 			}
@@ -345,8 +360,8 @@ func TestDAGRebasingOnConflict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Rebased() != 1 {
-		t.Fatalf("rebased = %d, want 1 (both modules default to base 0)", rt.Rebased())
+	if n := rt.Metrics().Counter("tbrt_rebased_total", "").Load(); n != 1 {
+		t.Fatalf("rebased = %d, want 1 (both modules default to base 0)", n)
 	}
 	if lma.DAGBase == lmb.DAGBase {
 		t.Error("conflicting modules share a DAG base")
@@ -411,8 +426,8 @@ func TestBadDAGFallback(t *testing.T) {
 	res2 := instr(t, m2, core.Options{})
 	res2.Module.DAGCount = trace.MaxDAGID - 1
 	p.Load(res2.Module)
-	if rt.BadDAGs() != 1 {
-		t.Fatalf("badDAGs = %d, want 1", rt.BadDAGs())
+	if n := rt.Metrics().Counter("tbrt_baddags_total", "").Load(); n != 1 {
+		t.Fatalf("badDAGs = %d, want 1", n)
 	}
 	// The second module's probes all use the bad-DAG ID.
 	lm := p.Modules[1]
@@ -480,7 +495,7 @@ func TestDesperationOverflow(t *testing.T) {
 	p.Load(res.Module)
 	p.StartMain(0)
 	vm.RunProcess(p, 1_000_000)
-	if rt.Desperations() == 0 {
+	if rt.Metrics().Counter("tbrt_desperations_total", "").Load() == 0 {
 		t.Error("expected at least one thread in the desperation buffer")
 	}
 	if p.FatalSignal != 0 || p.ExitCode != 0 {

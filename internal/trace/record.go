@@ -212,21 +212,6 @@ func MineBackward(words []Word) []Record {
 	return out
 }
 
-// StripSentinels removes sub-buffer boundary sentinels from a span,
-// producing the contiguous record stream (paper §4.1: "sub-buffer
-// boundaries are removed to produce a contiguous span of trace
-// data"). Extended records may legitimately straddle a boundary, so
-// this must run before MineBackward.
-func StripSentinels(words []Word) []Word {
-	out := make([]Word, 0, len(words))
-	for _, w := range words {
-		if w != Sentinel {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
 // Reverse reverses records in place (newest-first to oldest-first).
 func Reverse(recs []Record) {
 	for i, j := 0, len(recs)-1; i < j; i, j = i+1, j-1 {

@@ -5,7 +5,7 @@ import (
 )
 
 // mapConsistency is the map-consistency pass: the mapfile must
-// describe exactly this module (the PR-1 "mapfile drift" class), and
+// describe exactly this module (no "mapfile drift"), and
 // its DAG/block/edge structure must be a faithful image of the real
 // CFG — every map block is one CFG block, map edges equal the in-DAG
 // CFG successor edges, blocks are listed in forward topological order
