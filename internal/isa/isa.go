@@ -217,15 +217,6 @@ func Decode(b []byte) (Instr, error) {
 	return in, nil
 }
 
-// EncodeAll encodes a code sequence.
-func EncodeAll(code []Instr) []byte {
-	out := make([]byte, 0, len(code)*Size)
-	for _, in := range code {
-		out = Encode(out, in)
-	}
-	return out
-}
-
 // DecodeAll decodes a code section.
 func DecodeAll(b []byte) ([]Instr, error) {
 	if len(b)%Size != 0 {

@@ -18,7 +18,10 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{Op: SYS, Imm: 17},
 		{Op: HLT},
 	}
-	b := EncodeAll(ins)
+	var b []byte
+	for _, in := range ins {
+		b = Encode(b, in)
+	}
 	if len(b) != len(ins)*Size {
 		t.Fatalf("encoded length = %d, want %d", len(b), len(ins)*Size)
 	}

@@ -32,57 +32,3 @@ func Interleave(threads []*ThreadTrace) []MergedEvent {
 	})
 	return out
 }
-
-// Order is the result of comparing two events in the reconstructed
-// partial order (paper §3.5: A clearly before B, B clearly before A,
-// or no apparent constraint).
-type Order int
-
-const (
-	Before Order = iota - 1
-	Unordered
-	After
-)
-
-func (o Order) String() string {
-	switch o {
-	case Before:
-		return "before"
-	case After:
-		return "after"
-	}
-	return "unordered"
-}
-
-// HappensBefore compares two events from different threads using
-// their timestamp anchors. Events within one anchor epoch of
-// different threads are unordered.
-func HappensBefore(a, b *Event) Order {
-	switch {
-	case a.TS == 0 || b.TS == 0:
-		return Unordered
-	case a.TS < b.TS:
-		return Before
-	case a.TS > b.TS:
-		return After
-	}
-	return Unordered
-}
-
-// ConcurrentWith returns the events of other threads whose anchor
-// epoch overlaps e's — the "what were other threads doing at this
-// line" display (paper §4.3.2).
-func ConcurrentWith(e *Event, threads []*ThreadTrace, ownTID uint32) []MergedEvent {
-	var out []MergedEvent
-	for _, t := range threads {
-		if t.TID == ownTID {
-			continue
-		}
-		for i := range t.Events {
-			if HappensBefore(e, &t.Events[i]) == Unordered {
-				out = append(out, MergedEvent{TID: t.TID, Ev: &t.Events[i]})
-			}
-		}
-	}
-	return out
-}

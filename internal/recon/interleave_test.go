@@ -20,28 +20,6 @@ func twoThreads() []*ThreadTrace {
 	return []*ThreadTrace{t1, t2}
 }
 
-func TestConcurrentWith(t *testing.T) {
-	threads := twoThreads()
-	// Event at TS 10 of thread 1: thread 2's TS-30 event is ordered
-	// after (30 > 10), so nothing is concurrent.
-	e := &threads[0].Events[0]
-	if c := ConcurrentWith(e, threads, 1); len(c) != 0 {
-		t.Errorf("concurrent = %v, want none", c)
-	}
-	// An event with no anchor is unordered with everything.
-	free := &Event{Kind: EvLine, TS: 0}
-	if c := ConcurrentWith(free, threads, 3); len(c) != len(threads[0].Events)+len(threads[1].Events) {
-		t.Errorf("unanchored event concurrent with %d events", len(c))
-	}
-	// Same-anchor events across threads are "potentially concurrent"
-	// (paper §4.3.2's highlight set).
-	same := &Event{Kind: EvLine, TS: 30}
-	c := ConcurrentWith(same, threads, 1)
-	if len(c) != 1 || c[0].Ev.Line != 9 {
-		t.Errorf("concurrent = %+v, want thread 2's line 9", c)
-	}
-}
-
 func TestRenderInterleavedOutput(t *testing.T) {
 	pt := &ProcessTrace{Threads: twoThreads()}
 	var sb strings.Builder
@@ -66,8 +44,7 @@ func TestViewEmptyTrace(t *testing.T) {
 	if v.Current() != nil {
 		t.Error("empty view has a current event")
 	}
-	if v.Step() || v.StepBack() || v.StepOver() || v.StepOut() ||
-		v.StepBackOver() || v.StepBackOut() {
+	if v.StepBack() || v.StepBackOut() {
 		t.Error("stepping succeeded on an empty trace")
 	}
 }
@@ -82,24 +59,15 @@ func TestViewBoundaries(t *testing.T) {
 	if v.Current().Line != 3 {
 		t.Error("view does not start at the newest event")
 	}
-	if v.Step() {
-		t.Error("stepped past the end")
-	}
-	v.SeekOldest()
-	if v.StepBack() {
-		t.Error("stepped before the beginning")
-	}
-	// StepOut from depth 2 reaches depth 1 at line 3.
-	v.SeekOldest()
-	v.Step() // line 2, depth 2
-	if !v.StepOut() || v.Current().Line != 3 {
-		t.Errorf("step-out landed at %+v", v.Current())
+	if !v.StepBack() || v.Current().Line != 2 {
+		t.Errorf("step-back landed at %+v", v.Current())
 	}
 	// StepBackOut from depth 2 reaches line 1.
-	v.SeekOldest()
-	v.Step()
 	if !v.StepBackOut() || v.Current().Line != 1 {
 		t.Errorf("step-back-out landed at %+v", v.Current())
+	}
+	if v.StepBack() || v.StepBackOut() {
+		t.Error("stepped before the beginning")
 	}
 }
 

@@ -1,9 +1,9 @@
 package recon
 
-// View provides the debugger-like stepping operations of the paper's
-// GUI (§4.3.1): forward and backward stepping, plus step-over /
-// step-out and their backward mirrors, driven by the call-hierarchy
-// depth recorded on each event.
+// View steps backward through a thread's history from its newest
+// event, the way the paper's fault-directed display reads it
+// (§4.3.1): one event at a time, or out to the caller by the
+// call-hierarchy depth recorded on each event.
 type View struct {
 	t   *ThreadTrace
 	pos int
@@ -17,22 +17,10 @@ func NewView(t *ThreadTrace) *View {
 
 // Current returns the current event (nil when the history is empty).
 func (v *View) Current() *Event {
-	if v.pos < 0 || v.pos >= len(v.t.Events) {
+	if v.pos < 0 {
 		return nil
 	}
 	return &v.t.Events[v.pos]
-}
-
-// SeekOldest positions at the start of the recovered history.
-func (v *View) SeekOldest() { v.pos = 0 }
-
-// Step moves one event forward in time. Returns false at the end.
-func (v *View) Step() bool {
-	if v.pos+1 >= len(v.t.Events) {
-		return false
-	}
-	v.pos++
-	return true
 }
 
 // StepBack moves one event backward in time.
@@ -42,57 +30,6 @@ func (v *View) StepBack() bool {
 	}
 	v.pos--
 	return true
-}
-
-// StepOver advances to the next event at the current depth or
-// shallower, skipping callee events.
-func (v *View) StepOver() bool {
-	cur := v.Current()
-	if cur == nil {
-		return false
-	}
-	d := cur.Depth
-	for i := v.pos + 1; i < len(v.t.Events); i++ {
-		if v.t.Events[i].Depth <= d {
-			v.pos = i
-			return true
-		}
-	}
-	return false
-}
-
-// StepOut advances to the next event strictly shallower than the
-// current depth (back in the caller).
-func (v *View) StepOut() bool {
-	cur := v.Current()
-	if cur == nil {
-		return false
-	}
-	d := cur.Depth
-	for i := v.pos + 1; i < len(v.t.Events); i++ {
-		if v.t.Events[i].Depth < d {
-			v.pos = i
-			return true
-		}
-	}
-	return false
-}
-
-// StepBackOver moves backward to the previous event at the current
-// depth or shallower ("step back over", paper §4.3.1).
-func (v *View) StepBackOver() bool {
-	cur := v.Current()
-	if cur == nil {
-		return false
-	}
-	d := cur.Depth
-	for i := v.pos - 1; i >= 0; i-- {
-		if v.t.Events[i].Depth <= d {
-			v.pos = i
-			return true
-		}
-	}
-	return false
 }
 
 // StepBackOut moves backward to the event in the caller that led

@@ -1,9 +1,7 @@
 // Package service implements the per-machine TraceBack service
 // process (paper §3.6.1, §3.7.5): runtimes register with it, it
-// exchanges heartbeats to detect hung processes, it triggers external
-// snaps on request (including for processes that died abruptly), and
-// it coordinates group snaps across related processes — locally and
-// across machines.
+// re-verifies the machine's module set as modules join, and it
+// exchanges heartbeats to detect hung processes and snap them.
 package service
 
 import (
@@ -19,34 +17,22 @@ import (
 // Service is one machine's TraceBack service process.
 type Service struct {
 	machine *vm.Machine
-	// HangCycles is how long a process may go without executing an
+	// hangCycles is how long a process may go without executing an
 	// instruction before the STATUS check declares it hung.
-	HangCycles uint64
+	hangCycles uint64
 
 	runtimes []*tbrt.Runtime
-	peers    []*Service
 
-	// groups lists process-name groups that snap together.
-	groups [][]string
-
-	// Snaps collects snaps the service triggered.
+	// Snaps collects the hang snaps the service triggered.
 	Snaps []*snap.Snap
-
-	// forward, when set, receives every service-triggered snap (hang,
-	// external, group); see SetForward.
-	forward func(*snap.Snap) error
 
 	// Self-telemetry (svc_ and verify_ prefixes) plus a flight
 	// recorder for heartbeat misses and verification outcomes.
-	reg         *telemetry.Registry
-	rec         *telemetry.Recorder
-	verify      *verify.Metrics
-	heartbeats  *telemetry.Counter
-	hangs       *telemetry.Counter
-	externals   *telemetry.Counter
-	groupSnaps  *telemetry.Counter
-	forwarded   *telemetry.Counter
-	forwardErrs *telemetry.Counter
+	reg        *telemetry.Registry
+	rec        *telemetry.Recorder
+	verify     *verify.Metrics
+	heartbeats *telemetry.Counter
+	hangs      *telemetry.Counter
 }
 
 // New creates the machine's service process.
@@ -55,41 +41,11 @@ func New(m *vm.Machine, hangCycles uint64) *Service {
 		hangCycles = 500_000
 	}
 	reg := telemetry.New()
-	s := &Service{machine: m, HangCycles: hangCycles, reg: reg, rec: reg.Recorder(256)}
+	s := &Service{machine: m, hangCycles: hangCycles, reg: reg, rec: reg.Recorder(256)}
 	s.heartbeats = reg.Counter("svc_heartbeats_total", "STATUS sweeps over registered runtimes")
 	s.hangs = reg.Counter("svc_hangs_total", "processes declared hung by heartbeat timeout")
-	s.externals = reg.Counter("svc_external_snaps_total", "external snaps triggered by name")
-	s.groupSnaps = reg.Counter("svc_group_snaps_total", "group-propagated snaps taken")
-	s.forwarded = reg.Counter("svc_forwarded_total", "service-triggered snaps handed to the collection plane")
-	s.forwardErrs = reg.Counter("svc_forward_errors_total", "collection-plane forwards that failed")
 	s.verify = verify.NewMetrics(reg)
 	return s
-}
-
-// SetForward routes every snap the service triggers into the fleet
-// collection plane: a fwd that calls collect.Spool(dir, s) lands it in
-// the local spool for tbagent to upload to tbcollectd. A forward
-// failure is counted and flight-recorded but never blocks the snap —
-// it stays in Snaps regardless.
-func (s *Service) SetForward(fwd func(*snap.Snap) error) {
-	s.forward = fwd
-}
-
-// collect is the single funnel for service-triggered snaps: remember
-// it, and forward it to the collection plane when one is wired.
-func (s *Service) collect(sn *snap.Snap) {
-	if sn == nil {
-		return
-	}
-	s.Snaps = append(s.Snaps, sn)
-	if s.forward != nil {
-		if err := s.forward(sn); err != nil {
-			s.forwardErrs.Inc()
-			s.rec.Record(s.machine.Clock(), "forward-error", err.Error())
-		} else {
-			s.forwarded.Inc()
-		}
-	}
 }
 
 // Metrics returns the service's registry.
@@ -147,23 +103,10 @@ func (s *Service) VerifyFleet() *verify.Result {
 	return res
 }
 
-// Peer connects this service to another machine's service for
-// cross-machine group snaps.
-func (s *Service) Peer(other *Service) {
-	s.peers = append(s.peers, other)
-	other.peers = append(other.peers, s)
-}
-
-// Group declares that the named processes form an application group:
-// a fault in any of them snaps all of them (paper §3.6.1).
-func (s *Service) Group(names ...string) {
-	s.groups = append(s.groups, names)
-}
-
 // CheckStatus performs the heartbeat sweep: every registered runtime
-// whose process is alive but has made no progress within HangCycles
-// is declared hung and snapped (with its group). Returns the hung
-// process names.
+// whose process is alive but has made no progress within hangCycles
+// is declared hung and, under its runtime's hang policy, snapped.
+// Returns the hung process names.
 func (s *Service) CheckStatus() []string {
 	var hung []string
 	now := s.machine.Clock()
@@ -173,80 +116,17 @@ func (s *Service) CheckStatus() []string {
 		if p.Exited || !p.Alive() {
 			continue
 		}
-		if now-p.LastProgress() < s.HangCycles {
+		if now-p.LastProgress() < s.hangCycles {
 			continue
 		}
 		hung = append(hung, p.Name)
 		s.hangs.Inc()
 		s.rec.Record(now, "heartbeat-miss", p.Name)
 		if rt.PolicyHang() {
-			s.collect(rt.TakeSnap(tbrt.SnapReason{Kind: "hang", Detail: "heartbeat timeout"}))
-			s.snapGroupOf(p.Name)
+			if sn := rt.TakeSnap(tbrt.SnapReason{Kind: "hang", Detail: "heartbeat timeout"}); sn != nil {
+				s.Snaps = append(s.Snaps, sn)
+			}
 		}
 	}
 	return hung
-}
-
-// ExternalSnap snaps a process by name — the external snap utility
-// for hung or unresponsive processes (paper §3.6). Works on dead
-// processes too, reading the trace region out of their memory.
-func (s *Service) ExternalSnap(name string) (*snap.Snap, error) {
-	for _, rt := range s.runtimes {
-		if rt.Proc().Name != name {
-			continue
-		}
-		var sn *snap.Snap
-		if rt.Proc().Exited {
-			sn = rt.PostMortemSnap()
-		} else {
-			sn = rt.TakeSnap(tbrt.SnapReason{Kind: "external", Detail: "snap utility"})
-		}
-		if sn != nil {
-			s.collect(sn)
-			s.externals.Inc()
-		}
-		return sn, nil
-	}
-	return nil, fmt.Errorf("service: no registered process %q", name)
-}
-
-// NotifyFault is called when a runtime snaps on a fault; the service
-// propagates a group snap to related processes, including those on
-// peer machines.
-func (s *Service) NotifyFault(name string) {
-	s.snapGroupOf(name)
-}
-
-func (s *Service) snapGroupOf(name string) {
-	seen := map[*Service]bool{s: true}
-	all := append([]*Service{s}, s.peers...)
-	for _, g := range s.groups {
-		member := false
-		for _, n := range g {
-			if n == name {
-				member = true
-			}
-		}
-		if !member {
-			continue
-		}
-		for _, n := range g {
-			if n == name {
-				continue
-			}
-			for _, svc := range all {
-				if seen[svc] && svc != s {
-					continue
-				}
-				for _, rt := range svc.runtimes {
-					if rt.Proc().Name == n && !rt.Proc().Exited {
-						if sn := rt.TakeSnap(tbrt.SnapReason{Kind: "group", Detail: "fault in " + name}); sn != nil {
-							s.collect(sn)
-							s.groupSnaps.Inc()
-						}
-					}
-				}
-			}
-		}
-	}
 }

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 )
 
@@ -16,7 +15,7 @@ const PrefixBits = 32
 const prefixSpace = uint64(1) << PrefixBits
 
 // maxShards bounds the ring size so the fixed-point arithmetic in
-// Place and Range stays comfortably inside uint64.
+// Place stays comfortably inside uint64.
 const maxShards = 1 << 16
 
 // Ring is a fixed-size shard ring: a deterministic, stateless map
@@ -37,9 +36,6 @@ func NewRing(n int) (*Ring, error) {
 	}
 	return &Ring{n: n}, nil
 }
-
-// Shards reports the ring size.
-func (r *Ring) Shards() int { return r.n }
 
 // Prefix extracts the placement key from a SHA-256 hex sum: its first
 // 8 hex digits as a 32-bit integer. The sum must be at least 8
@@ -69,56 +65,4 @@ func (r *Ring) Place(sum string) (int, error) {
 
 func (r *Ring) place(prefix uint64) int {
 	return int(prefix * uint64(r.n) / prefixSpace)
-}
-
-// Range reports the half-open prefix interval [lo, hi) shard s owns.
-// The intervals tile the space: Range(0).lo == 0, Range(N-1).hi ==
-// 2^32, and Range(s).hi == Range(s+1).lo.
-func (r *Ring) Range(s int) (lo, hi uint64) {
-	lo = ceilDiv(uint64(s)*prefixSpace, uint64(r.n))
-	hi = ceilDiv(uint64(s+1)*prefixSpace, uint64(r.n))
-	return lo, hi
-}
-
-func ceilDiv(a, b uint64) uint64 { return (a + b - 1) / b }
-
-// MovedRange is one contiguous prefix interval whose ownership
-// changes between two ring sizes.
-type MovedRange struct {
-	Lo, Hi   uint64 // half-open prefix interval
-	From, To int    // owning shard before and after
-}
-
-// Moved enumerates exactly the prefix ranges that change owner when
-// the ring grows (or shrinks) from r to next: the union of both rings'
-// partition boundaries, filtered to intervals whose owners differ.
-// Everything outside the returned ranges keeps its shard — the
-// stability property the placement tests pin down.
-func (r *Ring) Moved(next *Ring) []MovedRange {
-	cuts := map[uint64]bool{0: true, prefixSpace: true}
-	for s := 0; s < r.n; s++ {
-		lo, _ := r.Range(s)
-		cuts[lo] = true
-	}
-	for s := 0; s < next.n; s++ {
-		lo, _ := next.Range(s)
-		cuts[lo] = true
-	}
-	bounds := make([]uint64, 0, len(cuts))
-	for c := range cuts {
-		bounds = append(bounds, c)
-	}
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
-
-	var out []MovedRange
-	for i := 0; i+1 < len(bounds); i++ {
-		lo, hi := bounds[i], bounds[i+1]
-		from, to := r.place(lo), next.place(lo)
-		if from != to {
-			// Within [lo, hi) both placements are constant (no boundary
-			// of either ring cuts it), so the whole interval moves.
-			out = append(out, MovedRange{Lo: lo, Hi: hi, From: from, To: to})
-		}
-	}
-	return out
 }

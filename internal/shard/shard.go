@@ -8,8 +8,8 @@
 // derives the same owner for the same snap — no directory service, no
 // rendezvous round trip, no coordination of any kind. Growing the ring
 // from N to N+1 shards moves only the prefix ranges that the new
-// partition boundaries cut through (see Ring.Moved), which is what
-// keeps resharding a bounded blob copy rather than a full reshuffle.
+// partition boundaries cut through, which is what keeps resharding a
+// bounded blob copy rather than a full reshuffle.
 //
 // Merging (merge.go) is the read side of the same bet: the warehouse
 // index is an order-independent reduction of journal records, so the

@@ -1,6 +1,7 @@
 package tbrt
 
 import (
+	"slices"
 	"strconv"
 
 	"traceback/internal/trace"
@@ -9,10 +10,14 @@ import (
 
 // assignBuffer moves a probationary thread onto a real buffer: the
 // first free main buffer, or the shared desperation buffer when none
-// is available (paper §3.1.1). A ThreadStart record is written so
-// reconstruction can split buffers that house several thread
+// is available (paper §3.1.1). An empty free pool is first refilled
+// from threads killed without notice. A ThreadStart record is written
+// so reconstruction can split buffers that house several thread
 // lifetimes.
 func (rt *Runtime) assignBuffer(t *vm.Thread) *buffer {
+	if len(rt.free) == 0 {
+		rt.scavengeDeadThreads()
+	}
 	var b *buffer
 	if len(rt.free) > 0 {
 		b = rt.free[0]
@@ -24,12 +29,11 @@ func (rt *Runtime) assignBuffer(t *vm.Thread) *buffer {
 		rt.event("desperation", "tid "+strconv.Itoa(t.TID))
 	}
 	rt.byThread[t.TID] = b
-	rt.hdrWrite(b, hdrOwner, uint32(t.TID))
-	rt.hdrWrite(b, hdrLastPtr, 0)
-
 	// Resume where the previous owner stopped (records are gradually
 	// overwritten, paper §3.1.2); a fresh buffer starts at the top.
 	resume := rt.resumePoint(b)
+	rt.hdrWrite(b, hdrOwner, uint32(t.TID))
+	rt.hdrWrite(b, hdrLastPtr, 0)
 	rt.setTLSPtr(t, resume)
 	rt.appendWordsRaw(t, b, trace.AppendThreadStart(nil, uint32(t.TID), rt.now()))
 	return b
@@ -92,13 +96,19 @@ func (rt *Runtime) wrap(t *vm.Thread, b *buffer, at uint64) uint64 {
 		rt.hdrWrite(b, hdrCommitted, uint32(sub))
 		rt.met.subCommits.Inc()
 	}
-	nextSub := (sub + 1) % b.subs
-	start := nextSub * b.subWords
-	// Zero the next sub-buffer's data words, preserving its sentinel.
+	start := rt.clearSub(b, (sub+1)%b.subs)
+	return b.dataAddr + uint64(start)*4
+}
+
+// clearSub zeroes sub-buffer sub's data words, preserving its
+// sentinel, so that everything past a writer's cursor reads as
+// Invalid, and returns the index of its first word.
+func (rt *Runtime) clearSub(b *buffer, sub int) int {
+	start := sub * b.subWords
 	for i := start; i < start+b.subWords-1; i++ {
 		rt.proc.WriteU32(b.dataAddr+uint64(i)*4, trace.Invalid)
 	}
-	return b.dataAddr + uint64(start)*4
+	return start
 }
 
 // appendWordsRaw appends words through the thread's cursor.
@@ -144,12 +154,14 @@ func (rt *Runtime) releaseBuffer(t *vm.Thread, orderly bool) {
 		rt.appendWordsRaw(t, b, trace.AppendThreadEnd(nil, uint32(t.TID), rt.now()))
 		rt.hdrWrite(b, hdrLastPtr, uint32(rt.tlsPtr(t)))
 	} else {
-		// Abrupt death: the thread's TLS is considered lost. Park the
-		// cursor at the start of the first uncommitted sub-buffer and
-		// write the termination record there; the dead thread's
-		// uncommitted tail is sacrificed (paper §3.1.2, §3.2).
+		// Abrupt death: the thread's TLS is considered lost. Its
+		// uncommitted tail is sacrificed (paper §3.1.2, §3.2): the
+		// first uncommitted sub-buffer is zeroed, as a wrap would,
+		// and the cursor parked at its start. The next owner resumes
+		// there, and if it too dies abruptly, the scan for its last
+		// non-zero word must not find the dead thread's stale records.
 		committed := int(rt.hdrRead(b, hdrCommitted))
-		start := ((committed + 1) % b.subs) * b.subWords
+		start := rt.clearSub(b, (committed+1)%b.subs)
 		rt.hdrWrite(b, hdrLastPtr, uint32(b.dataAddr+uint64(start)*4-4))
 	}
 	if b.kind == bufMain {
@@ -159,20 +171,22 @@ func (rt *Runtime) releaseBuffer(t *vm.Thread, orderly bool) {
 	}
 }
 
-// ScavengeDeadThreads looks for threads that terminated without
-// notifying the runtime (abrupt kills) and reclaims their buffers
-// (paper §3.1.2's dead-thread scavenging pass).
-func (rt *Runtime) ScavengeDeadThreads() int {
-	n := 0
+// scavengeDeadThreads reclaims the main buffers of threads that
+// terminated without notifying the runtime (abrupt kills), paper
+// §3.1.2's dead-thread scavenging pass. Owners are released in
+// ascending TID order, so the free list, and with it the buffer each
+// later thread resumes in, never depends on map order.
+func (rt *Runtime) scavengeDeadThreads() {
+	var dead []int
 	for tid, b := range rt.byThread {
-		t := rt.proc.Threads[tid]
-		if t == nil || (t.State == vm.Exited && t.KilledAbruptly) {
-			_ = b
-			rt.releaseBuffer(t, false)
-			rt.met.scavenges.Inc()
-			rt.event("scavenge", "tid "+strconv.Itoa(tid))
-			n++
+		if t := rt.proc.Threads[tid]; b.kind == bufMain && t.State == vm.Exited && t.KilledAbruptly {
+			dead = append(dead, tid)
 		}
 	}
-	return n
+	slices.Sort(dead)
+	for _, tid := range dead {
+		rt.releaseBuffer(rt.proc.Threads[tid], false)
+		rt.met.scavenges.Inc()
+		rt.event("scavenge", "tid "+strconv.Itoa(tid))
+	}
 }

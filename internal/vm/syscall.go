@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"sync"
 
 	"traceback/internal/isa"
 )
@@ -209,35 +208,19 @@ func (m *Machine) syscall(t *Thread, num int) (stepResult, int) {
 // (SysLoadModule). Installed by the host harness.
 type ModuleResolver func(name string) *LoadedModule
 
-// Resolver is consulted by SysLoadModule; set per process. The map
-// is package-level shared state, so it is mutex-guarded: harnesses
-// that build worlds concurrently (parallel tests, the reconstruction
-// pipeline's snap factories) would otherwise race on it.
-var (
-	resolversMu sync.RWMutex
-	resolvers   = map[*Process]ModuleResolver{}
-)
-
 // SetModuleResolver installs the dynamic-load resolver for p.
-func (p *Process) SetModuleResolver(r ModuleResolver) {
-	resolversMu.Lock()
-	resolvers[p] = r
-	resolversMu.Unlock()
-}
+func (p *Process) SetModuleResolver(r ModuleResolver) { p.resolver = r }
 
 func (m *Machine) sysLoadModule(t *Thread) uint64 {
 	p := t.Proc
-	resolversMu.RLock()
-	res := resolvers[p]
-	resolversMu.RUnlock()
-	if res == nil {
+	if p.resolver == nil {
 		return 0
 	}
 	name, ok := p.ReadBytes(t.Regs[isa.A1], t.Regs[isa.A2])
 	if !ok {
 		return 0
 	}
-	lm := res(string(name))
+	lm := p.resolver(string(name))
 	if lm == nil {
 		return 0
 	}

@@ -212,6 +212,9 @@ type Process struct {
 
 	Hooks Hooks
 
+	// resolver serves SysLoadModule; nil refuses every dynamic load.
+	resolver ModuleResolver
+
 	// Signal handlers: signal -> handler code address (0 = default).
 	Handlers map[int]uint64
 
