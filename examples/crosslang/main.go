@@ -80,7 +80,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	jvm := mvm.New(proc.Machine, proc, "java", mvm.RuntimeConfig{})
+	jvm, err := mvm.New(proc.Machine, proc, "java", mvm.RuntimeConfig{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	if _, err := jvm.Load(jmod); err != nil {
 		log.Fatal(err)
 	}

@@ -66,7 +66,10 @@ func runManagedExit(t *testing.T, src string, arg int64, instrumented bool, seed
 	}
 	w := vm.NewWorld(1)
 	mach := w.NewMachine("m", 0)
-	v := mvm.New(mach, nil, "dual", mvm.RuntimeConfig{})
+	v, err := mvm.New(mach, nil, "dual", mvm.RuntimeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := v.Load(mod); err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,10 @@ func runManaged(t *testing.T, src string, args ...int64) (*mvm.VM, *mvm.MThread)
 	}
 	w := vm.NewWorld(17)
 	mach := w.NewMachine("clr", 0)
-	v := mvm.New(mach, nil, "clr-app", mvm.RuntimeConfig{})
+	v, err := mvm.New(mach, nil, "clr-app", mvm.RuntimeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := v.Load(mod); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +256,10 @@ int main() {
 	}
 	w := vm.NewWorld(17)
 	mach := w.NewMachine("clr", 0)
-	v := mvm.New(mach, nil, "clr", mvm.RuntimeConfig{})
+	v, err := mvm.New(mach, nil, "clr", mvm.RuntimeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	v.Load(inst)
 	th, _ := v.Start("main")
 	if res, err := v.Join(th, 1_000_000); err != nil || res != 10 {

@@ -4,19 +4,23 @@ import (
 	"fmt"
 	"hash/fnv"
 
+	"traceback/internal/tbrt"
+	"traceback/internal/telemetry"
+	"traceback/internal/trace"
 	"traceback/internal/vm"
 )
 
-// VM is one managed runtime instance hosted inside (or alongside) a
-// native process — the JVM/.NET analog. It executes bytecode, owns
-// its own trace buffers (paper §3.3: managed and native code share a
-// process but trace as distinct runtimes), and bridges CALLNAT calls
-// to the native process's code, fusing the managed caller and the
-// native callee into one logical thread via SYNC records.
+// VM is one managed runtime instance hosted inside a native process —
+// the JVM/.NET analog. It executes bytecode, keeps its own trace
+// buffer set in the process's memory (paper §3.3: managed and native
+// code share a process but trace as distinct runtimes), and bridges
+// CALLNAT calls to the process's native code, fusing the managed
+// caller and the native callee into one logical thread via SYNC
+// records.
 type VM struct {
 	Machine *vm.Machine
-	// Proc is the associated native process: the JNI bridge runs
-	// native functions in it, and managed snaps report its identity.
+	// Proc is the host process: it holds the managed trace buffers,
+	// and the JNI bridge runs native functions in it.
 	Proc *vm.Process
 	Name string
 	ID   uint64
@@ -81,6 +85,9 @@ type MThread struct {
 	Result int64
 	// Uncaught is the exception code that killed the thread (0 ok).
 	Uncaught int
+	// cur is the thread's trace cursor: the address of the last
+	// record it wrote (a native thread keeps it in a TLS slot).
+	cur uint64
 }
 
 type mframe struct {
@@ -91,9 +98,13 @@ type mframe struct {
 	stack  []int64
 }
 
-// New creates a managed VM attached to a machine and (optionally) a
-// native process for JNI calls.
-func New(mach *vm.Machine, proc *vm.Process, name string, cfg RuntimeConfig) *VM {
+// New creates a managed VM hosted in proc, whose memory takes the
+// managed trace buffers and whose native code JNI calls reach. A nil
+// proc hosts the VM in a new thread-less process named name on mach.
+func New(mach *vm.Machine, proc *vm.Process, name string, cfg RuntimeConfig) (*VM, error) {
+	if proc == nil {
+		proc = mach.NewProcess(name, nil)
+	}
 	v := &VM{
 		Machine: mach,
 		Proc:    proc,
@@ -103,8 +114,24 @@ func New(mach *vm.Machine, proc *vm.Process, name string, cfg RuntimeConfig) *VM
 	h := fnv.New64a()
 	fmt.Fprintf(h, "mvm/%s/%s", mach.Name, name)
 	v.ID = h.Sum64()
-	v.rt = newManagedRuntime(v, cfg)
-	return v
+	v.rt = &ManagedRuntime{v: v, cfg: cfg.withDefaults(), lt: trace.NewLogicalThreads(v.ID), suppress: map[string]int{}}
+	// A private registry: managed traffic never moves the native
+	// runtime's tbrt_* series.
+	bufs, err := tbrt.NewBufferSet(proc, managedBuffers, telemetry.New(), v.rt.now, v.cursor)
+	if err != nil {
+		return nil, err
+	}
+	v.rt.buffers = bufs
+	return v, nil
+}
+
+// cursor resolves a managed buffer owner's trace cursor, which a
+// managed thread never loses.
+func (v *VM) cursor(tid int) (*uint64, bool) {
+	if t := v.threads[tid]; t != nil {
+		return &t.cur, false
+	}
+	return nil, false
 }
 
 // Runtime returns the managed trace runtime.
@@ -146,7 +173,7 @@ func (v *VM) Start(method string, args ...int64) (*MThread, error) {
 		copy(f.locals, args)
 		t.frames = []*mframe{f}
 		v.threads[t.TID] = t
-		v.rt.onThreadStart(t)
+		v.rt.buffers.Assign(t.TID, &t.cur)
 		return t, nil
 	}
 	return nil, fmt.Errorf("mvm: no method %s", method)
@@ -344,7 +371,7 @@ func (v *VM) step1(t *MThread) {
 		}
 		t.State = MSleeping
 		t.wakeAt = v.Machine.Clock() + uint64(d)
-		v.rt.timestamp(t)
+		v.rt.buffers.AppendEvent(t.TID, &t.cur, trace.AppendTimestamp(nil, v.rt.now()))
 	case IOREAD:
 		v.charge(vm.CostDiskBase + uint64(f.pop())*vm.CostDiskPerKB/1024)
 		f.push(0)
@@ -372,7 +399,8 @@ func (v *VM) step1(t *MThread) {
 	case PROBEH:
 		v.rt.probeHeavy(t, uint32(in.Imm))
 	case PROBEL:
-		v.rt.probeLight(t, uint32(in.Imm))
+		// The lightweight probe ORs its line bit into the current record.
+		v.rt.buffers.MarkPath(&t.cur, uint32(in.Imm))
 	default:
 		v.throw(t, ExcArith)
 		return
@@ -462,11 +490,14 @@ func (v *VM) ret(t *MThread, val int64) {
 
 // throw dispatches a managed exception: the runtime sees it
 // first-chance (writing the exception record with the faulting code
-// address and snapping under policy — paper §2.4/§3.7.2), then the
-// nearest matching handler up the stack takes it, or the thread dies.
+// address, which line-boundary probes make line-accurate — paper
+// §2.4/§3.7.2), then the nearest matching handler up the stack takes
+// it, or the thread dies and the runtime snaps under policy.
 func (v *VM) throw(t *MThread, code int) {
 	f := t.frames[len(t.frames)-1]
-	v.rt.onException(t, code, v.codeAddr(f))
+	v.rt.buffers.AppendEvent(t.TID, &t.cur, trace.AppendException(nil, trace.Exception{
+		Code: uint16(code), Addr: v.codeAddr(f), TS: v.rt.now(),
+	}))
 	for len(t.frames) > 0 {
 		f = t.frames[len(t.frames)-1]
 		me := f.lm.Mod.Methods[f.method]

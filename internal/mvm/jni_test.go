@@ -66,7 +66,10 @@ func TestFigure5CrossLanguage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	jvm := mvm.New(mach, proc, "java", mvm.RuntimeConfig{})
+	jvm, err := mvm.New(mach, proc, "java", mvm.RuntimeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := jvm.Load(jmod); err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +162,10 @@ func TestJNIHappyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jvm := mvm.New(mach, proc, "app-jvm", mvm.RuntimeConfig{})
+	jvm, err := mvm.New(mach, proc, "app-jvm", mvm.RuntimeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	jvm.Load(jmod)
 	th, _ := jvm.Start("main")
 	res, err := jvm.Join(th, 1_000_000)

@@ -5,14 +5,14 @@ import (
 	"fmt"
 
 	"traceback/internal/snap"
+	"traceback/internal/tbrt"
 	"traceback/internal/trace"
 	"traceback/internal/vm"
 )
 
-// RuntimeConfig sizes the managed trace runtime.
+// RuntimeConfig sets the managed trace runtime's policy and cycle
+// model.
 type RuntimeConfig struct {
-	// BufferWords per managed thread buffer (default 8192).
-	BufferWords int
 	// SnapOnUncaught snaps when an exception kills a thread.
 	SnapOnUncaught bool
 	// ProbeHCost / ProbeLCost are the cycle costs of managed probes.
@@ -28,9 +28,6 @@ type RuntimeConfig struct {
 }
 
 func (c RuntimeConfig) withDefaults() RuntimeConfig {
-	if c.BufferWords == 0 {
-		c.BufferWords = 8192
-	}
 	if c.ProbeHCost == 0 {
 		c.ProbeHCost = 6
 	}
@@ -40,40 +37,30 @@ func (c RuntimeConfig) withDefaults() RuntimeConfig {
 	return c
 }
 
-// ManagedRuntime is the managed-side TraceBack runtime: its own trace
-// buffers and runtime ID, distinct from the native runtime in the
-// same process (paper §3.3 treats Java+native as distributed tracing
-// within one process).
+// managedBuffers is the managed buffer set's geometry: eight 32 KiB
+// main buffers of four sub-buffers each. No world runs more than six
+// managed threads at once, so the pool never falls back on the
+// desperation buffer.
+var managedBuffers = tbrt.Geometry{Words: 8192, Buffers: 8, Subs: 4}
+
+// ManagedRuntime is the managed-side TraceBack runtime: its own runtime
+// ID, DAG range and trace buffer set, distinct from the native
+// runtime's even when both share one process (paper §3.3 treats
+// Java+native as distributed tracing within one process). The buffer
+// set lives in the VM's process memory and runs on tbrt's buffer
+// code; a managed thread's cursor is its cur field.
 type ManagedRuntime struct {
 	v   *VM
 	cfg RuntimeConfig
 
 	heap heap
 
-	bufs    map[int]*mbuf
+	buffers *tbrt.BufferSet
 	nextDAG uint32
 	lt      *trace.LogicalThreads
 
 	suppress map[string]int
 	snaps    []*snap.Snap
-}
-
-type mbuf struct {
-	tid   int
-	words []trace.Word
-	// cur is the index of the last written record (-1 when empty).
-	cur     int
-	wrapped bool
-}
-
-func newManagedRuntime(v *VM, cfg RuntimeConfig) *ManagedRuntime {
-	return &ManagedRuntime{
-		v:        v,
-		cfg:      cfg.withDefaults(),
-		bufs:     map[int]*mbuf{},
-		lt:       trace.NewLogicalThreads(v.ID),
-		suppress: map[string]int{},
-	}
 }
 
 // Snaps returns snaps taken by the managed runtime.
@@ -86,33 +73,6 @@ func (rt *ManagedRuntime) assignRange(m *Module) uint32 {
 	return base
 }
 
-func (rt *ManagedRuntime) buf(t *MThread) *mbuf {
-	b := rt.bufs[t.TID]
-	if b == nil {
-		b = &mbuf{tid: t.TID, words: make([]trace.Word, 0, rt.cfg.BufferWords), cur: -1}
-		rt.bufs[t.TID] = b
-	}
-	return b
-}
-
-func (b *mbuf) append(w trace.Word, limit int) {
-	if len(b.words) < limit {
-		b.words = append(b.words, w)
-		b.cur = len(b.words) - 1
-		return
-	}
-	b.cur = (b.cur + 1) % limit
-	b.words[b.cur] = w
-	b.wrapped = true
-}
-
-func (rt *ManagedRuntime) appendWords(t *MThread, words []trace.Word) {
-	b := rt.buf(t)
-	for _, w := range words {
-		b.append(w, rt.cfg.BufferWords)
-	}
-}
-
 // probeHeavy begins a new DAG record (the rebased record word is
 // pre-computed into the probe's immediate at instrumentation time,
 // with the runtime's range applied at load).
@@ -122,56 +82,17 @@ func (rt *ManagedRuntime) probeHeavy(t *MThread, word uint32) {
 	// loaded module knows its assigned base.
 	f := t.frames[len(t.frames)-1]
 	id := trace.DAGID(word) + f.lm.DAGBase
-	rt.appendWords(t, []trace.Word{trace.DAGWord(id, 0)})
-}
-
-// probeLight ORs a line-boundary bit into the current record.
-func (rt *ManagedRuntime) probeLight(t *MThread, bits uint32) {
-	b := rt.buf(t)
-	if b.cur >= 0 && trace.IsDAG(b.words[b.cur]) {
-		b.words[b.cur] |= trace.Word(bits) & trace.PathMask
-	}
+	rt.buffers.Append(t.TID, &t.cur, []trace.Word{trace.DAGWord(id, 0)})
 }
 
 func (rt *ManagedRuntime) now() uint64 { return rt.v.Machine.Timestamp() }
 
-func (rt *ManagedRuntime) timestamp(t *MThread) {
-	rt.appendEvent(t, trace.AppendTimestamp(nil, rt.now()))
-}
+// onThreadEnd writes the ThreadEnd record and returns the thread's
+// buffer to the pool.
+func (rt *ManagedRuntime) onThreadEnd(t *MThread) { rt.buffers.Release(t.TID, &t.cur) }
 
-// appendEvent writes extended records, re-issuing any in-progress DAG
-// record just as the native runtime does.
-func (rt *ManagedRuntime) appendEvent(t *MThread, words []trace.Word) {
-	b := rt.buf(t)
-	var cur trace.Word
-	haveCur := b.cur >= 0 && trace.IsDAG(b.words[b.cur])
-	if haveCur {
-		cur = b.words[b.cur]
-	}
-	rt.appendWords(t, words)
-	if haveCur {
-		rt.appendWords(t, trace.AppendReissueMark(nil))
-		rt.appendWords(t, []trace.Word{cur})
-	}
-}
-
-func (rt *ManagedRuntime) onThreadStart(t *MThread) {
-	rt.appendWords(t, trace.AppendThreadStart(nil, uint32(t.TID), rt.now()))
-}
-
-func (rt *ManagedRuntime) onThreadEnd(t *MThread) {
-	rt.appendWords(t, trace.AppendThreadEnd(nil, uint32(t.TID), rt.now()))
-}
-
-// onException records a first-chance managed exception with its
-// managed code address; line-boundary probes make the report
-// line-accurate (paper §2.4).
-func (rt *ManagedRuntime) onException(t *MThread, code int, addr uint64) {
-	rt.appendEvent(t, trace.AppendException(nil, trace.Exception{
-		Code: uint16(code), Addr: addr, TS: rt.now(),
-	}))
-}
-
+// onUncaught snaps under policy the thread an exception killed, then
+// ends it like any other thread.
 func (rt *ManagedRuntime) onUncaught(t *MThread, code int) {
 	if rt.cfg.SnapOnUncaught {
 		key := fmt.Sprintf("uncaught/%d", code)
@@ -180,6 +101,7 @@ func (rt *ManagedRuntime) onUncaught(t *MThread, code int) {
 			rt.takeSnap("exception uncaught "+ExcName(code), t, code, 0)
 		}
 	}
+	rt.onThreadEnd(t)
 }
 
 // TakeSnap snapshots the managed runtime's buffers.
@@ -220,21 +142,7 @@ func (rt *ManagedRuntime) takeSnap(reason string, t *MThread, code int, addr uin
 		}
 		s.Modules = append(s.Modules, mi)
 	}
-	for tid := 1; tid <= rt.v.nextTID; tid++ {
-		b := rt.bufs[tid]
-		if b == nil || len(b.words) == 0 {
-			continue
-		}
-		d := snap.BufferDump{
-			Kind:      snap.BufMain,
-			OwnerTID:  uint32(tid),
-			LastPtr:   uint32(b.cur),
-			LastKnown: true,
-			SubWords:  0, // plain ring: the managed runtime always knows its pointer
-		}
-		d.SetWords(b.words)
-		s.Buffers = append(s.Buffers, d)
-	}
+	s.Buffers, _ = rt.buffers.Dump()
 	s.Partners = rt.lt.Partners()
 	rt.snaps = append(rt.snaps, s)
 	return s
@@ -246,7 +154,7 @@ func (rt *ManagedRuntime) takeSnap(reason string, t *MThread, code int, addr uin
 // one of its SYNC records.
 func (rt *ManagedRuntime) writeSync(t *MThread, s trace.Sync) {
 	s.TS = rt.now()
-	rt.appendEvent(t, trace.AppendSync(nil, s))
+	rt.buffers.AppendEvent(t.TID, &t.cur, trace.AppendSync(nil, s))
 }
 
 // jniBridge is implemented by the native TraceBack runtime; when the
@@ -264,10 +172,6 @@ type jniBridge interface {
 // two physical threads into one logical thread, so reconstruction
 // shows the Java-to-C control flow of Figure 5.
 func (v *VM) callNative(t *MThread, f *mframe, nb NativeBinding) {
-	if v.Proc == nil {
-		v.throw(t, ExcNativeDied)
-		return
-	}
 	args := make([]int64, nb.Arity)
 	for i := nb.Arity - 1; i >= 0; i-- {
 		args[i] = f.pop()

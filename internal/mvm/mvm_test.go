@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"traceback/internal/recon"
+	"traceback/internal/snap"
 	"traceback/internal/trace"
 	"traceback/internal/vm"
 )
@@ -12,7 +13,11 @@ func newVM(t *testing.T) *VM {
 	t.Helper()
 	w := vm.NewWorld(9)
 	mach := w.NewMachine("jhost", 0)
-	return New(mach, nil, "jvm", RuntimeConfig{})
+	v, err := New(mach, nil, "jvm", RuntimeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 // sumMod builds: int sum(n) { s=0; for i in 1..n: s+=i; return s }
@@ -244,20 +249,31 @@ func TestManagedExceptionLineAccuracy(t *testing.T) {
 	}
 }
 
+// TestManagedBufferWraps runs one thread through more one-word loop
+// records than a managed buffer holds: the writer wraps past its
+// start, committing sub-buffers on the way.
 func TestManagedBufferWraps(t *testing.T) {
 	inst, mf, err := Instrument(sumMod(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := vm.NewWorld(9)
-	mach := w.NewMachine("jhost", 0)
-	v := New(mach, nil, "jvm", RuntimeConfig{BufferWords: 64})
+	v := newVM(t)
 	v.Load(inst)
-	th, _ := v.Start("main", 500)
+	th, _ := v.Start("main", 11000)
 	if _, err := v.Join(th, 5_000_000); err != nil {
 		t.Fatal(err)
 	}
 	s := v.Runtime().TakeSnap("post")
+	// The thread took the pool's first buffer. 11,000 records fill its
+	// four sub-buffers and run past the first one again, so sub 0 is
+	// the last committed (the never-committed marker is sub 3).
+	d := s.Buffers[0]
+	if d.Kind != snap.BufMain || d.SubWords == 0 {
+		t.Fatalf("first buffer: kind %v, %d words per sub-buffer; want a sub-buffered main buffer", d.Kind, d.SubWords)
+	}
+	if d.CommittedSub != 0 {
+		t.Errorf("committed sub-buffer %d, want 0", d.CommittedSub)
+	}
 	pt, err := recon.Reconstruct(s, recon.NewMapSet(mf))
 	if err != nil {
 		t.Fatal(err)
@@ -268,6 +284,65 @@ func TestManagedBufferWraps(t *testing.T) {
 	}
 	if len(tt.Events) == 0 {
 		t.Error("no events from wrapped managed buffer")
+	}
+}
+
+// TestManagedThreadsReuseBuffers runs twelve short managed threads one
+// after another: each ending thread returns its buffer to the pool,
+// so the snap holds the pool and no more, the desperation buffer stays
+// untouched, and every thread reconstructs from its share of the
+// reused buffers.
+func TestManagedThreadsReuseBuffers(t *testing.T) {
+	inst, mf, err := Instrument(sumMod(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := newVM(t)
+	v.Load(inst)
+	const threads = 12
+	for n := 1; n <= threads; n++ {
+		th, _ := v.Start("main", int64(n))
+		if _, err := v.Join(th, 100_000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := v.Runtime().TakeSnap("post")
+	mains := 0
+	for _, d := range s.Buffers {
+		switch d.Kind {
+		case snap.BufMain:
+			mains++
+		case snap.BufDesperation:
+			for i, w := range d.Words() {
+				if w != trace.Invalid && w != trace.Sentinel {
+					t.Fatalf("desperation buffer word %d = %#x, want untouched", i, w)
+				}
+			}
+		}
+	}
+	if mains > managedBuffers.Buffers {
+		t.Errorf("%d main buffers in the snap, want at most the pool's %d", mains, managedBuffers.Buffers)
+	}
+	pt, err := recon.Reconstruct(s, recon.NewMapSet(mf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Thread n ran sum(n): n passes through the loop body, line 13.
+	for n := 1; n <= threads; n++ {
+		tt, ok := pt.ThreadByTID(uint32(n))
+		if !ok {
+			t.Errorf("thread %d not reconstructed", n)
+			continue
+		}
+		body := 0
+		for _, e := range tt.Events {
+			if e.Kind == recon.EvLine && e.Line == 13 {
+				body++
+			}
+		}
+		if body != n {
+			t.Errorf("thread %d: %d executions of line 13, want %d", n, body, n)
+		}
 	}
 }
 
@@ -282,7 +357,10 @@ func TestSnapOnUncaught(t *testing.T) {
 	}
 	w := vm.NewWorld(9)
 	mach := w.NewMachine("jhost", 0)
-	v := New(mach, nil, "jvm", RuntimeConfig{SnapOnUncaught: true})
+	v, err := New(mach, nil, "jvm", RuntimeConfig{SnapOnUncaught: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	v.Load(inst)
 	v.Start("main")
 	v.Run(100000, nil)
@@ -295,7 +373,10 @@ func TestInstrumentationOverheadModest(t *testing.T) {
 	run := func(m *Module) uint64 {
 		w := vm.NewWorld(9)
 		mach := w.NewMachine("jhost", 0)
-		v := New(mach, nil, "jvm", RuntimeConfig{})
+		v, err := New(mach, nil, "jvm", RuntimeConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		v.Load(m)
 		th, _ := v.Start("main", 2000)
 		if _, err := v.Join(th, 10_000_000); err != nil {

@@ -60,7 +60,7 @@ func TestFigure3BufferAssignment(t *testing.T) {
 	// Figure 3: two buffers owned, extra threads in desperation.
 	owned := 0
 	desperate := 0
-	for _, b := range rt.byThread {
+	for _, b := range rt.bufs.byThread {
 		switch b.kind {
 		case bufMain:
 			owned++

@@ -13,8 +13,8 @@ var _ vm.Hooks = (*Runtime)(nil)
 // assigned, so threads that never execute instrumented code cost
 // nothing (paper §3.1).
 func (rt *Runtime) OnThreadStart(t *vm.Thread) {
-	rt.byThread[t.TID] = rt.probation
-	rt.setTLSPtr(t, rt.probation.dataAddr)
+	rt.bufs.byThread[t.TID] = rt.bufs.probation
+	*rt.cursor(t) = rt.bufs.probation.dataAddr
 }
 
 // OnThreadExit writes the thread-termination record and frees the
@@ -25,12 +25,12 @@ func (rt *Runtime) OnThreadExit(t *vm.Thread) {
 	if rt.jniBound[t.TID] {
 		if s, ext, ok := rt.lt.Send(t.TID, true); ok {
 			s.TS = rt.now()
-			rt.appendEvent(t, trace.AppendSync(nil, s))
+			rt.bufs.AppendEvent(t.TID, rt.cursor(t), trace.AppendSync(nil, s))
 			rt.jniReply[t.TID] = ext
 		}
 		delete(rt.jniBound, t.TID)
 	}
-	rt.releaseBuffer(t, true)
+	rt.bufs.Release(t.TID, rt.cursor(t))
 	rt.lt.Drop(t.TID)
 }
 
@@ -40,8 +40,8 @@ func (rt *Runtime) OnThreadExit(t *vm.Thread) {
 // probation immediately: the call-recv SYNC must land in a real
 // buffer.
 func (rt *Runtime) BindJNI(t *vm.Thread, ext []byte) {
-	if b := rt.byThread[t.TID]; b == nil || b.kind == bufProbation {
-		rt.assignBuffer(t)
+	if rt.bufs.traced(t.TID) == nil {
+		rt.bufs.Assign(t.TID, rt.cursor(t))
 	}
 	rt.OnRPCRecv(t, ext, false)
 	rt.jniBound[t.TID] = true
@@ -59,11 +59,11 @@ func (rt *Runtime) TakeJNIReply(tid int) []byte {
 // so commit/zero sub-buffers (or leave probation / desperation) and
 // return the slot for the pending DAG record (paper §3.1).
 func (rt *Runtime) OnBufferWrap(t *vm.Thread) uint64 {
-	b := rt.byThread[t.TID]
-	if b == nil || b.kind == bufProbation {
-		b = rt.assignBuffer(t)
+	cur := rt.cursor(t)
+	if rt.bufs.traced(t.TID) == nil {
+		rt.bufs.Assign(t.TID, cur)
 	}
-	return rt.allocSlot(t, b)
+	return rt.bufs.allocSlot(t.TID, cur, rt.bufs.byThread[t.TID])
 }
 
 // OnModuleLoad performs DAG rebasing (paper §2.3) and TLS-index
@@ -181,11 +181,12 @@ func (rt *Runtime) OnModuleUnload(p *vm.Process, lm *vm.LoadedModule) {
 func (rt *Runtime) OnException(t *vm.Thread, sig int, addr uint64) {
 	rt.lastFaultAddr[sig] = addr
 	rt.savedDAG[t.TID] = nil
-	if b := rt.byThread[t.TID]; b != nil && b.kind != bufProbation {
-		if cur, ok := rt.proc.ReadU32(rt.tlsPtr(t)); ok && trace.IsDAG(cur) {
-			rt.savedDAG[t.TID] = []trace.Word{cur}
+	if rt.bufs.traced(t.TID) != nil {
+		cur := rt.cursor(t)
+		if last, ok := rt.proc.ReadU32(*cur); ok && trace.IsDAG(last) {
+			rt.savedDAG[t.TID] = []trace.Word{last}
 		}
-		rt.appendWordsRaw(t, b, trace.AppendException(nil, trace.Exception{
+		rt.bufs.Append(t.TID, cur, trace.AppendException(nil, trace.Exception{
 			Code: uint16(sig), Addr: addr, TS: rt.now(),
 		}))
 	}
@@ -198,16 +199,14 @@ func (rt *Runtime) OnException(t *vm.Thread, sig int, addr uint64) {
 // uses it to mark where control resumed (paper §3.7.3) — and
 // re-issues the interrupted DAG record.
 func (rt *Runtime) OnSignalReturn(t *vm.Thread) {
-	b := rt.byThread[t.TID]
-	if b == nil || b.kind == bufProbation {
+	if rt.bufs.traced(t.TID) == nil {
 		return
 	}
-	words := trace.AppendExceptionEnd(nil, rt.now())
-	rt.appendWordsRaw(t, b, words)
+	cur := rt.cursor(t)
+	rt.bufs.Append(t.TID, cur, trace.AppendExceptionEnd(nil, rt.now()))
 	if saved := rt.savedDAG[t.TID]; len(saved) == 1 {
-		rt.appendWordsRaw(t, b, trace.AppendReissueMark(nil))
-		slot := rt.allocSlot(t, b)
-		rt.proc.WriteU32(slot, saved[0])
+		rt.bufs.Append(t.TID, cur, trace.AppendReissueMark(nil))
+		rt.bufs.Append(t.TID, cur, saved)
 		delete(rt.savedDAG, t.TID)
 	}
 }
@@ -234,8 +233,8 @@ func (rt *Runtime) OnProcessExit(p *vm.Process, sig int) {
 	}
 	// Orderly release of all live threads' buffers.
 	for tid, t := range p.Threads {
-		if _, owned := rt.byThread[tid]; owned && !t.KilledAbruptly {
-			rt.releaseBuffer(t, true)
+		if _, owned := rt.bufs.byThread[tid]; owned && !t.KilledAbruptly {
+			rt.bufs.Release(tid, rt.cursor(t))
 		}
 	}
 }
@@ -258,7 +257,7 @@ var syncSyscalls = map[int]bool{
 // instruction's code address).
 func (rt *Runtime) OnSyscall(t *vm.Thread, num int) {
 	if syncSyscalls[num] {
-		rt.appendEvent(t, trace.AppendSyscallMark(nil, trace.SyscallMark{
+		rt.bufs.AppendEvent(t.TID, rt.cursor(t), trace.AppendSyscallMark(nil, trace.SyscallMark{
 			Num: uint16(num), Addr: t.PC, TS: rt.now(),
 		}))
 	}
@@ -287,7 +286,13 @@ func (rt *Runtime) OnRPCRecv(t *vm.Thread, ext []byte, reply bool) {
 
 func (rt *Runtime) writeSync(t *vm.Thread, s trace.Sync) {
 	s.TS = rt.now()
-	rt.appendEvent(t, trace.AppendSync(nil, s))
+	rt.bufs.AppendEvent(t.TID, rt.cursor(t), trace.AppendSync(nil, s))
 	rt.met.syncs.Inc()
 	rt.event("rpc-sync", s.Point.String())
 }
+
+// Traced reports whether tid has left probation: it owns a real
+// trace buffer and its history is recoverable from a snap. Fault
+// injectors use this to target threads whose snap will carry
+// evidence.
+func (rt *Runtime) Traced(tid int) bool { return rt.bufs.traced(tid) != nil }

@@ -7,37 +7,25 @@ import "traceback/internal/telemetry"
 // update is a single atomic operation (paper-side overhead stays in
 // VM cycles, which telemetry never touches).
 type rtMetrics struct {
-	wraps        *telemetry.Counter
-	subCommits   *telemetry.Counter
-	desperations *telemetry.Counter
-	rebased      *telemetry.Counter
-	badDAGs      *telemetry.Counter
-	scavenges    *telemetry.Counter
-	snaps        *telemetry.Counter
-	suppressed   *telemetry.Counter
-	syncs        *telemetry.Counter
-	buffersFree  *telemetry.Gauge
-	buffersTotal *telemetry.Gauge
-	snapNanos    *telemetry.Histogram
-	snapWords    *telemetry.Histogram
+	rebased    *telemetry.Counter
+	badDAGs    *telemetry.Counter
+	snaps      *telemetry.Counter
+	suppressed *telemetry.Counter
+	syncs      *telemetry.Counter
+	snapNanos  *telemetry.Histogram
+	snapWords  *telemetry.Histogram
 }
 
 func (rt *Runtime) initMetrics() {
 	reg := rt.cfg.Telemetry
 	rt.met = rtMetrics{
-		wraps:        reg.Counter("tbrt_wraps_total", "trace buffer sentinel hits (sub-buffer wraps)"),
-		subCommits:   reg.Counter("tbrt_subcommits_total", "sub-buffer commit points recorded"),
-		desperations: reg.Counter("tbrt_desperations_total", "threads assigned to the shared desperation buffer"),
-		rebased:      reg.Counter("tbrt_rebased_total", "modules whose DAG range was rebased at load"),
-		badDAGs:      reg.Counter("tbrt_baddags_total", "modules demoted to the bad-DAG ID (untraced)"),
-		scavenges:    reg.Counter("tbrt_scavenges_total", "dead-thread buffers reclaimed by scavenging"),
-		snaps:        reg.Counter("tbrt_snaps_total", "snaps written"),
-		suppressed:   reg.Counter("tbrt_snaps_suppressed_total", "snap triggers suppressed by policy"),
-		syncs:        reg.Counter("tbrt_rpc_syncs_total", "SYNC records written for RPC stitching"),
-		buffersFree:  reg.Gauge("tbrt_buffers_free", "main trace buffers currently unassigned"),
-		buffersTotal: reg.Gauge("tbrt_buffers_total", "main trace buffers configured"),
-		snapNanos:    reg.Histogram("tbrt_snap_nanos", "host-side snap build+write latency", telemetry.DurationBuckets()),
-		snapWords:    reg.Histogram("tbrt_snap_words", "trace words captured per snap", telemetry.SizeBuckets()),
+		rebased:    reg.Counter("tbrt_rebased_total", "modules whose DAG range was rebased at load"),
+		badDAGs:    reg.Counter("tbrt_baddags_total", "modules demoted to the bad-DAG ID (untraced)"),
+		snaps:      reg.Counter("tbrt_snaps_total", "snaps written"),
+		suppressed: reg.Counter("tbrt_snaps_suppressed_total", "snap triggers suppressed by policy"),
+		syncs:      reg.Counter("tbrt_rpc_syncs_total", "SYNC records written for RPC stitching"),
+		snapNanos:  reg.Histogram("tbrt_snap_nanos", "host-side snap build+write latency", telemetry.DurationBuckets()),
+		snapWords:  reg.Histogram("tbrt_snap_words", "trace words captured per snap", telemetry.SizeBuckets()),
 	}
 	rt.rec = reg.Recorder(256)
 }
@@ -56,7 +44,7 @@ func (rt *Runtime) FlightRecorder() *telemetry.Recorder { return rt.rec }
 
 // Wraps counts buffer sentinel hits. It and SubCommits serve the
 // benchmark and the fault campaign; read other counters via Metrics().
-func (rt *Runtime) Wraps() int { return int(rt.met.wraps.Load()) }
+func (rt *Runtime) Wraps() int { return int(rt.bufs.wraps.Load()) }
 
 // SubCommits counts sub-buffer commits.
-func (rt *Runtime) SubCommits() int { return int(rt.met.subCommits.Load()) }
+func (rt *Runtime) SubCommits() int { return int(rt.bufs.subCommits.Load()) }

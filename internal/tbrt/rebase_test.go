@@ -145,18 +145,18 @@ func TestScavengeDeadThreads(t *testing.T) {
 			t.Fatal(err)
 		}
 		mach.World.Run(100000, func() bool { return rt.Traced(tidA) && rt.Traced(tidB) })
-		bufA, bufB := rt.byThread[tidA], rt.byThread[tidB]
-		if bufA == nil || bufB == nil || bufA.kind != bufMain || bufB.kind != bufMain || len(rt.free) != 0 {
-			t.Fatalf("A and B did not take the last two main buffers (A %v, B %v, %d free)", bufA, bufB, len(rt.free))
+		bufA, bufB := rt.bufs.byThread[tidA], rt.bufs.byThread[tidB]
+		if bufA == nil || bufB == nil || bufA.kind != bufMain || bufB.kind != bufMain || len(rt.bufs.free) != 0 {
+			t.Fatalf("A and B did not take the last two main buffers (A %v, B %v, %d free)", bufA, bufB, len(rt.bufs.free))
 		}
 		mach.World.Run(100000, func() bool { return rt.Traced(tidC) && rt.Traced(tidD) })
 		if a, b := p.Threads[tidA], p.Threads[tidB]; !a.KilledAbruptly || !b.KilledAbruptly {
 			t.Fatal("A and B are not abruptly dead")
 		}
-		if rt.byThread[tidC] != bufA || rt.byThread[tidD] != bufB {
+		if rt.bufs.byThread[tidC] != bufA || rt.bufs.byThread[tidD] != bufB {
 			t.Fatal("C and D did not take A's and B's former buffers, in that order")
 		}
-		if c := rt.hdrRead(bufA, hdrCommitted); c != 0 {
+		if c := rt.bufs.hdrRead(bufA, hdrCommitted); c != 0 {
 			t.Fatalf("A's buffer has sub-buffer %d committed, want 0: busy must wrap once", c)
 		}
 		mach.World.Run(100000, func() bool { return p.Exited })

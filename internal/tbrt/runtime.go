@@ -48,10 +48,6 @@ type Config struct {
 	// DAGBases optionally pre-assigns DAG ranges by module name
 	// (paper §2.3's DAG base file).
 	DAGBases map[string]uint32
-	// NoMemoryDump omits module data segments from snaps (they are
-	// included by default so the viewer can display variable values,
-	// paper §3.6).
-	NoMemoryDump bool
 	// Policy controls snap triggers and suppression.
 	Policy Policy
 	// SnapSink receives completed snaps (default: collect in memory).
@@ -83,35 +79,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// bufKind mirrors snap.BufferKind for in-memory headers.
-const (
-	bufMain = iota
-	bufStatic
-	bufProbation
-	bufDesperation
-)
-
-// buffer is the host-side view of one trace buffer; authoritative
-// state (owner, committed sub-buffer, released pointer) lives in the
-// in-memory header so post-mortem snaps read pure memory.
-type buffer struct {
-	kind       int
-	headerAddr uint64
-	dataAddr   uint64
-	words      int
-	subWords   int // words per sub-buffer, including its sentinel
-	subs       int
-}
-
-// In-memory buffer header offsets (16 bytes).
-const (
-	hdrOwner     = 0
-	hdrCommitted = 4
-	hdrLastPtr   = 8
-	hdrKind      = 12
-	hdrSize      = 16
-)
-
 const staticWords = 256
 
 // Runtime is one process's TraceBack runtime instance.
@@ -121,13 +88,8 @@ type Runtime struct {
 	// ID uniquely identifies this runtime for SYNC records.
 	ID uint64
 
-	buffers     []*buffer // main buffers
-	static      *buffer
-	probation   *buffer
-	desperation *buffer
-
-	byThread map[int]*buffer
-	free     []*buffer
+	// bufs holds the trace buffers and each thread's assignment.
+	bufs *BufferSet
 
 	modules    []*loadedInfo
 	ranges     []dagRange
@@ -173,7 +135,6 @@ type dagRange struct {
 func NewProcess(m *vm.Machine, name string, cfg Config) (*vm.Process, *Runtime, error) {
 	rt := &Runtime{
 		cfg:           cfg.withDefaults(),
-		byThread:      map[int]*buffer{},
 		byChecksum:    map[string]uint32{},
 		savedDAG:      map[int][]trace.Word{},
 		jniBound:      map[int]bool{},
@@ -188,11 +149,13 @@ func NewProcess(m *vm.Machine, name string, cfg Config) (*vm.Process, *Runtime, 
 	rt.ID = h.Sum64()
 	rt.lt = trace.NewLogicalThreads(rt.ID)
 	rt.initMetrics()
-	if err := rt.initBuffers(); err != nil {
+	c := rt.cfg
+	bufs, err := NewBufferSet(p, Geometry{Words: c.BufferWords, Buffers: c.NumBuffers, Subs: c.SubBuffers, StaticWords: staticWords},
+		c.Telemetry, rt.now, rt.owner)
+	if err != nil {
 		return nil, nil, err
 	}
-	rt.met.buffersFree.Set(int64(len(rt.free)))
-	rt.met.buffersTotal.Set(int64(len(rt.buffers)))
+	rt.bufs = bufs
 	return p, rt, nil
 }
 
@@ -202,66 +165,6 @@ func (rt *Runtime) Proc() *vm.Process { return rt.proc }
 // Snaps returns snaps collected so far (when no SnapSink is set, or
 // in addition to it).
 func (rt *Runtime) Snaps() []*snap.Snap { return rt.snaps }
-
-// initBuffers carves the trace region out of the process address
-// space and lays out headers, sentinels, and the special buffers.
-func (rt *Runtime) initBuffers() error {
-	c := rt.cfg
-	per := hdrSize + c.BufferWords*4
-	total := c.NumBuffers*per +
-		(hdrSize + staticWords*4) + // static
-		(hdrSize + 2*4) + // probation: pad + sentinel
-		(hdrSize + c.BufferWords*4) // desperation
-	base := rt.proc.AllocRegion(uint32(total))
-	if base == 0 {
-		return fmt.Errorf("tbrt: cannot allocate %d-byte trace region", total)
-	}
-	addr := uint64(base)
-	mk := func(kind, words, subs int) *buffer {
-		b := &buffer{
-			kind:       kind,
-			headerAddr: addr,
-			dataAddr:   addr + hdrSize,
-			words:      words,
-			subs:       subs,
-			subWords:   words / subs,
-		}
-		addr += uint64(hdrSize + words*4)
-		rt.proc.WriteU32(b.headerAddr+hdrKind, uint32(kind))
-		// "No sub-buffer committed yet" is represented as subs-1, so
-		// the first uncommitted sub-buffer — where a dead thread's
-		// progress is sought — is sub 0.
-		rt.proc.WriteU32(b.headerAddr+hdrCommitted, uint32(subs-1))
-		rt.initSentinels(b)
-		return b
-	}
-	for i := 0; i < c.NumBuffers; i++ {
-		b := mk(bufMain, c.BufferWords, c.SubBuffers)
-		rt.buffers = append(rt.buffers, b)
-		rt.free = append(rt.free, b)
-	}
-	rt.static = mk(bufStatic, staticWords, 1)
-	rt.probation = mk(bufProbation, 2, 1)
-	rt.desperation = mk(bufDesperation, c.BufferWords, 1)
-	return nil
-}
-
-// initSentinels zeroes a buffer and writes the sub-buffer sentinels
-// (every sub-buffer's final word; paper §3.1/§3.2).
-func (rt *Runtime) initSentinels(b *buffer) {
-	for i := 0; i < b.words; i++ {
-		rt.proc.WriteU32(b.dataAddr+uint64(i)*4, trace.Invalid)
-	}
-	for s := 0; s < b.subs; s++ {
-		end := (s+1)*b.subWords - 1
-		rt.proc.WriteU32(b.dataAddr+uint64(end)*4, trace.Sentinel)
-	}
-	if b.kind == bufProbation {
-		// Probation holds only the sentinel: the first probe of any
-		// thread immediately triggers buffer_wrap (paper §3.1).
-		rt.proc.WriteU32(b.dataAddr+4, trace.Sentinel)
-	}
-}
 
 // now returns a timestamp: the machine clock analog of RDTSC, or the
 // logical clock when configured (incremented per significant event).
@@ -273,27 +176,18 @@ func (rt *Runtime) now() uint64 {
 	return rt.proc.Machine.Timestamp()
 }
 
-func (rt *Runtime) tlsPtr(t *vm.Thread) uint64 {
-	return t.TLS[rt.cfg.TLSSlot%isa.NumTLSSlots]
+// cursor returns the address of t's TLS trace slot, which holds the
+// address of the last record t wrote.
+func (rt *Runtime) cursor(t *vm.Thread) *uint64 {
+	return &t.TLS[rt.cfg.TLSSlot%isa.NumTLSSlots]
 }
 
-func (rt *Runtime) setTLSPtr(t *vm.Thread, v uint64) {
-	t.TLS[rt.cfg.TLSSlot%isa.NumTLSSlots] = v
-}
-
-func (rt *Runtime) hdrRead(b *buffer, off uint64) uint32 {
-	v, _ := rt.proc.ReadU32(b.headerAddr + off)
-	return v
-}
-
-func (rt *Runtime) hdrWrite(b *buffer, off uint64, v uint32) {
-	rt.proc.WriteU32(b.headerAddr+off, v)
-}
-
-// wordIndex converts an address inside b's data to a word index.
-func (b *buffer) wordIndex(addr uint64) (int, bool) {
-	if addr < b.dataAddr || addr >= b.dataAddr+uint64(b.words)*4 {
-		return 0, false
+// owner resolves a native buffer owner's cursor for the buffer set; a
+// thread killed without notice lost its TLS with it.
+func (rt *Runtime) owner(tid int) (*uint64, bool) {
+	t := rt.proc.Threads[tid]
+	if t == nil {
+		return nil, false
 	}
-	return int(addr-b.dataAddr) / 4, true
+	return rt.cursor(t), t.KilledAbruptly
 }

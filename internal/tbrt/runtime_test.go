@@ -453,8 +453,8 @@ func TestProbationOnly(t *testing.T) {
 	p.Load(m) // not instrumented
 	p.StartMain(0)
 	vm.RunProcess(p, 10000)
-	if len(rt.free) != 2 {
-		t.Errorf("%d free buffers, want 2 (thread never left probation)", len(rt.free))
+	if len(rt.bufs.free) != 2 {
+		t.Errorf("%d free buffers, want 2 (thread never left probation)", len(rt.bufs.free))
 	}
 }
 

@@ -45,7 +45,7 @@ func (rt *Runtime) TakeSnap(reason SnapReason) *snap.Snap {
 	// Annotate the triggering thread's trace.
 	if reason.TID != 0 {
 		if t := rt.proc.Threads[reason.TID]; t != nil {
-			rt.appendEvent(t, trace.AppendSnapMark(nil, rt.now()))
+			rt.bufs.AppendEvent(t.TID, rt.cursor(t), trace.AppendSnapMark(nil, rt.now()))
 		}
 	}
 	s := rt.buildSnap(reason)
@@ -108,77 +108,17 @@ func (rt *Runtime) buildSnap(reason SnapReason) *snap.Snap {
 		}
 		// Memory dump of the data segment (paper §3.6: snaps may
 		// include a memory dump for variable display).
-		if !rt.cfg.NoMemoryDump {
-			size := uint64(len(lm.Mod.Data)) + uint64(lm.Mod.BSS)
-			if size > 0 {
-				if b, ok := p.ReadBytes(uint64(lm.DataBase), size); ok {
-					mi.DataBase = lm.DataBase
-					mi.DataDump = b
-				}
+		if size := uint64(len(lm.Mod.Data)) + uint64(lm.Mod.BSS); size > 0 {
+			if b, ok := p.ReadBytes(uint64(lm.DataBase), size); ok {
+				mi.DataBase = lm.DataBase
+				mi.DataDump = b
 			}
 		}
 		s.Modules = append(s.Modules, mi)
 	}
-	all := append([]*buffer{}, rt.buffers...)
-	all = append(all, rt.static, rt.desperation)
-	words := 0
-	for _, b := range all {
-		s.Buffers = append(s.Buffers, rt.dumpBuffer(b))
-		words += b.words
-	}
+	bufs, words := rt.bufs.Dump()
+	s.Buffers = bufs
 	rt.met.snapWords.Observe(uint64(words))
 	s.Partners = rt.lt.Partners()
 	return s
-}
-
-// dumpBuffer reads one buffer's header and words out of process
-// memory. The last-written pointer is taken from the live owner's TLS
-// when trustworthy, from the header's release pointer otherwise;
-// after an abrupt kill neither exists and reconstruction falls back
-// to the committed-sub-buffer scan (LastKnown=false).
-func (rt *Runtime) dumpBuffer(b *buffer) snap.BufferDump {
-	d := snap.BufferDump{
-		Kind:         snapKind(b.kind),
-		OwnerTID:     rt.hdrRead(b, hdrOwner),
-		CommittedSub: rt.hdrRead(b, hdrCommitted),
-		SubWords:     uint32(b.subWords),
-	}
-	words := make([]uint32, b.words)
-	for i := range words {
-		words[i], _ = rt.proc.ReadU32(b.dataAddr + uint64(i)*4)
-	}
-	d.SetWords(words)
-
-	if owner := rt.proc.Threads[int(d.OwnerTID)]; owner != nil && d.OwnerTID != 0 {
-		if owner.KilledAbruptly {
-			// TLS lost with the thread (paper §3.2).
-			d.LastKnown = false
-		} else if idx, ok := b.wordIndex(rt.tlsPtr(owner)); ok {
-			d.LastPtr = uint32(idx)
-			d.LastKnown = true
-		}
-	} else if last := rt.hdrRead(b, hdrLastPtr); last != 0 {
-		if idx, ok := b.wordIndex(uint64(last)); ok {
-			d.LastPtr = uint32(idx)
-			d.LastKnown = true
-		}
-	}
-	if b.kind == bufDesperation {
-		// Shared unsynchronized writes: contents are declared
-		// unrecoverable (paper §3.1).
-		d.LastKnown = false
-	}
-	return d
-}
-
-func snapKind(k int) snap.BufferKind {
-	switch k {
-	case bufStatic:
-		return snap.BufStatic
-	case bufProbation:
-		return snap.BufProbation
-	case bufDesperation:
-		return snap.BufDesperation
-	}
-	return snap.BufMain
 }

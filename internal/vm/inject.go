@@ -52,9 +52,6 @@ type Injector interface {
 // injector.
 func (w *World) SetInjector(inj Injector) { w.injector = inj }
 
-// Injector returns the installed fault injector (nil when none).
-func (w *World) Injector() Injector { return w.injector }
-
 // InjectSignal delivers sig to t asynchronously, as if raised at a
 // preemption point: the thread's current instruction has not executed
 // yet, so delivery is attributed to the previously executed

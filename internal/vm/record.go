@@ -51,9 +51,6 @@ type Recorder interface {
 // nondeterminism recorder.
 func (w *World) SetRecorder(r Recorder) { w.recorder = r }
 
-// Recorder returns the installed recorder (nil when none).
-func (w *World) Recorder() Recorder { return w.recorder }
-
 // Quantum returns the world-global scheduling quantum counter: the
 // number of Machine.Step calls across all machines since the world
 // was created. It is the alignment backbone of record-and-replay —

@@ -33,7 +33,10 @@ func runNative(m *module.Module, cfg *tbrt.Config, seed int64, host string, arg 
 // starts one thread at method entry per element of args. Nothing
 // runs.
 func LaunchManaged(m *mvm.Module, cfg mvm.RuntimeConfig, seed int64, host, name, entry string, args [][]int64) (*mvm.VM, []*mvm.MThread, error) {
-	v := mvm.New(vm.NewWorld(seed).NewMachine(host, 0), nil, name, cfg)
+	v, err := mvm.New(vm.NewWorld(seed).NewMachine(host, 0), nil, name, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
 	if _, err := v.Load(m); err != nil {
 		return nil, nil, err
 	}
