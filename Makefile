@@ -6,7 +6,7 @@
 #   make vet         static analysis only
 #   make check       tbcheck over the examples + seeded-broken corpus
 #   make examples    run the four examples end to end, twice each,
-#                    failing on any stdout difference
+#                    outside the module, failing on any stdout difference
 #   make ci          what the gate runs: fmt-check + vet + check +
 #                    examples + race-detector tests
 #   make gen         regenerate the committed generated trees (tools/gen),
@@ -130,14 +130,16 @@ bench-check:
 	done; done
 	bash bench/run.sh -compare .bench_build/check/parent.json .bench_build/check/change.json
 
-# Each example runs twice and must print the same bytes both times
-# (cmp), so a map-order leak into the rendering the examples share
-# with snaps/ fails the gate.
+# Each example is built once and runs twice from its build directory,
+# outside the module, so an example that reads the repository at run
+# time fails the gate. Both runs must print the same bytes (cmp), so a
+# map-order leak into the rendering the examples share with snaps/
+# fails it too.
 examples:
-	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && $(GO) build -o "$$d" ./examples/... && \
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && $(GO) build -o "$$d" ./examples/... && cd "$$d" && \
 	for e in quickstart crosslang crossmachine deadlock; do \
-		echo "--- examples/$$e" && "$$d/$$e" > "$$d/$$e.1" && "$$d/$$e" > "$$d/$$e.2" && \
-		cat "$$d/$$e.1" && cmp "$$d/$$e.1" "$$d/$$e.2" || exit 1; \
+		echo "--- examples/$$e" && ./$$e > $$e.1 && ./$$e > $$e.2 && \
+		cat $$e.1 && cmp $$e.1 $$e.2 || exit 1; \
 	done
 
 bin:

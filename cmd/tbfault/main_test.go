@@ -9,18 +9,11 @@ import (
 	"testing"
 
 	"traceback/internal/fault"
-	"traceback/internal/scenario"
 	"traceback/internal/snap"
 )
 
-func repoRoot(t *testing.T) string {
-	t.Helper()
-	root, err := scenario.Root()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return root
-}
+// repoRoot is the repository root, two levels above this package.
+const repoRoot = "../.."
 
 // TestRunReportDeterminism: the CLI's JSON report for a campaign
 // slice is byte-identical across runs of the same seed.
@@ -52,7 +45,7 @@ func TestRunReportDeterminism(t *testing.T) {
 // replay — every snap reconstructs to its recorded faulting line and
 // the known-bad case is detected.
 func TestReplayCommittedCorpus(t *testing.T) {
-	dir := filepath.Join(repoRoot(t), "snaps", "regressions")
+	dir := filepath.Join(repoRoot, "snaps", "regressions")
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"replay", "-dir", dir}, &stdout, &stderr); code != 0 {
 		t.Fatalf("replay exit %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
@@ -66,7 +59,7 @@ func TestReplayCommittedCorpus(t *testing.T) {
 // can tamper with it.
 func copyCorpus(t *testing.T) string {
 	t.Helper()
-	src := filepath.Join(repoRoot(t), "snaps", "regressions")
+	src := filepath.Join(repoRoot, "snaps", "regressions")
 	dst := t.TempDir()
 	if err := os.MkdirAll(filepath.Join(dst, "maps"), 0o755); err != nil {
 		t.Fatal(err)
@@ -220,7 +213,7 @@ func TestReplayWriteFailure(t *testing.T) {
 	}
 	defer full.Close()
 	var stderr bytes.Buffer
-	dir := filepath.Join(repoRoot(t), "snaps", "regressions")
+	dir := filepath.Join(repoRoot, "snaps", "regressions")
 	if code := run([]string{"replay", "-dir", dir}, full, &stderr); code != 1 {
 		t.Errorf("replay with stdout on /dev/full: exit %d, want 1 (stderr: %s)", code, stderr.String())
 	}

@@ -181,3 +181,28 @@ func TestReplayCLIWriteFailure(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayCLIOutsideTheModule: a committed regression snap replays
+// to a byte-identical reconstruction from a working directory that
+// holds no repository, since the scenario it rebuilds is embedded.
+func TestReplayCLIOutsideTheModule(t *testing.T) {
+	path, err := filepath.Abs(filepath.Join("..", "..", "snaps", "regressions", "signal-quickstart-1.snap.json.gz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	var out, errb bytes.Buffer
+	if code := run([]string{"-q", path}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d; stderr: %s", code, errb.String())
+	}
+	if !strings.Contains(out.String(), "byte-identical reconstruction") {
+		t.Fatalf("stdout: %s", out.String())
+	}
+}

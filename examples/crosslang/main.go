@@ -14,12 +14,12 @@
 package main
 
 import (
-	_ "embed"
 	"fmt"
 	"log"
 	"os"
 	"strings"
 
+	"traceback/examples"
 	"traceback/internal/core"
 	"traceback/internal/minic"
 	"traceback/internal/module"
@@ -39,12 +39,13 @@ int main(int straddr) {
 	return 0;
 }`
 
-//go:embed NativeString.mc
-var nativeSrc string
-
 func main() {
 	// Native side: compile + instrument.
-	nat, err := minic.Compile("NativeString.c", "NativeString.c", nativeSrc)
+	nativeSrc, err := examples.Sources.ReadFile("crosslang/NativeString.mc")
+	if err != nil {
+		log.Fatal(err)
+	}
+	nat, err := minic.Compile("NativeString.c", "NativeString.c", string(nativeSrc))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func main() {
 
 	sources := map[string][]string{
 		"NativeString.java": strings.Split(managedSrc, "\n"),
-		"NativeString.c":    strings.Split(nativeSrc, "\n"),
+		"NativeString.c":    strings.Split(string(nativeSrc), "\n"),
 	}
 	for _, lt := range mt.Logical {
 		recon.RenderLogical(os.Stdout, lt, recon.RenderOptions{

@@ -5,19 +5,11 @@ import (
 	"testing"
 
 	"traceback/internal/replay"
-	"traceback/internal/scenario"
 	"traceback/internal/snap"
 )
 
-// corpusDir locates the committed regression corpus.
-func corpusDir(t *testing.T) string {
-	t.Helper()
-	root, err := scenario.Root()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return filepath.Join(root, "snaps", "regressions")
-}
+// corpusDir is the committed regression corpus.
+const corpusDir = "../../snaps/regressions"
 
 // TestCommittedCorpus reconstructs every committed regression snap
 // and holds it to its manifest: the good cases must resolve exactly
@@ -28,7 +20,7 @@ func corpusDir(t *testing.T) string {
 // byte for byte. (The known-bad snap is evidence corrupted after the
 // fact, not a faithful recording of an execution.)
 func TestCommittedCorpus(t *testing.T) {
-	dir := corpusDir(t)
+	dir := corpusDir
 	corpus, err := LoadCorpus(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +84,7 @@ func replayCase(t *testing.T, dir string, cc *CorpusCase) {
 // same fault lines the manifest promises — the repro line on a
 // committed case is not decorative.
 func TestCorpusCasesMatchTrials(t *testing.T) {
-	dir := corpusDir(t)
+	dir := corpusDir
 	corpus, err := LoadCorpus(dir)
 	if err != nil {
 		t.Fatal(err)

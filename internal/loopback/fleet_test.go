@@ -16,7 +16,6 @@ import (
 	"traceback/internal/collect"
 	"traceback/internal/fault"
 	"traceback/internal/recon"
-	"traceback/internal/scenario"
 	"traceback/internal/shard"
 	"traceback/internal/shard/gate"
 	"traceback/internal/snap"
@@ -63,8 +62,7 @@ func drain(t *testing.T, ag *collect.Agent) {
 // content addresses: addressing a foreign-named file is the agent's
 // job.
 func TestCommittedFleetWireEqualsDirect(t *testing.T) {
-	root, err := scenario.Root()
-	check(t, err)
+	const root = "../.."
 	trees := []*committedTree{
 		ingestDirect(t, "snaps", filepath.Join(root, "snaps"), false),
 		ingestDirect(t, "regressions", filepath.Join(root, "snaps", "regressions"), true),

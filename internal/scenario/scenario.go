@@ -3,7 +3,7 @@
 // that holds its seed, machines and processes as data. The three
 // named scenarios are the paper's worked failures (the quickstart
 // crash, Figure 6's cross-machine fault, §3.6.1's hang), compiled from
-// the examples' MiniC sources; the examples run them and only narrate
+// the examples' embedded sources; the examples run them and only narrate
 // and render. The VM is deterministic, so every re-run reproduces
 // byte-identical snaps: the fleet `tools/gen snaps` commits under
 // snaps/, and what the warehouse's dedup guarantees are tested against.
@@ -21,6 +21,7 @@ import (
 	"sort"
 	"strings"
 
+	"traceback/examples"
 	"traceback/internal/core"
 	"traceback/internal/minic"
 	"traceback/internal/module"
@@ -77,8 +78,9 @@ type ProcSpec struct {
 
 // Setup is a built-but-not-yet-run world: every process is loaded,
 // every main thread is started, and nothing has executed. A harness
-// may install a vm.Injector, a recorder or an OnStep hook on World
-// (or otherwise perturb state) before calling Run.
+// may install a vm.Injector or a recorder on World, or an OnStep hook
+// on one of its Machines (or otherwise perturb state), before calling
+// Run.
 type Setup struct {
 	Name  string // the named scenario; empty for a bare Launch
 	World *vm.World
@@ -177,27 +179,6 @@ func (s *Setup) Collect() (*Built, error) {
 	return b, nil
 }
 
-// Root locates the repository root (the directory holding go.mod) by
-// walking up from the current directory, so scenarios can read the
-// examples' MiniC sources whether the caller is a test (cwd = package
-// dir) or a tool run from the repo root.
-func Root() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("scenario: no go.mod above %s", dir)
-		}
-		dir = parent
-	}
-}
-
 // named is one named scenario: a Spec whose i'th process loads the
 // modules sources[i] names, plus how to harvest it.
 type named struct {
@@ -211,17 +192,14 @@ type named struct {
 	collect    func(*Setup, *Built)
 }
 
-// source is one MiniC module, examples/<scenario>/<module>.mc,
-// compiled under the file name its line table records.
+// source is one MiniC module, <scenario>/<module>.mc in
+// examples.Sources, compiled under the file name its line table
+// records.
 type source struct{ module, file string }
 
 // build compiles and instruments the scenario's modules and launches
 // it, every process under opts' runtime configuration.
 func (n named) build(opts Options) (*Setup, error) {
-	root, err := Root()
-	if err != nil {
-		return nil, err
-	}
 	cfg := tbrt.Config{Policy: tbrt.DefaultPolicy()}
 	if opts.Config != nil {
 		cfg = *opts.Config
@@ -234,7 +212,7 @@ func (n named) build(opts Options) (*Setup, error) {
 	for i := range spec.Procs {
 		spec.Procs[i].Config = &cfg
 		for _, src := range n.sources[i] {
-			text, err := os.ReadFile(filepath.Join(root, "examples", n.name, src.module+".mc"))
+			text, err := examples.Sources.ReadFile(n.name + "/" + src.module + ".mc")
 			if err != nil {
 				return nil, fmt.Errorf("scenario: %w", err)
 			}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -19,8 +20,18 @@ func TestBuildUnknownName(t *testing.T) {
 
 // TestBuildsAreByteIdentical: the VM is deterministic, so building and
 // running a scenario twice must harvest byte-identical snaps — the
-// property the committed fleet and every dedup gate stand on.
+// property the committed fleet and every dedup gate stand on. The
+// sources are embedded, so the builds run in a directory that holds no
+// repository.
 func TestBuildsAreByteIdentical(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
 	harvest := func(name string) [][]byte {
 		t.Helper()
 		s, err := Build(name, Options{})
