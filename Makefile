@@ -73,7 +73,12 @@ check:
 # tbfault.TestReplayCommittedCorpus replay the committed regression
 # corpus; tools/gen's TestDocReferencesResolve keeps every section
 # reference into DESIGN.md and every test the docs cite pointing at
-# something that exists; and each CLI's /dev/full test
+# something that exists, its TestExportsHaveProductionCallers holds
+# every exported function to a production caller and every exported
+# field of a …Config/…Options struct to a production setter, and its
+# TestMetricsDocumentedAndMoved holds the registered metrics to
+# DESIGN.md §12's table and each to a test that names it or a reader
+# on its allowlist; and each CLI's /dev/full test
 # (TestStoreWriteFailure, TestDumpWriteFailure,
 # TestReplayCLIWriteFailure, TestReplayWriteFailure and their older
 # siblings) fails the CLI when its output cannot be written. A failing

@@ -11,6 +11,8 @@ import (
 	"traceback/internal/core"
 	"traceback/internal/minic"
 	"traceback/internal/module"
+	"traceback/internal/tbrt"
+	"traceback/internal/vm"
 )
 
 const quickstart = "../../examples/quickstart/app.mc"
@@ -69,6 +71,53 @@ func TestInstrumentSource(t *testing.T) {
 	}
 	if m.ChecksumHex() != res.Module.ChecksumHex() {
 		t.Error("the written module differs from core.Instrument's")
+	}
+}
+
+// TestInstrumentBaseFile: the DAG base file (paper §2.3) is read at
+// instrumentation. -basefile assigning app the base 7000 writes a
+// module and mapfile whose default base is 7000, and a fresh runtime
+// loads that module at 7000 without rebasing it.
+func TestInstrumentBaseFile(t *testing.T) {
+	dir := t.TempDir()
+	bases := filepath.Join(dir, "bases.json")
+	if err := os.WriteFile(bases, []byte(`{"bases": {"app": 7000, "other": 9000}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "build")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-o", out, "-basefile", bases, quickstart}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d; stderr: %s", code, stderr.String())
+	}
+	mf, err := module.ReadMapFile(filepath.Join(out, "app.map.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mf.DAGBase != 7000 {
+		t.Errorf("mapfile DAGBase = %d, want 7000 from the base file", mf.DAGBase)
+	}
+	f, err := os.Open(filepath.Join(out, "app.tb.tbm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	mod, err := module.Read(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, rt, err := tbrt.NewProcess(vm.NewWorld(1).NewMachine("host", 0), "app", tbrt.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lm, err := p.Load(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lm.DAGBase != 7000 {
+		t.Errorf("loaded DAG base = %d, want 7000", lm.DAGBase)
+	}
+	if n := rt.Metrics().Counter("tbrt_rebased_total", "").Load(); n != 0 {
+		t.Errorf("tbrt_rebased_total = %d, want 0: the base file's base needs no rebase", n)
 	}
 }
 

@@ -50,7 +50,8 @@ func TestRunReportsVerifyFailure(t *testing.T) {
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d; stderr: %s", code, stderr.String())
 	}
-	for _, want := range []string{"loaded seedapp (", "VERIFY FAILED", "verify_modules_failed_total 1"} {
+	for _, want := range []string{"loaded seedapp (", "VERIFY FAILED", "verify_runs_total 1",
+		"verify_modules_failed_total 1", "verify_modules_clean_total 0", "verify_diags_error_total 1"} {
 		if !strings.Contains(stdout.String(), want) {
 			t.Errorf("stdout lacks %q:\n%s", want, stdout.String())
 		}

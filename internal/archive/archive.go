@@ -77,7 +77,6 @@ type metrics struct {
 	ingested    *telemetry.Counter
 	deduped     *telemetry.Counter
 	gcRuns      *telemetry.Counter
-	gcRemoved   *telemetry.Counter
 	bytesOut    *telemetry.Counter
 	ingestNanos *telemetry.Histogram
 }
@@ -143,7 +142,6 @@ func (a *Archive) bindTelemetry(reg *telemetry.Registry) {
 		ingested:    reg.Counter("arch_ingested_total", "snaps ingested into the warehouse"),
 		deduped:     reg.Counter("arch_deduped_total", "ingests deduplicated onto an existing blob"),
 		gcRuns:      reg.Counter("arch_gc_runs_total", "retention sweeps executed"),
-		gcRemoved:   reg.Counter("arch_gc_removed_total", "blobs removed by retention sweeps"),
 		bytesOut:    reg.Counter("arch_bytes_written_total", "compressed blob bytes written"),
 		ingestNanos: reg.Histogram("arch_ingest_nanos", "per-snap ingest latency (ns)", telemetry.DurationBuckets()),
 	}
@@ -638,7 +636,6 @@ func (a *Archive) GC(pol GCPolicy) (GCResult, error) {
 	a.mu.Unlock()
 
 	a.met.gcRuns.Inc()
-	a.met.gcRemoved.Add(uint64(res.Removed))
 	a.rec.Record(0, "gc", fmt.Sprintf("removed %d blob(s), %d bytes", res.Removed, res.Bytes))
 	return res, errors.Join(unlinkErrs...)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -532,6 +533,12 @@ func TestTelemetry(t *testing.T) {
 		if !strings.Contains(expo, want) {
 			t.Errorf("exposition missing %q:\n%s", want, expo)
 		}
+	}
+	// The one blob written is the one resident: the dedup wrote nothing.
+	written := regexp.MustCompile(`(?m)^arch_bytes_written_total (\d+)$`).FindStringSubmatch(expo)
+	stored := regexp.MustCompile(`(?m)^arch_bytes_stored (\d+)$`).FindStringSubmatch(expo)
+	if written == nil || stored == nil || written[1] != stored[1] || written[1] == "0" {
+		t.Errorf("arch_bytes_written_total %v vs arch_bytes_stored %v, want one equal nonzero count:\n%s", written, stored, expo)
 	}
 	// New buckets land in the flight recorder.
 	evs := reg.FlightRecorder().Events()

@@ -181,13 +181,6 @@ func NewFleetAgent(spool string, servers []string, opts AgentOptions) (*Agent, e
 		quarantined:  reg.Counter("coll_agent_quarantined_total", "spool entries quarantined (unreadable or rejected)"),
 		failovers:    reg.Counter("coll_agent_failover_total", "uploads redirected off their home shard (down or draining)"),
 	}
-	reg.GaugeFunc("coll_agent_spooled", "snaps waiting in the spool", func() int64 {
-		paths, err := a.scan()
-		if err != nil {
-			return -1
-		}
-		return int64(len(paths))
-	})
 	return a, nil
 }
 

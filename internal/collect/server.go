@@ -104,9 +104,6 @@ func NewServer(arch *archive.Archive, opts ServerOptions) *Server {
 		bytesIn:      reg.Counter("coll_bytes_received_total", "upload body bytes received"),
 		uploadNanos:  reg.Histogram("coll_upload_nanos", "per-upload handling latency (ns)", telemetry.DurationBuckets()),
 	}
-	reg.GaugeFunc("coll_inflight", "ingests currently holding a semaphore slot", func() int64 {
-		return int64(len(s.sem))
-	})
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("HEAD "+PathBlobPrefix+"{sum}", s.handlePrecheck)

@@ -87,14 +87,6 @@ func (c *MapCache) Hits() int64 { return c.hits.Load() }
 // Misses reports how many lookups invoked the loader.
 func (c *MapCache) Misses() int64 { return c.misses.Load() }
 
-// Len reports the number of cached checksums (including negative
-// entries).
-func (c *MapCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // NewMapDir returns a MapCache over a directory of *.map.json
 // mapfiles, and the number of mapfiles in it. Nothing is parsed up
 // front: a lookup parses the files not yet read, in sorted order, until

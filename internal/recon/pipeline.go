@@ -81,7 +81,6 @@ func NewPipeline(maps MapResolver, jobs int) *Pipeline {
 	if c, ok := maps.(*MapCache); ok {
 		reg.GaugeFunc("recon_mapcache_hits", "mapfile cache hits", c.Hits)
 		reg.GaugeFunc("recon_mapcache_misses", "mapfile cache misses (parses)", c.Misses)
-		reg.GaugeFunc("recon_mapcache_entries", "mapfiles resident in the cache", func() int64 { return int64(c.Len()) })
 	}
 	return p
 }

@@ -136,9 +136,11 @@ func TestServiceTelemetryAndStatus(t *testing.T) {
 		t.Errorf("no heartbeat-miss flight event in %v", events)
 	}
 
-	// The runtime's own registry counts the hang snap.
+	// The runtime's own registry counts the hang snap, and sizes it.
 	if got := rt.Metrics().Counter("tbrt_snaps_total", "").Load(); got == 0 {
 		t.Error("runtime metrics missing the hang snap")
+	} else if words := rt.Metrics().Histogram("tbrt_snap_words", "", nil); words.Count() != got || words.Sum() == 0 {
+		t.Errorf("tbrt_snap_words observed %d snaps of %d words in all, want %d snaps of some words", words.Count(), words.Sum(), got)
 	}
 }
 

@@ -77,8 +77,6 @@ type Options struct {
 	// Maps resolves mapfiles for cluster exemplar reconstruction; nil
 	// degrades clustering exactly as it does on a single daemon.
 	Maps recon.MapResolver
-	// Telemetry is the registry gate_ metrics land in (nil: private).
-	Telemetry *telemetry.Registry
 }
 
 // Gate fans triage queries out across the shard fleet and merges
@@ -116,8 +114,6 @@ type metrics struct {
 	fanoutFails *telemetry.Counter
 	notModified *telemetry.Counter
 	mergeReuse  *telemetry.Counter
-	blobFetches *telemetry.Counter
-	blobScans   *telemetry.Counter
 	mergeNanos  *telemetry.Histogram
 }
 
@@ -134,10 +130,7 @@ func New(shards []string, opts Options) (*Gate, error) {
 	if opts.Client == nil {
 		opts.Client = &http.Client{Timeout: 30 * time.Second}
 	}
-	reg := opts.Telemetry
-	if reg == nil {
-		reg = telemetry.New()
-	}
+	reg := telemetry.New()
 	bases := make([]string, len(shards))
 	for i, s := range shards {
 		bases[i] = strings.TrimRight(s, "/")
@@ -155,8 +148,6 @@ func New(shards []string, opts Options) (*Gate, error) {
 		fanoutFails: reg.Counter("gate_fanout_errors_total", "fan-out rounds failed by an unreachable shard"),
 		notModified: reg.Counter("gate_shard_not_modified_total", "shard bucket lists revalidated by a 304 instead of transferred"),
 		mergeReuse:  reg.Counter("gate_merge_reuse_total", "fan-out rounds that kept the merged snapshot (every shard's tag unchanged)"),
-		blobFetches: reg.Counter("gate_blob_fetches_total", "exemplar blobs fetched from shards"),
-		blobScans:   reg.Counter("gate_blob_fallback_scans_total", "blob fetches that scanned past the home shard (failover residue)"),
 		mergeNanos:  reg.Histogram("gate_merge_nanos", "per-round shard index merge latency (ns)", telemetry.DurationBuckets()),
 	}
 
@@ -354,13 +345,9 @@ func (g *Gate) LoadSnap(sum string) (*snap.Snap, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.met.blobFetches.Inc()
 	var lastErr error
 	for i := 0; i < len(g.shards); i++ {
 		s := (home + i) % len(g.shards)
-		if i > 0 {
-			g.met.blobScans.Inc()
-		}
 		sn, err := g.fetchSnap(g.shards[s], sum)
 		if err == nil {
 			return sn, nil

@@ -76,7 +76,7 @@ func (rt *Runtime) OnModuleLoad(p *vm.Process, lm *vm.LoadedModule) {
 		return
 	}
 
-	base, ok := rt.chooseBase(mod.Name, mod.ChecksumHex(), mod.DAGBase, mod.DAGCount)
+	base, ok := rt.chooseBase(mod.ChecksumHex(), mod.DAGBase, mod.DAGCount)
 	if !ok {
 		// ID space exhausted: rewrite every probe to the bad-DAG ID.
 		// The module runs untraced but unharmed (paper §2.3).
@@ -115,10 +115,11 @@ func (rt *Runtime) fixTLS(p *vm.Process, lm *vm.LoadedModule) {
 	}
 }
 
-// chooseBase picks a conflict-free DAG base: the DAG base file entry,
-// the checksum-remembered base from a previous load (so reload does
-// not leak ID space), the module's default, or the first free gap.
-func (rt *Runtime) chooseBase(name, checksum string, def, count uint32) (uint32, bool) {
+// chooseBase picks a conflict-free DAG base: the checksum-remembered
+// base from a previous load (so reload does not leak ID space), the
+// module's default (which tbinstr -basefile sets, paper §2.3's DAG
+// base file), or the first free gap.
+func (rt *Runtime) chooseBase(checksum string, def, count uint32) (uint32, bool) {
 	try := func(base uint32) bool {
 		if base+count > trace.MaxDAGID {
 			return false
@@ -129,9 +130,6 @@ func (rt *Runtime) chooseBase(name, checksum string, def, count uint32) (uint32,
 			}
 		}
 		return true
-	}
-	if b, ok := rt.cfg.DAGBases[name]; ok && try(b) {
-		return b, true
 	}
 	if b, ok := rt.byChecksum[checksum]; ok && try(b) {
 		return b, true
@@ -287,7 +285,6 @@ func (rt *Runtime) OnRPCRecv(t *vm.Thread, ext []byte, reply bool) {
 func (rt *Runtime) writeSync(t *vm.Thread, s trace.Sync) {
 	s.TS = rt.now()
 	rt.bufs.AppendEvent(t.TID, rt.cursor(t), trace.AppendSync(nil, s))
-	rt.met.syncs.Inc()
 	rt.event("rpc-sync", s.Point.String())
 }
 

@@ -7,25 +7,21 @@ import "traceback/internal/telemetry"
 // update is a single atomic operation (paper-side overhead stays in
 // VM cycles, which telemetry never touches).
 type rtMetrics struct {
-	rebased    *telemetry.Counter
-	badDAGs    *telemetry.Counter
-	snaps      *telemetry.Counter
-	suppressed *telemetry.Counter
-	syncs      *telemetry.Counter
-	snapNanos  *telemetry.Histogram
-	snapWords  *telemetry.Histogram
+	rebased   *telemetry.Counter
+	badDAGs   *telemetry.Counter
+	snaps     *telemetry.Counter
+	snapNanos *telemetry.Histogram
+	snapWords *telemetry.Histogram
 }
 
 func (rt *Runtime) initMetrics() {
 	reg := rt.cfg.Telemetry
 	rt.met = rtMetrics{
-		rebased:    reg.Counter("tbrt_rebased_total", "modules whose DAG range was rebased at load"),
-		badDAGs:    reg.Counter("tbrt_baddags_total", "modules demoted to the bad-DAG ID (untraced)"),
-		snaps:      reg.Counter("tbrt_snaps_total", "snaps written"),
-		suppressed: reg.Counter("tbrt_snaps_suppressed_total", "snap triggers suppressed by policy"),
-		syncs:      reg.Counter("tbrt_rpc_syncs_total", "SYNC records written for RPC stitching"),
-		snapNanos:  reg.Histogram("tbrt_snap_nanos", "host-side snap build+write latency", telemetry.DurationBuckets()),
-		snapWords:  reg.Histogram("tbrt_snap_words", "trace words captured per snap", telemetry.SizeBuckets()),
+		rebased:   reg.Counter("tbrt_rebased_total", "modules whose DAG range was rebased at load"),
+		badDAGs:   reg.Counter("tbrt_baddags_total", "modules demoted to the bad-DAG ID (untraced)"),
+		snaps:     reg.Counter("tbrt_snaps_total", "snaps written"),
+		snapNanos: reg.Histogram("tbrt_snap_nanos", "host-side snap build+write latency", telemetry.DurationBuckets()),
+		snapWords: reg.Histogram("tbrt_snap_words", "trace words captured per snap", telemetry.SizeBuckets()),
 	}
 	rt.rec = reg.Recorder(256)
 }

@@ -45,9 +45,6 @@ type Config struct {
 	// clock incremented at significant events (paper §3.5, platforms
 	// without a high-resolution clock).
 	UseLogicalClock bool
-	// DAGBases optionally pre-assigns DAG ranges by module name
-	// (paper §2.3's DAG base file).
-	DAGBases map[string]uint32
 	// Policy controls snap triggers and suppression.
 	Policy Policy
 	// SnapSink receives completed snaps (default: collect in memory).

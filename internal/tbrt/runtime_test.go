@@ -376,21 +376,6 @@ func TestDAGRebasingOnConflict(t *testing.T) {
 	}
 }
 
-func TestDAGBaseFilePreAssignment(t *testing.T) {
-	modA := fig2()
-	modA.Name = "a"
-	ra := instr(t, modA, core.Options{})
-	p, rt, _ := newRT(t, Config{DAGBases: map[string]uint32{"a": 7000}})
-	lm, err := p.Load(ra.Module)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lm.DAGBase != 7000 {
-		t.Errorf("DAG base = %d, want 7000 from the base file", lm.DAGBase)
-	}
-	_ = rt
-}
-
 func TestReloadReusesRange(t *testing.T) {
 	modA := fig2()
 	modA.Name = "a"

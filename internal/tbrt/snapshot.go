@@ -39,7 +39,6 @@ func (rt *Runtime) TakeSnap(reason SnapReason) *snap.Snap {
 	key := reason.suppressKey()
 	rt.suppress[key]++
 	if rt.suppress[key] > rt.cfg.Policy.MaxRepeat {
-		rt.met.suppressed.Inc()
 		return nil
 	}
 	// Annotate the triggering thread's trace.

@@ -66,6 +66,9 @@ func TestClassifyCampaignTwoPhase(t *testing.T) {
 	if got := counter(an, "triage_scans_total"); got != 1 {
 		t.Errorf("triage_scans_total = %d, want 1", got)
 	}
+	if got := an.Metrics().Histogram("triage_scan_nanos", "", nil).Count(); got != 1 {
+		t.Errorf("triage_scan_nanos observed %d scans, want 1", got)
+	}
 	if want := uint64(len(injected)); counter(an, "triage_flagged_total") != want {
 		t.Errorf("triage_flagged_total = %d, want %d", counter(an, "triage_flagged_total"), want)
 	}
@@ -185,6 +188,10 @@ func TestClustersDeterministicAndCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	missesAfterFirst := counter(an, "triage_dist_cache_misses_total")
+	exemplars := counter(an, "triage_exemplar_recons_total")
+	if exemplars == 0 {
+		t.Error("first pass reconstructed no exemplar")
+	}
 	r2, err := an.Clusters()
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +207,13 @@ func TestClustersDeterministicAndCached(t *testing.T) {
 	if counter(an, "triage_dist_cache_hits_total") == 0 {
 		t.Error("second pass recorded no cache hits")
 	}
+	if got := counter(an, "triage_exemplar_recons_total"); got != exemplars {
+		t.Errorf("second pass reconstructed %d exemplars; want all views served from cache", got-exemplars)
+	}
 	if got := counter(an, "triage_cluster_builds_total"); got != 2 {
 		t.Errorf("triage_cluster_builds_total = %d, want 2", got)
+	}
+	if got := an.Metrics().Histogram("triage_cluster_nanos", "", nil).Count(); got != 2 {
+		t.Errorf("triage_cluster_nanos observed %d clusterings, want 2", got)
 	}
 }

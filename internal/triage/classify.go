@@ -17,16 +17,16 @@ import (
 type Class string
 
 const (
-	// ClassNew: first seen within the newest NewWindows windows — a
+	// ClassNew: first seen within the newest newWindows windows — a
 	// fault the fleet has not produced before (inside the horizon).
 	ClassNew Class = "new"
-	// ClassSpiking: the recent per-window rate exceeds SpikeFactor ×
-	// the trailing baseline rate with at least MinRecent occurrences.
+	// ClassSpiking: the recent per-window rate exceeds spikeFactor ×
+	// the trailing baseline rate with at least minRecent occurrences.
 	ClassSpiking Class = "spiking"
 	// ClassSteady: present both recently and in the baseline, with no
 	// significant rate change.
 	ClassSteady Class = "steady"
-	// ClassQuiet: no occurrence within the newest QuietWindows
+	// ClassQuiet: no occurrence within the newest quietWindows
 	// windows.
 	ClassQuiet Class = "quiet"
 )
@@ -95,12 +95,11 @@ func (r *Report) Flagged() []Assessment {
 // Classify runs the classifier over a bucket set against the given
 // newest snap time (normally shard.NewestTime(buckets)). It is a pure
 // function: the same inputs always produce the same report.
-func Classify(buckets []archive.Bucket, now uint64, cfg Config) *Report {
-	cfg = cfg.withDefaults()
+func Classify(buckets []archive.Bucket, now uint64, _ Config) *Report {
 	rep := &Report{V: 1, Now: now, Window: archive.WindowWidth}
 	nowWin := now / archive.WindowWidth
 	for i := range buckets {
-		rep.Assessments = append(rep.Assessments, assess(&buckets[i], nowWin, cfg))
+		rep.Assessments = append(rep.Assessments, assess(&buckets[i], nowWin))
 	}
 	sort.Slice(rep.Assessments, func(i, j int) bool {
 		ai, aj := &rep.Assessments[i], &rep.Assessments[j]
@@ -116,7 +115,7 @@ func Classify(buckets []archive.Bucket, now uint64, cfg Config) *Report {
 }
 
 // assess classifies one bucket. nowWin is the newest window index.
-func assess(b *archive.Bucket, nowWin uint64, cfg Config) Assessment {
+func assess(b *archive.Bucket, nowWin uint64) Assessment {
 	a := Assessment{
 		Sig: b.Sig, Title: b.Title, Weak: b.Weak,
 		Count: b.Count, FirstSeen: b.FirstSeen, LastSeen: b.LastSeen,
@@ -124,8 +123,8 @@ func assess(b *archive.Bucket, nowWin uint64, cfg Config) Assessment {
 	w := archive.WindowWidth
 	firstWin := b.FirstSeen / w
 	lastWin := b.LastSeen / w
-	R := uint64(cfg.RecentWindows)
-	B := uint64(cfg.BaselineWindows)
+	R := uint64(recentWindows)
+	B := uint64(baselineWindows)
 
 	// Recent span: the newest R windows, indexes (nowWin-R, nowWin].
 	recentFrom := uint64(0)
@@ -163,11 +162,11 @@ func assess(b *archive.Bucket, nowWin uint64, cfg Config) Assessment {
 	a.BaseRate = float64(base) / float64(effB)
 
 	switch {
-	case lastWin+uint64(cfg.QuietWindows) <= nowWin:
+	case lastWin+quietWindows <= nowWin:
 		a.Class = ClassQuiet
-	case firstWin+uint64(cfg.NewWindows) > nowWin:
+	case firstWin+newWindows > nowWin:
 		a.Class = ClassNew
-	case a.Recent >= cfg.MinRecent && a.RecentRate >= cfg.SpikeFactor*a.BaseRate:
+	case a.Recent >= minRecent && a.RecentRate >= spikeFactor*a.BaseRate:
 		a.Class = ClassSpiking
 	default:
 		a.Class = ClassSteady

@@ -96,7 +96,7 @@ func TestClassifyYoungSteadyNotSpiking(t *testing.T) {
 	}
 }
 
-// TestClassifySingleCrashNotSpike: MinRecent keeps a lone recent
+// TestClassifySingleCrashNotSpike: minRecent keeps a lone recent
 // crash of an old signature from being called a spike.
 func TestClassifySingleCrashNotSpike(t *testing.T) {
 	b := mkBucket("lone0000", []uint64{3, 0, 0, 0, 0, 0, 0, 0, 0, 1})

@@ -182,7 +182,7 @@ func (a *Analyzer) Clusters() (*ClusterReport, error) {
 			if !views[j].ok {
 				continue
 			}
-			if a.pairDistance(views[i], views[j]) <= a.cfg.ClusterDistance {
+			if a.pairDistance(views[i], views[j]) <= clusterDistance {
 				ri, rj := find(i), find(j)
 				if ri != rj {
 					parent[rj] = ri
@@ -196,7 +196,7 @@ func (a *Analyzer) Clusters() (*ClusterReport, error) {
 		r := find(i)
 		groups[r] = append(groups[r], i)
 	}
-	rep := &ClusterReport{V: 1, Threshold: a.cfg.ClusterDistance}
+	rep := &ClusterReport{V: 1, Threshold: clusterDistance}
 	for _, idxs := range groups {
 		c := buildCluster(buckets, views, idxs)
 		// Recompute member distances against the chosen lead.

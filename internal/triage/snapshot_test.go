@@ -49,7 +49,7 @@ func TestViewsUseOneSnapshot(t *testing.T) {
 	states := [][]archive.Bucket{before, after}
 
 	an := New(&movingWarehouse{states: states}, nil, Config{}, nil)
-	want := Classify(before, shard.NewestTime(before), an.Config())
+	want := Classify(before, shard.NewestTime(before), Config{})
 	if got := an.Regressions(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Regressions mixed two warehouse states:\ngot  %+v\nwant %+v", got, want)
 	}

@@ -26,63 +26,41 @@ import (
 	"traceback/internal/telemetry"
 )
 
-// Config parameterizes the classifier and the clustering threshold.
-// The zero value means "use the default" for every field; windows are
-// in archive.WindowWidth units.
-type Config struct {
-	// RecentWindows is the width R of the "now" span: the newest R
-	// rate windows, inclusive of the window holding the newest snap
-	// (default 2).
-	RecentWindows int
-	// BaselineWindows is the width B of the trailing baseline span
-	// immediately before the recent span (default 6).
-	BaselineWindows int
-	// SpikeFactor flags a signature as spiking when its recent
-	// per-window rate reaches SpikeFactor × its baseline rate
-	// (default 4).
-	SpikeFactor float64
-	// MinRecent is the minimum occurrence count inside the recent
+// The classifier's thresholds and the clustering distance. Windows
+// are in archive.WindowWidth units.
+const (
+	// recentWindows is the width R of the "now" span: the newest R
+	// rate windows, inclusive of the window holding the newest snap.
+	recentWindows = 2
+	// baselineWindows is the width B of the trailing baseline span
+	// immediately before the recent span.
+	baselineWindows = 6
+	// spikeFactor flags a signature as spiking when its recent
+	// per-window rate reaches spikeFactor × its baseline rate.
+	spikeFactor = 4
+	// minRecent is the minimum occurrence count inside the recent
 	// span before a spike verdict is possible — a single crash is
-	// never a spike (default 3).
-	MinRecent uint64
-	// NewWindows: a signature first seen within the newest N windows
-	// is new (default 2).
-	NewWindows int
-	// QuietWindows: a signature with no occurrence in the newest N
-	// windows is quiet (default 6).
-	QuietWindows int
-	// ClusterDistance is the maximum normalized fault-view distance
-	// at which two buckets merge into one cluster (default 0.25).
-	ClusterDistance float64
-}
+	// never a spike.
+	minRecent = 3
+	// newWindows: a signature first seen within the newest newWindows
+	// windows is new.
+	newWindows = 2
+	// quietWindows: a signature with no occurrence in the newest
+	// quietWindows windows is quiet.
+	quietWindows = 6
+	// clusterDistance is the maximum normalized fault-view distance at
+	// which two buckets merge into one cluster.
+	clusterDistance = 0.25
+)
 
-// Defaults returns the default thresholds.
-func Defaults() Config { return Config{}.withDefaults() }
+// Config carries no settings: the thresholds are the constants above.
+// It stays, empty, because bench/ passes Config{} and Defaults() to New
+// and Classify; ROADMAP item 8 deletes the parameter when it revises
+// the benchmark.
+type Config struct{}
 
-func (c Config) withDefaults() Config {
-	if c.RecentWindows <= 0 {
-		c.RecentWindows = 2
-	}
-	if c.BaselineWindows <= 0 {
-		c.BaselineWindows = 6
-	}
-	if c.SpikeFactor <= 0 {
-		c.SpikeFactor = 4
-	}
-	if c.MinRecent == 0 {
-		c.MinRecent = 3
-	}
-	if c.NewWindows <= 0 {
-		c.NewWindows = 2
-	}
-	if c.QuietWindows <= 0 {
-		c.QuietWindows = 6
-	}
-	if c.ClusterDistance <= 0 {
-		c.ClusterDistance = 0.25
-	}
-	return c
-}
+// Defaults returns the (empty) configuration.
+func Defaults() Config { return Config{} }
 
 // Warehouse is the index surface triage analyzes: the bucket list in
 // canonical order and exemplar retrieval. *archive.Archive is the
@@ -105,7 +83,6 @@ var _ Warehouse = (*archive.Archive)(nil)
 type Analyzer struct {
 	arch Warehouse
 	maps recon.MapResolver
-	cfg  Config
 
 	reg *telemetry.Registry
 	met metrics
@@ -131,14 +108,13 @@ type metrics struct {
 // mapfiles exemplar reconstruction needs; nil disables clustering by
 // fault view (every bucket becomes its own cluster). reg receives the
 // triage_* metrics (nil: a private registry).
-func New(arch Warehouse, maps recon.MapResolver, cfg Config, reg *telemetry.Registry) *Analyzer {
+func New(arch Warehouse, maps recon.MapResolver, _ Config, reg *telemetry.Registry) *Analyzer {
 	if reg == nil {
 		reg = telemetry.New()
 	}
 	a := &Analyzer{
 		arch:  arch,
 		maps:  maps,
-		cfg:   cfg.withDefaults(),
 		reg:   reg,
 		views: map[string]*viewEntry{},
 		dists: map[string]float64{},
@@ -159,16 +135,13 @@ func New(arch Warehouse, maps recon.MapResolver, cfg Config, reg *telemetry.Regi
 // Metrics returns the analyzer's registry.
 func (a *Analyzer) Metrics() *telemetry.Registry { return a.reg }
 
-// Config returns the thresholds in effect (defaults applied).
-func (a *Analyzer) Config() Config { return a.cfg }
-
 // Regressions classifies every bucket against the newest snap time
 // among them. The result is deterministic given the index.
 func (a *Analyzer) Regressions() *Report {
 	t0 := time.Now()
 	defer func() { a.met.scanNanos.Observe(uint64(time.Since(t0))) }()
 	buckets := a.arch.Buckets()
-	rep := Classify(buckets, shard.NewestTime(buckets), a.cfg)
+	rep := Classify(buckets, shard.NewestTime(buckets), Config{})
 	a.met.scans.Inc()
 	a.met.flagged.Add(uint64(len(rep.Flagged())))
 	return rep
@@ -183,7 +156,7 @@ func (a *Analyzer) Rates(sigPrefix string) (*RateReport, error) {
 		return nil, err
 	}
 	now := shard.NewestTime(buckets)
-	rep := Classify([]archive.Bucket{b}, now, a.cfg)
+	rep := Classify([]archive.Bucket{b}, now, Config{})
 	return &RateReport{
 		V: 1, Now: now, Window: archive.WindowWidth,
 		Windows:    b.Windows,

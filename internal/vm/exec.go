@@ -11,7 +11,9 @@ import (
 // null-page access; the interpreter converts that into SIGSEGV.
 
 func (p *Process) memOK(addr uint64, size uint64) bool {
-	return addr >= 4096 && addr+size <= uint64(len(p.Mem))
+	// addr+size could wrap past 2^64; compare against the room left.
+	n := uint64(len(p.Mem))
+	return addr >= 4096 && addr <= n && size <= n-addr
 }
 
 // ReadU64 reads a 64-bit word (runtime/service use; no fault).
@@ -316,14 +318,8 @@ const RPCServerFault = 0x80010105
 // abnormally.
 func (m *Machine) fault(t *Thread, sig int) {
 	p := t.Proc
-	if m.met != nil {
-		m.met.faults.Inc()
-	}
 	p.Hooks.OnException(t, sig, t.PC)
 	if h, ok := p.Handlers[sig]; ok && h != 0 && len(t.sigCtx) < 8 {
-		if m.met != nil {
-			m.met.signals.Inc()
-		}
 		// Save context, enter the handler with the signal number as
 		// its argument; its RET unwinds through the marker.
 		ctx := sigContext{regs: t.Regs, pc: t.PC, sig: sig}

@@ -6,52 +6,36 @@ import (
 )
 
 // machMetrics is the machine's optional self-telemetry. It is
-// host-side only: counters observe syscalls, signals, module loads,
-// and thread lifecycle without adding a single cycle to the machine
-// clock, so enabling telemetry cannot change any Table 1/2/3 ratio.
-// When nil (the default), every instrumentation point is one branch.
+// host-side only: counters observe syscalls, module loads and thread
+// starts without adding a single cycle to the machine clock, so
+// enabling telemetry cannot change any Table 1/2/3 ratio. When nil
+// (the default), every instrumentation point is one branch.
 type machMetrics struct {
 	syscalls [sysClassCount]*telemetry.Counter
-	signals  *telemetry.Counter
 	modLoads *telemetry.Counter
-	modUnl   *telemetry.Counter
 	threads  *telemetry.Counter
-	faults   *telemetry.Counter
 }
 
-// sysClass buckets syscall numbers for counting; one counter per
-// class keeps exposition small and the hot path map-free.
+// sysClass buckets syscall numbers for counting: thread lifecycle,
+// the tracer's own (snap, buffer wrap), and everything else. One
+// counter per class keeps the hot path map-free.
 type sysClass int
 
 const (
 	sysClassThread sysClass = iota
-	sysClassSync
-	sysClassIO
-	sysClassRPC
 	sysClassTB
-	sysClassModule
 	sysClassOther
 	sysClassCount
 )
 
-var sysClassNames = [sysClassCount]string{
-	"thread", "sync", "io", "rpc", "tb", "module", "other",
-}
+var sysClassNames = [sysClassCount]string{"thread", "tb", "other"}
 
 func classifySyscall(num int) sysClass {
 	switch num {
 	case isa.SysThreadCreate, isa.SysThreadJoin, isa.SysGetTID, isa.SysKill, isa.SysExit:
 		return sysClassThread
-	case isa.SysMutexLock, isa.SysMutexUnlock, isa.SysSleep, isa.SysYield:
-		return sysClassSync
-	case isa.SysWrite, isa.SysPrintInt, isa.SysIORead, isa.SysIOWrite, isa.SysNetSend:
-		return sysClassIO
-	case isa.SysRPCCall, isa.SysRPCRecv, isa.SysRPCReply:
-		return sysClassRPC
 	case isa.SysSnap, isa.SysTBWrap:
 		return sysClassTB
-	case isa.SysLoadModule, isa.SysUnloadModule:
-		return sysClassModule
 	}
 	return sysClassOther
 }
@@ -64,11 +48,8 @@ func classifySyscall(num int) sysClass {
 // it is enabled or not (asserted by TestTelemetryCycleParity).
 func (m *Machine) EnableTelemetry(reg *telemetry.Registry) {
 	mm := &machMetrics{
-		signals:  reg.Counter("vm_signals_total", "signals delivered through the fault path"),
 		modLoads: reg.Counter("vm_modules_loaded_total", "modules mapped into processes"),
-		modUnl:   reg.Counter("vm_modules_unloaded_total", "modules unloaded"),
 		threads:  reg.Counter("vm_threads_started_total", "threads created"),
-		faults:   reg.Counter("vm_faults_total", "faults raised (before handler dispatch)"),
 	}
 	for c := sysClass(0); c < sysClassCount; c++ {
 		mm.syscalls[c] = reg.Counter(

@@ -465,9 +465,6 @@ func (p *Process) Unload(lm *LoadedModule) {
 	if w := p.Machine.World; w != nil && w.recorder != nil {
 		w.recorder.RecordUnload(p, lm)
 	}
-	if m := p.Machine.met; m != nil {
-		m.modUnl.Inc()
-	}
 	p.Hooks.OnModuleUnload(p, lm)
 }
 

@@ -112,6 +112,47 @@ func TestNullDereferenceFaults(t *testing.T) {
 	}
 }
 
+// TestWrappingAccessFaults: an access whose end wraps past 2^64 is
+// out of range like any other, so it raises SIGSEGV instead of
+// slicing the host's memory out of bounds: a load from -8, a write
+// of 2^64-1 bytes, and the host-side accessors given such ranges.
+func TestWrappingAccessFaults(t *testing.T) {
+	p, _ := newProc(t, "wrapld", []isa.Instr{
+		{Op: isa.MOVI, A: 1, Imm: -8},
+		{Op: isa.LD, A: 2, B: 1},
+		{Op: isa.SYS, Imm: isa.SysExit},
+	})
+	run(t, p)
+	if p.FatalSignal != SigSegv {
+		t.Errorf("load from -8: fatal signal = %s, want SIGSEGV", SignalName(p.FatalSignal))
+	}
+
+	p, _ = newProc(t, "wrapwr", []isa.Instr{
+		{Op: isa.MOVI, A: 1, Imm: 1},
+		{Op: isa.MOVI, A: 2, Imm: 4096},
+		{Op: isa.MOVI, A: 3, Imm: -1},
+		{Op: isa.SYS, Imm: isa.SysWrite},
+		{Op: isa.SYS, Imm: isa.SysExit},
+	})
+	run(t, p)
+	if p.FatalSignal != SigSegv {
+		t.Errorf("write of 2^64-1 bytes: fatal signal = %s, want SIGSEGV", SignalName(p.FatalSignal))
+	}
+
+	if _, ok := p.ReadBytes(1<<63, 1<<63); ok {
+		t.Error("ReadBytes(2^63, 2^63) succeeded")
+	}
+	if _, ok := p.ReadBytes(^uint64(7), 16); ok {
+		t.Error("ReadBytes(-8, 16) succeeded")
+	}
+	if p.WriteBytes(^uint64(7), make([]byte, 16)) {
+		t.Error("WriteBytes(-8, 16 bytes) succeeded")
+	}
+	if _, ok := p.ReadU64(^uint64(7)); ok {
+		t.Error("ReadU64(-8) succeeded")
+	}
+}
+
 func TestWildReturnFaults(t *testing.T) {
 	// Corrupt the return address on the stack, then RET.
 	p, _ := newProc(t, "wild", []isa.Instr{

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"bytes"
+	"regexp"
 	"testing"
 
 	"traceback/internal/core"
@@ -28,9 +30,18 @@ func TestTelemetryCycleParity(t *testing.T) {
 			t.Errorf("%s: telemetry changed cycles: %d vs %d", p.Name, row.TraceBack, traced.Cycles)
 		}
 		// The telemetry run actually observed the workload: the VM
-		// counted syscalls (exit is a thread-class one).
-		if got := reg.Counter("vm_syscalls_thread_total", "").Load(); got == 0 {
-			t.Errorf("%s: no thread-class syscalls counted", p.Name)
+		// counted syscalls of every class (exit is a thread-class one,
+		// the probe helper's buffer_wrap a tb-class one), the module
+		// load, the main thread and the process, and its clock moved.
+		var expo bytes.Buffer
+		if err := reg.WritePrometheus(&expo); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"vm_syscalls_thread_total", "vm_syscalls_tb_total", "vm_syscalls_other_total",
+			"vm_modules_loaded_total", "vm_threads_started_total", "vm_processes", "vm_cycles"} {
+			if !regexp.MustCompile(`(?m)^` + name + ` [1-9]`).Match(expo.Bytes()) {
+				t.Errorf("%s: %s did not move", p.Name, name)
+			}
 		}
 	}
 }

@@ -37,6 +37,15 @@ var uncalledExports = map[string]string{
 	"internal/archive.Archive.Root":         "the collect tests read the journal file under it",
 }
 
+// unsetFields are the exported fields of …Config and …Options structs
+// that no production code sets, each with the reason it stays.
+var unsetFields = map[string]string{
+	"internal/tbrt.Config.TLSSlot":         "paper §2.5's TLS-slot fixup at load; rebase_test drives it",
+	"internal/tbrt.Config.UseLogicalClock": "paper §3.5's logical clock for platforms without a fine clock; figure3_test drives it",
+	"internal/collect.AgentOptions.Sleep":  "the test seam that runs the agent's backoff without waiting",
+	"internal/shard/gate.Options.Client":   "the test seam that points the gate at a client of the test's choosing",
+}
+
 // TestExportsHaveProductionCallers keeps the production code to what
 // production runs. Every exported function or method declared in a
 // non-test file outside bench/ and internal/loopback must be referenced
@@ -45,6 +54,17 @@ var uncalledExports = map[string]string{
 // pkg.Name where a file imports it; a method matches by .Name anywhere
 // except on an imported package name, where pkg.Name is a function.
 // A mechanism that only tests drive fails here: wire it or delete it.
+//
+// The same holds for settings: every exported field of an exported
+// …Config or …Options struct must be set by name in some non-test
+// file, bench/ included — as a key of a composite literal of that
+// type (written out, or elided inside a slice or map literal), or on
+// the left of an assignment x.Field = … outside the struct's own
+// package (inside it, such an assignment fills in a default). The
+// assignment counts for the struct x is declared as in its function,
+// and for every struct with a field of that name when x's type is not
+// written there. A setting production never changes is a constant: make it
+// one, or give it a reason on unsetFields.
 func TestExportsHaveProductionCallers(t *testing.T) {
 	const repo = "../.."
 	type decl struct {
@@ -54,6 +74,10 @@ func TestExportsHaveProductionCallers(t *testing.T) {
 	}
 	var decls []decl
 	called := map[string]bool{} // match keys referenced outside their own declaration
+	var fields []decl           // key "<import path>.<Type>.<Field>"
+	set := map[string]bool{}    // field keys set in a composite literal
+	type assign struct{ pkg, typ, field string }
+	var assigns []assign // x.Field = …; typ is x's type where it is known, else ""
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(repo, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -88,7 +112,51 @@ func TestExportsHaveProductionCallers(t *testing.T) {
 			}
 			imports[name] = ip
 		}
+		// typeKey names the type written at e: "<import path>.<Name>".
+		typeKey := func(e ast.Expr) string {
+			if s, ok := e.(*ast.StarExpr); ok {
+				e = s.X
+			}
+			switch x := e.(type) {
+			case *ast.Ident:
+				return pkg + "." + x.Name
+			case *ast.SelectorExpr:
+				if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" {
+					return imports[id.Name] + "." + x.Sel.Name
+				}
+			}
+			return ""
+		}
+		setKeys := func(lit *ast.CompositeLit, typ string) {
+			for _, el := range lit.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok && typ != "" {
+						set[typ+"."+id.Name] = true
+					}
+				}
+			}
+		}
 		for _, dl := range f.Decls {
+			if gd, ok := dl.(*ast.GenDecl); ok && !strings.HasPrefix(rel, "bench/") {
+				for _, sp := range gd.Specs {
+					ts, ok := sp.(*ast.TypeSpec)
+					if !ok || !ts.Name.IsExported() || !(strings.HasSuffix(ts.Name.Name, "Config") || strings.HasSuffix(ts.Name.Name, "Options")) {
+						continue
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					for _, fl := range st.Fields.List {
+						for _, n := range fl.Names {
+							if n.IsExported() {
+								fields = append(fields, decl{pkg + "." + ts.Name.Name + "." + n.Name,
+									rel + ":" + strconv.Itoa(fset.Position(n.Pos()).Line), dir + "." + ts.Name.Name + "." + n.Name})
+							}
+						}
+					}
+				}
+			}
 			fd, _ := dl.(*ast.FuncDecl)
 			self := ""
 			if fd != nil {
@@ -107,9 +175,71 @@ func TestExportsHaveProductionCallers(t *testing.T) {
 					called[key] = true
 				}
 			}
+			// locals are the types of fd's parameters and of the
+			// variables it declares with a type or a composite literal.
+			locals := map[string]string{}
+			if fd != nil {
+				ast.Inspect(fd, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.Field:
+						for _, id := range n.Names {
+							locals[id.Name] = typeKey(n.Type)
+						}
+					case *ast.ValueSpec:
+						for _, id := range n.Names {
+							locals[id.Name] = typeKey(n.Type)
+						}
+					case *ast.AssignStmt:
+						for i, lhs := range n.Lhs {
+							id, ok := lhs.(*ast.Ident)
+							if !ok || n.Tok != token.DEFINE || len(n.Rhs) != len(n.Lhs) {
+								continue
+							}
+							rhs := n.Rhs[i]
+							if u, ok := rhs.(*ast.UnaryExpr); ok {
+								rhs = u.X
+							}
+							if lit, ok := rhs.(*ast.CompositeLit); ok {
+								locals[id.Name] = typeKey(lit.Type)
+							}
+						}
+					}
+					return true
+				})
+			}
 			var visit func(n ast.Node) bool
 			visit = func(n ast.Node) bool {
 				switch n := n.(type) {
+				case *ast.CompositeLit:
+					setKeys(n, typeKey(n.Type))
+					var elem ast.Expr
+					switch lt := n.Type.(type) {
+					case *ast.ArrayType:
+						elem = lt.Elt
+					case *ast.MapType:
+						elem = lt.Value
+					}
+					for _, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							el = kv.Value
+						}
+						if u, ok := el.(*ast.UnaryExpr); ok {
+							el = u.X
+						}
+						if inner, ok := el.(*ast.CompositeLit); ok && inner.Type == nil && elem != nil {
+							setKeys(inner, typeKey(elem))
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							a := assign{pkg: pkg, field: sel.Sel.Name}
+							if id, ok := sel.X.(*ast.Ident); ok {
+								a.typ = locals[id.Name]
+							}
+							assigns = append(assigns, a)
+						}
+					}
 				case *ast.FuncDecl:
 					if n.Recv != nil {
 						ast.Inspect(n.Recv, visit)
@@ -154,6 +284,28 @@ func TestExportsHaveProductionCallers(t *testing.T) {
 	for name := range uncalledExports {
 		if !declared[name] {
 			problems = append(problems, name+" is on uncalledExports but declared nowhere")
+		}
+	}
+	declared = map[string]bool{}
+	for _, fl := range fields {
+		declared[fl.name] = true
+		isSet := set[fl.key]
+		dot := strings.LastIndexByte(fl.key, '.')
+		typ, field := fl.key[:dot], fl.key[dot+1:]
+		for _, a := range assigns {
+			isSet = isSet || (a.field == field && (a.typ == "" || a.typ == typ) && !strings.HasPrefix(typ, a.pkg+"."))
+		}
+		_, allowed := unsetFields[fl.name]
+		switch {
+		case allowed && isSet:
+			problems = append(problems, fl.pos+": "+fl.name+" is set by production code now; take it off unsetFields")
+		case !allowed && !isSet:
+			problems = append(problems, fl.pos+": "+fl.name+" is set by no non-test code; make it a constant, delete it, or wire it")
+		}
+	}
+	for name := range unsetFields {
+		if !declared[name] {
+			problems = append(problems, name+" is on unsetFields but declared nowhere")
 		}
 	}
 	sort.Strings(problems)
