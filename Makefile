@@ -75,7 +75,9 @@ check:
 # reference into DESIGN.md and every test the docs cite pointing at
 # something that exists, its TestExportsHaveProductionCallers holds
 # every exported function to a production caller and every exported
-# field of a …Config/…Options struct to a production setter, and its
+# field of a …Config/…Options struct to a production setter, its
+# TestStoredFieldsHaveReaders holds every field a snap, mapfile or
+# journal line stores to a production reader, and its
 # TestMetricsDocumentedAndMoved holds the registered metrics to
 # DESIGN.md §12's table and each to a test that names it or a reader
 # on its allowlist; and each CLI's /dev/full test

@@ -78,9 +78,17 @@ func TestDaemonServesAndDrains(t *testing.T) {
 	if out := stdout.String(); !strings.Contains(out, "draining") || !strings.Contains(out, "drained") {
 		t.Errorf("drain not reported:\n%s", out)
 	}
-	// The store closed cleanly: the index was flushed.
-	if _, err := os.Stat(filepath.Join(store, "index.json")); err != nil {
-		t.Errorf("index not flushed at shutdown: %v", err)
+	// The store closed cleanly and holds only its journal and blobs.
+	entries, err := os.ReadDir(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if got := strings.Join(names, " "); got != "blobs journal.jsonl" {
+		t.Errorf("drained store holds %s, want blobs journal.jsonl", got)
 	}
 }
 

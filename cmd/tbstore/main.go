@@ -137,8 +137,8 @@ func (c *cli) openArch() (*archive.Archive, error) {
 	return arch, nil
 }
 
-// closeArch folds arch.Close's error — a failed index flush, e.g.
-// disk full writing index.json — into the command's result instead of
+// closeArch folds arch.Close's error — a journal that cannot be
+// synced to disk, e.g. — into the command's result instead of
 // discarding it, so the process exits nonzero with a diagnostic.
 func closeArch(arch *archive.Archive, err *error) {
 	if cerr := arch.Close(); cerr != nil && *err == nil {

@@ -103,8 +103,35 @@ func TestIngestTopShowLifecycle(t *testing.T) {
 	}
 }
 
-// TestIngestJobsDeterminism: the flushed index.json is byte-identical
-// whether the fleet was ingested with 1 worker or 16.
+// reopenIndex reopens the warehouse at dir, which must hold only its
+// journal and blobs, and returns its canonical index bytes.
+func reopenIndex(t *testing.T, dir string) []byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if got := strings.Join(names, " "); got != "blobs journal.jsonl" {
+		t.Errorf("%s holds %s, want blobs journal.jsonl", dir, got)
+	}
+	a, err := archive.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	idx, err := a.IndexBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
+}
+
+// TestIngestJobsDeterminism: the reopened store's index is
+// byte-identical whether the fleet was ingested with 1 worker or 16.
 func TestIngestJobsDeterminism(t *testing.T) {
 	snapDir, mapsDir := buildFleet(t)
 	var indexes [][]byte
@@ -114,14 +141,10 @@ func TestIngestJobsDeterminism(t *testing.T) {
 		if code := run([]string{"-store", store, "ingest", "-maps", mapsDir, "-jobs", jobs, snapDir}, &out, &errBuf); code != 0 {
 			t.Fatalf("-jobs %s exited %d: %s", jobs, code, errBuf.String())
 		}
-		idx, err := os.ReadFile(filepath.Join(store, "index.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		indexes = append(indexes, idx)
+		indexes = append(indexes, reopenIndex(t, store))
 	}
 	if !bytes.Equal(indexes[0], indexes[1]) {
-		t.Errorf("index.json differs between -jobs 1 and -jobs 16:\n%s\nvs\n%s", indexes[0], indexes[1])
+		t.Errorf("index differs between -jobs 1 and -jobs 16:\n%s\nvs\n%s", indexes[0], indexes[1])
 	}
 }
 
@@ -287,10 +310,10 @@ func TestMetricsFlagKeepsStdoutClean(t *testing.T) {
 }
 
 // TestIngestCommittedTreesEqualsDirect: `tbstore ingest` of each
-// committed snap tree writes the index.json a direct loop of
-// Ingest(s, SignSnap(s, cache)) writes — the CLI signs the way the
-// daemon does, the weak fallback (the torn-module-table regression)
-// included.
+// committed snap tree leaves a store that reopens to the index a direct
+// loop of Ingest(s, SignSnap(s, cache)) had before Close — the CLI
+// signs the way the daemon does, the weak fallback (the
+// torn-module-table regression) included.
 func TestIngestCommittedTreesEqualsDirect(t *testing.T) {
 	for _, tree := range []string{"../../snaps", "../../snaps/regressions"} {
 		mapsDir := filepath.Join(tree, "maps")
@@ -322,20 +345,18 @@ func TestIngestCommittedTreesEqualsDirect(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		want, err := direct.IndexBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := direct.Close(); err != nil {
 			t.Fatal(err)
 		}
-
-		got, err := os.ReadFile(filepath.Join(cliStore, "index.json"))
-		if err != nil {
-			t.Fatal(err)
+		if reopened := reopenIndex(t, directStore); !bytes.Equal(reopened, want) {
+			t.Errorf("%s: the direct store reopens to a different index:\n%s\nvs\n%s", tree, reopened, want)
 		}
-		want, err := os.ReadFile(filepath.Join(directStore, "index.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: tbstore ingest index.json differs from the direct SignSnap loop:\n%s\nvs\n%s", tree, got, want)
+		if got := reopenIndex(t, cliStore); !bytes.Equal(got, want) {
+			t.Errorf("%s: tbstore ingest's index differs from the direct SignSnap loop:\n%s\nvs\n%s", tree, got, want)
 		}
 	}
 }

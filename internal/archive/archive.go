@@ -33,7 +33,6 @@ import (
 
 const (
 	journalName = "journal.jsonl"
-	indexName   = "index.json"
 	blobDirName = "blobs"
 	blobSuffix  = ".snap.json.gz"
 )
@@ -48,8 +47,9 @@ type Options struct {
 // Archive is an open snap warehouse rooted at a directory:
 //
 //	root/journal.jsonl          append-only system of record
-//	root/index.json             deterministic reduction (Flush/Close)
 //	root/blobs/ab/<sum>.snap.json.gz  content-addressed snaps
+//
+// The index is the journal's reduction, rebuilt by every Open.
 type Archive struct {
 	root    string
 	journal *os.File
@@ -544,24 +544,15 @@ func (a *Archive) RebuildIndexBytes() ([]byte, error) {
 	return encodeIndex(reduceJournal(recs).index())
 }
 
-// Flush writes index.json atomically from the live state.
+// Flush syncs the journal to disk.
 func (a *Archive) Flush() error {
-	b, err := a.IndexBytes()
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(a.root, indexName)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return fmt.Errorf("archive: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := a.journal.Sync(); err != nil {
 		return fmt.Errorf("archive: %w", err)
 	}
 	return nil
 }
 
-// Close flushes the index and closes the journal.
+// Close flushes and closes the journal.
 func (a *Archive) Close() error {
 	if err := a.Flush(); err != nil {
 		a.journal.Close()

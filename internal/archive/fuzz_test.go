@@ -5,18 +5,17 @@ import (
 	"testing"
 )
 
-// FuzzArchiveIndex feeds arbitrary bytes to both warehouse decoders —
-// the journal scanner (strict and crash-tolerant) and the index
-// parser. Neither may panic. Any journal the strict decoder accepts
-// must reduce to an index that encodes, re-decodes, and re-encodes to
-// the same bytes (the reduction is the recovery path; it cannot be
-// lossy over its own output), and the tolerant scanner must accept at
-// least everything the strict one does.
+// FuzzArchiveIndex feeds arbitrary bytes to the journal scanner — the
+// on-disk form of the warehouse index — strict and crash-tolerant.
+// Neither may panic, the tolerant scanner must accept at least
+// everything the strict one does, and every record either accepts
+// must re-encode as one journal line that decodes back.
 func FuzzArchiveIndex(f *testing.F) {
 	// Seed with the real shapes: journal lines as Ingest/GC write them,
-	// a reduced index, and the torn/corrupt variants the decoders exist
-	// to classify. These also live under testdata/fuzz/FuzzArchiveIndex
-	// so `go test` replays them as regression inputs.
+	// the reduced index bytes IndexBytes serves (a JSON document that is
+	// no journal), and the torn/corrupt variants the scanner exists to
+	// classify. tools/gen also writes them under
+	// testdata/fuzz/FuzzArchiveIndex.
 	ing := JournalRecord{
 		V: formatVersion, Op: OpIngest,
 		Sum: "8f2e77aea6370000", Sig: "ee2180a7c9368aee",
@@ -44,8 +43,7 @@ func FuzzArchiveIndex(f *testing.F) {
 	f.Add(line1)
 	// Torn tail: the crash-mid-append footprint.
 	f.Add(journal[:len(journal)-7])
-	// The reduced index of that journal.
-	idx, err := encodeIndex(reduceJournal([]JournalRecord{ing, ing2, gc}).index())
+	idx, err := IndexBytesOf([]JournalRecord{ing, ing2, gc})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -58,8 +56,6 @@ func FuzzArchiveIndex(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = DecodeIndex(data)
-
 		strict, serr := DecodeJournal(bytes.NewReader(data))
 		tolerant, goodLen, torn, terr := decodeJournalLines(bytes.NewReader(data), true)
 		if goodLen < 0 || goodLen > int64(len(data)) {
@@ -75,28 +71,7 @@ func FuzzArchiveIndex(f *testing.F) {
 			if !torn && len(tolerant) != len(strict) {
 				t.Fatalf("tolerant dropped %d records from an untorn journal", len(strict)-len(tolerant))
 			}
-
-			// Reduction fixed point: reduce → encode → decode → encode
-			// must be byte-stable.
-			first, err := encodeIndex(reduceJournal(strict).index())
-			if err != nil {
-				t.Fatalf("valid journal fails to encode: %v", err)
-			}
-			parsed, err := DecodeIndex(first)
-			if err != nil {
-				t.Fatalf("encoded index fails to re-decode: %v", err)
-			}
-			second, err := encodeIndex(parsed)
-			if err != nil {
-				t.Fatalf("re-encode: %v", err)
-			}
-			if !bytes.Equal(first, second) {
-				t.Fatalf("index encode is not a fixed point:\n%s\nvs\n%s", first, second)
-			}
 		}
-
-		// Every record either scanner returns must re-encode as a valid
-		// single journal line that parses back.
 		for i := range tolerant {
 			line, err := encodeJournal(&tolerant[i])
 			if err != nil {

@@ -1,11 +1,11 @@
 // The warehouse's durability story: an append-only journal of ingest
 // and GC events (the system of record, one JSON object per line,
-// written with O_APPEND single-write appends) and an index file that
-// is a pure, deterministic reduction of the journal. Opening an
-// archive replays the journal; the index file exists for external
-// inspection and as a cross-check (`tbstore`'s rebuild verification
-// re-reduces the journal and compares bytes). Both decoders are
-// fuzzed (FuzzArchiveIndex) and return wrapped, inspectable errors.
+// written with O_APPEND single-write appends) and an index that is a
+// pure, deterministic reduction of the journal. Opening an archive
+// replays the journal; the index's canonical bytes are the
+// cross-check (`RebuildIndexBytes` re-reduces the journal and
+// compares). The journal decoder is fuzzed (FuzzArchiveIndex) and
+// returns wrapped, inspectable errors.
 package archive
 
 import (
@@ -18,15 +18,14 @@ import (
 	"sort"
 )
 
-// Journal/index format version. A bump means the reduction rules
-// changed and old indexes must be rebuilt from their journal.
+// Journal/index format version. A bump means the journal's records or
+// the reduction rules changed.
 const formatVersion = 1
 
 // Journal error classes, matchable with errors.Is.
 var (
 	ErrJournalSyntax  = errors.New("archive: malformed journal record")
 	ErrJournalVersion = errors.New("archive: unsupported journal version")
-	ErrIndexSyntax    = errors.New("archive: malformed index")
 )
 
 // JournalOp enumerates journal record kinds.
@@ -181,23 +180,6 @@ type Bucket struct {
 type Index struct {
 	V       int      `json:"v"`
 	Buckets []Bucket `json:"buckets"`
-}
-
-// DecodeIndex parses an index file.
-func DecodeIndex(data []byte) (*Index, error) {
-	var idx Index
-	if err := json.Unmarshal(data, &idx); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrIndexSyntax, err)
-	}
-	if idx.V != formatVersion {
-		return nil, fmt.Errorf("%w: v=%d (want %d)", ErrIndexSyntax, idx.V, formatVersion)
-	}
-	for i := range idx.Buckets {
-		if idx.Buckets[i].Sig == "" {
-			return nil, fmt.Errorf("%w: bucket %d has no signature", ErrIndexSyntax, i)
-		}
-	}
-	return &idx, nil
 }
 
 // state is the in-memory reduction the journal replays into. Every

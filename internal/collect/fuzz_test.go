@@ -33,7 +33,7 @@ func FuzzUploadBody(f *testing.F) {
 	f.Add(zipped.Bytes(), strings.Repeat("ab", 32))
 	f.Add(append(bytes.Clone(canonical), `{}`...), "")
 	f.Add(append(bytes.Clone(zipped.Bytes()), zipped.Bytes()...), sum)
-	f.Add([]byte(`{"pArtners":[]}`), "")
+	f.Add([]byte(`{"tRiggerTid":0}`), "")
 	f.Add([]byte("not a snap"), "")
 	f.Add([]byte{0x1f, 0x8b}, "")
 

@@ -257,7 +257,7 @@ func TestUploadNonCanonicalRejected(t *testing.T) {
 		body []byte
 		want int
 	}{
-		{"case-folded key", gz(append([]byte(`{"pArtners":[],`), canonical[1:]...)), http.StatusUnprocessableEntity},
+		{"case-folded key", gz(append([]byte(`{"tRiggerTid":0,`), canonical[1:]...)), http.StatusUnprocessableEntity},
 		{"re-indented", gz(indented.Bytes()), http.StatusUnprocessableEntity},
 		{"plain JSON with bytes after the value", append(bytes.Clone(canonical), `{}`...), http.StatusUnprocessableEntity},
 		{"second gzip member", append(gz(canonical), gz(canonical)...), http.StatusBadRequest},

@@ -143,7 +143,6 @@ func (rt *ManagedRuntime) takeSnap(reason string, t *MThread, code int, addr uin
 		s.Modules = append(s.Modules, mi)
 	}
 	s.Buffers, _ = rt.buffers.Dump()
-	s.Partners = rt.lt.Partners()
 	rt.snaps = append(rt.snaps, s)
 	return s
 }

@@ -90,7 +90,7 @@ int main() { g = 7; exit(0); }`
 	vm.RunProcess(p, 100000)
 	s := rt.PostMortemSnap()
 	for i := range s.Modules {
-		s.Modules[i].DataDump, s.Modules[i].DataBase = nil, 0
+		s.Modules[i].DataDump = nil
 	}
 	if vars := Variables(s, NewMapSet(res.Map)); len(vars) != 0 {
 		t.Errorf("vars = %v without a memory dump", vars)

@@ -187,8 +187,8 @@ func randomFleet(t *testing.T, rng *rand.Rand, n int) (parts [][]archive.Bucket,
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx, err := archive.DecodeIndex(b)
-		if err != nil {
+		var idx archive.Index
+		if err := json.Unmarshal(b, &idx); err != nil {
 			t.Fatal(err)
 		}
 		return idx.Buckets

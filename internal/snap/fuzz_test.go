@@ -21,13 +21,12 @@ func FuzzSnapReader(f *testing.F) {
 		Time: 123456,
 		Modules: []ModuleInfo{{
 			Name: "m", Checksum: "00ff", ActualDAGBase: 1, DAGCount: 2,
-			CodeBase: 0x1000, CodeLen: 64, DataBase: 0x2000, DataDump: []byte{1, 2, 3},
+			CodeBase: 0x1000, CodeLen: 64, DataDump: []byte{1, 2, 3},
 		}},
 		Buffers: []BufferDump{{
 			Kind: BufMain, OwnerTID: 1, LastPtr: 3, LastKnown: true,
 			CommittedSub: 0, SubWords: 4, Raw: []byte{0xAA, 0, 0, 0x80, 0xFF, 0xFF, 0xFF, 0xFF},
 		}},
-		Partners: []uint64{9},
 	}
 	var plain bytes.Buffer
 	if err := valid.Save(&plain); err != nil {

@@ -16,19 +16,18 @@ import (
 // BufferKind classifies a dumped buffer.
 type BufferKind uint8
 
+// The numbers are those of snaps on disk; 1 is retired (it was a
+// static buffer nothing wrote).
 const (
-	BufMain BufferKind = iota
-	BufStatic
-	BufProbation
-	BufDesperation
+	BufMain        BufferKind = 0
+	BufProbation   BufferKind = 2
+	BufDesperation BufferKind = 3
 )
 
 func (k BufferKind) String() string {
 	switch k {
 	case BufMain:
 		return "main"
-	case BufStatic:
-		return "static"
 	case BufProbation:
 		return "probation"
 	case BufDesperation:
@@ -50,10 +49,9 @@ type ModuleInfo struct {
 	CodeLen       uint32 `json:"codeLen"`
 	Unloaded      bool   `json:"unloaded,omitempty"`
 	BadDAG        bool   `json:"badDag,omitempty"` // runtime exhausted the ID space for this module
-	// DataBase and DataDump capture the module's data segment at
-	// snap time (the paper's §3.6 memory dump, letting the viewer
-	// display variable values).
-	DataBase uint32 `json:"dataBase,omitempty"`
+	// DataDump captures the module's data segment at snap time (the
+	// paper's §3.6 memory dump, letting the viewer display variable
+	// values), indexed by module-relative offset.
 	DataDump []byte `json:"dataDump,omitempty"`
 }
 
@@ -150,11 +148,6 @@ type Snap struct {
 
 	Modules []ModuleInfo `json:"modules"`
 	Buffers []BufferDump `json:"buffers"`
-
-	// Partners lists peer runtime IDs this runtime exchanged RPCs
-	// with; the distributed reconstructor uses it to find related
-	// snaps.
-	Partners []uint64 `json:"partners,omitempty"`
 
 	// Nondet, when present, carries the recorded nondeterminism log
 	// of the run that produced this snap (see NondetLog); tbreplay

@@ -18,7 +18,6 @@ func sample() *Snap {
 			{Name: "lib", Checksum: "bb", ActualDAGBase: 5, DAGCount: 3, CodeBase: 100, CodeLen: 50},
 			{Name: "bad", Checksum: "cc", ActualDAGBase: 0, DAGCount: 9, BadDAG: true},
 		},
-		Partners: []uint64{5, 6},
 	}
 	var words []uint32
 	// A realistic hot-loop buffer: the same DAG header re-recorded.

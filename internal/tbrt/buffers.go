@@ -13,18 +13,17 @@ import (
 
 // Geometry sizes a buffer set: Buffers main buffers of Words 32-bit
 // words, each in Subs sub-buffers (1: a plain ring with no commit
-// points), a desperation buffer of Words words and a static buffer of
-// StaticWords words (none when 0).
+// points), and a desperation buffer of Words words.
 type Geometry struct {
-	Words, Buffers, Subs, StaticWords int
+	Words, Buffers, Subs int
 }
 
 // BufferSet is one runtime's trace buffers, laid out in a process's
 // address space, the region that models the paper's memory-mapped
 // file (§3.1–3.2): a pool of sub-buffered main buffers, the shared
-// desperation buffer, the probation buffer and an optional static
-// buffer. Authoritative state (owner, committed sub-buffer, release
-// point) lives in in-memory headers, so a dump reads pure memory.
+// desperation buffer and the probation buffer. Authoritative state
+// (owner, committed sub-buffer, release point) lives in in-memory
+// headers, so a dump reads pure memory.
 //
 // A writer is a thread ID plus a cursor, the address of the last
 // record it wrote: a TLS slot for a native thread, a field of the
@@ -37,7 +36,6 @@ type BufferSet struct {
 	owner func(tid int) (cur *uint64, lost bool)
 
 	main        []*buffer
-	static      *buffer
 	probation   *buffer
 	desperation *buffer
 
@@ -50,17 +48,9 @@ type BufferSet struct {
 	rec                                        *telemetry.Recorder
 }
 
-// bufKind mirrors snap.BufferKind for in-memory headers.
-const (
-	bufMain = iota
-	bufStatic
-	bufProbation
-	bufDesperation
-)
-
 // buffer is the host-side view of one trace buffer.
 type buffer struct {
-	kind       int
+	kind       snap.BufferKind
 	headerAddr uint64
 	dataAddr   uint64
 	words      int
@@ -99,15 +89,12 @@ func NewBufferSet(p *vm.Process, g Geometry, reg *telemetry.Registry, now func()
 	total := g.Buffers*(hdrSize+g.Words*4) +
 		(hdrSize + 2*4) + // probation: pad + sentinel
 		(hdrSize + g.Words*4) // desperation
-	if g.StaticWords > 0 {
-		total += hdrSize + g.StaticWords*4
-	}
 	base := p.AllocRegion(uint32(total))
 	if base == 0 {
 		return nil, fmt.Errorf("tbrt: cannot allocate %d-byte trace region", total)
 	}
 	addr := uint64(base)
-	mk := func(kind, words, subs int) *buffer {
+	mk := func(kind snap.BufferKind, words, subs int) *buffer {
 		b := &buffer{
 			kind:       kind,
 			headerAddr: addr,
@@ -126,15 +113,12 @@ func NewBufferSet(p *vm.Process, g Geometry, reg *telemetry.Registry, now func()
 		return b
 	}
 	for i := 0; i < g.Buffers; i++ {
-		b := mk(bufMain, g.Words, g.Subs)
+		b := mk(snap.BufMain, g.Words, g.Subs)
 		s.main = append(s.main, b)
 		s.free = append(s.free, b)
 	}
-	if g.StaticWords > 0 {
-		s.static = mk(bufStatic, g.StaticWords, 1)
-	}
-	s.probation = mk(bufProbation, 2, 1)
-	s.desperation = mk(bufDesperation, g.Words, 1)
+	s.probation = mk(snap.BufProbation, 2, 1)
+	s.desperation = mk(snap.BufDesperation, g.Words, 1)
 	s.buffersFree.Set(int64(len(s.free)))
 	s.buffersTotal.Set(int64(len(s.main)))
 	return s, nil
@@ -150,7 +134,7 @@ func (s *BufferSet) initSentinels(b *buffer) {
 		end := (sub+1)*b.subWords - 1
 		s.proc.WriteU32(b.dataAddr+uint64(end)*4, trace.Sentinel)
 	}
-	if b.kind == bufProbation {
+	if b.kind == snap.BufProbation {
 		// Probation holds only the sentinel: the first probe of any
 		// thread immediately triggers buffer_wrap (paper §3.1).
 		s.proc.WriteU32(b.dataAddr+4, trace.Sentinel)
@@ -160,7 +144,7 @@ func (s *BufferSet) initSentinels(b *buffer) {
 // traced returns tid's buffer, or nil while it has none or is on
 // probation.
 func (s *BufferSet) traced(tid int) *buffer {
-	if b := s.byThread[tid]; b != nil && b.kind != bufProbation {
+	if b := s.byThread[tid]; b != nil && b.kind != snap.BufProbation {
 		return b
 	}
 	return nil
@@ -222,7 +206,7 @@ func (s *BufferSet) allocSlot(tid int, cur *uint64, b *buffer) uint64 {
 func (s *BufferSet) wrap(tid int, cur *uint64, b *buffer, at uint64) uint64 {
 	s.wraps.Inc()
 	s.event("buffer-wrap", "tid "+strconv.Itoa(tid))
-	if b.kind == bufDesperation && len(s.free) > 0 {
+	if b.kind == snap.BufDesperation && len(s.free) > 0 {
 		s.Assign(tid, cur)
 		return s.allocSlot(tid, cur, s.byThread[tid])
 	}
@@ -311,7 +295,7 @@ func (s *BufferSet) Release(tid int, cur *uint64) {
 		start := s.clearSub(b, (committed+1)%b.subs)
 		s.hdrWrite(b, hdrLastPtr, uint32(b.dataAddr+uint64(start)*4-4))
 	}
-	if b.kind == bufMain {
+	if b.kind == snap.BufMain {
 		s.hdrWrite(b, hdrOwner, 0)
 		s.free = append(s.free, b)
 		s.buffersFree.Set(int64(len(s.free)))
@@ -326,7 +310,7 @@ func (s *BufferSet) Release(tid int, cur *uint64) {
 func (s *BufferSet) scavenge() {
 	var dead []int
 	for tid, b := range s.byThread {
-		if _, lost := s.owner(tid); b.kind == bufMain && lost {
+		if _, lost := s.owner(tid); b.kind == snap.BufMain && lost {
 			dead = append(dead, tid)
 		}
 	}
@@ -338,15 +322,12 @@ func (s *BufferSet) scavenge() {
 	}
 }
 
-// Dump reads the main buffers, the static buffer if any and the
-// desperation buffer out of process memory, and returns them with
-// their total size in words.
+// Dump reads the main buffers and the desperation buffer out of
+// process memory, and returns them with their total size in words.
 func (s *BufferSet) Dump() (dumps []snap.BufferDump, words int) {
-	for _, b := range append(slices.Clone(s.main), s.static, s.desperation) {
-		if b != nil {
-			dumps = append(dumps, s.dumpBuffer(b))
-			words += b.words
-		}
+	for _, b := range append(slices.Clone(s.main), s.desperation) {
+		dumps = append(dumps, s.dumpBuffer(b))
+		words += b.words
 	}
 	return dumps, words
 }
@@ -358,7 +339,7 @@ func (s *BufferSet) Dump() (dumps []snap.BufferDump, words int) {
 // falls back to the committed-sub-buffer scan (LastKnown=false).
 func (s *BufferSet) dumpBuffer(b *buffer) snap.BufferDump {
 	d := snap.BufferDump{
-		Kind:         snapKind(b.kind),
+		Kind:         b.kind,
 		OwnerTID:     s.hdrRead(b, hdrOwner),
 		CommittedSub: s.hdrRead(b, hdrCommitted),
 		SubWords:     uint32(b.subWords),
@@ -383,24 +364,12 @@ func (s *BufferSet) dumpBuffer(b *buffer) snap.BufferDump {
 			d.LastKnown = true
 		}
 	}
-	if b.kind == bufDesperation {
+	if b.kind == snap.BufDesperation {
 		// Shared unsynchronized writes: contents are declared
 		// unrecoverable (paper §3.1).
 		d.LastKnown = false
 	}
 	return d
-}
-
-func snapKind(k int) snap.BufferKind {
-	switch k {
-	case bufStatic:
-		return snap.BufStatic
-	case bufProbation:
-		return snap.BufProbation
-	case bufDesperation:
-		return snap.BufDesperation
-	}
-	return snap.BufMain
 }
 
 // event records a flight-recorder entry stamped with the

@@ -62,9 +62,9 @@ func TestFigure3BufferAssignment(t *testing.T) {
 	desperate := 0
 	for _, b := range rt.bufs.byThread {
 		switch b.kind {
-		case bufMain:
+		case snap.BufMain:
 			owned++
-		case bufDesperation:
+		case snap.BufDesperation:
 			desperate++
 		}
 	}

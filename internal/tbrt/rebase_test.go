@@ -8,6 +8,7 @@ import (
 	"traceback/internal/isa"
 	"traceback/internal/module"
 	"traceback/internal/recon"
+	"traceback/internal/snap"
 	"traceback/internal/trace"
 	"traceback/internal/vm"
 )
@@ -146,7 +147,7 @@ func TestScavengeDeadThreads(t *testing.T) {
 		}
 		mach.World.Run(100000, func() bool { return rt.Traced(tidA) && rt.Traced(tidB) })
 		bufA, bufB := rt.bufs.byThread[tidA], rt.bufs.byThread[tidB]
-		if bufA == nil || bufB == nil || bufA.kind != bufMain || bufB.kind != bufMain || len(rt.bufs.free) != 0 {
+		if bufA == nil || bufB == nil || bufA.kind != snap.BufMain || bufB.kind != snap.BufMain || len(rt.bufs.free) != 0 {
 			t.Fatalf("A and B did not take the last two main buffers (A %v, B %v, %d free)", bufA, bufB, len(rt.bufs.free))
 		}
 		mach.World.Run(100000, func() bool { return rt.Traced(tidC) && rt.Traced(tidD) })

@@ -76,8 +76,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-const staticWords = 256
-
 // Runtime is one process's TraceBack runtime instance.
 type Runtime struct {
 	cfg  Config
@@ -147,7 +145,7 @@ func NewProcess(m *vm.Machine, name string, cfg Config) (*vm.Process, *Runtime, 
 	rt.lt = trace.NewLogicalThreads(rt.ID)
 	rt.initMetrics()
 	c := rt.cfg
-	bufs, err := NewBufferSet(p, Geometry{Words: c.BufferWords, Buffers: c.NumBuffers, Subs: c.SubBuffers, StaticWords: staticWords},
+	bufs, err := NewBufferSet(p, Geometry{Words: c.BufferWords, Buffers: c.NumBuffers, Subs: c.SubBuffers},
 		c.Telemetry, rt.now, rt.owner)
 	if err != nil {
 		return nil, nil, err

@@ -109,7 +109,6 @@ func (rt *Runtime) buildSnap(reason SnapReason) *snap.Snap {
 		// include a memory dump for variable display).
 		if size := uint64(len(lm.Mod.Data)) + uint64(lm.Mod.BSS); size > 0 {
 			if b, ok := p.ReadBytes(uint64(lm.DataBase), size); ok {
-				mi.DataBase = lm.DataBase
 				mi.DataDump = b
 			}
 		}
@@ -118,6 +117,5 @@ func (rt *Runtime) buildSnap(reason SnapReason) *snap.Snap {
 	bufs, words := rt.bufs.Dump()
 	s.Buffers = bufs
 	rt.met.snapWords.Observe(uint64(words))
-	s.Partners = rt.lt.Partners()
 	return s
 }

@@ -1,13 +1,10 @@
 package trace
 
-import (
-	"encoding/binary"
-	"sort"
-)
+import "encoding/binary"
 
 // LogicalThreads is one runtime's side of the logical-thread protocol
-// (paper §5.1): which logical thread each physical thread is bound to,
-// the next logical-thread ID to hand out, and the peer runtimes seen.
+// (paper §5.1): which logical thread each physical thread is bound to
+// and the next logical-thread ID to hand out.
 // Every hop of a call — an RPC between machines or a JNI-style call
 // between the managed and native runtimes of one process — carries a
 // 16-byte extension (origin runtime ID, logical thread, seq) and
@@ -17,7 +14,6 @@ type LogicalThreads struct {
 	runtimeID uint64
 	bindings  map[int]logicalBinding
 	next      uint32
-	partners  map[uint64]bool
 }
 
 type logicalBinding struct {
@@ -29,7 +25,7 @@ type logicalBinding struct {
 // NewLogicalThreads returns the protocol state of the runtime whose
 // SYNC records carry runtimeID.
 func NewLogicalThreads(runtimeID uint64) *LogicalThreads {
-	return &LogicalThreads{runtimeID: runtimeID, bindings: map[int]logicalBinding{}, partners: map[uint64]bool{}}
+	return &LogicalThreads{runtimeID: runtimeID, bindings: map[int]logicalBinding{}}
 }
 
 // Send is the caller's call-send or the callee's reply-send: an
@@ -60,9 +56,8 @@ func (l *LogicalThreads) Send(tid int, reply bool) (s Sync, ext []byte, ok bool)
 }
 
 // Recv is the callee's call-recv or the caller's reply-recv: the
-// thread adopts the sender's logical thread at the next seq, and a
-// foreign origin joins the partner set. An extension that is not 16
-// bytes is ignored (ok false).
+// thread adopts the sender's logical thread at the next seq. An
+// extension that is not 16 bytes is ignored (ok false).
 func (l *LogicalThreads) Recv(tid int, ext []byte, reply bool) (Sync, bool) {
 	if len(ext) != 16 {
 		return Sync{}, false
@@ -71,9 +66,6 @@ func (l *LogicalThreads) Recv(tid int, ext []byte, reply bool) (Sync, bool) {
 		origin: binary.LittleEndian.Uint64(ext),
 		lt:     binary.LittleEndian.Uint32(ext[8:]),
 		seq:    binary.LittleEndian.Uint32(ext[12:]) + 1,
-	}
-	if b.origin != l.runtimeID {
-		l.partners[b.origin] = true
 	}
 	l.bindings[tid] = b
 	point := SyncCallRecv
@@ -85,14 +77,3 @@ func (l *LogicalThreads) Recv(tid int, ext []byte, reply bool) (Sync, bool) {
 
 // Drop forgets tid's binding (the thread exited).
 func (l *LogicalThreads) Drop(tid int) { delete(l.bindings, tid) }
-
-// Partners lists the peer runtime IDs seen so far, ascending (nil
-// when there are none).
-func (l *LogicalThreads) Partners() []uint64 {
-	var out []uint64
-	for id := range l.partners {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

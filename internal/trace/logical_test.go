@@ -63,15 +63,6 @@ func TestLogicalThreadsRoundTrip(t *testing.T) {
 	if s, _, _ := cl.Send(6, false); s.LogicalThread != 3 {
 		t.Errorf("call after Drop = %+v, want a fresh logical thread 3", s)
 	}
-
-	// Partners are the origins of adopted logical threads: the callee
-	// adopted the caller's, the caller only got its own back.
-	if got := sv.Partners(); !reflect.DeepEqual(got, []uint64{caller}) {
-		t.Errorf("callee partners = %x, want [%x]", got, caller)
-	}
-	if got := cl.Partners(); got != nil {
-		t.Errorf("caller partners = %x, want none", got)
-	}
 }
 
 func TestLogicalThreadsRefusals(t *testing.T) {
@@ -86,23 +77,5 @@ func TestLogicalThreadsRefusals(t *testing.T) {
 	}
 	if _, ext, ok := l.Send(3, true); ok || ext != nil {
 		t.Error("a refused extension bound the thread")
-	}
-	if got := l.Partners(); got != nil {
-		t.Errorf("partners after refusals = %x, want none", got)
-	}
-}
-
-func TestLogicalThreadsPartnersSorted(t *testing.T) {
-	l := NewLogicalThreads(50)
-	for i, id := range []uint64{90, 7, 50, 3000, 7, 12} {
-		ext := binary.LittleEndian.AppendUint64(nil, id)
-		ext = binary.LittleEndian.AppendUint64(ext, 0)
-		if _, ok := l.Recv(i, ext, false); !ok {
-			t.Fatal("well-formed extension refused")
-		}
-	}
-	// The runtime's own ID (a call that came home) is not a partner.
-	if got, want := l.Partners(), []uint64{7, 12, 90, 3000}; !reflect.DeepEqual(got, want) {
-		t.Errorf("Partners() = %v, want %v", got, want)
 	}
 }

@@ -134,7 +134,10 @@ func (m *Machine) syscall(t *Thread, num int) (stepResult, int) {
 		r[isa.RV] = prev
 
 	case isa.SysAlloc:
-		r[isa.RV] = uint64(p.AllocRegion(uint32(r[isa.A1])))
+		r[isa.RV] = 0
+		if size := r[isa.A1]; size < 1<<32 {
+			r[isa.RV] = uint64(p.AllocRegion(uint32(size)))
+		}
 
 	case isa.SysSnap:
 		reason := "api"

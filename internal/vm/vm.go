@@ -373,12 +373,12 @@ func (m *Machine) NewProcess(name string, hooks Hooks) *Process {
 // AllocRegion carves size bytes out of the address space (the analog
 // of mapping a file or VirtualAlloc). Returns 0 on exhaustion.
 func (p *Process) AllocRegion(size uint32) uint32 {
-	size = (size + 15) &^ 15
-	if uint64(p.brk)+uint64(size) > uint64(len(p.Mem)) {
+	end := uint64(p.brk) + (uint64(size)+15)&^15
+	if end > uint64(len(p.Mem)) {
 		return 0
 	}
 	a := p.brk
-	p.brk += size
+	p.brk = uint32(end)
 	return a
 }
 

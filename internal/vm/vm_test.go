@@ -535,3 +535,36 @@ func TestDeterminism(t *testing.T) {
 		t.Errorf("nondeterministic: (%d,%d) vs (%d,%d)", e1, c1, e2, c2)
 	}
 }
+
+// TestAllocRefusesUnmappableSizes: a size that rounds past 4 GiB, or a
+// guest size of 2^32 or more, gets 0 and leaves the break where it
+// was, so the next allocation starts there.
+func TestAllocRefusesUnmappableSizes(t *testing.T) {
+	p, _ := newProc(t, "alloc", []isa.Instr{
+		{Op: isa.MOVI, A: 1, Imm: 1},
+		{Op: isa.MOVI, A: 2, Imm: 32},
+		{Op: isa.SHL, A: 1, B: 1, C: 2},
+		{Op: isa.ADDI, A: 1, B: 1, Imm: 16},
+		{Op: isa.SYS, Imm: isa.SysAlloc}, // alloc(2^32 + 16)
+		{Op: isa.MOV, A: 5, B: isa.RV},
+		{Op: isa.MOVI, A: 1, Imm: 16},
+		{Op: isa.SYS, Imm: isa.SysAlloc}, // alloc(16)
+		{Op: isa.MOV, A: 1, B: isa.RV},
+		{Op: isa.BEQI, A: 5, C: 0, Imm: 11},
+		{Op: isa.MOVI, A: 1, Imm: 1},
+		{Op: isa.SYS, Imm: isa.SysExit}, // 11: exit(second address), or 1
+	})
+	if _, err := p.StartMain(0); err != nil {
+		t.Fatal(err)
+	}
+	brk := p.brk
+	if a := p.AllocRegion(0xFFFFFFF8); a != 0 || p.brk != brk {
+		t.Errorf("AllocRegion(0xFFFFFFF8) = %d with the break at %d, want 0 with it unmoved at %d", a, p.brk, brk)
+	}
+	if err := RunProcess(p, 1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if p.ExitCode != int(brk) {
+		t.Errorf("alloc(2^32+16) then alloc(16): exit %d, want 0 then the old break %d", p.ExitCode, brk)
+	}
+}

@@ -19,12 +19,17 @@ var (
 	testCite   = regexp.MustCompile(`\b(?:([a-z][a-z0-9]*)\.)?((?:Test|Fuzz)[A-Z0-9_]\w*)`)
 )
 
+// designMaxLines bounds DESIGN.md: a description of the system that
+// exists, not a history of it.
+const designMaxLines = 700
+
 // TestDocReferencesResolve keeps the docs' pointers true. Every
 // "DESIGN.md §N" in the Go sources outside bench/, README.md,
 // EXPERIMENTS.md, the Makefile and the verify skill must name a
 // "## N." heading of DESIGN.md; every Test…/Fuzz… name DESIGN.md or
 // README.md cites must be a function of some _test.go file, and one
-// cited as pkg.TestX must live in a directory named pkg.
+// cited as pkg.TestX must live in a directory named pkg. DESIGN.md
+// holds at most designMaxLines lines.
 func TestDocReferencesResolve(t *testing.T) {
 	const repo = "../.."
 	read := func(rel string) string {
@@ -35,8 +40,12 @@ func TestDocReferencesResolve(t *testing.T) {
 		return string(b)
 	}
 
+	design := read("DESIGN.md")
+	if n := strings.Count(design, "\n"); n > designMaxLines {
+		t.Errorf("DESIGN.md is %d lines, more than %d", n, designMaxLines)
+	}
 	sections := map[string]bool{}
-	for _, m := range designHeading.FindAllStringSubmatch(read("DESIGN.md"), -1) {
+	for _, m := range designHeading.FindAllStringSubmatch(design, -1) {
 		sections[m[1]] = true
 	}
 	citing := []string{"README.md", "EXPERIMENTS.md", "Makefile", filepath.Join(".claude", "skills", "verify", "SKILL.md")}

@@ -2,8 +2,10 @@ package main
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path"
 	"path/filepath"
@@ -32,7 +34,6 @@ var uncalledExports = map[string]string{
 	"internal/recon.SnapSource":             "the in-memory snap source tests in several packages share",
 	"internal/recon.RenderThread":           "the one-thread renderer tests in several packages share",
 	"internal/minic.MustCompile":            "the compile-or-panic helper tests in several packages share",
-	"internal/archive.DecodeIndex":          "FuzzArchiveIndex's fixed-point check decodes index.json with it",
 	"internal/collect.Server.Draining":      "the drain tests read the daemon's state with it",
 	"internal/archive.Archive.Root":         "the collect tests read the journal file under it",
 }
@@ -332,3 +333,143 @@ func recvName(e ast.Expr) string {
 		}
 	}
 }
+
+// storedTypes are the types a snap, a mapfile or the warehouse journal
+// stores on disk.
+var storedTypes = []string{
+	"internal/snap.Snap", "internal/snap.ModuleInfo", "internal/snap.BufferDump", "internal/snap.NondetLog",
+	"internal/module.MapFile", "internal/module.MapDAG", "internal/module.MapBlock", "internal/module.LineSpan", "internal/module.Global",
+	"internal/archive.JournalRecord",
+}
+
+// unreadFields are the stored fields no production code reads, each
+// with the reason it stays.
+var unreadFields = map[string]string{
+	"internal/snap.ModuleInfo.Unloaded": "open question (ROADMAP): snap.ModuleForDAG ignores it, so after an unload whose DAG range tbrt.chooseBase gives to another module, records of both resolve through one mapfile",
+	"internal/snap.Snap.FaultAddr":      "the trace's exception record carries the same address; it goes with ROADMAP item 1's re-encoding of the snap, which changes every snap's bytes anyway",
+}
+
+// TestStoredFieldsHaveReaders keeps what is stored to what something
+// reads. Every field of a stored type must be read in some non-test
+// file, bench/ included: a selector x.F, resolved by the type checker,
+// that is not the target of an assignment or an increment. JSON
+// encoding and decoding do not count. A field nothing reads is bytes
+// every snap, mapfile or journal line carries for no one: delete it,
+// or give it a reason on unreadFields.
+func TestStoredFieldsHaveReaders(t *testing.T) {
+	const repo = "../.."
+	fset := token.NewFileSet()
+	files := map[string][]*ast.File{}       // import path → non-test files
+	targets := map[*ast.SelectorExpr]bool{} // assigned or incremented selectors
+	err := filepath.WalkDir(repo, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != repo && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		rel, err := filepath.Rel(repo, filepath.Dir(p))
+		if err != nil {
+			return err
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ip := path.Join("traceback", filepath.ToSlash(rel))
+		files[ip] = append(files[ip], f)
+		ast.Inspect(f, func(n ast.Node) bool {
+			var lhs []ast.Expr
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				lhs = n.Lhs
+			case *ast.IncDecStmt:
+				lhs = []ast.Expr{n.X}
+			}
+			for _, e := range lhs {
+				if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+					targets[sel] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Type-check every package from source, this module's imports
+	// through the same cache, so a field is one object everywhere.
+	std := importer.Default()
+	checked := map[string]*types.Package{}
+	info := &types.Info{Selections: map[*ast.SelectorExpr]*types.Selection{}}
+	var imp importerFunc
+	imp = func(ip string) (*types.Package, error) {
+		if pkg := checked[ip]; pkg != nil {
+			return pkg, nil
+		}
+		if files[ip] == nil {
+			return std.Import(ip)
+		}
+		pkg, err := (&types.Config{Importer: imp}).Check(ip, fset, files[ip], info)
+		checked[ip] = pkg
+		return pkg, err
+	}
+	for ip := range files {
+		if _, err := imp(ip); err != nil {
+			t.Fatalf("type-checking %s: %v", ip, err)
+		}
+	}
+
+	name := map[*types.Var]string{} // stored field → "<dir>.<Type>.<Field>"
+	for _, st := range storedTypes {
+		dot := strings.LastIndexByte(st, '.')
+		obj := checked["traceback/"+st[:dot]].Scope().Lookup(st[dot+1:])
+		s, ok := obj.Type().Underlying().(*types.Struct)
+		if !ok {
+			t.Fatalf("stored type %s is not a struct", st)
+		}
+		for i := 0; i < s.NumFields(); i++ {
+			name[s.Field(i)] = st + "." + s.Field(i).Name()
+		}
+	}
+	read := map[string]bool{}
+	for sel, s := range info.Selections {
+		if v, ok := s.Obj().(*types.Var); ok && s.Kind() == types.FieldVal && !targets[sel] {
+			read[name[v]] = true
+		}
+	}
+
+	var problems []string
+	declared := map[string]bool{}
+	for _, n := range name {
+		declared[n] = true
+		_, allowed := unreadFields[n]
+		switch {
+		case allowed && read[n]:
+			problems = append(problems, n+" is read by production code now; take it off unreadFields")
+		case !allowed && !read[n]:
+			problems = append(problems, n+" is stored, but no non-test code reads it; delete it or read it")
+		}
+	}
+	for n := range unreadFields {
+		if !declared[n] {
+			problems = append(problems, n+" is on unreadFields but is no stored field")
+		}
+	}
+	sort.Strings(problems)
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

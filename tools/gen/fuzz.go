@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"encoding/json"
 	"path/filepath"
 
+	"traceback/internal/archive"
 	"traceback/internal/snap"
 	"traceback/internal/trace"
 )
@@ -32,7 +34,8 @@ func (d *seedDir) words(name string, ws []uint32) {
 }
 
 // genFuzz writes the hand-picked seeds of the two decoders every snap
-// passes through: FuzzTraceRecordDecode and FuzzSnapReader.
+// passes through, FuzzTraceRecordDecode and FuzzSnapReader, and of the
+// warehouse's journal scanner, FuzzArchiveIndex.
 func genFuzz(root string) error {
 	td := &seedDir{dir: filepath.Join(root, "internal", "trace", "testdata", "fuzz", "FuzzTraceRecordDecode")}
 	var ws []uint32
@@ -59,13 +62,12 @@ func genFuzz(root string) error {
 		Time: 123456,
 		Modules: []snap.ModuleInfo{{
 			Name: "m", Checksum: "00ff", ActualDAGBase: 1, DAGCount: 2,
-			CodeBase: 0x1000, CodeLen: 64, DataBase: 0x2000, DataDump: []byte{1, 2, 3},
+			CodeBase: 0x1000, CodeLen: 64, DataDump: []byte{1, 2, 3},
 		}},
 		Buffers: []snap.BufferDump{{
 			Kind: snap.BufMain, OwnerTID: 1, LastPtr: 3, LastKnown: true,
 			SubWords: 4, Raw: []byte{0xAA, 0, 0, 0x80, 0xFF, 0xFF, 0xFF, 0xFF},
 		}},
-		Partners: []uint64{9},
 	}
 	var plain, zipped, junkz, bomb bytes.Buffer
 	if err := valid.Save(&plain); err != nil {
@@ -95,7 +97,7 @@ func genFuzz(root string) error {
 	// Fuzzer-found: case-insensitive JSON field matching can populate
 	// an omitempty slice with a present-but-empty value, a form Save
 	// never emits (canonicalized on first save).
-	sd.add("case-insensitive-empty-partners", []byte(`{"pArtners":[]}`))
+	sd.add("case-insensitive-empty-datadump", []byte(`{"modules":[{"dAtaDump":""}]}`))
 	sd.add("inflate-bomb", bomb.Bytes())
 	// The canonical JSON behind another gzip level, and followed by a
 	// second value: LoadCanonical must hand back every byte of the JSON
@@ -114,5 +116,43 @@ func genFuzz(root string) error {
 	}
 	sd.add("valid-gzip-bestspeed", fast.Bytes())
 	sd.add("valid-json-trailing-bytes", append(bytes.Clone(plain.Bytes()), `{"host":"x"}`...))
-	return sd.err
+	if sd.err != nil {
+		return sd.err
+	}
+
+	// Journal lines as Ingest and GC write them, the index bytes they
+	// reduce to, and the torn and corrupt variants the scanner exists
+	// to classify.
+	jd := &seedDir{dir: filepath.Join(root, "internal", "archive", "testdata", "fuzz", "FuzzArchiveIndex")}
+	ing := archive.JournalRecord{
+		V: 1, Op: archive.OpIngest,
+		Sum: "8f2e77aea6370000", Sig: "ee2180a7c9368aee",
+		Title: "exception at app.mc:14 in average (app)",
+		Host:  "prod-host", Process: "app", Reason: "exception SIGFPE",
+		Time: 4242, Bytes: 512,
+	}
+	ing2 := ing
+	ing2.Sum, ing2.Host, ing2.Time = "0880a607c3790000", "host-b", 9000
+	gc := archive.JournalRecord{V: 1, Op: archive.OpGC, Removed: []string{ing.Sum}}
+	recs := []archive.JournalRecord{ing, ing2, gc}
+	var journal []byte
+	for _, r := range recs {
+		line, err := json.Marshal(r)
+		if err != nil {
+			return err
+		}
+		journal = append(append(journal, line...), '\n')
+	}
+	jd.add("seed-journal", journal)
+	jd.add("seed-one-line", journal[:bytes.IndexByte(journal, '\n')+1])
+	jd.add("seed-torn-tail", journal[:len(journal)-7])
+	idx, err := archive.IndexBytesOf(recs)
+	if err != nil {
+		return err
+	}
+	jd.add("seed-index", idx)
+	jd.add("seed-bad-version", []byte(`{"v":99,"op":"ingest","sum":"x","sig":"y"}`+"\n"))
+	jd.add("seed-bad-op", []byte(`{"v":1,"op":"shred","sum":"x"}`+"\n"))
+	jd.add("seed-empty-gc", []byte(`{"v":1,"op":"gc"}`+"\n"))
+	return jd.err
 }

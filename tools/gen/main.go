@@ -35,7 +35,7 @@ var trees = []struct {
 	{"snaps", "snaps/: the example scenarios' snap fleet and its mapfiles", genSnaps},
 	{"regressions", "snaps/regressions/: the fault-campaign regression corpus", genRegressions},
 	{"broken", "internal/verify/testdata/corpus/: seeded-broken modules and fleets, with their fuzz seeds", genBroken},
-	{"fuzz", "internal/{trace,snap}/testdata/fuzz/: decoder fuzz seeds", genFuzz},
+	{"fuzz", "internal/{trace,snap,archive}/testdata/fuzz/: decoder fuzz seeds", genFuzz},
 	{"tables", tablesFile + ": the paper's §6 tables, measured at the published scale", genTables},
 }
 
