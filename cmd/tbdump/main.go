@@ -146,7 +146,7 @@ func dumpEvents(w io.Writer, d *telemetry.EventDump) {
 }
 
 // dumpNondet renders a snap's embedded record-and-replay section:
-// the provenance line, then the decoded nondeterminism stream, one
+// the provenance line, then the nondeterminism stream, one
 // event per line in recorded order, with signal numbers resolved to
 // names. This is the log tbreplay re-executes.
 func dumpNondet(w io.Writer, s *snap.Snap) error {
@@ -154,10 +154,6 @@ func dumpNondet(w io.Writer, s *snap.Snap) error {
 		return fmt.Errorf("%s/%s: no nondet section (was the run recorded? see tbfault -record)", s.Process, s.Reason)
 	}
 	n := s.Nondet
-	recs, err := trace.DecodeNondet(n.Words())
-	if err != nil {
-		return err
-	}
 	prov := ""
 	if n.Wrap {
 		prov += " wrap"
@@ -165,9 +161,8 @@ func dumpNondet(w io.Writer, s *snap.Snap) error {
 	if n.Trial {
 		prov += " trial"
 	}
-	fmt.Fprintf(w, "nondet recording v%d: scenario %s%s · %d event(s) · checkpoint interval %d\n",
-		n.V, n.Scenario, prov, len(recs), n.Interval)
-	for i, r := range recs {
+	fmt.Fprintf(w, "nondet recording v%d: scenario %s%s · %d event(s)\n", n.V, n.Scenario, prov, len(n.Events))
+	for i, r := range n.Events {
 		line := r.String()
 		if r.Kind == trace.NDSignal {
 			line += " (" + vm.SignalName(int(r.Sig)) + ")"

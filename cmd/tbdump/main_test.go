@@ -81,7 +81,7 @@ func TestDumpPlainSnapIsNotAMap(t *testing.T) {
 // its events, and refuses a snap that carries no recording.
 func TestDumpNondet(t *testing.T) {
 	code, out, errs := tbdump(t, "-nondet", filepath.Join(snapsDir, "regressions", "managed-interrupt-1.snap.json.gz"))
-	if code != 0 || !strings.HasPrefix(out, "nondet recording v1: scenario petshop trial · ") ||
+	if code != 0 || !strings.HasPrefix(out, "nondet recording v2: scenario petshop trial · ") ||
 		!strings.Contains(out, " managed-interrupt exc=") {
 		t.Errorf("exit %d, stdout %q, stderr %q", code, out, errs)
 	}

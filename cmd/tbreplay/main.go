@@ -46,7 +46,6 @@ type output struct {
 	Trial      bool               `json:"trial,omitempty"`
 	Wrap       bool               `json:"wrap,omitempty"`
 	Events     int                `json:"events"`
-	Interval   uint64             `json:"interval"`
 	Snaps      []string           `json:"snaps"`
 	Identical  bool               `json:"identical"`
 	Divergence *replay.Divergence `json:"divergence,omitempty"`
@@ -84,12 +83,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	l, err := replay.FromSnap(snaps[0])
 	if err != nil {
-		return fail(fmt.Errorf("%s: %w (was the run recorded? see tbfault -record)", fs.Arg(0), err))
+		return fail(fmt.Errorf("%s: %w", fs.Arg(0), err))
 	}
 
 	out := output{
 		Scenario: l.Scenario, Trial: l.Trial, Wrap: l.Wrap,
-		Events: len(l.Events), Interval: l.Interval,
+		Events: len(l.Events),
 	}
 
 	var res *replay.Result
@@ -193,8 +192,7 @@ func printText(w io.Writer, out *output) {
 	if out.Trial {
 		kind = "trial"
 	}
-	fmt.Fprintf(w, "replay: %s %s · %d recorded event(s) · checkpoint interval %d\n",
-		kind, out.Scenario, out.Events, out.Interval)
+	fmt.Fprintf(w, "replay: %s %s · %d recorded event(s)\n", kind, out.Scenario, out.Events)
 	if out.Mutation != "" {
 		fmt.Fprintf(w, "replay: perturbation: %s\n", out.Mutation)
 	}

@@ -21,7 +21,9 @@ func record(t *testing.T) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Attach(res.Snaps)
+	for _, s := range res.Snaps {
+		s.Nondet = l
+	}
 	dir := t.TempDir()
 	var paths []string
 	for i, s := range res.Snaps {
@@ -90,7 +92,9 @@ func TestReplayCLIDivergence(t *testing.T) {
 			break
 		}
 	}
-	l.Attach(res.Snaps)
+	for _, s := range res.Snaps {
+		s.Nondet = l
+	}
 	dir := t.TempDir()
 	p := filepath.Join(dir, "bad.snap.json")
 	f, err := os.Create(p)
@@ -141,6 +145,25 @@ func TestReplayCLINoRecording(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{p}, &out, &errb); code != 2 {
 		t.Fatalf("exit %d, want 2; stderr: %s", code, errb.String())
+	}
+}
+
+// TestReplayCLIRefusesUnreadableRecording: a recording that holds an
+// unknown record kind, or is of version 1, is a usage error (exit 2)
+// naming the reason, with no replay attempted.
+func TestReplayCLIRefusesUnreadableRecording(t *testing.T) {
+	for _, c := range []struct{ name, section, want string }{
+		{"unknown-kind", `{"v":2,"scenario":"quickstart","events":[{"kind":153}]}`, "unknown kind 153"},
+		{"version-1", `{"v":1,"scenario":"quickstart","interval":64,"raw":"AQBETg=="}`, "re-record"},
+	} {
+		p := filepath.Join(t.TempDir(), c.name+".snap.json")
+		if err := os.WriteFile(p, []byte(`{"process":"app","reason":"api","nondet":`+c.section+`}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out, errb bytes.Buffer
+		if code := run([]string{p}, &out, &errb); code != 2 || out.Len() != 0 || !strings.Contains(errb.String(), c.want) {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 2 naming %q", c.name, code, out.String(), errb.String(), c.want)
+		}
 	}
 }
 

@@ -134,7 +134,6 @@ type Config struct {
 // Campaign is one seeded fault-injection sweep.
 type Campaign struct {
 	cfg Config
-	reg *telemetry.Registry
 	rec *telemetry.Recorder
 	met campaignMetrics
 
@@ -177,7 +176,6 @@ func New(cfg Config) (*Campaign, error) {
 	}
 	c := &Campaign{
 		cfg:   cfg,
-		reg:   reg,
 		rec:   reg.Recorder(256),
 		spans: map[string]baseline{},
 	}
@@ -196,9 +194,6 @@ func New(cfg Config) (*Campaign, error) {
 	}
 	return c, nil
 }
-
-// Metrics returns the campaign's registry (fault_* counters).
-func (c *Campaign) Metrics() *telemetry.Registry { return c.reg }
 
 func (c *Campaign) wantScenario(name string) bool {
 	if len(c.cfg.Scenarios) == 0 {

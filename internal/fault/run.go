@@ -74,7 +74,7 @@ func (c *Campaign) runTrial(idx int, kind, scen string, sub int64) (*TrialReport
 	setup.World.SetInjector(in)
 	var rec *replay.Recorder
 	if c.cfg.Record {
-		rec = replay.NewRecorder(0)
+		rec = &replay.Recorder{}
 		setup.World.SetRecorder(rec)
 	}
 	c.met.trials.Inc()
@@ -116,7 +116,7 @@ func (c *Campaign) runTrial(idx int, kind, scen string, sub int64) (*TrialReport
 // byte-identity with the original — the replay-identical invariant.
 // On success the harvest is stamped with its recording so committed
 // evidence replays standalone.
-func (c *Campaign) replayVerify(tr *TrialReport, l *replay.Log, snaps []*snap.Snap) {
+func (c *Campaign) replayVerify(tr *TrialReport, l *snap.NondetLog, snaps []*snap.Snap) {
 	violate := func(detail string) {
 		tr.Violations = append(tr.Violations, Violation{Invariant: InvReplay, Detail: detail})
 		c.met.violations.Inc()
@@ -141,7 +141,9 @@ func (c *Campaign) replayVerify(tr *TrialReport, l *replay.Log, snaps []*snap.Sn
 		return
 	}
 	tr.Replayed = true
-	l.Attach(snaps)
+	for _, s := range snaps {
+		s.Nondet = l
+	}
 }
 
 // runManaged executes the managed-runtime trial: the PetShop workload
@@ -181,7 +183,7 @@ func (c *Campaign) runManaged(idx int, sub int64) (*TrialReport, []*snap.Snap, [
 	}
 	var rec *replay.Recorder
 	if c.cfg.Record {
-		rec = replay.NewRecorder(0)
+		rec = &replay.Recorder{}
 	}
 	var q uint64
 	fired := false

@@ -228,13 +228,6 @@ type DAGBaseFile struct {
 	Bases map[string]uint32 `json:"bases"`
 }
 
-// SaveDAGBases writes the base file as JSON.
-func (d *DAGBaseFile) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(d)
-}
-
 // LoadDAGBases reads a DAG base file.
 func LoadDAGBases(r io.Reader) (*DAGBaseFile, error) {
 	var d DAGBaseFile

@@ -2,6 +2,7 @@ package module
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -335,7 +336,7 @@ func TestLoadMapFileRejectsOtherJSON(t *testing.T) {
 func TestDAGBaseFileRoundTrip(t *testing.T) {
 	d := &DAGBaseFile{Bases: map[string]uint32{"app": 0, "lib": 4096}}
 	var buf bytes.Buffer
-	if err := d.Save(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(d); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadDAGBases(&buf)

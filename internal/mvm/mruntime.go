@@ -98,7 +98,7 @@ func (rt *ManagedRuntime) onUncaught(t *MThread, code int) {
 		key := fmt.Sprintf("uncaught/%d", code)
 		rt.suppress[key]++
 		if rt.suppress[key] <= 1 {
-			rt.takeSnap("exception uncaught "+ExcName(code), t, code, 0)
+			rt.takeSnap("exception uncaught "+ExcName(code), t, code)
 		}
 	}
 	rt.onThreadEnd(t)
@@ -106,10 +106,10 @@ func (rt *ManagedRuntime) onUncaught(t *MThread, code int) {
 
 // TakeSnap snapshots the managed runtime's buffers.
 func (rt *ManagedRuntime) TakeSnap(reason string) *snap.Snap {
-	return rt.takeSnap(reason, nil, 0, 0)
+	return rt.takeSnap(reason, nil, 0)
 }
 
-func (rt *ManagedRuntime) takeSnap(reason string, t *MThread, code int, addr uint64) *snap.Snap {
+func (rt *ManagedRuntime) takeSnap(reason string, t *MThread, code int) *snap.Snap {
 	host := rt.v.Machine.Name
 	proc := rt.v.Name
 	s := &snap.Snap{
@@ -118,7 +118,6 @@ func (rt *ManagedRuntime) takeSnap(reason string, t *MThread, code int, addr uin
 		RuntimeID: rt.v.ID,
 		Reason:    reason,
 		Signal:    code,
-		FaultAddr: addr,
 		Time:      rt.now(),
 	}
 	if t != nil {
@@ -206,7 +205,7 @@ func (v *VM) callNative(t *MThread, f *mframe, nb NativeBinding) {
 	if v.Proc.Exited {
 		// The native side crashed; the managed runtime snaps so the
 		// cross-language trace survives on both sides.
-		v.rt.takeSnap("exception native process died", t, ExcNativeDied, v.codeAddr(f))
+		v.rt.takeSnap("exception native process died", t, ExcNativeDied)
 		v.throw(t, ExcNativeDied)
 		return
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"traceback/internal/mvm"
+	"traceback/internal/snap"
 	"traceback/internal/trace"
 	"traceback/internal/vm"
 )
@@ -57,7 +58,7 @@ func (d *Divergence) Error() string {
 // stops firing and observing (the run is allowed to wind down under
 // its step budget) and Finish reports the latched state.
 type Driver struct {
-	log    *Log
+	log    *snap.NondetLog
 	strict bool
 	rec    *Recorder
 
@@ -80,11 +81,11 @@ type rpcKey struct {
 // checking (replay verification); non-strict replays the log's
 // perturbations without checking, which is what replay-under-
 // perturbation wants (a mutated log is SUPPOSED to diverge).
-func NewDriver(l *Log, strict bool) *Driver {
+func NewDriver(l *snap.NondetLog, strict bool) *Driver {
 	d := &Driver{
 		log:    l,
 		strict: strict,
-		rec:    NewRecorder(l.Interval),
+		rec:    &Recorder{},
 		rpc:    map[rpcKey]trace.NondetRecord{},
 	}
 	for _, ev := range l.Events {

@@ -20,9 +20,8 @@ import (
 )
 
 // DefaultInterval is the quantum-checkpoint period: one NDQuantum
-// record per this many scheduling quanta. Smaller catches divergence
-// earlier; larger shrinks the log. 64 matches the VM's instruction
-// slice — roughly one checkpoint per 4096 instructions.
+// record per this many scheduling quanta. 64 matches the VM's
+// instruction slice — roughly one checkpoint per 4096 instructions.
 const DefaultInterval = 64
 
 // ManagedScenario is the scenario name recorded for managed-runtime
@@ -30,73 +29,31 @@ const DefaultInterval = 64
 // than a scenario.Builders entry.
 const ManagedScenario = "petshop"
 
-// Log is a decoded nondeterminism recording plus the provenance
-// needed to rebuild the world it came from.
-type Log struct {
-	// Scenario names the world builder (a scenario.Builders name, or
-	// ManagedScenario for the managed runtime).
-	Scenario string
-	// Wrap marks a tiny-buffer (wrap-stress) runtime config; Trial a
-	// fault-campaign-style harvest (see HarvestTrial).
-	Wrap  bool
-	Trial bool
-	// Interval is the checkpoint period the recording used.
-	Interval uint64
-	// Events is the recorded stream, in observation order.
-	Events []trace.NondetRecord
-}
+// logVersion is the snap.NondetLog version this package writes and
+// reads: JSON records. Version 1 held the records as binary words.
+const logVersion = 2
 
-// Section encodes the log as the optional snap section.
-func (l *Log) Section() *snap.NondetLog {
-	sec := &snap.NondetLog{
-		V:        1,
-		Scenario: l.Scenario,
-		Wrap:     l.Wrap,
-		Trial:    l.Trial,
-		Interval: l.Interval,
+// FromSnap returns the recording embedded in s. Snaps harvested with
+// recording off have none. A replay never runs from a log it cannot
+// fully account for, so a recording of another version, or one
+// holding a record kind this package does not know, is refused here,
+// before any world is built.
+func FromSnap(s *snap.Snap) (*snap.NondetLog, error) {
+	l := s.Nondet
+	switch {
+	case l == nil:
+		return nil, fmt.Errorf("replay: snap %s/%s carries no recording (was the run recorded? see tbfault -record)", s.Process, s.Reason)
+	case l.V == 1:
+		return nil, fmt.Errorf("replay: recording version 1 (binary words) is no longer read; re-record the run")
+	case l.V != logVersion:
+		return nil, fmt.Errorf("replay: unknown recording version %d", l.V)
 	}
-	sec.SetWords(trace.EncodeNondet(l.Events))
-	return sec
-}
-
-// Attach embeds the log into every snap of a harvest, so each one is
-// independently replayable.
-func (l *Log) Attach(snaps []*snap.Snap) {
-	sec := l.Section()
-	for _, s := range snaps {
-		s.Nondet = sec
+	for i, ev := range l.Events {
+		if ev.Kind < trace.NDQuantum || ev.Kind > trace.NDManaged {
+			return nil, fmt.Errorf("replay: event %d: unknown kind %d", i, uint8(ev.Kind))
+		}
 	}
-}
-
-// FromSnap decodes the recording embedded in s. Snaps written before
-// the section existed (or harvested with recording off) have none.
-func FromSnap(s *snap.Snap) (*Log, error) {
-	if s.Nondet == nil {
-		return nil, fmt.Errorf("replay: snap %s/%s carries no recording", s.Process, s.Reason)
-	}
-	return FromSection(s.Nondet)
-}
-
-// FromSection decodes a snap's nondet section.
-func FromSection(sec *snap.NondetLog) (*Log, error) {
-	if sec.V != 1 {
-		return nil, fmt.Errorf("replay: unknown recording version %d", sec.V)
-	}
-	events, err := trace.DecodeNondet(sec.Words())
-	if err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
-	}
-	interval := sec.Interval
-	if interval == 0 {
-		interval = DefaultInterval
-	}
-	return &Log{
-		Scenario: sec.Scenario,
-		Wrap:     sec.Wrap,
-		Trial:    sec.Trial,
-		Interval: interval,
-		Events:   events,
-	}, nil
+	return l, nil
 }
 
 // StrippedBytes serializes a snap with its nondet section removed —

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"traceback/internal/snap"
 	"traceback/internal/trace"
 	"traceback/internal/vm"
 )
@@ -20,7 +21,7 @@ type PerturbResult struct {
 }
 
 // Perturb replays l with one deterministic seeded mutation.
-func Perturb(l *Log, seed int64) (*PerturbResult, error) {
+func Perturb(l *snap.NondetLog, seed int64) (*PerturbResult, error) {
 	rng := rand.New(rand.NewSource(seed))
 	ml, desc := mutate(l, rng)
 	res, err := runWith(ml, false)
@@ -34,8 +35,9 @@ func Perturb(l *Log, seed int64) (*PerturbResult, error) {
 // perturbation events get one of them shifted, dropped, or hardened;
 // clean recordings get a fresh signal injected at a recorded
 // checkpoint — every log has at least one meaningful variation.
-func mutate(l *Log, rng *rand.Rand) (*Log, string) {
-	out := &Log{Scenario: l.Scenario, Wrap: l.Wrap, Trial: l.Trial, Interval: l.Interval}
+func mutate(l *snap.NondetLog, rng *rand.Rand) (*snap.NondetLog, string) {
+	c := *l
+	out := &c
 	out.Events = append([]trace.NondetRecord(nil), l.Events...)
 
 	var cands []int

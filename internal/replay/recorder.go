@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"traceback/internal/snap"
 	"traceback/internal/trace"
 	"traceback/internal/vm"
 )
@@ -13,11 +14,9 @@ import (
 //
 // The replaying Driver embeds a Recorder and re-uses exactly this
 // observation logic, which is what makes record and replay agree on
-// field-for-field record contents by construction.
+// field-for-field record contents by construction. The zero value
+// is ready to record.
 type Recorder struct {
-	// Interval is the NDQuantum checkpoint period (0: DefaultInterval).
-	Interval uint64
-
 	events []trace.NondetRecord
 	quanta uint64 // RecordQuantum calls (native path)
 	mq     uint64 // ManagedQuantum calls (managed path)
@@ -25,25 +24,14 @@ type Recorder struct {
 	reps   uint32 // RPC reply-side consults
 }
 
-// NewRecorder returns a recorder with the given checkpoint interval
-// (0 for DefaultInterval).
-func NewRecorder(interval uint64) *Recorder {
-	if interval == 0 {
-		interval = DefaultInterval
-	}
-	return &Recorder{Interval: interval}
-}
-
-// Events returns the recorded stream (live slice; do not mutate).
-func (r *Recorder) Events() []trace.NondetRecord { return r.events }
-
-// Log packages the recording with its provenance.
-func (r *Recorder) Log(scenario string, wrap, trial bool) *Log {
-	return &Log{
+// Log packages the recording with its provenance as the snap
+// section.
+func (r *Recorder) Log(scenario string, wrap, trial bool) *snap.NondetLog {
+	return &snap.NondetLog{
+		V:        logVersion,
 		Scenario: scenario,
 		Wrap:     wrap,
 		Trial:    trial,
-		Interval: r.Interval,
 		Events:   r.events,
 	}
 }
@@ -58,11 +46,11 @@ func machIdx(m *vm.Machine) uint16 {
 	return 0
 }
 
-// RecordQuantum implements vm.Recorder: every Interval-th chosen
-// quantum becomes an NDQuantum checkpoint.
+// RecordQuantum implements vm.Recorder: every DefaultInterval-th
+// chosen quantum becomes an NDQuantum checkpoint.
 func (r *Recorder) RecordQuantum(m *vm.Machine, t *vm.Thread) {
 	r.quanta++
-	if (r.quanta-1)%r.Interval != 0 {
+	if (r.quanta-1)%DefaultInterval != 0 {
 		return
 	}
 	r.events = append(r.events, trace.NondetRecord{
@@ -172,7 +160,7 @@ func (r *Recorder) RecordRPCDeliver(to *vm.Thread, endpoint uint64, from *vm.Thr
 // it from mvm's OnQuantum with the managed quantum count q.
 func (r *Recorder) ManagedQuantum(q uint64, m *vm.Machine) {
 	r.mq++
-	if (r.mq-1)%r.Interval != 0 {
+	if (r.mq-1)%DefaultInterval != 0 {
 		return
 	}
 	r.events = append(r.events, trace.NondetRecord{

@@ -31,8 +31,8 @@ func WrapOptions() scenario.Options {
 	return scenario.Options{Config: &tbrt.Config{BufferWords: 128, SubBuffers: 4, Policy: tbrt.DefaultPolicy()}}
 }
 
-func options(l *Log) scenario.Options {
-	if l.Wrap {
+func options(wrap bool) scenario.Options {
+	if wrap {
 		return WrapOptions()
 	}
 	return scenario.Options{}
@@ -63,7 +63,7 @@ func HarvestTrial(setup *scenario.Setup) []*snap.Snap {
 
 // harvest collects per the log's provenance: trial-style or the
 // scenario's own Collect path.
-func harvest(l *Log, setup *scenario.Setup) ([]*snap.Snap, error) {
+func harvest(l *snap.NondetLog, setup *scenario.Setup) ([]*snap.Snap, error) {
 	if l.Trial {
 		return HarvestTrial(setup), nil
 	}
@@ -75,14 +75,15 @@ func harvest(l *Log, setup *scenario.Setup) ([]*snap.Snap, error) {
 }
 
 // Record runs a scenario with recording on and returns the log plus
-// the harvest (whose snaps do NOT carry the section — call
-// Log.Attach for that). Provenance mirrors the arguments.
-func Record(name string, wrap, trial bool) (*Log, *Result, error) {
-	setup, err := scenario.Build(name, options(&Log{Wrap: wrap}))
+// the harvest (whose snaps do NOT carry the section — set each
+// snap's Nondet to the log for that). Provenance mirrors the
+// arguments.
+func Record(name string, wrap, trial bool) (*snap.NondetLog, *Result, error) {
+	setup, err := scenario.Build(name, options(wrap))
 	if err != nil {
 		return nil, nil, err
 	}
-	rec := NewRecorder(0)
+	rec := &Recorder{}
 	setup.World.SetRecorder(rec)
 	setup.Run(0)
 	l := rec.Log(name, wrap, trial)
@@ -98,15 +99,15 @@ func Record(name string, wrap, trial bool) (*Log, *Result, error) {
 // re-observed decision is checked. A non-nil Result.Divergence means
 // the replay stopped conforming; err is reserved for environmental
 // failures (the scenario cannot even be built).
-func Run(l *Log) (*Result, error) {
+func Run(l *snap.NondetLog) (*Result, error) {
 	return runWith(l, true)
 }
 
-func runWith(l *Log, strict bool) (*Result, error) {
+func runWith(l *snap.NondetLog, strict bool) (*Result, error) {
 	if l.Scenario == ManagedScenario {
 		return runManaged(l, strict)
 	}
-	setup, err := scenario.Build(l.Scenario, options(l))
+	setup, err := scenario.Build(l.Scenario, options(l.Wrap))
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +159,7 @@ func BuildPetShop() (*mvm.VM, []*mvm.MThread, *module.MapFile, error) {
 	return v, threads, mf, nil
 }
 
-func runManaged(l *Log, strict bool) (*Result, error) {
+func runManaged(l *snap.NondetLog, strict bool) (*Result, error) {
 	v, threads, mf, err := BuildPetShop()
 	if err != nil {
 		return nil, err
@@ -178,7 +179,7 @@ func runManaged(l *Log, strict bool) (*Result, error) {
 // byte-identical (nondet sections excluded) to the original snaps,
 // positionally. Any mismatch lands in Result.Divergence; Identical is
 // set only on a full match with zero divergence.
-func Verify(l *Log, originals []*snap.Snap) (*Result, error) {
+func Verify(l *snap.NondetLog, originals []*snap.Snap) (*Result, error) {
 	res, err := Run(l)
 	if err != nil {
 		return nil, err

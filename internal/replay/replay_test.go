@@ -3,6 +3,7 @@ package replay
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -78,7 +79,7 @@ func recordingParity(t *testing.T, name string) {
 			t.Fatal(err)
 		}
 		if record {
-			setup.World.SetRecorder(NewRecorder(0))
+			setup.World.SetRecorder(&Recorder{})
 		}
 		setup.Run(0)
 		b, err := setup.Collect()
@@ -152,7 +153,7 @@ func TestDivergenceDetected(t *testing.T) {
 	}
 
 	t.Run("event-mismatch", func(t *testing.T) {
-		bad := &Log{Scenario: l.Scenario, Interval: l.Interval}
+		bad := &snap.NondetLog{V: l.V, Scenario: l.Scenario}
 		bad.Events = append([]trace.NondetRecord(nil), l.Events...)
 		ck := -1
 		for i, ev := range bad.Events {
@@ -175,7 +176,7 @@ func TestDivergenceDetected(t *testing.T) {
 	t.Run("log-exhausted", func(t *testing.T) {
 		// A torn log: the tail event never arrives (quickstart records
 		// one event, so nothing does).
-		bad := &Log{Scenario: l.Scenario, Interval: l.Interval}
+		bad := &snap.NondetLog{V: l.V, Scenario: l.Scenario}
 		bad.Events = append([]trace.NondetRecord(nil), l.Events[:len(l.Events)-1]...)
 		res, err := Run(bad)
 		if err != nil {
@@ -191,7 +192,9 @@ func TestSectionRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Attach(res.Snaps)
+	for _, s := range res.Snaps {
+		s.Nondet = l
+	}
 	var buf bytes.Buffer
 	if err := res.Snaps[0].Save(&buf); err != nil {
 		t.Fatal(err)
@@ -204,13 +207,8 @@ func TestSectionRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l2.Scenario != l.Scenario || l2.Interval != l.Interval || len(l2.Events) != len(l.Events) {
-		t.Fatalf("provenance lost: %+v", l2)
-	}
-	for i := range l.Events {
-		if l.Events[i] != l2.Events[i] {
-			t.Fatalf("event %d changed across the section", i)
-		}
+	if !reflect.DeepEqual(l2, l) {
+		t.Fatalf("recording changed across the section: %+v, want %+v", l2, l)
 	}
 	// And the replay from the embedded section verifies too.
 	v, err := Verify(l2, res.Snaps)
@@ -219,6 +217,32 @@ func TestSectionRoundtrip(t *testing.T) {
 	}
 	if !v.Identical || v.Divergence != nil {
 		t.Fatalf("replay from section failed: %v", v.Divergence)
+	}
+}
+
+// TestFromSnapRefusals: a recording of another version, or one that
+// holds a record kind replay does not know, is refused with an error
+// before any world is built. A version-1 section (binary words) is
+// told to be re-recorded.
+func TestFromSnapRefusals(t *testing.T) {
+	for _, c := range []struct {
+		name, section, want string
+	}{
+		{"unknown-kind", `{"v":2,"scenario":"quickstart","events":[{"kind":1,"quantum":1},{"kind":153}]}`, "event 1: unknown kind 153"},
+		{"zero-kind", `{"v":2,"scenario":"quickstart","events":[{"quantum":1}]}`, "event 0: unknown kind 0"},
+		{"version-1", `{"v":1,"scenario":"quickstart","interval":64,"raw":"AQBETg=="}`, "re-record"},
+		{"version-3", `{"v":3,"scenario":"quickstart","events":[]}`, "unknown recording version 3"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := loadSnap([]byte(`{"process":"app","reason":"api","nondet":` + c.section + `}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := FromSnap(s)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("FromSnap = %+v, %v; want an error naming %q", l, err, c.want)
+			}
+		})
 	}
 }
 
@@ -249,7 +273,7 @@ func TestManagedRecordReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := NewRecorder(0)
+	rec := &Recorder{}
 	var q uint64
 	fired := false
 	v.OnQuantum = managedRecordHook(rec, &q, &fired, 40, 1)

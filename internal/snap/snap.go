@@ -11,6 +11,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"traceback/internal/trace"
 )
 
 // BufferKind classifies a dumped buffer.
@@ -47,7 +49,6 @@ type ModuleInfo struct {
 	DAGCount      uint32 `json:"dagCount"`
 	CodeBase      uint32 `json:"codeBase"`
 	CodeLen       uint32 `json:"codeLen"`
-	Unloaded      bool   `json:"unloaded,omitempty"`
 	BadDAG        bool   `json:"badDag,omitempty"` // runtime exhausted the ID space for this module
 	// DataDump captures the module's data segment at snap time (the
 	// paper's §3.6 memory dump, letting the viewer display variable
@@ -91,12 +92,12 @@ func (b *BufferDump) SetWords(words []uint32) {
 	}
 }
 
-// NondetLog is the optional record-and-replay section: the encoded
-// nondeterminism log (trace.EncodeNondet words, little-endian) of the
-// run that produced the snap, plus the provenance internal/replay
-// needs to rebuild the same world. The section is format-versioned
-// and optional — snaps written before it existed decode with Nondet
-// nil and replay is simply unavailable for them.
+// NondetLog is the optional record-and-replay section: the
+// nondeterminism log of the run that produced the snap, plus the
+// provenance internal/replay needs to rebuild the same world. One
+// type serves from recorder to replay. The section is
+// format-versioned and optional — snaps written without it decode
+// with Nondet nil and replay is simply unavailable for them.
 type NondetLog struct {
 	// V is the section format version (bump on layout change).
 	V int `json:"v"`
@@ -109,27 +110,8 @@ type NondetLog struct {
 	// own Collect path.
 	Wrap  bool `json:"wrap,omitempty"`
 	Trial bool `json:"trial,omitempty"`
-	// Interval is the quantum-checkpoint period the recording used.
-	Interval uint64 `json:"interval"`
-	// Raw holds the encoded log words, little-endian.
-	Raw []byte `json:"raw"`
-}
-
-// Words decodes the raw bytes into log words.
-func (n *NondetLog) Words() []uint32 {
-	out := make([]uint32, len(n.Raw)/4)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(n.Raw[i*4:])
-	}
-	return out
-}
-
-// SetWords encodes words into Raw.
-func (n *NondetLog) SetWords(words []uint32) {
-	n.Raw = make([]byte, len(words)*4)
-	for i, w := range words {
-		binary.LittleEndian.PutUint32(n.Raw[i*4:], w)
-	}
+	// Events is the recorded stream, in observation order.
+	Events []trace.NondetRecord `json:"events"`
 }
 
 // Snap is a complete snapshot.
@@ -143,7 +125,6 @@ type Snap struct {
 	Reason     string `json:"reason"`
 	TriggerTID uint32 `json:"triggerTid,omitempty"`
 	Signal     int    `json:"signal,omitempty"`
-	FaultAddr  uint64 `json:"faultAddr,omitempty"`
 	Time       uint64 `json:"time"`
 
 	Modules []ModuleInfo `json:"modules"`
@@ -151,7 +132,7 @@ type Snap struct {
 
 	// Nondet, when present, carries the recorded nondeterminism log
 	// of the run that produced this snap (see NondetLog); tbreplay
-	// re-executes from it. Optional: old snaps load unchanged.
+	// re-executes from it.
 	Nondet *NondetLog `json:"nondet,omitempty"`
 }
 

@@ -12,7 +12,7 @@ import (
 func sample() *Snap {
 	s := &Snap{
 		Host: "h", Process: "p", PID: 3, RuntimeID: 77,
-		Reason: "exception SIGSEGV", TriggerTID: 1, Signal: 11, FaultAddr: 42, Time: 1000,
+		Reason: "exception SIGSEGV", TriggerTID: 1, Signal: 11, Time: 1000,
 		Modules: []ModuleInfo{
 			{Name: "app", Checksum: "aa", ActualDAGBase: 0, DAGCount: 5, CodeBase: 0, CodeLen: 100},
 			{Name: "lib", Checksum: "bb", ActualDAGBase: 5, DAGCount: 3, CodeBase: 100, CodeLen: 50},

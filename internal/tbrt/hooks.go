@@ -99,7 +99,6 @@ func (rt *Runtime) OnModuleLoad(p *vm.Process, lm *vm.LoadedModule) {
 	}
 	lm.DAGBase = base
 	rt.ranges = append(rt.ranges, dagRange{base: base, count: mod.DAGCount, checksum: mod.ChecksumHex()})
-	rt.byChecksum[mod.ChecksumHex()] = base
 	rt.fixTLS(p, lm)
 }
 
@@ -115,11 +114,19 @@ func (rt *Runtime) fixTLS(p *vm.Process, lm *vm.LoadedModule) {
 	}
 }
 
-// chooseBase picks a conflict-free DAG base: the checksum-remembered
-// base from a previous load (so reload does not leak ID space), the
-// module's default (which tbinstr -basefile sets, paper §2.3's DAG
-// base file), or the first free gap.
+// chooseBase picks a conflict-free DAG base: the range a previous
+// load of the same module kept when it was unloaded (so reload does
+// not leak ID space), the module's default (which tbinstr -basefile
+// sets, paper §2.3's DAG base file), or the first free gap. Ranges
+// of unloaded modules stay taken for every other module.
 func (rt *Runtime) chooseBase(checksum string, def, count uint32) (uint32, bool) {
+	for i, r := range rt.ranges {
+		if r.unloaded && r.checksum == checksum {
+			// OnModuleLoad records the range again.
+			rt.ranges = append(rt.ranges[:i], rt.ranges[i+1:]...)
+			return r.base, true
+		}
+	}
 	try := func(base uint32) bool {
 		if base+count > trace.MaxDAGID {
 			return false
@@ -130,9 +137,6 @@ func (rt *Runtime) chooseBase(checksum string, def, count uint32) (uint32, bool)
 			}
 		}
 		return true
-	}
-	if b, ok := rt.byChecksum[checksum]; ok && try(b) {
-		return b, true
 	}
 	if try(def) {
 		return def, true
@@ -159,13 +163,15 @@ func (rt *Runtime) chooseBase(checksum string, def, count uint32) (uint32, bool)
 	}
 }
 
-// OnModuleUnload releases the module's DAG range while remembering
-// its checksum->base association for a future reload (paper §2.3).
+// OnModuleUnload marks the module's DAG range unloaded. The range
+// stays taken while the process lives, because the buffers can still
+// hold the module's records; only a reload of the same module takes
+// it back (paper §2.3).
 func (rt *Runtime) OnModuleUnload(p *vm.Process, lm *vm.LoadedModule) {
 	sum := lm.Mod.ChecksumHex()
 	for i, r := range rt.ranges {
-		if r.checksum == sum && r.base == lm.DAGBase {
-			rt.ranges = append(rt.ranges[:i], rt.ranges[i+1:]...)
+		if r.checksum == sum && r.base == lm.DAGBase && !r.unloaded {
+			rt.ranges[i].unloaded = true
 			break
 		}
 	}

@@ -35,9 +35,6 @@ func (rt *Runtime) event(kind, detail string) {
 // Metrics returns the registry the runtime instruments itself on.
 func (rt *Runtime) Metrics() *telemetry.Registry { return rt.cfg.Telemetry }
 
-// FlightRecorder returns the runtime's event ring.
-func (rt *Runtime) FlightRecorder() *telemetry.Recorder { return rt.rec }
-
 // Wraps counts buffer sentinel hits. It and SubCommits serve the
 // benchmark and the fault campaign; read other counters via Metrics().
 func (rt *Runtime) Wraps() int { return int(rt.bufs.wraps.Load()) }

@@ -51,7 +51,7 @@ func TestRuntimeTelemetry(t *testing.T) {
 		t.Errorf("buffer gauges free=%d total=%d", free, total)
 	}
 
-	events := rt.FlightRecorder().Events()
+	events := rt.rec.Events()
 	var lastClock uint64
 	sawWrap := false
 	for _, e := range events {

@@ -86,9 +86,8 @@ type Runtime struct {
 	// bufs holds the trace buffers and each thread's assignment.
 	bufs *BufferSet
 
-	modules    []*loadedInfo
-	ranges     []dagRange
-	byChecksum map[string]uint32 // checksum -> preferred base (reload stability)
+	modules []*loadedInfo
+	ranges  []dagRange
 
 	logicalClock uint64
 
@@ -124,13 +123,13 @@ type loadedInfo struct {
 type dagRange struct {
 	base, count uint32
 	checksum    string
+	unloaded    bool // the module is gone; its records may not be
 }
 
 // NewProcess creates a process with an attached TraceBack runtime.
 func NewProcess(m *vm.Machine, name string, cfg Config) (*vm.Process, *Runtime, error) {
 	rt := &Runtime{
 		cfg:           cfg.withDefaults(),
-		byChecksum:    map[string]uint32{},
 		savedDAG:      map[int][]trace.Word{},
 		jniBound:      map[int]bool{},
 		jniReply:      map[int][]byte{},

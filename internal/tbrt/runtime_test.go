@@ -7,6 +7,7 @@ import (
 	"traceback/internal/core"
 	"traceback/internal/isa"
 	"traceback/internal/module"
+	"traceback/internal/recon"
 	"traceback/internal/snap"
 	"traceback/internal/trace"
 	"traceback/internal/vm"
@@ -248,9 +249,6 @@ func TestExceptionRecordAndSnap(t *testing.T) {
 	if exc.Code != vm.SigFpe {
 		t.Errorf("exception code = %d", exc.Code)
 	}
-	if exc.Addr != s.FaultAddr {
-		t.Errorf("exception addr %d != snap fault addr %d", exc.Addr, s.FaultAddr)
-	}
 	// The faulting instruction must be the DIV.
 	if op := p.Code[exc.Addr].Op; op != isa.DIV {
 		t.Errorf("fault addr points at %v, want div", op)
@@ -395,6 +393,75 @@ func TestReloadReusesRange(t *testing.T) {
 	}
 	if lma2.DAGBase != firstBase {
 		t.Errorf("reload base = %d, want %d (no ID-space leak)", lma2.DAGBase, firstBase)
+	}
+}
+
+// TestUnloadedRangeStaysTaken: an unloaded module keeps its DAG range
+// while the process lives, because its records can still be in the
+// buffers. A different module loaded after it, at the same default
+// base, is rebased, and a snap holding both modules' records
+// resolves each through its own mapfile.
+func TestUnloadedRangeStaysTaken(t *testing.T) {
+	modA := fig2()
+	modA.Name, modA.Files = "a", []string{"a.mc"}
+	modB := fig2()
+	modB.Name, modB.Files = "b", []string{"b.mc"}
+	modB.Code[8].Imm = 8 // a different module: another checksum
+	ra := instr(t, modA, core.Options{})
+	rb := instr(t, modB, core.Options{})
+	p, rt, mach := newRT(t, Config{})
+	// run starts res's rpc function on a thread of its own and runs it
+	// to its return.
+	run := func(lm *vm.LoadedModule, res *core.Result) uint32 {
+		f, _ := res.Module.FuncByName("rpc")
+		th, err := p.StartThread(uint64(lm.CodeBase+f.Entry), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mach.World.Run(100000, func() bool { return th.State == vm.Exited })
+		if th.State != vm.Exited {
+			t.Fatalf("%s's thread did not finish", lm.Mod.Name)
+		}
+		return uint32(th.TID)
+	}
+	lma, err := p.Load(ra.Module)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tidA := run(lma, ra)
+	p.Unload(lma)
+	lmb, err := p.Load(rb.Module)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lmb.DAGBase < lma.DAGBase+ra.Module.DAGCount && lma.DAGBase < lmb.DAGBase+rb.Module.DAGCount {
+		t.Errorf("b's DAG range [%d,%d) overlaps unloaded a's [%d,%d)",
+			lmb.DAGBase, lmb.DAGBase+rb.Module.DAGCount, lma.DAGBase, lma.DAGBase+ra.Module.DAGCount)
+	}
+	tidB := run(lmb, rb)
+
+	pt, err := recon.Reconstruct(rt.PostMortemSnap(), recon.NewMapSet(ra.Map, rb.Map))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tid, want := range map[uint32]string{tidA: "a.mc", tidB: "b.mc"} {
+		tt, ok := pt.ThreadByTID(tid)
+		if !ok {
+			t.Fatalf("no reconstructed history for tid %d", tid)
+		}
+		lines := 0
+		for _, e := range tt.Events {
+			if e.Kind != recon.EvLine {
+				continue
+			}
+			lines++
+			if e.File != want {
+				t.Errorf("tid %d: line %s:%d, want a line of %s", tid, e.File, e.Line, want)
+			}
+		}
+		if lines == 0 {
+			t.Errorf("tid %d: no line events", tid)
+		}
 	}
 }
 

@@ -90,7 +90,6 @@ func (rt *Runtime) buildSnap(reason SnapReason) *snap.Snap {
 		Reason:     reason.String(),
 		TriggerTID: uint32(reason.TID),
 		Signal:     reason.Signal,
-		FaultAddr:  reason.Addr,
 		Time:       p.Machine.Timestamp(),
 	}
 	for _, li := range rt.modules {
@@ -102,7 +101,6 @@ func (rt *Runtime) buildSnap(reason SnapReason) *snap.Snap {
 			DAGCount:      lm.Mod.DAGCount,
 			CodeBase:      lm.CodeBase,
 			CodeLen:       uint32(len(lm.Mod.Code)),
-			Unloaded:      lm.Unloaded,
 			BadDAG:        li.badDAG,
 		}
 		// Memory dump of the data segment (paper §3.6: snaps may

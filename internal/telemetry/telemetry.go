@@ -46,9 +46,6 @@ type Gauge struct {
 // Set replaces the value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add moves the value by d (negative to decrease).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 

@@ -1,19 +1,12 @@
 // Nondeterminism records: the record-and-replay extension of the
-// trace format (the rr / iReplayer line of PAPERS.md). The VM owns
-// every source of nondeterminism — scheduling quanta, asynchronous
-// signal delivery, abrupt kills, module unloads, and RPC transport —
-// so a faulted execution is exactly reproducible from a log of those
-// decisions. This file defines that log's record family and its
-// wire encoding; internal/vm emits the records through a Recorder
-// hook and internal/replay re-executes from them.
-//
-// Unlike the Figure 1 trace words (mined backward out of wrapped
-// ring buffers), the nondeterminism log is an append-only stream
-// decoded forward: a magic/version word followed by fixed-size
-// records, each a header word (kind + payload length) and a fixed
-// payload. The uniform layout trades a few words per record for a
-// decoder with no per-kind framing ambiguity — torn or corrupt input
-// is an error, never a misparse.
+// trace (the rr / iReplayer line of PAPERS.md). The VM owns every
+// source of nondeterminism — scheduling quanta, asynchronous signal
+// delivery, abrupt kills, module unloads, and RPC transport — so a
+// faulted execution is exactly reproducible from a log of those
+// decisions. This file defines that log's record family;
+// internal/vm emits the records through a Recorder hook, the snap
+// stores them as JSON beside the trace buffers, and internal/replay
+// re-executes from them.
 package trace
 
 import "fmt"
@@ -48,10 +41,9 @@ const (
 	NDRPCDeliver NondetKind = 6
 	// NDManaged is an asynchronous interrupt in the managed (mvm)
 	// runtime: Quantum counts managed scheduling quanta, TID the
-	// victim managed thread, Sig the exception code.
+	// victim managed thread, Sig the exception code. It is the last
+	// kind: replay refuses a recording that holds any other.
 	NDManaged NondetKind = 7
-
-	maxNondetKind = 7
 )
 
 func (k NondetKind) String() string {
@@ -81,118 +73,25 @@ const (
 	NDFDup   = 1 << 2
 )
 
-// NondetMagic is the stream header word: "ND" + format version 1.
-// Bump the low byte when the record layout changes; decoders reject
-// unknown versions instead of guessing.
-const NondetMagic Word = 0x4E440001
-
-// NondetRecord is one decoded nondeterminism record. Fields not
-// meaningful for a kind are zero (and must be zero for records to
-// compare equal between a recording and its replay).
+// NondetRecord is one nondeterminism record. Fields not meaningful
+// for a kind are zero (and must be zero for records to compare equal
+// between a recording and its replay); JSON omits them.
 type NondetRecord struct {
-	Kind     NondetKind
-	Quantum  uint64 // world-global scheduling quantum (managed quanta for NDManaged)
-	Machine  uint16 // machine index in the world
-	PID      uint32
-	TID      uint32
-	PID2     uint32 // sender process (NDRPCDeliver)
-	TID2     uint32 // sender thread (NDRPCDeliver)
-	Sig      int32  // signal number / managed exception code
-	PC       uint64 // pre-delivery PC (NDSignal)
-	Clock    uint64 // machine clock at the event
-	Endpoint uint64
-	Index    uint32 // RPC ordinal (NDRPCFault) or module handle (NDUnload)
-	Flags    uint32 // NDF* bits (NDRPCFault)
-	Delay    uint64 // injected delay cycles (NDRPCFault)
-	Len      uint32 // payload length (NDRPCDeliver)
-}
-
-// nondetPayloadWords is the fixed per-record payload size.
-const nondetPayloadWords = 19
-
-func nondetHeader(k NondetKind) Word {
-	return Word(k)<<24 | nondetPayloadWords
-}
-
-// AppendNondet appends r's encoding to buf.
-func AppendNondet(buf []Word, r NondetRecord) []Word {
-	qlo, qhi := SplitU64(r.Quantum)
-	pclo, pchi := SplitU64(r.PC)
-	clo, chi := SplitU64(r.Clock)
-	elo, ehi := SplitU64(r.Endpoint)
-	dlo, dhi := SplitU64(r.Delay)
-	return append(buf,
-		nondetHeader(r.Kind),
-		qlo, qhi,
-		Word(r.Machine),
-		Word(r.PID), Word(r.TID),
-		Word(r.PID2), Word(r.TID2),
-		Word(uint32(r.Sig)),
-		pclo, pchi,
-		clo, chi,
-		elo, ehi,
-		Word(r.Index), Word(r.Flags),
-		dlo, dhi,
-		Word(r.Len),
-	)
-}
-
-// EncodeNondet encodes a whole log: magic word then every record.
-func EncodeNondet(recs []NondetRecord) []Word {
-	out := make([]Word, 0, 1+len(recs)*(nondetPayloadWords+1))
-	out = append(out, NondetMagic)
-	for _, r := range recs {
-		out = AppendNondet(out, r)
-	}
-	return out
-}
-
-// DecodeNondet decodes a nondeterminism log. Any malformed input —
-// wrong magic, unknown kind, bad length, torn record — is an error:
-// a replay must never run from a log it cannot fully account for.
-func DecodeNondet(words []Word) ([]NondetRecord, error) {
-	if len(words) == 0 {
-		return nil, fmt.Errorf("trace: nondet: empty stream")
-	}
-	if words[0] != NondetMagic {
-		return nil, fmt.Errorf("trace: nondet: bad magic %#x (want %#x)", words[0], NondetMagic)
-	}
-	var out []NondetRecord
-	i := 1
-	for i < len(words) {
-		h := words[i]
-		kind := NondetKind(h >> 24)
-		plen := int(h & 0xFFFFFF)
-		if kind == 0 || kind > maxNondetKind {
-			return nil, fmt.Errorf("trace: nondet: record %d: unknown kind %d", len(out), uint8(kind))
-		}
-		if plen != nondetPayloadWords {
-			return nil, fmt.Errorf("trace: nondet: record %d: payload length %d (want %d)", len(out), plen, nondetPayloadWords)
-		}
-		if i+1+plen > len(words) {
-			return nil, fmt.Errorf("trace: nondet: record %d: torn (%d of %d payload words)", len(out), len(words)-i-1, plen)
-		}
-		p := words[i+1 : i+1+plen]
-		out = append(out, NondetRecord{
-			Kind:     kind,
-			Quantum:  JoinU64(p[0], p[1]),
-			Machine:  uint16(p[2]),
-			PID:      uint32(p[3]),
-			TID:      uint32(p[4]),
-			PID2:     uint32(p[5]),
-			TID2:     uint32(p[6]),
-			Sig:      int32(p[7]),
-			PC:       JoinU64(p[8], p[9]),
-			Clock:    JoinU64(p[10], p[11]),
-			Endpoint: JoinU64(p[12], p[13]),
-			Index:    uint32(p[14]),
-			Flags:    uint32(p[15]),
-			Delay:    JoinU64(p[16], p[17]),
-			Len:      uint32(p[18]),
-		})
-		i += 1 + plen
-	}
-	return out, nil
+	Kind     NondetKind `json:"kind"`
+	Quantum  uint64     `json:"quantum,omitempty"` // world-global scheduling quantum (managed quanta for NDManaged)
+	Machine  uint16     `json:"machine,omitempty"` // machine index in the world
+	PID      uint32     `json:"pid,omitempty"`
+	TID      uint32     `json:"tid,omitempty"`
+	PID2     uint32     `json:"pid2,omitempty"`  // sender process (NDRPCDeliver)
+	TID2     uint32     `json:"tid2,omitempty"`  // sender thread (NDRPCDeliver)
+	Sig      int32      `json:"sig,omitempty"`   // signal number / managed exception code
+	PC       uint64     `json:"pc,omitempty"`    // pre-delivery PC (NDSignal)
+	Clock    uint64     `json:"clock,omitempty"` // machine clock at the event
+	Endpoint uint64     `json:"endpoint,omitempty"`
+	Index    uint32     `json:"index,omitempty"` // RPC ordinal (NDRPCFault) or module handle (NDUnload)
+	Flags    uint32     `json:"flags,omitempty"` // NDF* bits (NDRPCFault)
+	Delay    uint64     `json:"delay,omitempty"` // injected delay cycles (NDRPCFault)
+	Len      uint32     `json:"len,omitempty"`   // payload length (NDRPCDeliver)
 }
 
 // String renders the record human-readably (tbdump -nondet).

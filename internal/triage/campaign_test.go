@@ -21,8 +21,8 @@ import (
 
 const W = archive.WindowWidth
 
-func counter(an *triage.Analyzer, name string) uint64 {
-	return an.Metrics().Counter(name, "").Load()
+func counter(reg *telemetry.Registry, name string) uint64 {
+	return reg.Counter(name, "").Load()
 }
 
 // TestClassifyCampaignTwoPhase: the acceptance scenario on real
@@ -47,7 +47,8 @@ func TestClassifyCampaignTwoPhase(t *testing.T) {
 		}
 	}
 
-	an := triage.New(arch, maps, triage.Config{}, telemetry.New())
+	reg := telemetry.New()
+	an := triage.New(arch, maps, triage.Config{}, reg)
 	rep := an.Regressions()
 	classes := map[string]triage.Class{}
 	for _, a := range rep.Assessments {
@@ -63,21 +64,22 @@ func TestClassifyCampaignTwoPhase(t *testing.T) {
 			t.Errorf("steady baseline signature %s flagged %s", sig, got)
 		}
 	}
-	if got := counter(an, "triage_scans_total"); got != 1 {
+	if got := counter(reg, "triage_scans_total"); got != 1 {
 		t.Errorf("triage_scans_total = %d, want 1", got)
 	}
-	if got := an.Metrics().Histogram("triage_scan_nanos", "", nil).Count(); got != 1 {
+	if got := reg.Histogram("triage_scan_nanos", "", nil).Count(); got != 1 {
 		t.Errorf("triage_scan_nanos observed %d scans, want 1", got)
 	}
-	if want := uint64(len(injected)); counter(an, "triage_flagged_total") != want {
-		t.Errorf("triage_flagged_total = %d, want %d", counter(an, "triage_flagged_total"), want)
+	if want := uint64(len(injected)); counter(reg, "triage_flagged_total") != want {
+		t.Errorf("triage_flagged_total = %d, want %d", counter(reg, "triage_flagged_total"), want)
 	}
 }
 
 // clusterFleet ingests baseline crossmachine + quickstart traffic and
 // a wrap-stressed crossmachine campaign trial into a fresh archive,
-// returning the analyzer and the sets of signatures per origin.
-func clusterFleet(t *testing.T) (*triage.Analyzer, map[string]bool, map[string]bool, map[string]bool) {
+// returning the analyzer, its registry and the sets of signatures per
+// origin.
+func clusterFleet(t *testing.T) (*triage.Analyzer, *telemetry.Registry, map[string]bool, map[string]bool, map[string]bool) {
 	t.Helper()
 	builts, err := scenario.All()
 	if err != nil {
@@ -122,7 +124,8 @@ func clusterFleet(t *testing.T) (*triage.Analyzer, map[string]bool, map[string]b
 		}
 	}
 	ingest(wrapSnaps, wrap)
-	return triage.New(arch, maps, triage.Config{}, telemetry.New()), cross, quick, wrap
+	reg := telemetry.New()
+	return triage.New(arch, maps, triage.Config{}, reg), reg, cross, quick, wrap
 }
 
 // TestClustersSemantics: a wrap-stressed crossmachine fault lands in
@@ -130,7 +133,7 @@ func clusterFleet(t *testing.T) (*triage.Analyzer, map[string]bool, map[string]b
 // cause, truncated view), while quickstart faults — a different root
 // cause entirely — never share a cluster with crossmachine ones.
 func TestClustersSemantics(t *testing.T) {
-	an, cross, quick, wrap := clusterFleet(t)
+	an, _, cross, quick, wrap := clusterFleet(t)
 	rep, err := an.Clusters()
 	if err != nil {
 		t.Fatal(err)
@@ -182,13 +185,13 @@ func TestClustersSemantics(t *testing.T) {
 // TestClustersDeterministicAndCached: a second pass returns
 // byte-identical JSON and serves every pairwise distance from cache.
 func TestClustersDeterministicAndCached(t *testing.T) {
-	an, _, _, _ := clusterFleet(t)
+	an, reg, _, _, _ := clusterFleet(t)
 	r1, err := an.Clusters()
 	if err != nil {
 		t.Fatal(err)
 	}
-	missesAfterFirst := counter(an, "triage_dist_cache_misses_total")
-	exemplars := counter(an, "triage_exemplar_recons_total")
+	missesAfterFirst := counter(reg, "triage_dist_cache_misses_total")
+	exemplars := counter(reg, "triage_exemplar_recons_total")
 	if exemplars == 0 {
 		t.Error("first pass reconstructed no exemplar")
 	}
@@ -201,19 +204,19 @@ func TestClustersDeterministicAndCached(t *testing.T) {
 	if string(j1) != string(j2) {
 		t.Errorf("clustering not deterministic:\n%s\nvs\n%s", j1, j2)
 	}
-	if got := counter(an, "triage_dist_cache_misses_total"); got != missesAfterFirst {
+	if got := counter(reg, "triage_dist_cache_misses_total"); got != missesAfterFirst {
 		t.Errorf("second pass recomputed %d distances; want all served from cache", got-missesAfterFirst)
 	}
-	if counter(an, "triage_dist_cache_hits_total") == 0 {
+	if counter(reg, "triage_dist_cache_hits_total") == 0 {
 		t.Error("second pass recorded no cache hits")
 	}
-	if got := counter(an, "triage_exemplar_recons_total"); got != exemplars {
+	if got := counter(reg, "triage_exemplar_recons_total"); got != exemplars {
 		t.Errorf("second pass reconstructed %d exemplars; want all views served from cache", got-exemplars)
 	}
-	if got := counter(an, "triage_cluster_builds_total"); got != 2 {
+	if got := counter(reg, "triage_cluster_builds_total"); got != 2 {
 		t.Errorf("triage_cluster_builds_total = %d, want 2", got)
 	}
-	if got := an.Metrics().Histogram("triage_cluster_nanos", "", nil).Count(); got != 2 {
+	if got := reg.Histogram("triage_cluster_nanos", "", nil).Count(); got != 2 {
 		t.Errorf("triage_cluster_nanos observed %d clusterings, want 2", got)
 	}
 }

@@ -84,7 +84,6 @@ type Analyzer struct {
 	arch Warehouse
 	maps recon.MapResolver
 
-	reg *telemetry.Registry
 	met metrics
 
 	mu    sync.Mutex
@@ -115,7 +114,6 @@ func New(arch Warehouse, maps recon.MapResolver, _ Config, reg *telemetry.Regist
 	a := &Analyzer{
 		arch:  arch,
 		maps:  maps,
-		reg:   reg,
 		views: map[string]*viewEntry{},
 		dists: map[string]float64{},
 	}
@@ -131,9 +129,6 @@ func New(arch Warehouse, maps recon.MapResolver, _ Config, reg *telemetry.Regist
 	}
 	return a
 }
-
-// Metrics returns the analyzer's registry.
-func (a *Analyzer) Metrics() *telemetry.Registry { return a.reg }
 
 // Regressions classifies every bucket against the newest snap time
 // among them. The result is deterministic given the index.

@@ -490,20 +490,6 @@ func (m *Machine) Step() bool {
 	return true
 }
 
-// Run steps the machine until done returns true, no thread can run,
-// or maxSteps quanta elapse. It returns the number of quanta used.
-func (m *Machine) Run(maxSteps int, done func() bool) int {
-	for i := 0; i < maxSteps; i++ {
-		if done != nil && done() {
-			return i
-		}
-		if !m.Step() {
-			return i
-		}
-	}
-	return maxSteps
-}
-
 // Run steps the world until done returns true or nothing can run,
 // always advancing the machine with the lowest clock (keeping skewed
 // clocks causally plausible). Returns the quanta used.

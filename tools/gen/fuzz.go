@@ -116,6 +116,23 @@ func genFuzz(root string) error {
 	}
 	sd.add("valid-gzip-bestspeed", fast.Bytes())
 	sd.add("valid-json-trailing-bytes", append(bytes.Clone(plain.Bytes()), `{"host":"x"}`...))
+	// A recorded snap: the nondet section holds one record of every
+	// kind, so the fuzzer reaches recordings through the snap decoder.
+	recorded := *valid
+	recorded.Nondet = &snap.NondetLog{V: 2, Scenario: "crossmachine", Trial: true, Events: []trace.NondetRecord{
+		{Kind: trace.NDQuantum, Quantum: 1, PID: 1, TID: 1, Clock: 64},
+		{Kind: trace.NDSignal, Quantum: 90, Machine: 1, PID: 2, TID: 3, Sig: 30, PC: 0x1122334455, Clock: 7788},
+		{Kind: trace.NDKill, Quantum: 120, PID: 1, Clock: 9999},
+		{Kind: trace.NDUnload, Quantum: 44, PID: 1, Index: 2, Clock: 500},
+		{Kind: trace.NDRPCFault, Quantum: 8, Machine: 1, PID: 2, TID: 1, Endpoint: 9, Index: 4, Flags: trace.NDFReply | trace.NDFDup, Delay: 5000},
+		{Kind: trace.NDRPCDeliver, Quantum: 9, PID: 1, TID: 2, PID2: 2, TID2: 1, Endpoint: 9, Len: 128, Clock: 1 << 40},
+		{Kind: trace.NDManaged, Quantum: 1000, TID: 2, Sig: 107},
+	}}
+	var rec bytes.Buffer
+	if err := recorded.Save(&rec); err != nil {
+		return err
+	}
+	sd.add("nondet-every-kind", rec.Bytes())
 	if sd.err != nil {
 		return sd.err
 	}
