@@ -80,7 +80,9 @@ check:
 # journal line stores to a production reader, and its
 # TestMetricsDocumentedAndMoved holds the registered metrics to
 # DESIGN.md §12's table and each to a test that names it or a reader
-# on its allowlist; and each CLI's /dev/full test
+# on its allowlist, its TestFlagsHaveUsers holds every flag a
+# cmd/*/main.go registers to a mention in the docs or a test, or a
+# reason on its allowlist; and each CLI's /dev/full test
 # (TestStoreWriteFailure, TestDumpWriteFailure,
 # TestReplayCLIWriteFailure, TestReplayWriteFailure and their older
 # siblings) fails the CLI when its output cannot be written. A failing

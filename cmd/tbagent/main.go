@@ -1,7 +1,7 @@
 // tbagent is the machine-side uploader of the fleet collection
 // plane: it watches a spool directory for snaps (written by
-// collect.Spool, or by anything else that drops *.snap.json[.gz]
-// files there, such as tbrun -snapdir) and uploads each to a tbcollectd
+// collect.Spool, or by anything else that drops *.snap.json.gz files
+// there, such as tbrun -snapdir) and uploads each to a tbcollectd
 // daemon with a dedup precheck, jittered exponential backoff, and a
 // durable commit rule — a snap leaves the spool only after a 2xx
 // response whose hash echo matches, so a killed daemon, a truncated

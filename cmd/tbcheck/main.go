@@ -46,13 +46,12 @@ func main() {
 }
 
 type config struct {
-	json     bool
-	werror   bool
-	broken   bool
-	fleet    bool
-	passes   string
-	maxPaths int
-	mapPath  string
+	json    bool
+	werror  bool
+	broken  bool
+	fleet   bool
+	passes  string
+	mapPath string
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -65,7 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&cfg.fleet, "fleet", false, "verify all arguments together as one module set")
 	fs.StringVar(&cfg.passes, "passes", "", "comma-separated pass subset (default all): "+
 		strings.Join(verify.AllPasses(), ","))
-	fs.IntVar(&cfg.maxPaths, "maxpaths", 0, "cap on per-DAG path enumeration (0 = default)")
 	fs.StringVar(&cfg.mapPath, "map", "", "explicit mapfile for a .tbm input (default: sibling <name>.map.json)")
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: tbcheck [flags] <input.mc|input.tbm|input.map.json> ...")
@@ -87,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	opts := verify.Options{MaxPaths: cfg.maxPaths}
+	var opts verify.Options
 	if cfg.passes != "" {
 		opts.Passes = strings.Split(cfg.passes, ",")
 		known := map[string]bool{}

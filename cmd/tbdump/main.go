@@ -3,9 +3,7 @@
 // what instrumentation did to a binary.
 //
 //	tbdump build/app.tb.tbm
-//	tbdump -func longest_match build/gzip.tb.tbm
 //	tbdump -map build/app.map.json
-//	tbdump -events flight.json            # flight recorder from tbrun -events
 //	tbdump -nondet snap-1.snap.json.gz    # a snap's embedded replay recording
 package main
 
@@ -19,7 +17,6 @@ import (
 
 	"traceback/internal/module"
 	"traceback/internal/snap"
-	"traceback/internal/telemetry"
 	"traceback/internal/trace"
 	"traceback/internal/vm"
 )
@@ -34,21 +31,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tbdump", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		fn      = fs.String("func", "", "disassemble only this function")
 		mapDump = fs.Bool("map", false, "treat the input as a mapfile and summarize it")
-		evDump  = fs.Bool("events", false, "treat the input as a flight-recorder dump (tbrun -events) and render it")
 		ndDump  = fs.Bool("nondet", false, "treat the input as a snap and print its embedded nondeterminism recording")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: tbdump [flags] <module.tbm|mapfile.json|events.json|snap.json[.gz]>")
+		fmt.Fprintln(stderr, "usage: tbdump [flags] <module.tbm|mapfile.json|snap.json.gz>")
 		fs.Usage()
 		return 2
 	}
 	w := bufio.NewWriter(stdout)
-	err := dump(w, fs.Arg(0), *fn, *mapDump, *evDump, *ndDump)
+	err := dump(w, fs.Arg(0), *mapDump, *ndDump)
 	if ferr := w.Flush(); err == nil {
 		err = ferr
 	}
@@ -59,20 +54,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func dump(w io.Writer, path, fn string, mapDump, evDump, ndDump bool) error {
+func dump(w io.Writer, path string, mapDump, ndDump bool) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
 	switch {
-	case evDump:
-		d, err := telemetry.ReadEventDump(f)
-		if err != nil {
-			return err
-		}
-		dumpEvents(w, d)
-		return nil
 	case ndDump:
 		s, err := snap.LoadAuto(f)
 		if err != nil {
@@ -89,10 +77,7 @@ func dump(w io.Writer, path, fn string, mapDump, evDump, ndDump bool) error {
 	}
 	m, err := module.Read(f)
 	if err != nil {
-		return err
-	}
-	if fn != "" {
-		return module.DisasmFunc(w, m, fn)
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	module.Disasm(w, m)
 	return nil
@@ -132,16 +117,6 @@ func dumpMap(w io.Writer, mf *module.MapFile) {
 			fmt.Fprintf(w, "  block %d [%d,%d) bit=%s succs=%v%s |%s\n",
 				bi, b.Start, b.End, bit, b.Succs, extra, lines)
 		}
-	}
-}
-
-// dumpEvents renders a flight-recorder dump: one line per retained
-// event, oldest first, with the machine clock at which it happened.
-func dumpEvents(w io.Writer, d *telemetry.EventDump) {
-	fmt.Fprintf(w, "flight recorder: %d event(s) recorded, %d dropped, %d retained\n",
-		d.Total, d.Dropped, len(d.Events))
-	for _, e := range d.Events {
-		fmt.Fprintf(w, "  #%-5d clock %-10d %-16s %s\n", e.Seq, e.Clock, e.Kind, e.Detail)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"traceback/internal/minic"
 	"traceback/internal/module"
 	"traceback/internal/snap"
-	"traceback/internal/telemetry"
 )
 
 const snapsDir = "../../snaps"
@@ -53,26 +52,21 @@ func TestDumpMap(t *testing.T) {
 	}
 }
 
-// TestDumpPlainSnapIsNotAMap: a plain snap file — the
-// <proc>-<n>.snap.json name tbrun -snapdir writes — ends in .json but
-// is no mapfile; tbdump says so and exits 1 instead of printing an
-// empty map.
+// TestDumpPlainSnapIsNotAMap: a snap file — the
+// <proc>-<n>.snap.json.gz name tbrun -snapdir writes — is neither a
+// mapfile nor a module; without -nondet tbdump says so, naming the
+// file, and exits 1 instead of printing anything.
 func TestDumpPlainSnapIsNotAMap(t *testing.T) {
 	s, err := snap.LoadFile(filepath.Join(snapsDir, "quickstart-app-1.snap.json.gz"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "app-1.snap.json")
-	f, err := os.Create(path)
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "app-1.snap.json.gz")
+	if err := snap.SaveFile(path, s); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 	code, out, errs := tbdump(t, path)
-	if code != 1 || out != "" || !strings.Contains(errs, path) || !strings.Contains(errs, "names no module") {
+	if code != 1 || out != "" || !strings.Contains(errs, path) || !strings.Contains(errs, "bad magic") {
 		t.Errorf("exit %d, stdout %q, stderr %q; want exit 1 naming the file and the reason", code, out, errs)
 	}
 }
@@ -91,31 +85,6 @@ func TestDumpNondet(t *testing.T) {
 	}
 }
 
-// TestDumpEvents: -events renders a flight-recorder dump as tbrun
-// -events writes it, oldest retained event first.
-func TestDumpEvents(t *testing.T) {
-	rec := telemetry.NewRecorder(2)
-	rec.Record(10, "module-verified", "app")
-	rec.Record(20, "snap-taken", "exception SIGFPE")
-	rec.Record(30, "process-exit", "app")
-	path := filepath.Join(t.TempDir(), "flight.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.WriteJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	code, out, errs := tbdump(t, "-events", path)
-	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
-	if code != 0 || len(lines) != 3 || lines[0] != "flight recorder: 3 event(s) recorded, 1 dropped, 2 retained" ||
-		!strings.Contains(lines[1], "clock 20") || !strings.Contains(lines[1], "snap-taken") ||
-		!strings.HasSuffix(lines[2], "process-exit     app") {
-		t.Errorf("exit %d, stderr %q, stdout:\n%s", code, errs, out)
-	}
-}
-
 func TestDumpUsage(t *testing.T) {
 	if code, _, errs := tbdump(t); code != 2 || !strings.Contains(errs, "usage: tbdump") {
 		t.Errorf("no input: exit %d, stderr %q", code, errs)
@@ -130,21 +99,9 @@ func TestDumpWriteFailure(t *testing.T) {
 		t.Skip("no /dev/full:", err)
 	}
 	defer full.Close()
-	rec := telemetry.NewRecorder(4)
-	rec.Record(10, "module-verified", "app")
-	events := filepath.Join(t.TempDir(), "flight.json")
-	f, err := os.Create(events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.WriteJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 	for _, args := range [][]string{
 		{"-map", filepath.Join(snapsDir, "maps", "app.map.json")},
 		{"-nondet", filepath.Join(snapsDir, "regressions", "managed-interrupt-1.snap.json.gz")},
-		{"-events", events},
 		{"../../internal/verify/testdata/corpus/clean.tbm"},
 	} {
 		var errb bytes.Buffer

@@ -4,8 +4,11 @@
 // half of TraceBack (paper §2).
 //
 //	tbinstr -o build app.mc
-//	tbinstr -dagbase 4096 -basefile bases.json lib.tbm
+//	tbinstr -basefile bases.json lib.tbm
 //	tbinstr -o build -fleetwith build/server.tb.tbm client.mc
+//
+// The instrumenter's ablations (core.Options) are set by the paper's
+// tables, not from the command line.
 package main
 
 import (
@@ -34,12 +37,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		outDir    = fs.String("o", ".", "output directory")
-		dagBase   = fs.Uint("dagbase", 0, "default DAG ID base for the module")
-		maxBits   = fs.Int("maxbits", 0, "cap on path bits per DAG record (0 = format maximum)")
-		forceSp   = fs.Bool("forcespill", false, "ablation: always spill for lightweight probes")
-		noBreak   = fs.Bool("nobreakatcalls", false, "ablation: omit call-return probes (UNSOUND reconstruction)")
 		baseFile  = fs.String("basefile", "", "DAG base file (JSON) assigning bases by module name")
-		emitPlain = fs.Bool("emit-module", false, "with .mc input: also write the uninstrumented module")
 		doVerify  = fs.Bool("verify", true, "statically verify the instrumented output; refuse to write on errors")
 		fleetWith = fs.String("fleetwith", "", "comma-separated .tbm peers: verify the output together with them as one module set (needs -verify)")
 	)
@@ -74,12 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	opts := core.Options{
-		DAGBase:        uint32(*dagBase),
-		MaxPathBits:    *maxBits,
-		ForceSpill:     *forceSp,
-		NoBreakAtCalls: *noBreak,
-	}
+	var opts core.Options
 	if *baseFile != "" {
 		f, err := os.Open(*baseFile)
 		if err != nil {
@@ -125,27 +118,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		return fail(err)
 	}
-	write := func(name string, m *module.Module) (string, error) {
-		path := filepath.Join(*outDir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			return "", err
-		}
-		if _, err := m.WriteTo(f); err != nil {
-			f.Close()
-			return "", err
-		}
-		return path, f.Close()
-	}
-	if *emitPlain {
-		p, err := write(mod.Name+".tbm", mod)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "wrote %s (uninstrumented)\n", p)
-	}
-	modPath, err := write(mod.Name+".tb.tbm", res.Module)
-	if err != nil {
+	modPath := filepath.Join(*outDir, mod.Name+".tb.tbm")
+	if err := writeModule(modPath, res.Module); err != nil {
 		return fail(err)
 	}
 	mapPath := filepath.Join(*outDir, mod.Name+".map.json")
@@ -159,6 +133,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mod.Name, s.Funcs, s.Blocks, s.DAGs, s.HeavyProbes, s.LightProbes, s.Spills,
 		s.CodeGrowth()*100, res.Module.ChecksumHex())
 	return 0
+}
+
+func writeModule(path string, m *module.Module) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if _, err := m.WriteTo(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func readModule(path string) (*module.Module, error) {

@@ -5,9 +5,9 @@
 // cache across all of them; a directory argument is batch mode and
 // expands to every snap file inside it.
 //
-//	tbrecon -maps build snaps/app-1.snap.json
+//	tbrecon -maps build snaps/app-1.snap.json.gz
 //	tbrecon -maps build -jobs 8 snaps/
-//	tbrecon -maps build -logical snaps/client-1.snap.json snaps/server-1.snap.json
+//	tbrecon -maps build -logical snaps/client-1.snap.json.gz snaps/server-1.snap.json.gz
 //	tbrecon -maps build -metrics - snaps/   # Prometheus exposition on stderr
 //
 // The rendered trace is the only thing written to stdout; -stats and
@@ -44,8 +44,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jobs       = fs.Int("jobs", 0, "reconstruction worker count (0 = GOMAXPROCS)")
 		logical    = fs.Bool("logical", false, "stitch multiple snaps into logical threads")
 		interleave = fs.Bool("interleave", false, "print the merged multi-thread view")
-		flat       = fs.Bool("flat", false, "disable call-hierarchy indentation")
-		maxEvents  = fs.Int("max", 0, "cap events shown per thread (0 = all)")
 		showVars   = fs.Bool("vars", false, "print global variable values from the snap's memory dump")
 		showStats  = fs.Bool("stats", false, "print pipeline counters to stderr when done")
 		metricsTo  = fs.String("metrics", "", "write pipeline metrics to this file when done (- = stderr; .json = JSON, else Prometheus text)")
@@ -54,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if fs.NArg() < 1 {
-		fmt.Fprintln(stderr, "usage: tbrecon [flags] <snap.json | snap-dir> [more...]")
+		fmt.Fprintln(stderr, "usage: tbrecon [flags] <snap.json.gz | snap-dir> [more...]")
 		fs.Usage()
 		return 2
 	}
@@ -73,8 +71,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "tbrecon: warning: no mapfiles found in %s\n", *mapsDir)
 	}
 
-	// Deduplicated across arguments: `tbrecon snaps/ snaps/a.snap.json`
-	// must reconstruct (and render) a.snap.json once, not twice.
+	// Deduplicated across arguments: `tbrecon snaps/ snaps/a.snap.json.gz`
+	// must reconstruct (and render) a.snap.json.gz once, not twice.
 	paths, err := snap.ExpandPaths(fs.Args(), func(skipped string) {
 		fmt.Fprintf(stderr, "tbrecon: skipping %s: not a snap file\n", skipped)
 	})
@@ -86,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sources[i] = recon.FileSource(p)
 	}
 
-	opts := recon.RenderOptions{Flat: *flat, MaxEvents: *maxEvents}
+	var opts recon.RenderOptions
 	if *srcDir != "" {
 		opts.Source = recon.NewSourceCache(*srcDir).Lines
 	}

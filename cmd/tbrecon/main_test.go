@@ -49,15 +49,10 @@ func writeFixture(t *testing.T, dir string) (snapPath string) {
 		t.Fatal(err)
 	}
 
-	snapPath = filepath.Join(dir, "app-1.snap.json")
-	sf, err := os.Create(snapPath)
-	if err != nil {
+	snapPath = filepath.Join(dir, "app-1.snap.json.gz")
+	if err := snap.SaveFile(snapPath, snaps[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := snaps[0].Save(sf); err != nil {
-		t.Fatal(err)
-	}
-	sf.Close()
 	return snapPath
 }
 
@@ -142,7 +137,7 @@ func TestMetricsFileJSON(t *testing.T) {
 // for the directory's non-snap entries go to stderr, never stdout.
 func TestDirectoryMixedEntries(t *testing.T) {
 	dir := t.TempDir()
-	snapPath := writeFixture(t, dir) // writes app-1.snap.json + app.map.json
+	snapPath := writeFixture(t, dir) // writes app-1.snap.json.gz + app.map.json
 	if err := os.Mkdir(filepath.Join(dir, "sub"), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -165,28 +160,23 @@ func TestDirectoryMixedEntries(t *testing.T) {
 }
 
 // TestDirectoryGzipAndPlainDedup: a directory holding the same snap
-// in plain and gzip form reconstructs both files (they are distinct
-// paths), but each exactly once, in sorted order.
+// twice in gzip form reconstructs both files (they are distinct
+// paths), each exactly once; a plain-JSON twin is no snap file and is
+// skipped with a warning.
 func TestDirectoryGzipAndPlainDedup(t *testing.T) {
 	dir := t.TempDir()
 	writeFixture(t, dir)
-	// Add a gzip twin of the snap.
-	raw, err := os.ReadFile(filepath.Join(dir, "app-1.snap.json"))
+	s, err := snap.LoadFile(filepath.Join(dir, "app-1.snap.json.gz"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := snap.Load(bytes.NewReader(raw))
-	if err != nil {
+	if err := snap.SaveFile(filepath.Join(dir, "app-2.snap.json.gz"), s); err != nil {
 		t.Fatal(err)
 	}
-	zf, err := os.Create(filepath.Join(dir, "app-2.snap.json.gz"))
-	if err != nil {
+	plain := filepath.Join(dir, "app-3.snap.json")
+	if _, err := snap.WriteFile(plain, s.Save); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveCompressed(zf); err != nil {
-		t.Fatal(err)
-	}
-	zf.Close()
 
 	var out, errBuf bytes.Buffer
 	if code := run([]string{"-maps", dir, dir}, &out, &errBuf); code != 0 {
@@ -194,6 +184,9 @@ func TestDirectoryGzipAndPlainDedup(t *testing.T) {
 	}
 	if got := strings.Count(out.String(), "snap: process"); got != 2 {
 		t.Errorf("rendered %d snaps, want 2 (one per file, no double-count)\n%s", got, out.String())
+	}
+	if !strings.Contains(errBuf.String(), "tbrecon: skipping "+plain) {
+		t.Errorf("stderr missing skip warning for the plain twin:\n%s", errBuf.String())
 	}
 }
 

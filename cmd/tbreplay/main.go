@@ -64,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if fs.NArg() < 1 {
-		fmt.Fprintln(stderr, "usage: tbreplay [flags] <snap.json[.gz]> [more snaps of the same run...]")
+		fmt.Fprintln(stderr, "usage: tbreplay [flags] <snap.json.gz> [more snaps of the same run...]")
 		fs.Usage()
 		return 2
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,15 +28,10 @@ func record(t *testing.T) []string {
 	dir := t.TempDir()
 	var paths []string
 	for i, s := range res.Snaps {
-		p := filepath.Join(dir, "snap-"+string(rune('1'+i))+".snap.json")
-		f, err := os.Create(p)
-		if err != nil {
+		p := filepath.Join(dir, "snap-"+string(rune('1'+i))+".snap.json.gz")
+		if err := snap.SaveFile(p, s); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Save(f); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
 		paths = append(paths, p)
 	}
 	return paths
@@ -96,15 +92,10 @@ func TestReplayCLIDivergence(t *testing.T) {
 		s.Nondet = l
 	}
 	dir := t.TempDir()
-	p := filepath.Join(dir, "bad.snap.json")
-	f, err := os.Create(p)
-	if err != nil {
+	p := filepath.Join(dir, "bad.snap.json.gz")
+	if err := snap.SaveFile(p, res.Snaps[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Snaps[0].Save(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 
 	var out, errb bytes.Buffer
 	if code := run([]string{"-q", p}, &out, &errb); code != 1 {
@@ -131,17 +122,11 @@ func TestReplayCLINoRecording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var s *snap.Snap = res.Snaps[0] // never attached
-	dir := t.TempDir()
-	p := filepath.Join(dir, "plain.snap.json")
-	f, err := os.Create(p)
-	if err != nil {
+	s := res.Snaps[0] // never attached
+	p := filepath.Join(t.TempDir(), "unrecorded.snap.json.gz")
+	if err := snap.SaveFile(p, s); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 	var out, errb bytes.Buffer
 	if code := run([]string{p}, &out, &errb); code != 2 {
 		t.Fatalf("exit %d, want 2; stderr: %s", code, errb.String())
@@ -156,8 +141,9 @@ func TestReplayCLIRefusesUnreadableRecording(t *testing.T) {
 		{"unknown-kind", `{"v":2,"scenario":"quickstart","events":[{"kind":153}]}`, "unknown kind 153"},
 		{"version-1", `{"v":1,"scenario":"quickstart","interval":64,"raw":"AQBETg=="}`, "re-record"},
 	} {
-		p := filepath.Join(t.TempDir(), c.name+".snap.json")
-		if err := os.WriteFile(p, []byte(`{"process":"app","reason":"api","nondet":`+c.section+`}`), 0o644); err != nil {
+		p := filepath.Join(t.TempDir(), c.name+".snap.json.gz")
+		body := []byte(`{"process":"app","reason":"api","nondet":` + c.section + `}`)
+		if _, err := snap.WriteFile(p, func(w io.Writer) error { return snap.WriteGzip(w, body) }); err != nil {
 			t.Fatal(err)
 		}
 		var out, errb bytes.Buffer

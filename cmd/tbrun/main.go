@@ -1,17 +1,16 @@
 // tbrun loads modules into a process on the synthetic machine and
 // runs it with the TraceBack runtime attached. Snaps (from exceptions,
-// the snap API, or abrupt termination) are written to disk for
-// offline reconstruction with tbrecon.
+// the snap API, or abrupt termination) are written to disk as
+// <proc>-<n>.snap.json.gz for offline reconstruction with tbrecon.
 //
 //	tbrun -snapdir snaps app.tb.tbm
 //	tbrun -policy policy.txt -arg 3 lib.tb.tbm app.tb.tbm
 //	tbrun -kill-after 50000 app.tb.tbm     # abrupt kill, post-mortem snap
 //	tbrun -metrics - app.tb.tbm            # Prometheus exposition on stdout
-//	tbrun -events flight.json app.tb.tbm   # flight-recorder dump for tbdump -events
+//	tbrun -metrics run.json app.tb.tbm     # JSON, flight-recorder events included
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -41,14 +40,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		policyPath = fs.String("policy", "", "textual policy file (default: snap on everything)")
 		snapDir    = fs.String("snapdir", "snaps", "directory for snap files")
 		arg        = fs.Uint64("arg", 0, "argument passed to main")
-		bufWords   = fs.Int("bufwords", 16384, "trace buffer size in words")
-		numBufs    = fs.Int("buffers", 8, "number of main trace buffers")
-		subBufs    = fs.Int("subbuffers", 4, "sub-buffers per buffer")
 		killAfter  = fs.Int("kill-after", 0, "kill -9 the process after N scheduling quanta")
 		maxSteps   = fs.Int("maxsteps", 50_000_000, "scheduling quantum budget")
 		seed       = fs.Int64("seed", 42, "machine PRNG seed")
-		metricsTo  = fs.String("metrics", "", "write runtime+VM metrics to this file on exit (- = stdout; .json = JSON, else Prometheus text)")
-		eventsTo   = fs.String("events", "", "write the flight-recorder event dump (JSON) to this file on exit")
+		metricsTo  = fs.String("metrics", "", "write runtime+VM metrics to this file on exit (- = stdout; .json = JSON with the flight-recorder events, else Prometheus text)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -67,13 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// exposition shows tbrt_ and vm_ metrics side by side and the
 	// flight recorder interleaves events from both layers.
 	reg := telemetry.New()
-	cfg := tbrt.Config{
-		BufferWords: *bufWords,
-		NumBuffers:  *numBufs,
-		SubBuffers:  *subBufs,
-		Policy:      tbrt.DefaultPolicy(),
-		Telemetry:   reg,
-	}
+	cfg := tbrt.Config{Policy: tbrt.DefaultPolicy(), Telemetry: reg}
 	if *policyPath != "" {
 		f, err := os.Open(*policyPath)
 		if err != nil {
@@ -99,8 +88,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return
 		}
 		snapN++
-		path := filepath.Join(*snapDir, fmt.Sprintf("%s-%d.snap.json", s.Process, snapN))
-		if _, sinkErr = snap.WriteFile(path, s.Save); sinkErr == nil {
+		path := filepath.Join(*snapDir, fmt.Sprintf("%s-%d.snap.json.gz", s.Process, snapN))
+		if sinkErr = snap.SaveFile(path, s); sinkErr == nil {
 			fmt.Fprintf(stdout, "snap: %s (%s)\n", path, s.Reason)
 		}
 	}
@@ -184,15 +173,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *metricsTo != "" {
 		if err := reg.WriteFile(*metricsTo, stdout); err != nil {
-			return fail(err)
-		}
-	}
-	if *eventsTo != "" {
-		f, err := os.Create(*eventsTo)
-		if err != nil {
-			return fail(err)
-		}
-		if err := errors.Join(reg.FlightRecorder().WriteJSON(f), f.Close()); err != nil {
 			return fail(err)
 		}
 	}

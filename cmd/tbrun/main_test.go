@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"traceback/internal/snap"
+	"traceback/internal/telemetry"
 	"traceback/internal/verify/seed"
 )
 
@@ -61,25 +63,46 @@ func TestRunReportsVerifyFailure(t *testing.T) {
 	}
 }
 
-// TestRunEventsWriteFailure: an -events dump that cannot be written
-// fails the run.
-func TestRunEventsWriteFailure(t *testing.T) {
-	if _, err := os.Stat("/dev/full"); err != nil {
-		t.Skip("no /dev/full:", err)
-	}
+// TestRunMetricsCarriesFlightEvents: -metrics to a .json file is the
+// flight recorder's one export — the load-time module-verified event
+// is in its events — and a metrics file that cannot be written fails
+// the run.
+func TestRunMetricsCarriesFlightEvents(t *testing.T) {
 	dir := t.TempDir()
 	tbm := writeCase(t, dir, "clean")
+	out := filepath.Join(dir, "run.json")
 	var stdout, stderr bytes.Buffer
-	args := []string{"-snapdir", filepath.Join(dir, "snaps"), "-events", "/dev/full", tbm}
-	if code := run(args, &stdout, &stderr); code != 1 {
-		t.Errorf("exit %d, want 1; stderr: %s", code, stderr.String())
+	if code := run([]string{"-snapdir", filepath.Join(dir, "snaps"), "-metrics", out, tbm}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d; stderr: %s", code, stderr.String())
+	}
+	b, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dump struct{ Events telemetry.EventDump }
+	if err := json.Unmarshal(b, &dump); err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, e := range dump.Events.Events {
+		found = found || (e.Kind == "module-verified" && e.Detail == "seedapp")
+	}
+	if !found {
+		t.Errorf("run.json events lack module-verified seedapp: %+v", dump.Events)
+	}
+
+	stderr.Reset()
+	args := []string{"-snapdir", filepath.Join(dir, "snaps"), "-metrics", filepath.Join(dir, "missing", "run.json"), tbm}
+	if code := run(args, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), "tbrun: ") {
+		t.Errorf("unwritable -metrics: exit %d, stderr %q; want 1 with the reason", code, stderr.String())
 	}
 }
 
 // TestWriteSnapLeavesOnlySnaps: -snapdir is a directory a tbagent may
 // be watching, so everything tbrun leaves there is a complete snap
-// under a snap name — temp files are gone, every file loads back to
-// the snap written — and a failed write leaves nothing behind.
+// under the <proc>-<n>.snap.json.gz name it writes — temp files are
+// gone, every file loads back to the snap written — and a failed write
+// leaves nothing behind.
 func TestWriteSnapLeavesOnlySnaps(t *testing.T) {
 	dir := t.TempDir()
 	want := map[string]*snap.Snap{}
@@ -89,13 +112,13 @@ func TestWriteSnapLeavesOnlySnaps(t *testing.T) {
 			Buffers: []snap.BufferDump{{Kind: snap.BufMain, OwnerTID: 1, LastKnown: true,
 				SubWords: 4, Raw: []byte{byte(n), 0, 0, 0}}},
 		}
-		name := fmt.Sprintf("%s-%d.snap.json", s.Process, n)
-		if _, err := snap.WriteFile(filepath.Join(dir, name), s.Save); err != nil {
+		name := fmt.Sprintf("%s-%d.snap.json.gz", s.Process, n)
+		if err := snap.SaveFile(filepath.Join(dir, name), s); err != nil {
 			t.Fatal(err)
 		}
 		want[name] = s
 	}
-	if _, err := snap.WriteFile(filepath.Join(dir, "missing", "app-4.snap.json"), want["app-1.snap.json"].Save); err == nil {
+	if err := snap.SaveFile(filepath.Join(dir, "missing", "app-4.snap.json.gz"), want["app-1.snap.json.gz"]); err == nil {
 		t.Error("writing into a missing directory succeeded")
 	}
 

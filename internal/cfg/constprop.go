@@ -2,16 +2,17 @@ package cfg
 
 import "traceback/internal/isa"
 
-// Intra-procedural constant propagation, built on the Forward solver.
-// Its job is modest but specific: resolve the endpoint-id argument of
-// RPC syscalls at their call sites. MiniC marshals syscall arguments
-// through the operand stack (evaluate, PUSH, then POP into r1..r4
-// before SYS), so a register-only analysis sees nothing — the state
-// therefore includes a bounded abstract stack of values relative to
-// the current SP. The model assumes every SP adjustment goes through
-// PUSH/POP/CALL/RET and that callees do not write the caller's live
-// stack slots; stores through SP or FP conservatively smash tracked
-// stack values. See DESIGN.md §8 for the soundness discussion.
+// Intra-procedural constant propagation, solved by a forward worklist
+// fixpoint over the CFG. Its job is modest but specific: resolve the
+// endpoint-id argument of RPC syscalls at their call sites. MiniC
+// marshals syscall arguments through the operand stack (evaluate,
+// PUSH, then POP into r1..r4 before SYS), so a register-only analysis
+// sees nothing — the state therefore includes a bounded abstract stack
+// of values relative to the current SP. The model assumes every SP
+// adjustment goes through PUSH/POP/CALL/RET and that callees do not
+// write the caller's live stack slots; stores through SP or FP
+// conservatively smash tracked stack values. See DESIGN.md §8 for the
+// soundness discussion.
 
 // ConstVal is a flat constant lattice value: unknown or one int64.
 type ConstVal struct {
@@ -53,10 +54,90 @@ type constProblem struct {
 	helper map[uint32]bool
 }
 
-func (p *constProblem) Entry() cpState   { return cpState{stackOK: true} }
-func (p *constProblem) Unknown() cpState { return cpState{bottom: true} }
+// solve runs the worklist fixpoint in reverse postorder and returns
+// every block's in-state. The entry block starts from an empty tracked
+// stack; a block none of whose predecessors has been processed yet
+// (and one unreachable from the entry) holds the bottom state, the
+// identity of meet. The fixpoint stops when no block's out-state
+// changes.
+func (p *constProblem) solve() []cpState {
+	g := p.g
+	n := len(g.Blocks)
+	in := make([]cpState, n)
+	out := make([]cpState, n)
+	visited := make([]bool, n)
+	for i := range in {
+		in[i] = cpState{bottom: true}
+		out[i] = cpState{bottom: true}
+	}
 
-func (p *constProblem) Meet(a, b cpState) cpState {
+	rpo := g.ReversePostorder()
+	pos := make([]int, n)
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, b := range rpo {
+		pos[b] = i
+	}
+
+	inList := make([]bool, n)
+	var work []int
+	push := func(b int) {
+		if !inList[b] {
+			inList[b] = true
+			work = append(work, b)
+		}
+	}
+	for _, b := range rpo {
+		push(b)
+	}
+
+	for len(work) > 0 {
+		// Pop the block earliest in RPO for near-linear convergence on
+		// reducible graphs.
+		best := 0
+		for i := 1; i < len(work); i++ {
+			if pos[work[i]] < pos[work[best]] {
+				best = i
+			}
+		}
+		b := work[best]
+		work[best] = work[len(work)-1]
+		work = work[:len(work)-1]
+		inList[b] = false
+
+		st := cpState{bottom: true}
+		merged := false
+		if b == g.Entry {
+			st = cpState{stackOK: true}
+			merged = true
+		}
+		for _, pr := range g.Blocks[b].Preds {
+			if !visited[pr] {
+				continue
+			}
+			if !merged {
+				st = out[pr]
+				merged = true
+			} else {
+				st = p.meet(st, out[pr])
+			}
+		}
+		in[b] = st
+		newOut := p.transfer(g.Blocks[b], st)
+		if !visited[b] || !p.equal(newOut, out[b]) {
+			visited[b] = true
+			out[b] = newOut
+			for _, s := range g.Blocks[b].Succs {
+				push(s)
+			}
+		}
+	}
+	return in
+}
+
+// meet combines two predecessor out-states without mutating either.
+func (p *constProblem) meet(a, b cpState) cpState {
 	if a.bottom {
 		return b.clone()
 	}
@@ -81,7 +162,7 @@ func (p *constProblem) Meet(a, b cpState) cpState {
 	return out
 }
 
-func (p *constProblem) Equal(a, b cpState) bool {
+func (p *constProblem) equal(a, b cpState) bool {
 	if a.bottom != b.bottom || a.stackOK != b.stackOK ||
 		a.regs != b.regs || len(a.stack) != len(b.stack) {
 		return false
@@ -94,7 +175,8 @@ func (p *constProblem) Equal(a, b cpState) bool {
 	return true
 }
 
-func (p *constProblem) Transfer(b *Block, in cpState) cpState {
+// transfer flows in through block b; in is not mutated.
+func (p *constProblem) transfer(b *Block, in cpState) cpState {
 	st := in.clone()
 	st.bottom = false
 	for idx := b.Start; idx < b.End; idx++ {
@@ -238,8 +320,7 @@ type ConstProp struct {
 // helper — clobbering only RV — instead of a full caller-saved smash.
 func NewConstProp(g *Graph, helperEntries map[uint32]bool) *ConstProp {
 	p := &constProblem{g: g, helper: helperEntries}
-	in, _ := Forward[cpState](g, p)
-	return &ConstProp{g: g, p: p, in: in}
+	return &ConstProp{g: g, p: p, in: p.solve()}
 }
 
 // RegBefore returns the constant value of register reg immediately

@@ -434,8 +434,8 @@ func (a *Agent) upload(ctx context.Context, base, path, sum string, body []byte,
 }
 
 // respool handles every spool entry the upload path cannot send as it
-// is — a foreign name, a plain .snap.json, or bytes the daemon refused
-// with 422; cause says which. It decodes the entry, spools the snap
+// is — a name that is not its content address, or bytes the daemon
+// refused with 422; cause says which. It decodes the entry, spools the snap
 // under its content address, removes the original and sends the
 // spooled copy through the state machine at once. An entry that does
 // not decode is quarantined, and so is one whose respool lands on its

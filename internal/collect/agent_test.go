@@ -616,24 +616,17 @@ func blobBytes(t *testing.T, a *archive.Archive, sum string) []byte {
 }
 
 // TestAgentRespoolsWhatItCannotSend: an entry the agent cannot send as
-// it is — a foreign name, a plain .snap.json, a content-address name
-// over a different snap (the daemon answers 422) — is re-spooled under
-// its own address and lands; nothing is quarantined and the snap the
-// misleading name addresses is never stored.
+// it is — a foreign name, the <proc>-<n> name tbrun -snapdir writes, a
+// content-address name over a different snap (the daemon answers 422)
+// — is re-spooled under its own address and lands; nothing is
+// quarantined and the snap the misleading name addresses is never
+// stored.
 func TestAgentRespoolsWhatItCannotSend(t *testing.T) {
 	_, ts, arch := newTestDaemon(t, ServerOptions{})
 	spool := t.TempDir()
-	write := func(name string, s *snap.Snap, gzipped bool) {
+	write := func(name string, s *snap.Snap) {
 		t.Helper()
-		var buf bytes.Buffer
-		save := s.Save
-		if gzipped {
-			save = s.SaveCompressed
-		}
-		if err := save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(spool, name), buf.Bytes(), 0o644); err != nil {
+		if err := snap.SaveFile(filepath.Join(spool, name), s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -641,9 +634,9 @@ func TestAgentRespoolsWhatItCannotSend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	write("crash-2.snap.json.gz", mkSnap("h1", 2), true)
-	write("app-3.snap.json", mkSnap("h1", 3), false)
-	write(misnamed+spoolSuffix, mkSnap("h1", 5), true)
+	write("crash-2.snap.json.gz", mkSnap("h1", 2))
+	write("app-3.snap.json.gz", mkSnap("h1", 3))
+	write(misnamed+spoolSuffix, mkSnap("h1", 5))
 
 	ag := fastAgent(t, spool, ts.URL)
 	if err := ag.Drain(t.Context()); err != nil {

@@ -28,12 +28,19 @@ func FuzzUploadBody(f *testing.F) {
 	if err := s.SaveCompressed(&zipped); err != nil {
 		f.Fatal(err)
 	}
+	gz := func(b []byte) []byte {
+		var buf bytes.Buffer
+		if err := snap.WriteGzip(&buf, b); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
 	f.Add(zipped.Bytes(), sum)
-	f.Add(canonical, "")
+	f.Add(zipped.Bytes(), "")
 	f.Add(zipped.Bytes(), strings.Repeat("ab", 32))
-	f.Add(append(bytes.Clone(canonical), `{}`...), "")
+	f.Add(gz(append(bytes.Clone(canonical), `{}`...)), "")
 	f.Add(append(bytes.Clone(zipped.Bytes()), zipped.Bytes()...), sum)
-	f.Add([]byte(`{"tRiggerTid":0}`), "")
+	f.Add(gz([]byte(`{"tRiggerTid":0}`)), "")
 	f.Add([]byte("not a snap"), "")
 	f.Add([]byte{0x1f, 0x8b}, "")
 

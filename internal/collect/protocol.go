@@ -30,9 +30,10 @@ const (
 	// HEAD → 200 when the blob is resident, 404 when not.
 	PathBlobPrefix = "/" + APIVersion + "/blob/"
 	// PathSnap accepts POST uploads: body is one snap's canonical JSON
-	// (the bytes Snap.Save writes), plain or as one gzip member at any
-	// level; any other encoding is refused 422, and every upload that
-	// arrives while the daemon drains is refused 503 with Retry-After.
+	// (the bytes Snap.Save writes) as one gzip member at any level; a
+	// body that is not one gzip member is refused 400, any other
+	// encoding of a snap 422, and every upload that arrives while the
+	// daemon drains is refused 503 with Retry-After.
 	// Response is an UploadResponse.
 	PathSnap = "/" + APIVersion + "/snap"
 	// PathBuckets and PathTop are the fleet triage queries, JSON

@@ -233,8 +233,9 @@ func TestUploadHashMismatchRejected(t *testing.T) {
 // is the canonical encoding of the snap it decodes to, because those
 // bytes are what it hashes and archives. A body that decodes to a
 // valid snap some other way — even under the right claimed address —
-// is refused 422, one that breaks the single-member gzip rule 400;
-// neither journals anything, and each counts as an upload error.
+// is refused 422; one that is not a single gzip member (plain JSON, a
+// second member) 400. None journals anything, and each counts as an
+// upload error.
 func TestUploadNonCanonicalRejected(t *testing.T) {
 	_, ts, arch := newTestDaemon(t, ServerOptions{})
 	sum, canonical, err := archive.ChecksumSnap(mkSnap("h1", 1))
@@ -259,7 +260,8 @@ func TestUploadNonCanonicalRejected(t *testing.T) {
 	}{
 		{"case-folded key", gz(append([]byte(`{"tRiggerTid":0,`), canonical[1:]...)), http.StatusUnprocessableEntity},
 		{"re-indented", gz(indented.Bytes()), http.StatusUnprocessableEntity},
-		{"plain JSON with bytes after the value", append(bytes.Clone(canonical), `{}`...), http.StatusUnprocessableEntity},
+		{"bytes after the value inside the member", gz(append(bytes.Clone(canonical), `{}`...)), http.StatusUnprocessableEntity},
+		{"plain JSON body", canonical, http.StatusBadRequest},
 		{"second gzip member", append(gz(canonical), gz(canonical)...), http.StatusBadRequest},
 	} {
 		t.Run(c.name, func(t *testing.T) {

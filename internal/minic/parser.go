@@ -8,15 +8,7 @@ type parser struct {
 	pos  int
 }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) peek() token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
+func (p *parser) cur() token { return p.toks[p.pos] }
 
 func (p *parser) advance() token {
 	t := p.toks[p.pos]

@@ -3,8 +3,6 @@ package module
 import (
 	"fmt"
 	"io"
-
-	"traceback/internal/isa"
 )
 
 // Disasm writes a human-readable listing of the module: headers,
@@ -60,18 +58,3 @@ func Disasm(w io.Writer, m *Module) {
 		fmt.Fprintf(w, "  %5d: %s%s\n", i, in, tag)
 	}
 }
-
-// DisasmFunc writes a single function's listing.
-func DisasmFunc(w io.Writer, m *Module, name string) error {
-	f, ok := m.FuncByName(name)
-	if !ok {
-		return fmt.Errorf("module %s has no function %s", m.Name, name)
-	}
-	fmt.Fprintf(w, "%s: [%d,%d)\n", f.Name, f.Entry, f.End)
-	for i := f.Entry; i < f.End; i++ {
-		fmt.Fprintf(w, "  %5d: %s\n", i, m.Code[i])
-	}
-	return nil
-}
-
-var _ = isa.NOP // keep the isa import for the Instr String method

@@ -399,14 +399,4 @@ func TestDisasmOutput(t *testing.T) {
 			t.Errorf("disasm missing %q:\n%s", want, out)
 		}
 	}
-	buf.Reset()
-	if err := DisasmFunc(&buf, m, "inc"); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "addi") {
-		t.Errorf("func disasm: %s", buf.String())
-	}
-	if err := DisasmFunc(&buf, m, "nope"); err == nil {
-		t.Error("missing function accepted")
-	}
 }

@@ -98,8 +98,6 @@ const (
 	// Probes, inserted by the instrumenter only.
 	PROBEH // Imm = pre-shifted DAG record word
 	PROBEL // Imm = bit mask ORed into the current record
-
-	numOps
 )
 
 // Managed exception codes.

@@ -448,15 +448,10 @@ func benchCorpus(tb testing.TB, nSnaps int) (snapPaths []string, mapsDir, mapPat
 	}
 	mw.Close()
 	for i := 0; i < nSnaps; i++ {
-		p := filepath.Join(root, fmt.Sprintf("run%02d.snap.json", i))
-		f, err := os.Create(p)
-		if err != nil {
+		p := filepath.Join(root, fmt.Sprintf("run%02d.snap.json.gz", i))
+		if err := snap.SaveFile(p, s); err != nil {
 			tb.Fatal(err)
 		}
-		if err := s.Save(f); err != nil {
-			tb.Fatal(err)
-		}
-		f.Close()
 		snapPaths = append(snapPaths, p)
 	}
 	return snapPaths, mapsDir, mapPath

@@ -15,8 +15,6 @@ type RenderOptions struct {
 	Source func(file string) []string
 	// MaxEvents caps output per thread (0: unlimited).
 	MaxEvents int
-	// Flat disables call-hierarchy indentation.
-	Flat bool
 }
 
 // Render writes a human-readable trace. View selection is
@@ -146,10 +144,8 @@ func appendThread(w io.Writer, buf []byte, t *ThreadTrace, opts RenderOptions) [
 func appendEvent(buf []byte, e *Event, opts RenderOptions) []byte {
 	start := len(buf)
 	buf = append(buf, "  "...)
-	if !opts.Flat {
-		for d := 0; d < e.Depth; d++ {
-			buf = append(buf, "| "...)
-		}
+	for d := 0; d < e.Depth; d++ {
+		buf = append(buf, "| "...)
 	}
 	switch e.Kind {
 	case EvLine:

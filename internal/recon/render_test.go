@@ -62,7 +62,7 @@ func renderThreadOracle(w io.Writer, t *ThreadTrace, opts RenderOptions) {
 	for i := range evs {
 		e := &evs[i]
 		indent := "  "
-		if !opts.Flat && e.Depth > 0 {
+		if e.Depth > 0 {
 			indent += strings.Repeat("| ", e.Depth)
 		}
 		switch e.Kind {
@@ -151,11 +151,9 @@ func testSource(file string) []string {
 // renders under, for a thread of n events.
 func renderOptionSets(n int) []RenderOptions {
 	var sets []RenderOptions
-	for _, flat := range []bool{false, true} {
-		for _, max := range []int{0, 1, 5, n - 1} {
-			for _, src := range []func(string) []string{nil, testSource} {
-				sets = append(sets, RenderOptions{Flat: flat, MaxEvents: max, Source: src})
-			}
+	for _, max := range []int{0, 1, 5, n - 1} {
+		for _, src := range []func(string) []string{nil, testSource} {
+			sets = append(sets, RenderOptions{MaxEvents: max, Source: src})
 		}
 	}
 	return sets
@@ -178,8 +176,8 @@ func TestRenderThreadMatchesOracle(t *testing.T) {
 		RenderThread(&got, th, opts)
 		renderThreadOracle(&want, th, opts)
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("flat=%v max=%d source=%v: output differs from the oracle at byte %d",
-				opts.Flat, opts.MaxEvents, opts.Source != nil, firstDiff(got.Bytes(), want.Bytes()))
+			t.Errorf("max=%d source=%v: output differs from the oracle at byte %d",
+				opts.MaxEvents, opts.Source != nil, firstDiff(got.Bytes(), want.Bytes()))
 		}
 	}
 }
@@ -219,7 +217,7 @@ func TestRenderMatchesOracleOnCorpus(t *testing.T) {
 
 	src := NewSourceCache("../../examples/quickstart").Lines
 	for i, pt := range pts {
-		for _, opts := range []RenderOptions{{}, {Flat: true}, {MaxEvents: 5}, {Source: src}} {
+		for _, opts := range []RenderOptions{{}, {MaxEvents: 5}, {Source: src}} {
 			var got, want bytes.Buffer
 			Render(&got, pt, opts)
 			renderOracle(&want, pt, opts)

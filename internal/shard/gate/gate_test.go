@@ -735,14 +735,14 @@ func TestGateLoadSnapDistrustsBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var gz, plain bytes.Buffer
+	var gz, other bytes.Buffer
 	if err := mkSnap(2, "h1", 1000).SaveCompressed(&gz); err != nil {
 		t.Fatal(err)
 	}
-	if err := mkSnap(3, "h1", 1000).Save(&plain); err != nil {
+	if err := mkSnap(3, "h1", 1000).SaveCompressed(&other); err != nil {
 		t.Fatal(err)
 	}
-	gzLiar, plainLiar := blobReply(t, gz.Bytes()), blobReply(t, plain.Bytes())
+	gzLiar, otherLiar := blobReply(t, gz.Bytes()), blobReply(t, other.Bytes())
 
 	honest := startNode(t, "honest")
 	if _, err := honest.Arch.IngestUnique(s, archive.SignSnap(s, nil)); err != nil {
@@ -759,7 +759,7 @@ func TestGateLoadSnapDistrustsBlobs(t *testing.T) {
 		t.Errorf("LoadSnap returned the snap addressed %.12s (%v), want %.12s", gotSum, err, sum)
 	}
 
-	urls[home], urls[1-home] = gzLiar.URL, plainLiar.URL
+	urls[home], urls[1-home] = gzLiar.URL, otherLiar.URL
 	g, _ = newGate(t, urls)
 	if got, err := g.LoadSnap(sum); err == nil || !strings.Contains(err.Error(), "addressed") {
 		t.Errorf("LoadSnap over lying shards: %v, %v; want an error naming the mismatch", got, err)

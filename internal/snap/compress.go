@@ -12,7 +12,8 @@ import (
 // The paper notes that trace buffers are "readily compressible by a
 // factor of 10 or more for ease of archiving or transmission": DAG
 // records repeat heavily (hot loops re-record the same header word).
-// SaveCompressed/LoadAuto provide that archival form.
+// SaveCompressed/LoadAuto provide that archival form, the only form a
+// snap file takes.
 
 // Load-error classes, matchable with errors.Is. Archival tooling
 // (the snap warehouse, batch reconstruction) dispatches on these to
@@ -21,6 +22,9 @@ import (
 var (
 	// ErrEmpty: the input held no bytes at all.
 	ErrEmpty = errors.New("empty snap input")
+	// ErrNotGzip: the input does not start with the gzip magic; a snap
+	// file is always one gzip member.
+	ErrNotGzip = errors.New("snap input is not gzip")
 	// ErrTruncated: the input ended mid-stream (cut-short gzip body or
 	// JSON document — the footprint of an interrupted copy).
 	ErrTruncated = errors.New("truncated snap input")
@@ -36,7 +40,7 @@ var (
 // MaxInflatedBytes bounds what one gzip member may inflate to. Honest
 // snaps compress around 400:1, so a cap on the compressed size alone
 // (the daemon's upload limit) bounds nothing; this is the same 64 MiB
-// the daemon allows a plain-JSON body by default.
+// the daemon allows a compressed body by default.
 const MaxInflatedBytes = 64 << 20
 
 // SaveCompressed writes the snap as gzip-compressed JSON.
@@ -65,21 +69,18 @@ func gzipTo(w io.Writer, fill func(io.Writer) error) error {
 	return zw.Close()
 }
 
-// LoadAuto reads a snap in either plain-JSON or gzip form, sniffing
-// the magic bytes. Gzip input must be a single complete member:
-// truncation and trailing garbage are reported as wrapped ErrTruncated
-// / ErrTrailingData rather than raw decoder failures.
+// LoadAuto reads a snap in its one file form: a single complete gzip
+// member of the snap JSON. Input that is not gzip is refused as
+// ErrNotGzip; truncation and trailing garbage are reported as wrapped
+// ErrTruncated / ErrTrailingData rather than raw decoder failures.
 func LoadAuto(r io.Reader) (*Snap, error) { return loadAuto(r, nil) }
 
-// LoadCanonical is LoadAuto that also returns every byte of the snap
-// JSON it read: the whole inflated gzip member, or the whole plain
-// input, bytes after the JSON value included. It accepts and rejects
-// what LoadAuto does, under the same single-member and trailing-data
-// rules and the same MaxInflatedBytes cap — which, because it holds
-// every byte, it applies to plain input too. A caller that finds raw
-// equal to s's Save bytes knows the input was the canonical encoding
-// and can hash raw instead of encoding s again: the collection
-// daemon's one pass over an upload.
+// LoadCanonical is LoadAuto that also returns every byte the gzip
+// member inflates to, bytes after the JSON value included. It accepts
+// and rejects what LoadAuto does. A caller that finds raw equal to s's
+// Save bytes knows the input was the canonical encoding and can hash
+// raw instead of encoding s again: the collection daemon's one pass
+// over an upload.
 func LoadCanonical(r io.Reader) (s *Snap, raw []byte, err error) {
 	var tee bytes.Buffer
 	if s, err = loadAuto(r, &tee); err != nil {
@@ -89,9 +90,7 @@ func LoadCanonical(r io.Reader) (s *Snap, raw []byte, err error) {
 }
 
 // loadAuto is LoadAuto, copying what the JSON decoder reads into tee
-// when tee is not nil. Without a tee the plain path stays a bare
-// streaming decode; with one, the plain input is capped and read to
-// its end like a gzip member.
+// when tee is not nil.
 func loadAuto(r io.Reader, tee *bytes.Buffer) (*Snap, error) {
 	br := bufio.NewReader(r)
 	magic, err := br.Peek(2)
@@ -101,30 +100,9 @@ func loadAuto(r io.Reader, tee *bytes.Buffer) (*Snap, error) {
 		}
 		return nil, fmt.Errorf("snap: %w", err)
 	}
-	if len(magic) == 2 && magic[0] == 0x1f && magic[1] == 0x8b {
-		return loadGzip(br, tee)
+	if len(magic) < 2 || magic[0] != 0x1f || magic[1] != 0x8b {
+		return nil, fmt.Errorf("snap: %w", ErrNotGzip)
 	}
-	if tee == nil {
-		return Load(br)
-	}
-	lr := &io.LimitedReader{R: br, N: MaxInflatedBytes + 1}
-	src := io.TeeReader(lr, tee)
-	s, err := Load(src)
-	if err == nil {
-		if _, err = io.Copy(io.Discard, src); err != nil {
-			err = fmt.Errorf("snap: %w", err)
-		}
-	}
-	if lr.N == 0 {
-		return nil, fmt.Errorf("snap: %w", ErrTooLarge)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-func loadGzip(br *bufio.Reader, tee *bytes.Buffer) (*Snap, error) {
 	zr, err := gzip.NewReader(br)
 	if err != nil {
 		return nil, fmt.Errorf("snap: %w", classifyGzipErr(err))

@@ -8,15 +8,15 @@ import (
 	"strings"
 )
 
-// IsFileName reports whether name follows the snap file convention:
-// *.snap.json (plain) or *.snap.json.gz (archival). Every tool that
-// walks a directory for snaps asks here, so a spool, a batch directory
-// and the committed fleet all agree on what counts.
+// IsFileName reports whether name follows the snap file convention,
+// *.snap.json.gz. Every tool that walks a directory for snaps asks
+// here, so a spool, a batch directory and the committed fleet all
+// agree on what counts.
 func IsFileName(name string) bool {
-	return strings.HasSuffix(name, ".snap.json") || strings.HasSuffix(name, ".snap.json.gz")
+	return strings.HasSuffix(name, ".snap.json.gz")
 }
 
-// LoadFile reads a snap file in either form (see LoadAuto).
+// LoadFile reads a snap file (see LoadAuto).
 func LoadFile(path string) (*Snap, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -109,7 +109,7 @@ func ExpandPaths(args []string, warn func(skipped string)) ([]string, error) {
 			found++
 		}
 		if found == 0 {
-			return nil, fmt.Errorf("%s: no *.snap.json[.gz] files", arg)
+			return nil, fmt.Errorf("%s: no *.snap.json.gz files", arg)
 		}
 	}
 	return paths, nil

@@ -20,7 +20,7 @@ func TestSaveFileLoadFileRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, testSnap()) {
 		t.Errorf("round trip changed the snap: %+v", got)
 	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "absent.snap.json")); !os.IsNotExist(err) {
+	if _, err := LoadFile(filepath.Join(t.TempDir(), "absent.snap.json.gz")); !os.IsNotExist(err) {
 		t.Errorf("missing file: err = %v, want not-exist", err)
 	}
 }
@@ -30,7 +30,7 @@ func TestSaveFileLoadFileRoundTrip(t *testing.T) {
 // are warned about and skipped, and a path reached twice appears once.
 func TestExpandPaths(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{"b-2.snap.json.gz", "a-1.snap.json", "README.txt", "app.map.json"} {
+	for _, name := range []string{"b-2.snap.json.gz", "a-1.snap.json.gz", "c-3.snap.json", "README.txt", "app.map.json"} {
 		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -39,9 +39,9 @@ func TestExpandPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty := t.TempDir()
-	a, b := filepath.Join(dir, "a-1.snap.json"), filepath.Join(dir, "b-2.snap.json.gz")
+	a, b := filepath.Join(dir, "a-1.snap.json.gz"), filepath.Join(dir, "b-2.snap.json.gz")
 	readme := filepath.Join(dir, "README.txt")
-	skipped := []string{readme, filepath.Join(dir, "app.map.json"), filepath.Join(dir, "sub")}
+	skipped := []string{readme, filepath.Join(dir, "app.map.json"), filepath.Join(dir, "c-3.snap.json"), filepath.Join(dir, "sub")}
 
 	for _, tc := range []struct {
 		name    string
@@ -55,7 +55,7 @@ func TestExpandPaths(t *testing.T) {
 		{name: "directory expands sorted, skipping the rest", args: []string{dir}, want: []string{a, b}, warned: skipped},
 		{name: "dedupe across arguments keeps first position", args: []string{b, dir, a}, want: []string{b, a}, warned: skipped},
 		{name: "same directory twice", args: []string{dir, dir}, want: []string{a, b}, warned: append(skipped, skipped...)},
-		{name: "directory without snaps", args: []string{empty}, wantErr: "no *.snap.json[.gz] files"},
+		{name: "directory without snaps", args: []string{empty}, wantErr: "no *.snap.json.gz files"},
 		{name: "missing path", args: []string{filepath.Join(dir, "absent")}, wantErr: "no such file"},
 	} {
 		var warned []string
@@ -84,7 +84,7 @@ func TestExpandPaths(t *testing.T) {
 
 func TestIsFileName(t *testing.T) {
 	for name, want := range map[string]bool{
-		"app-1.snap.json": true, "app-1.snap.json.gz": true,
+		"app-1.snap.json": false, "app-1.snap.json.gz": true,
 		"app.map.json": false, "snap.json": false, "app-1.snap.json.tmp": false, "": false,
 	} {
 		if IsFileName(name) != want {

@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// FuzzSnapReader feeds arbitrary bytes — including valid snaps,
-// gzipped snaps, and truncated gzip streams — to the snap reader.
+// FuzzSnapReader feeds arbitrary bytes — including gzipped snaps,
+// truncated gzip streams and plain JSON — to the snap reader.
 // LoadAuto must either return a snap or an error, never panic, and
 // any snap it accepts must survive save→load round trips in both
 // plain and compressed form. LoadCanonical, the collection daemon's
@@ -28,11 +28,18 @@ func FuzzSnapReader(f *testing.F) {
 			CommittedSub: 0, SubWords: 4, Raw: []byte{0xAA, 0, 0, 0x80, 0xFF, 0xFF, 0xFF, 0xFF},
 		}},
 	}
+	gz := func(b []byte) []byte {
+		var buf bytes.Buffer
+		zw, _ := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
+		zw.Write(b)
+		zw.Close()
+		return buf.Bytes()
+	}
 	var plain bytes.Buffer
 	if err := valid.Save(&plain); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(plain.Bytes())
+	f.Add(gz(plain.Bytes()))
 
 	var zipped bytes.Buffer
 	if err := valid.SaveCompressed(&zipped); err != nil {
@@ -44,15 +51,11 @@ func FuzzSnapReader(f *testing.F) {
 	// Gzip magic with nothing behind it.
 	f.Add([]byte{0x1f, 0x8b})
 	// Gzip wrapping non-JSON.
-	var junkz bytes.Buffer
-	zw := gzip.NewWriter(&junkz)
-	zw.Write([]byte("not json"))
-	zw.Close()
-	f.Add(junkz.Bytes())
-	// Plain junk and empty-ish inputs.
+	f.Add(gz([]byte("not json")))
+	// Plain input (refused) and empty-ish members.
 	f.Add([]byte("{"))
-	f.Add([]byte("{}"))
-	f.Add([]byte(`{"buffers":[{"raw":"AAAA"}]}`))
+	f.Add(gz([]byte("{}")))
+	f.Add(gz([]byte(`{"buffers":[{"raw":"AAAA"}]}`)))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -67,14 +70,15 @@ func FuzzSnapReader(f *testing.F) {
 		if !reflect.DeepEqual(s, cs) {
 			t.Fatalf("LoadCanonical decodes a different snap than LoadAuto")
 		}
-		// raw is every byte the JSON stream held: the input itself, or
-		// all that its one gzip member inflates to.
-		want := data
-		if zr, zerr := gzip.NewReader(bytes.NewReader(data)); zerr == nil {
-			zr.Multistream(false)
-			if want, zerr = io.ReadAll(zr); zerr != nil {
-				t.Fatalf("accepted gzip member does not inflate: %v", zerr)
-			}
+		// raw is all that the input's one gzip member inflates to.
+		zr, err := gzip.NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("accepted input is not gzip: %v", err)
+		}
+		zr.Multistream(false)
+		want, err := io.ReadAll(zr)
+		if err != nil {
+			t.Fatalf("accepted gzip member does not inflate: %v", err)
 		}
 		if !bytes.Equal(raw, want) {
 			t.Fatalf("LoadCanonical returned %d bytes, the input's JSON stream holds %d", len(raw), len(want))

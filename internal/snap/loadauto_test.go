@@ -84,15 +84,21 @@ func TestLoadAutoCompleteMemberStillLoads(t *testing.T) {
 	}
 }
 
-func TestLoadAutoOneBytePlain(t *testing.T) {
-	// A single non-gzip byte is not empty, not gzip: it must fall to
-	// the plain-JSON path and fail there without panicking.
-	_, err := LoadAuto(strings.NewReader("{"))
-	if err == nil {
-		t.Fatal("no error for bare '{'")
+// TestLoadAutoRefusesPlain: a snap file is one gzip member, so the
+// plain JSON of a valid snap — and a single non-gzip byte — is refused
+// as ErrNotGzip by both readers.
+func TestLoadAutoRefusesPlain(t *testing.T) {
+	var plain bytes.Buffer
+	if err := testSnap().Save(&plain); err != nil {
+		t.Fatal(err)
 	}
-	if errors.Is(err, ErrEmpty) {
-		t.Error("bare '{' misclassified as empty")
+	for name, in := range map[string][]byte{"plain snap": plain.Bytes(), "one byte": []byte("{")} {
+		if _, err := LoadAuto(bytes.NewReader(in)); !errors.Is(err, ErrNotGzip) {
+			t.Errorf("%s: LoadAuto err = %v, want ErrNotGzip", name, err)
+		}
+		if _, _, err := LoadCanonical(bytes.NewReader(in)); !errors.Is(err, ErrNotGzip) {
+			t.Errorf("%s: LoadCanonical err = %v, want ErrNotGzip", name, err)
+		}
 	}
 }
 

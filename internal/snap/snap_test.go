@@ -103,20 +103,6 @@ func TestCompressionFactor(t *testing.T) {
 	}
 }
 
-func TestLoadAutoPlain(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sample().Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadAuto(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.PID != 3 {
-		t.Error("plain auto-load failed")
-	}
-}
-
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(strings.NewReader("not json")); err == nil {
 		t.Error("garbage accepted")

@@ -1,10 +1,6 @@
 package telemetry
 
-import (
-	"encoding/json"
-	"io"
-	"sync"
-)
+import "sync"
 
 // Event is one flight-recorder entry: a notable, rare occurrence
 // (buffer wrap, dead-thread scavenge, bad-DAG record, snap trigger,
@@ -81,8 +77,9 @@ func (r *Recorder) Dropped() uint64 {
 	return r.total - uint64(r.cap)
 }
 
-// EventDump is the serialized form of a flight recorder — what
-// `tbrun -events` writes and `tbdump -events` renders.
+// EventDump is the serialized form of a flight recorder: the "events"
+// of the JSON exposition (Registry.WriteJSON), which `-metrics
+// run.json` and `/metrics?format=json` write.
 type EventDump struct {
 	Total   uint64  `json:"total"`
 	Dropped uint64  `json:"dropped"`
@@ -92,20 +89,4 @@ type EventDump struct {
 // Dump snapshots the recorder.
 func (r *Recorder) Dump() EventDump {
 	return EventDump{Total: r.Total(), Dropped: r.Dropped(), Events: r.Events()}
-}
-
-// WriteJSON writes the dump as indented JSON.
-func (r *Recorder) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Dump())
-}
-
-// ReadEventDump parses a dump written by WriteJSON.
-func ReadEventDump(r io.Reader) (*EventDump, error) {
-	var d EventDump
-	if err := json.NewDecoder(r).Decode(&d); err != nil {
-		return nil, err
-	}
-	return &d, nil
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -54,19 +55,23 @@ func TestRecorderWrapProperty(t *testing.T) {
 	}
 }
 
+// TestRecorderDumpRoundTrip: the registry's JSON exposition carries
+// the flight recorder's dump, and it decodes back to what was kept.
 func TestRecorderDumpRoundTrip(t *testing.T) {
-	r := NewRecorder(3)
+	reg := New()
+	r := reg.Recorder(3)
 	for i := 0; i < 5; i++ {
 		r.Record(uint64(i), "wrap", "")
 	}
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := reg.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	d, err := ReadEventDump(&buf)
-	if err != nil {
-		t.Fatal(err)
+	var s struct{ Events *EventDump }
+	if err := json.Unmarshal(buf.Bytes(), &s); err != nil || s.Events == nil {
+		t.Fatalf("no events in the exposition (%v):\n%s", err, buf.Bytes())
 	}
+	d := s.Events
 	if d.Total != 5 || d.Dropped != 2 || len(d.Events) != 3 {
 		t.Fatalf("dump = total %d dropped %d events %d", d.Total, d.Dropped, len(d.Events))
 	}

@@ -116,9 +116,7 @@ type Thread struct {
 	sigCtx []sigContext
 
 	// rpc state
-	rpcReply   []byte
 	rpcReplyAt uint32
-	rpcExt     []byte
 	pendingReq *rpcMessage
 
 	// stack bounds for diagnostics

@@ -49,6 +49,7 @@ var unsetFields = map[string]string{
 	"internal/tbrt.Config.UseLogicalClock": "paper §3.5's logical clock for platforms without a fine clock; figure3_test drives it",
 	"internal/collect.AgentOptions.Sleep":  "the test seam that runs the agent's backoff without waiting",
 	"internal/shard/gate.Options.Client":   "the test seam that points the gate at a client of the test's choosing",
+	"internal/verify.Options.MaxPaths":     "the fuzz seam that keeps a fuzzed DAG's path enumeration small",
 }
 
 // TestExportsHaveProductionCallers keeps the production code to what
@@ -153,8 +154,7 @@ func TestExportsHaveProductionCallers(t *testing.T) {
 		used[fn.Origin()] = true
 	}
 	// implements reports whether method m satisfies a used interface
-	// method of its name. An interface instantiated at a type
-	// parameter (inside a generic function) matches by method names.
+	// method of its name.
 	implements := func(m *types.Func) bool {
 		recv := m.Type().(*types.Signature).Recv()
 		if recv == nil {
@@ -165,20 +165,8 @@ func TestExportsHaveProductionCallers(t *testing.T) {
 			ptr = types.NewPointer(ptr)
 		}
 		for _, im := range ifaceUsed {
-			if im.Name() != m.Name() {
-				continue
-			}
-			it := im.Type().(*types.Signature).Recv().Type()
-			iface := it.Underlying().(*types.Interface)
-			if n, ok := it.(*types.Named); ok && n.TypeArgs().Len() > 0 {
-				ms, all := types.NewMethodSet(ptr), true
-				for i := 0; i < iface.NumMethods(); i++ {
-					all = all && ms.Lookup(iface.Method(i).Pkg(), iface.Method(i).Name()) != nil
-				}
-				if all {
-					return true
-				}
-			} else if types.Implements(ptr, iface) {
+			iface := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			if im.Name() == m.Name() && types.Implements(ptr, iface) {
 				return true
 			}
 		}

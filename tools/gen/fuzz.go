@@ -69,53 +69,41 @@ func genFuzz(root string) error {
 			SubWords: 4, Raw: []byte{0xAA, 0, 0, 0x80, 0xFF, 0xFF, 0xFF, 0xFF},
 		}},
 	}
-	var plain, zipped, junkz, bomb bytes.Buffer
+	var plain, zipped bytes.Buffer
 	if err := valid.Save(&plain); err != nil {
 		return err
 	}
 	if err := valid.SaveCompressed(&zipped); err != nil {
 		return err
 	}
-	if err := snap.WriteGzip(&junkz, []byte("not json")); err != nil {
-		return err
-	}
 	// Decompression bomb: an empty snap padded with whitespace to one
 	// byte past snap.MaxInflatedBytes. LoadAuto must refuse it
 	// (snap.ErrTooLarge) without materializing the padding.
-	if err := snap.WriteGzip(&bomb, append([]byte("{}"), bytes.Repeat([]byte(" "), snap.MaxInflatedBytes-1)...)); err != nil {
-		return err
-	}
-	sd.add("valid-json", plain.Bytes())
+	bomb := gzipped(gzip.BestCompression, append([]byte("{}"), bytes.Repeat([]byte(" "), snap.MaxInflatedBytes-1)...))
+	// A snap file is one gzip member, so every JSON-shaped seed is
+	// wrapped in one: a plain seed would stop at the gzip check and
+	// never reach the JSON decoder. "open-brace" stays plain, the one
+	// seed of that refusal.
+	sd.add("valid-json", gzipped(gzip.DefaultCompression, plain.Bytes()))
 	sd.add("valid-gzip", zipped.Bytes())
 	sd.add("truncated-gzip", zipped.Bytes()[:zipped.Len()/2])
 	sd.add("bare-gzip-magic", []byte{0x1f, 0x8b})
-	sd.add("gzip-non-json", junkz.Bytes())
+	sd.add("gzip-non-json", gzipped(gzip.BestCompression, []byte("not json")))
 	sd.add("open-brace", []byte("{"))
-	sd.add("empty-object", []byte("{}"))
-	sd.add("raw-buffer", []byte(`{"buffers":[{"raw":"AAAA"}]}`))
+	sd.add("empty-object", gzipped(gzip.BestCompression, []byte("{}")))
+	sd.add("raw-buffer", gzipped(gzip.BestCompression, []byte(`{"buffers":[{"raw":"AAAA"}]}`)))
 	sd.add("empty", []byte{})
 	// Fuzzer-found: case-insensitive JSON field matching can populate
 	// an omitempty slice with a present-but-empty value, a form Save
 	// never emits (canonicalized on first save).
-	sd.add("case-insensitive-empty-datadump", []byte(`{"modules":[{"dAtaDump":""}]}`))
-	sd.add("inflate-bomb", bomb.Bytes())
+	sd.add("case-insensitive-empty-datadump", gzipped(gzip.BestCompression, []byte(`{"modules":[{"dAtaDump":""}]}`)))
+	sd.add("inflate-bomb", bomb)
 	// The canonical JSON behind another gzip level, and followed by a
-	// second value: LoadCanonical must hand back every byte of the JSON
-	// stream — what any member inflates to, and the bytes after a
-	// plain value — for the collection daemon's canonical check to see.
-	var fast bytes.Buffer
-	zw, err := gzip.NewWriterLevel(&fast, gzip.BestSpeed)
-	if err != nil {
-		return err
-	}
-	if _, err := zw.Write(plain.Bytes()); err != nil {
-		return err
-	}
-	if err := zw.Close(); err != nil {
-		return err
-	}
-	sd.add("valid-gzip-bestspeed", fast.Bytes())
-	sd.add("valid-json-trailing-bytes", append(bytes.Clone(plain.Bytes()), `{"host":"x"}`...))
+	// second value in the same member: LoadCanonical must hand back
+	// every byte the member inflates to for the collection daemon's
+	// canonical check to see.
+	sd.add("valid-gzip-bestspeed", gzipped(gzip.BestSpeed, plain.Bytes()))
+	sd.add("valid-json-trailing-bytes", gzipped(gzip.BestCompression, append(bytes.Clone(plain.Bytes()), `{"host":"x"}`...)))
 	// A recorded snap: the nondet section holds one record of every
 	// kind, so the fuzzer reaches recordings through the snap decoder.
 	recorded := *valid
@@ -132,7 +120,7 @@ func genFuzz(root string) error {
 	if err := recorded.Save(&rec); err != nil {
 		return err
 	}
-	sd.add("nondet-every-kind", rec.Bytes())
+	sd.add("nondet-every-kind", gzipped(gzip.BestCompression, rec.Bytes()))
 	if sd.err != nil {
 		return sd.err
 	}
@@ -172,4 +160,13 @@ func genFuzz(root string) error {
 	jd.add("seed-bad-op", []byte(`{"v":1,"op":"shred","sum":"x"}`+"\n"))
 	jd.add("seed-empty-gc", []byte(`{"v":1,"op":"gc"}`+"\n"))
 	return jd.err
+}
+
+// gzipped is data as one gzip member at the given level.
+func gzipped(level int, data []byte) []byte {
+	var buf bytes.Buffer
+	zw, _ := gzip.NewWriterLevel(&buf, level) // err only for a bad level
+	zw.Write(data)
+	zw.Close()
+	return buf.Bytes()
 }
